@@ -4,15 +4,18 @@ Everything here operates on small (<= 64x64) dense complex numpy arrays:
 3x3 Hilbert-space operators and 9x9 Liouville-space superoperators.  The
 matrix exponential is implemented here directly (scaling-and-squaring with
 a degree-13 Pade core) because it dominates the propagation loops and the
-matrices are tiny; eigenvalues are delegated to LAPACK.  This module pins
-down the contracts the rest of the package relies on (error types,
-finiteness, value semantics).
+matrices are tiny; it takes whole (..., d, d) stacks, so that a chunk of
+Magnus steps costs one call.  Eigenvalues are delegated to LAPACK.  This
+module pins down the contracts the rest of the package relies on (error
+types, finiteness, value semantics).
 
 All functions return freshly allocated arrays and never mutate their
 arguments.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,7 +36,7 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
@@ -49,23 +52,28 @@ _PADE13_THETA = 5.371920351148152
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential e^a, scaling-and-squaring with a [13/13] Pade
-    core; the squaring count is chosen from the 1-norm of the input.
+    """Matrix exponential e^a of one matrix or of a (..., d, d) stack,
+    scaling-and-squaring with a [13/13] Pade core; each matrix's squaring
+    count is chosen from its own 1-norm.
 
     Raises DimensionError for non-square input.  Result entries are
     guaranteed finite; a non-finite result (wildly out-of-range input)
     raises FloatingPointError rather than propagating NaNs.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack, got {a.shape}")
     _require_square(a)
+    shape = a.shape
+    a = a.reshape((math.prod(shape[:-2]),) + shape[-2:])
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
-    if not np.isfinite(norm):
+        norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norms)):
         raise FloatingPointError("expm input norm is non-finite")
-    squarings = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA)))) \
-        if norm > _PADE13_THETA else 0
-    a_scaled = a / (2.0 ** squarings)
-    ident = np.eye(a.shape[0], dtype=complex)
+    squarings = np.ceil(np.log2(np.maximum(norms / _PADE13_THETA, 1.0))
+                        ).astype(int)
+    a_scaled = a / (2.0 ** squarings)[:, None, None]
+    ident = np.eye(shape[-1], dtype=complex)
     b = _PADE13
     a2 = a_scaled @ a_scaled
     a4 = a2 @ a2
@@ -75,11 +83,12 @@ def expm(a) -> np.ndarray:
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
+    for i in range(squarings.max(initial=0)):
+        pending = squarings > i
+        out[pending] = out[pending] @ out[pending]
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("expm produced non-finite entries")
-    return out
+    return out.reshape(shape)
 
 
 def kron(a, b) -> np.ndarray:

@@ -9,7 +9,8 @@ Units: hbar = 1; all energies, frequencies and rates share one unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class LambdaParams:
     e1: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (self.e2 > self.e1 and self.e2 > self.e3):
             raise ValueError("lambda ordering requires e2 > e1 and e2 > e3")
         if not (abs(self.e2 - self.e1) > abs(self.e1 - self.e3)
@@ -195,9 +200,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 def liouvillian(p: LambdaParams, t: float, rwa: bool = False) -> np.ndarray:
     """Hamiltonian commutator superoperator H ox I - I ox H^T (9x9)."""
-    h = hamiltonian(p, t, rwa)
-    ident = np.eye(DIM)
-    return kron(h, ident) - kron(ident, h.T)
+    return _comm_super(hamiltonian(p, t, rwa))
 
 
 def lindbladian(p: LambdaParams) -> np.ndarray:
@@ -224,47 +227,56 @@ def ground_state() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _comm_super(h: np.ndarray) -> np.ndarray:
-    """Commutator superoperator of h: kron(h, I) - kron(I, h.T)."""
+    """Commutator superoperator kron(h, I) - kron(I, h.T) of one operator,
+    or of each operator in a (K, 3, 3) stack."""
     ident = np.eye(DIM)
-    return kron(h, ident) - kron(ident, h.T)
+    return np.kron(h, ident) - np.kron(ident, np.swapaxes(h, -1, -2))
+
+
+def _drive(p: LambdaParams, rwa: bool):
+    """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
+    stack and the map from times (...) to the coefficients f_k, (..., K).
+
+    Full drive: -rabi cos(w t) on each field's symmetric coupling.  RWA:
+    -rabi/2 e^{-i w t} on the raising part |2><g| and its conjugate on the
+    lowering part |g><2|.
+    """
+    rabi = np.array([p.rabi_p, p.rabi_c])
+    omega = np.array([p.omega_p, p.omega_c])
+    if not rwa:
+        ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
+
+        def coefficients(t: np.ndarray) -> np.ndarray:
+            return -rabi * np.cos(omega * t[..., None])
+    else:
+        ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
+
+        def coefficients(t: np.ndarray) -> np.ndarray:
+            c = -0.5 * rabi * np.exp(-1j * omega * t[..., None])
+            return np.stack([c[..., 0], np.conj(c[..., 0]),
+                             c[..., 1], np.conj(c[..., 1])], axis=-1)
+    return ops, coefficients
 
 
 def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
     """3x3 Hilbert-space generator -i H(t) for unitary dynamics."""
-    def func(t: float) -> np.ndarray:
-        return -1j * hamiltonian(p, t, rwa)
-    return Generator(func=func, dim=DIM, anti_hermitian=True)
+    ops, coefficients = _drive(p, rwa)
+    return Generator(-1j * h0(p), -1j * ops, coefficients,
+                     anti_hermitian=True)
 
 
 def liouville_generator(p: LambdaParams, rwa: bool = False,
                         dissipative: bool | None = None) -> Generator:
     """9x9 Liouville-space generator -i L(t) (+ D when dissipative).
 
-    The time-independent superoperator pieces are precomputed; each
-    evaluation only rescales the drive terms, which keeps the propagator
-    loops dominated by the matrix exponential.
+    The same affine drive as closed_generator, with every operator lifted
+    through the commutator superoperator and the time-independent
+    dissipator folded into the constant part.
     """
     if dissipative is None:
         dissipative = p.is_dissipative
-    base = -1j * _comm_super(h0(p))
+    ops, coefficients = _drive(p, rwa)
+    a0 = -1j * _comm_super(h0(p))
     if dissipative:
-        base = base + lindbladian(p)
-    if rwa:
-        s21 = _comm_super(_op(2, 1))
-        s12 = _comm_super(_op(1, 2))
-        s23 = _comm_super(_op(2, 3))
-        s32 = _comm_super(_op(3, 2))
-
-        def func(t: float) -> np.ndarray:
-            cp = -0.5 * p.rabi_p * np.exp(-1j * p.omega_p * t)
-            cc = -0.5 * p.rabi_c * np.exp(-1j * p.omega_c * t)
-            return base - 1j * (cp * s21 + np.conj(cp) * s12
-                                + cc * s23 + np.conj(cc) * s32)
-    else:
-        sp = _comm_super(_op(2, 1) + _op(1, 2))
-        sc = _comm_super(_op(2, 3) + _op(3, 2))
-
-        def func(t: float) -> np.ndarray:
-            return base - 1j * (-p.rabi_p * np.cos(p.omega_p * t) * sp
-                                - p.rabi_c * np.cos(p.omega_c * t) * sc)
-    return Generator(func=func, dim=LDIM, anti_hermitian=False)
+        a0 = a0 + lindbladian(p)
+    return Generator(a0, -1j * _comm_super(ops), coefficients)

@@ -10,7 +10,7 @@ exponentially long times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +36,22 @@ class PeriodicPlan:
 
     period: float
     steps_per_period: int
-    micromotion_times: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.steps_per_period < 1:
             raise ValueError("steps_per_period must be >= 1")
-        if self.micromotion_times is None:
-            grid = np.linspace(0.0, self.period, self.steps_per_period + 1)
-            object.__setattr__(self, "micromotion_times", grid)
 
     @property
     def dt(self) -> float:
         return self.period / self.steps_per_period
+
+    @property
+    def micromotion_times(self) -> np.ndarray:
+        """The steps_per_period + 1 grid times of one period, 0 and T
+        included."""
+        return np.linspace(0.0, self.period, self.steps_per_period + 1)
 
 
 def make_plan(g: Generator, period: float, steps_per_period: int,
@@ -58,13 +60,16 @@ def make_plan(g: Generator, period: float, steps_per_period: int,
     period at 16 pseudo-random probe times."""
     plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
     if validate:
-        rng = np.random.default_rng(1729)
-        for t in rng.uniform(0.0, period, size=16):
-            defect = np.max(np.abs(g(t + period) - g(t)))
-            if defect > PERIODICITY_TOL * max(1.0, np.max(np.abs(g(t)))):
-                raise ValueError(
-                    f"generator is not {period}-periodic: defect {defect:.3e}"
-                    f" at t={t:.6f}")
+        probes = np.random.default_rng(1729).uniform(0.0, period, size=16)
+        a = g(probes)
+        defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"generator is not {period}-periodic: defect "
+                f"{defect[i]:.3e} at t={probes[i]:.6f}")
     return plan
 
 
@@ -99,9 +104,8 @@ def one_period(g: Generator, plan: PeriodicPlan,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator over one period plus cumulative propagators at every
     intra-period grid point (identity first, the full U_T last)."""
-    cumulative = propagate(g, 0.0, plan.period, plan.steps_per_period,
-                           order=order, return_intermediate=True)
-    micromotion = np.asarray(cumulative)
+    micromotion = propagate(g, 0.0, plan.period, plan.steps_per_period,
+                            order=order, return_intermediate=True)
     return micromotion[-1], micromotion
 
 

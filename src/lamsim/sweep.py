@@ -84,18 +84,18 @@ def run_case(p: LambdaParams, horizon: float,
 
     if horizon <= period:
         n_steps = max(1, math.ceil(steps * horizon / period - 1e-9))
-        cum = propagate(g, 0.0, horizon, n_steps, order=order,
-                        return_intermediate=True)
+        props = propagate(g, 0.0, horizon, n_steps, order=order,
+                          return_intermediate=True)
         times = np.linspace(0.0, horizon, n_steps + 1)
-        props = np.asarray(cum)
     else:
         plan = periodic.make_plan(g, period, steps)
         u_t, micro = one_period(g, plan, order)
         n_periods = int(math.floor(horizon / period + 1e-12))
         blocks, time_blocks = [], []
         u_n = np.eye(g.dim, dtype=complex)
+        grid = plan.micromotion_times
         for j in range(n_periods + 1):
-            tau = plan.micromotion_times + j * period
+            tau = grid + j * period
             keep = tau <= horizon * (1.0 + 1e-12)
             if j < n_periods:
                 keep[-1] = False  # endpoint duplicates next period's start
@@ -198,11 +198,12 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     v0 = vec(ground_state())
     w_start = np.linalg.matrix_power(u_t, n_conv) @ v0
     blocks, time_blocks = [], []
+    grid = plan.micromotion_times
     for j in range(window_periods):
         arr = micro @ (np.linalg.matrix_power(u_t, j) @ w_start)
         sl = slice(None) if j == window_periods - 1 else slice(0, -1)
         blocks.append(arr[sl])
-        time_blocks.append((plan.micromotion_times + (n_conv + j) * period)[sl])
+        time_blocks.append((grid + (n_conv + j) * period)[sl])
     states = np.concatenate(blocks).reshape(-1, 3, 3)
     times = np.concatenate(time_blocks)
     states_rwf = to_rwf(states, p, times)

@@ -188,6 +188,15 @@ class TestErrorPaths:
                    "--out", "/nonexistent-dir/x.csv"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [("--rabi-p", "nan"),
+                                            ("--rabi-c", "inf"),
+                                            ("--gamma-12", "nan")])
+    def test_non_finite_parameter(self, flag, value):
+        # the later flag wins, so each run has exactly one bad field
+        rc = main(["propagate", "--e2", "6", "--e3", "2", "--rabi-p", "1",
+                   "--rabi-c", "1", "--periods", "1", flag, value])
+        assert rc == EXIT_CONFIG
+
     def test_incommensurate_frequencies(self):
         rc = main(["propagate", "--e2", "6", "--e3", "2", "--rabi-p", "1",
                    "--rabi-c", "1", "--delta-omega-p", str(np.pi - 3.0),

@@ -62,9 +62,28 @@ class TestExpm:
         u = expm(-1j * h)
         assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-13)
 
+    def test_stack_matches_single_matrices(self, rng):
+        # one small and one large norm: per-matrix squaring counts differ
+        stack = np.array([random_complex_matrix(rng, 3, 0.01),
+                          random_complex_matrix(rng, 3, 8.0),
+                          random_complex_matrix(rng, 3, 1.0)])
+        out = expm(stack.reshape(3, 1, 3, 3))
+        assert out.shape == (3, 1, 3, 3)
+        for a, e in zip(stack, out[:, 0]):
+            assert np.allclose(e, expm(a), rtol=1e-13, atol=1e-13)
+        assert np.allclose(out[0, 0], expm_series(stack[0]), atol=1e-12)
+
+    def test_stack_non_finite_input_raises(self):
+        stack = np.zeros((2, 2, 2))
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(FloatingPointError):
+            expm(stack)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            expm(np.zeros((4, 2, 3)))
 
     def test_non_finite_input_raises(self):
         with pytest.raises(FloatingPointError):

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.linalg import expm, frobenius_norm
-from lamsim.magnus import (Generator, MagnusOrder, propagate, step, step4,
-                           step6)
-from lamsim.model import closed_generator, preset
+from lamsim.magnus import (CHUNK_STEPS, Generator, MagnusOrder, propagate,
+                           step, step4, step6)
+from lamsim.model import closed_generator, liouville_generator, preset
 
 from conftest import random_complex_matrix
 
 
 def constant_generator(a: np.ndarray) -> Generator:
-    return Generator(func=lambda t: a, dim=a.shape[0])
+    return Generator(a)
 
 
 class TestExactness:
@@ -63,7 +63,7 @@ class TestPropagate:
     def test_intermediate_list(self):
         g = closed_generator(preset("A-I"))
         cum = propagate(g, 0.0, 1.0, 5, return_intermediate=True)
-        assert len(cum) == 6
+        assert cum.shape == (6, 3, 3)
         assert np.allclose(cum[0], np.eye(3))
         assert np.allclose(cum[-1], propagate(g, 0.0, 1.0, 5))
 
@@ -79,10 +79,62 @@ class TestPropagate:
 
 class TestGeneratorType:
     def test_shape_check(self):
-        g = Generator(func=lambda t: np.eye(2), dim=3)
+        # shapes are checked once, when the generator is built
         with pytest.raises(ValueError):
-            g(0.0)
+            Generator(np.eye(3), terms=np.ones((1, 2, 2)),
+                      coefficients=lambda t: np.ones(t.shape + (1,)))
+        with pytest.raises(ValueError):
+            Generator(np.eye(3), terms=np.ones((2, 3, 3)),
+                      coefficients=lambda t: np.ones(t.shape + (1,)))
+        with pytest.raises(ValueError):
+            Generator(np.ones((2, 3)))
 
     def test_call_returns_complex(self):
-        g = Generator(func=lambda t: np.eye(2, dtype=float), dim=2)
+        g = Generator(np.eye(2, dtype=float))
         assert g(0.0).dtype == complex
+
+    def test_array_of_times(self):
+        a0 = np.diag([1.0, 2.0])
+        a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = Generator(a0, terms=[a1],
+                      coefficients=lambda t: np.cos(t)[..., None])
+        times = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+        out = g(times)
+        assert out.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(times.shape):
+            assert np.allclose(out[idx], a0 + np.cos(times[idx]) * a1)
+        assert g(0.5).shape == (2, 2)
+
+
+class TestBatchedSteps:
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    def test_stack_matches_single_steps(self, order):
+        g = closed_generator(preset("A-I"), rwa=False)
+        times = np.array([0.0, 0.3, 1.7])
+        stack = step(g, times, 0.01, order)
+        assert stack.shape == (3, 3, 3)
+        for t, u in zip(times, stack):
+            assert np.max(np.abs(u - step(g, t, 0.01, order))) <= 1e-13
+
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("build,case", [(closed_generator, "A-I"),
+                                            (liouville_generator, "C-II")])
+    def test_propagate_equals_product_of_single_steps(self, build, case, rwa,
+                                                      order):
+        # CHUNK_STEPS + 7 steps cross one chunk boundary and end in a
+        # ragged last chunk
+        g = build(preset(case), rwa=rwa)
+        steps = CHUNK_STEPS + 7
+        t1 = 1.3
+        dt = t1 / steps
+        cum = propagate(g, 0.0, t1, steps, order=order,
+                        return_intermediate=True)
+        u = np.eye(g.dim, dtype=complex)
+        worst = 0.0
+        for k in range(steps):
+            u = step(g, k * dt, dt, order) @ u
+            worst = max(worst, float(np.max(np.abs(cum[k + 1] - u))))
+        assert worst <= 1e-13
+        whole = propagate(g, 0.0, t1, steps, order=order)
+        assert np.max(np.abs(whole - cum[-1])) <= 1e-13

@@ -55,6 +55,24 @@ class TestParams:
         with pytest.raises(ValueError):
             LambdaParams.tpr(rabi_p=1.0, rabi_c=1.0, gamma_12=-0.1)
 
+    @pytest.mark.parametrize("field", ["rabi_p", "rabi_c", "gamma_12",
+                                       "gamma_23", "nbar_12", "nbar_23"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(rabi_p=1.0, rabi_c=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            LambdaParams.tpr(**kwargs)
+
+    @pytest.mark.parametrize("field", ["e1", "e2", "e3", "omega_p",
+                                       "omega_c"])
+    def test_non_finite_level_or_frequency_rejected(self, field):
+        kwargs = dict(e2=6.0, e3=2.0, omega_p=6.0, omega_c=4.0, rabi_p=1.0,
+                      rabi_c=1.0)
+        kwargs[field] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            LambdaParams(**kwargs)
+
     def test_with_(self):
         p = preset("A-I").with_(rabi_p=2.0)
         assert p.rabi_p == 2.0 and p.rabi_c == 1.12
@@ -175,6 +193,23 @@ class TestGenerators:
         expected = -1j * liouvillian(p, t, rwa=rwa) + lindbladian(p)
         assert np.allclose(g(t), expected, atol=1e-13)
         assert g.dim == LDIM
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_array_of_times_matches_pointwise(self, rwa):
+        times = np.linspace(-3.0, 7.0, 12).reshape(3, 4)
+        p = preset("A-II")
+        gh = closed_generator(p, rwa=rwa)
+        gl = liouville_generator(p, rwa=rwa)
+        out_h = gh(times)
+        out_l = gl(times)
+        assert out_h.shape == (3, 4, DIM, DIM)
+        assert out_l.shape == (3, 4, LDIM, LDIM)
+        for idx in np.ndindex(times.shape):
+            t = times[idx]
+            assert np.allclose(out_h[idx], -1j * hamiltonian(p, t, rwa=rwa),
+                               atol=1e-13)
+            expected = -1j * liouvillian(p, t, rwa=rwa) + lindbladian(p)
+            assert np.allclose(out_l[idx], expected, atol=1e-13)
 
     def test_dissipation_override(self):
         p = preset("A-II")

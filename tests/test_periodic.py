@@ -3,8 +3,8 @@ import pytest
 
 from lamsim.linalg import frobenius_norm
 from lamsim.magnus import Generator, MagnusOrder, propagate
-from lamsim.model import (ground_state, liouville_generator, preset, unvec,
-                          vec)
+from lamsim.model import (ground_state, h_rwf, lindbladian,
+                          liouville_generator, preset, unvec, vec)
 from lamsim.periodic import (HorizonError, PeriodicPlan, Trajectory,
                              commensurate_period, convergence_time, doubling,
                              make_plan, one_period, steady_state_average,
@@ -178,6 +178,31 @@ class TestConvergenceTime:
         plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=8)
         with pytest.raises(ValueError, match="Liouville"):
             convergence_time(g, plan, ground_state())
+
+
+def expm_eig(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential from an eigendecomposition, independent of
+    lamsim.linalg.expm."""
+    vals, vecs = np.linalg.eig(a)
+    return vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
+
+
+@pytest.mark.parametrize("case,delta_omega_p", [
+    ("A-II", 0.0), ("B-II", 0.0), ("C-II", 0.0),
+    ("B-II", 0.5),  # omega_p = 13/2: commensurate period q = 2
+])
+def test_rwa_period_map_is_rotating_frame_exponential(case, delta_omega_p):
+    # In the rotating frame the co-rotating generator is constant, and the
+    # frame phases are T-periodic, so the lab-frame period map is exactly
+    # exp(T L_rwf) with L_rwf = -i[h_rwf, .] + D.
+    p = preset(case, delta_omega_p=delta_omega_p)
+    period, steps = commensurate_period(p.omega_p, p.omega_c)
+    h = h_rwf(p)
+    ident = np.eye(3)
+    l_rwf = -1j * (np.kron(h, ident) - np.kron(ident, h.T)) + lindbladian(p)
+    g = liouville_generator(p, rwa=True)
+    u_t, _ = one_period(g, make_plan(g, period, steps))
+    assert np.max(np.abs(u_t - expm_eig(period * l_rwf))) < 1e-10
 
 
 def test_trace_functional_reads_trace(rng):
