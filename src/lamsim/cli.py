@@ -8,7 +8,8 @@ set, so identical inputs give byte-identical files (unless ``--timestamp``
 is passed).
 
 Exit codes: 0 success, 1 validation-threshold failure, 2 configuration or
-I/O error, 3 numerical failure.
+I/O error, 3 numerical failure (for ``sweep``: one or more grid points
+failed; the full CSV is still written and a summary goes to stderr).
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .linalg import EigConvergenceError
 from .magnus import MagnusOrder
 from .model import (DIM, PRESET_NAMES, LambdaParams, ground_state,
                     liouville_generator, preset, vec)
-from .periodic import (HorizonError, commensurate_period, one_period)
-from .sweep import (BASE_STEPS, SweepAxis, SweepSpec, run_case, run_sweep)
+from .periodic import (HorizonError, Trajectory, commensurate_period,
+                       one_period)
+from .sweep import (BASE_STEPS, SweepAxis, SweepSpec, _variants, run_case,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -198,24 +201,46 @@ def _metadata_lines(cfg: RunConfig, p: LambdaParams,
 
 
 def _write_csv(cfg: RunConfig, metadata: list[str], header: list[str],
-               rows) -> None:
-    lines = list(metadata)
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+               blocks) -> None:
+    """Write metadata, header and the text blocks (each a run of complete
+    ``\n``-terminated rows) to ``cfg.out`` or stdout."""
+    head = "".join(f"{line}\n" for line in [*metadata, ",".join(header)])
     if cfg.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(head)
+        sys.stdout.writelines(blocks)
     else:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(head)
+            fh.writelines(blocks)
 
 
-def _drive_variants(cfg: RunConfig) -> tuple[str, ...]:
-    return ("full", "rwa") if cfg.drive == "both" else (cfg.drive,)
+def _row_text(rows) -> str:
+    """One text block of mixed-type rows, cell by cell."""
+    return "".join(",".join(_fmt(cell) for cell in row) + "\n"
+                   for row in rows)
 
 
 PROPAGATE_HEADER = ["t", "rho11", "rho22", "rho33", "re_r12", "im_r12",
                     "re_r13", "im_r13", "re_r23", "im_r23", "drive", "frame"]
+ROW_BLOCK = 4096  # rows formatted per template application
+
+
+def _propagate_columns(traj: Trajectory) -> np.ndarray:
+    """The trajectory as an (n, 10) float array in PROPAGATE_HEADER order."""
+    rho = traj.states
+    return np.column_stack([
+        traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+        rho[:, 0, 1].real, rho[:, 0, 1].imag, rho[:, 0, 2].real,
+        rho[:, 0, 2].imag, rho[:, 1, 2].real, rho[:, 1, 2].imag])
+
+
+def _float_blocks(columns: np.ndarray, suffix: str):
+    """Text blocks of ROW_BLOCK rows: every float as %.17g (the same text
+    as _fmt), then the constant suffix."""
+    row = ",".join(["%.17g"] * columns.shape[1]) + suffix + "\n"
+    for start in range(0, len(columns), ROW_BLOCK):
+        block = columns[start:start + ROW_BLOCK]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
@@ -225,19 +250,16 @@ def cmd_propagate(cfg: RunConfig) -> int:
         horizon = cfg.horizon
     else:
         horizon = (cfg.periods if cfg.periods is not None else 1) * period
-    rows = []
-    for drive in _drive_variants(cfg):
-        traj = run_case(p, horizon, order=_order(cfg), drive=drive,
-                        frame=cfg.frame,
-                        steps_per_period=cfg.steps_per_period)
-        for t, rho in zip(traj.times, traj.states):
-            rows.append([t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-                         rho[0, 1].real, rho[0, 1].imag,
-                         rho[0, 2].real, rho[0, 2].imag,
-                         rho[1, 2].real, rho[1, 2].imag,
-                         drive, cfg.frame])
+    # Every trajectory is computed before the output is opened, so a
+    # numerical failure leaves no partial file.
+    columns = {drive: _propagate_columns(
+        run_case(p, horizon, order=_order(cfg), drive=drive, frame=cfg.frame,
+                 steps_per_period=cfg.steps_per_period))
+        for drive in _variants(cfg.drive)}
+    blocks = (text for drive, cols in columns.items()
+              for text in _float_blocks(cols, f",{drive},{cfg.frame}"))
     _write_csv(cfg, _metadata_lines(cfg, p, {"horizon": horizon}),
-               PROPAGATE_HEADER, rows)
+               PROPAGATE_HEADER, blocks)
     return EXIT_OK
 
 
@@ -279,7 +301,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from exc
     result = run_sweep(spec)
     _write_csv(cfg, _metadata_lines(cfg, p, {"observables": cfg.observables}),
-               result.columns, result.table())
+               result.columns, [_row_text(result.table())])
+    errors = [row["error"] for row in result.rows if "error" in row]
+    if errors:
+        print(f"sweep: {len(errors)} of {len(result.rows)} points failed; "
+              f"first: {errors[0]}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -287,7 +314,7 @@ def cmd_gap(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
     period, steps = commensurate_period(p.omega_p, p.omega_c)
     rows = []
-    for drive in _drive_variants(cfg):
+    for drive in _variants(cfg.drive):
         g = liouville_generator(p, rwa=(drive == "rwa"), dissipative=True)
         plan = periodic.make_plan(g, period, steps)
         u_t, _ = one_period(g, plan, _order(cfg))
@@ -298,7 +325,7 @@ def cmd_gap(cfg: RunConfig) -> int:
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])
         rows.append([drive, "degenerate", int(report.degenerate), ""])
     _write_csv(cfg, _metadata_lines(cfg, p, {"period": period}),
-               ["drive", "quantity", "re", "im"], rows)
+               ["drive", "quantity", "re", "im"], [_row_text(rows)])
     return EXIT_OK
 
 
@@ -307,7 +334,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     period, steps = commensurate_period(p.omega_p, p.omega_c)
     rows = []
     worst_fail = False
-    for drive in _drive_variants(cfg):
+    for drive in _variants(cfg.drive):
         g = liouville_generator(p, rwa=(drive == "rwa"))
         plan = periodic.make_plan(g, period, steps)
         u_t, _ = one_period(g, plan, _order(cfg))
@@ -327,11 +354,11 @@ def cmd_validate(cfg: RunConfig) -> int:
             worst_fail |= not ok
             rows.append([drive, name, defect, threshold,
                          "pass" if ok else "FAIL"])
+    text = _row_text(rows)
     _write_csv(cfg, _metadata_lines(cfg, p, {"period": period}),
-               ["drive", "check", "defect", "threshold", "status"], rows)
+               ["drive", "check", "defect", "threshold", "status"], [text])
     if cfg.out is not None:
-        for row in rows:
-            print(",".join(_fmt(c) for c in row))
+        sys.stdout.write(text)
     return EXIT_THRESHOLD if worst_fail else EXIT_OK
 
 

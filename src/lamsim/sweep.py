@@ -62,7 +62,8 @@ def run_case(p: LambdaParams, horizon: float,
 
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
     9x9 Liouville space; horizons beyond one drive period reuse the
-    resolved period stroboscopically.
+    resolved period stroboscopically, turning each period's propagators
+    into states at once so no multi-period propagator stack is held.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -81,11 +82,19 @@ def run_case(p: LambdaParams, horizon: float,
     open_system = p.is_dissipative
     g = (liouville_generator(p, rwa=rwa) if open_system
          else closed_generator(p, rwa=rwa))
+    v0 = vec(rho0)
+
+    def evolve(props: np.ndarray) -> np.ndarray:
+        # Propagators first, then the state: applying micro[keep] to
+        # u_n @ v0 instead changes last digits from the second period on.
+        if open_system:
+            return (props @ v0).reshape(-1, 3, 3)
+        return props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
 
     if horizon <= period:
         n_steps = max(1, math.ceil(steps * horizon / period - 1e-9))
-        props = propagate(g, 0.0, horizon, n_steps, order=order,
-                          return_intermediate=True)
+        states = evolve(propagate(g, 0.0, horizon, n_steps, order=order,
+                                  return_intermediate=True))
         times = np.linspace(0.0, horizon, n_steps + 1)
     else:
         plan = periodic.make_plan(g, period, steps)
@@ -101,17 +110,12 @@ def run_case(p: LambdaParams, horizon: float,
                 keep[-1] = False  # endpoint duplicates next period's start
             if not np.any(keep):
                 break
-            blocks.append(micro[keep] @ u_n)
+            blocks.append(evolve(micro[keep] @ u_n))
             time_blocks.append(tau[keep])
             u_n = u_t @ u_n
-        props = np.concatenate(blocks)
+        states = np.concatenate(blocks)
         times = np.concatenate(time_blocks)
 
-    if open_system:
-        states = (props @ vec(rho0)).reshape(-1, 3, 3)
-    else:
-        psi_like = props @ rho0  # U rho0
-        states = psi_like @ np.conj(np.transpose(props, (0, 2, 1)))
     if frame == "rwf":
         states = to_rwf(states, p, times)
     return Trajectory(times=times, states=states, frame=frame)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_OK, RunConfig,
-                        build_config, main, parse_config_text,
-                        resolve_params)
+from lamsim import cli
+from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                        PROPAGATE_HEADER, RunConfig, build_config, main,
+                        parse_config_text, resolve_params)
+from lamsim.model import preset
+from lamsim.sweep import SweepAxis, run_case
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
 
@@ -132,6 +137,60 @@ class TestPropagateCommand:
         assert drives == {"full", "rwa"}
 
 
+def _reference_csv_body(case, frame, horizon, steps):
+    """Header and rows of ``propagate --drive both``, formatted cell by
+    cell from run_case."""
+    lines = [",".join(PROPAGATE_HEADER)]
+    for drive in ("full", "rwa"):
+        traj = run_case(preset(case), horizon, drive=drive, frame=frame,
+                        steps_per_period=steps)
+        for t, rho in zip(traj.times, traj.states):
+            cells = [t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
+                     rho[0, 1].real, rho[0, 1].imag, rho[0, 2].real,
+                     rho[0, 2].imag, rho[1, 2].real, rho[1, 2].imag]
+            lines.append(",".join(f"{x:.17g}" for x in cells)
+                         + f",{drive},{frame}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPropagateBytes:
+    # T = 2 pi for both presets: 2.5 stays inside the first period, 15.1
+    # crosses two period boundaries and ends 0.4 T into the third.
+    @pytest.mark.parametrize("case", ["A-I", "B-II"])
+    @pytest.mark.parametrize("frame", ["lab", "rwf"])
+    @pytest.mark.parametrize("horizon", ["2.5", "15.1"])
+    def test_rows_equal_per_cell_reference(self, tmp_path, capsys, case,
+                                           frame, horizon):
+        argv = ["propagate", "--case", case, "--drive", "both", "--frame",
+                frame, "--horizon", horizon, "--steps-per-period", STEPS]
+        out = tmp_path / "ts.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        written = out.read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == written
+        text = written.decode("utf-8")
+        body = text[text.index("\nt,") + 1:]
+        assert body == _reference_csv_body(case, frame, float(horizon),
+                                           int(STEPS))
+
+    def test_failed_drive_leaves_no_file(self, tmp_path, monkeypatch):
+        real = cli.run_case
+
+        def fail_rwa(p, horizon, **kwargs):
+            if kwargs["drive"] == "rwa":
+                raise FloatingPointError("overflow in the rwa drive")
+            return real(p, horizon, **kwargs)
+
+        monkeypatch.setattr(cli, "run_case", fail_rwa)
+        out = tmp_path / "f.csv"
+        rc = main(["propagate", "--case", "A-I", "--drive", "both",
+                   "--periods", "1", "--steps-per-period", STEPS,
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+
+
 class TestGapCommand:
     def test_eigen_logs_and_summary(self, tmp_path):
         out = tmp_path / "gap.csv"
@@ -175,6 +234,33 @@ class TestSweepCommand:
         header = rows[0].split(",")
         values = dict(zip(header, rows[1].split(",")))
         assert float(values["rwa_rho22"]) < 1e-4
+
+    def test_failed_points_exit_numerical(self, tmp_path, monkeypatch,
+                                          capsys):
+        # The CLI has no gamma_12 axis; swap in the non-dissipative one of
+        # test_sweep.py::TestRunSweep::test_failure_isolation.
+        real = cli.run_sweep
+
+        def gamma_12_axis(spec):
+            return real(dataclasses.replace(
+                spec, base=spec.base.with_(gamma_23=0.0),
+                axis1=SweepAxis("gamma_12", 0.0, 0.9, 0.9)))
+
+        monkeypatch.setattr(cli, "run_sweep", gamma_12_axis)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--case", "B-II", "--drive", "rwa",
+                   "--omega-p-range", "6:6:1",
+                   "--observables", "populations", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        _, rows = _read_csv(out)
+        assert len(rows) == 3  # header and both points
+        header = rows[0].split(",")
+        failed = dict(zip(header, rows[1].split(",")))
+        ok = dict(zip(header, rows[2].split(",")))
+        assert failed["error"].startswith("ValueError")
+        assert ok["error"] == "" and float(ok["rwa_rho22"]) < 1e-4
+        assert capsys.readouterr().err == (
+            f"sweep: 1 of 2 points failed; first: {failed['error']}\n")
 
 
 class TestErrorPaths:

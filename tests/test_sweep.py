@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from lamsim.model import preset
+from lamsim import periodic
+from lamsim.magnus import MagnusOrder
+from lamsim.model import (closed_generator, ground_state,
+                          liouville_generator, preset, vec)
+from lamsim.periodic import commensurate_period, one_period
 from lamsim.rwa_oracle import rwa_density_tpr
 from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
                           rwa_error_curve, steady_state_summary, to_rwf)
@@ -52,6 +56,34 @@ class TestRunCase:
         assert np.allclose(to_rwf(lab.states, p, lab.times),
                            run_case(p, 1.0, frame="rwf",
                                     steps_per_period=STEPS).states)
+
+    @pytest.mark.parametrize("case", ["A-I", "B-II"])
+    def test_period_blocks_match_stacked_propagators(self, case):
+        # Reference route: concatenate micro[keep] @ U_T^j over all periods,
+        # then apply the whole stack to the initial state.
+        p = preset(case)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        horizon = 3.4 * period
+        g = (liouville_generator(p) if p.is_dissipative
+             else closed_generator(p))
+        plan = periodic.make_plan(g, period, STEPS)
+        u_t, micro = one_period(g, plan, MagnusOrder.ORDER6)
+        blocks, u_n = [], np.eye(g.dim, dtype=complex)
+        for j in range(4):
+            tau = plan.micromotion_times + j * period
+            keep = tau <= horizon * (1.0 + 1e-12)
+            if j < 3:
+                keep[-1] = False
+            blocks.append(micro[keep] @ u_n)
+            u_n = u_t @ u_n
+        props = np.concatenate(blocks)
+        rho0 = ground_state()
+        if p.is_dissipative:
+            want = (props @ vec(rho0)).reshape(-1, 3, 3)
+        else:
+            want = props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
+        got = run_case(p, horizon, steps_per_period=STEPS).states
+        assert np.array_equal(got, want)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
