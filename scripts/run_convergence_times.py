@@ -4,9 +4,9 @@ presets, full and co-rotating drives, at a configurable threshold."""
 
 import argparse
 
-from lamsim.model import ground_state, liouville_generator, preset
-from lamsim import periodic
-from lamsim.periodic import commensurate_period, convergence_time, one_period
+from lamsim.model import ground_state, preset
+from lamsim.periodic import convergence_time, one_period
+from lamsim.sweep import resolve_period
 
 
 def main():
@@ -17,14 +17,13 @@ def main():
     print(f"{'case':>6} {'drive':>5} {'periods':>8} {'time':>12}")
     for case in ("A-II", "B-II", "C-II"):
         p = preset(case)
-        period, steps = commensurate_period(p.omega_p, p.omega_c)
         for drive in ("full", "rwa"):
-            g = liouville_generator(p, rwa=(drive == "rwa"))
-            plan = periodic.make_plan(g, period, steps)
+            g, plan = resolve_period(p, rwa=(drive == "rwa"))
             pre = one_period(g, plan)
             t = convergence_time(g, plan, ground_state(), eps=args.eps,
                                  precomputed=pre)
-            print(f"{case:>6} {drive:>5} {round(t / period):>8d} {t:12.4f}")
+            print(f"{case:>6} {drive:>5} {round(t / plan.period):>8d} "
+                  f"{t:12.4f}")
 
 
 if __name__ == "__main__":

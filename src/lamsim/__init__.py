@@ -1,39 +1,15 @@
 """Driven three-level lambda-system dynamics: Magnus-expansion propagators
 in Hilbert and Liouville space, periodic-driving acceleration, spectral-gap
-and CPTP diagnostics, and rotating-wave-approximation error audits."""
+and CPTP diagnostics, and rotating-wave-approximation error audits.
 
-from .analysis import (CptpReport, DensityReport, GapReport, choi_matrix,
-                       cptp_check, density_validity, rwa_error, spectral_gap)
-from .linalg import DimensionError, EigConvergenceError
-from .magnus import Generator, MagnusOrder, propagate, step4, step6
-from .model import (DIM, LDIM, PRESET_NAMES, LambdaParams, closed_generator,
-                    ground_state, h0, h_rwf, h_sr, h_sr_rwa, hamiltonian,
-                    jump_operators, lindbladian, liouville_generator,
-                    liouvillian, preset, rwf_transform, rwf_unitary, unvec,
-                    vec)
-from .periodic import (HorizonError, PeriodicPlan, Trajectory,
-                       commensurate_period, convergence_time, doubling,
-                       make_plan, one_period, steady_state_average,
-                       stroboscopic, trace_functional)
-from .rwa_oracle import (NotTprError, TprSolution, lambda_eff,
-                         rwa_density_tpr, rwa_propagator_tpr)
-from .sweep import (SweepAxis, SweepResult, SweepSpec, run_case, run_sweep,
-                    rwa_error_curve, steady_state_summary, to_rwf)
+The package namespace holds the quick-start API; everything else is
+imported from its module (``lamsim.model``, ``lamsim.periodic``, ...)."""
+
+from .magnus import MagnusOrder
+from .model import LambdaParams, preset
+from .sweep import run_case, rwa_error_curve, steady_state_summary
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CptpReport", "DensityReport", "DimensionError", "EigConvergenceError",
-    "GapReport", "Generator", "HorizonError", "LambdaParams", "MagnusOrder",
-    "NotTprError", "PeriodicPlan", "SweepAxis", "SweepResult", "SweepSpec",
-    "TprSolution", "Trajectory", "DIM", "LDIM", "PRESET_NAMES",
-    "choi_matrix", "closed_generator", "commensurate_period", "cptp_check",
-    "convergence_time", "density_validity", "doubling", "ground_state",
-    "h0", "h_rwf", "h_sr", "h_sr_rwa", "hamiltonian", "jump_operators",
-    "lambda_eff", "lindbladian", "liouville_generator", "liouvillian",
-    "make_plan", "one_period", "preset", "propagate", "rwa_density_tpr",
-    "rwa_error", "rwa_error_curve", "rwa_propagator_tpr", "run_case",
-    "run_sweep", "rwf_transform", "rwf_unitary", "spectral_gap",
-    "steady_state_average", "steady_state_summary", "step4", "step6",
-    "stroboscopic", "to_rwf", "trace_functional", "unvec", "vec",
-]
+__all__ = ["LambdaParams", "MagnusOrder", "preset", "run_case",
+           "rwa_error_curve", "steady_state_summary"]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig, frobenius_norm
+from .linalg import frobenius_norm
 from .model import DIM, LDIM
 
 DEGENERATE_GAP_TOL = 1e-12
@@ -49,7 +49,7 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     reported with gap 0 and the degenerate flag set.
     """
     u_period = np.asarray(u_period, dtype=complex)
-    logs = np.log(eig(u_period))
+    logs = np.log(np.linalg.eigvals(u_period))
     order = np.argsort(np.abs(logs.real))
     steady = int(order[0])
     decays = -np.delete(logs.real, steady)

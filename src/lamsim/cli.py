@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import periodic
 from .analysis import cptp_check, density_validity, spectral_gap
-from .linalg import EigConvergenceError
 from .magnus import MagnusOrder
-from .model import (DIM, PRESET_NAMES, LambdaParams, ground_state,
-                    liouville_generator, preset, vec)
-from .periodic import (HorizonError, Trajectory, commensurate_period,
-                       one_period)
-from .sweep import (BASE_STEPS, SweepAxis, SweepSpec, _variants, run_case,
+from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
+from .periodic import (BASE_STEPS, HorizonError, Trajectory,
+                       commensurate_period, one_period)
+from .sweep import (SweepAxis, SweepSpec, _variants, resolve_period, run_case,
                     run_sweep)
 
 EXIT_OK = 0
@@ -57,20 +54,12 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully merged run configuration with library defaults applied."""
+    """Fully merged run configuration with library defaults applied;
+    ``params`` holds the explicitly given LambdaParams fields, keyed by
+    _PARAM_KEYS."""
 
     case: str | None = None
-    e1: float | None = None
-    e2: float | None = None
-    e3: float | None = None
-    omega_p: float | None = None
-    omega_c: float | None = None
-    rabi_p: float | None = None
-    rabi_c: float | None = None
-    gamma_12: float | None = None
-    gamma_23: float | None = None
-    nbar_12: float | None = None
-    nbar_23: float | None = None
+    params: dict[str, float] = field(default_factory=dict)
     delta_omega_p: float = 0.0
     delta_omega_c: float = 0.0
     order: int = 6
@@ -127,14 +116,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg_names = {f.name for f in dc_fields(RunConfig)}
     for key, value in vars(args).items():
-        if key in cfg_names and value is not None:
+        if (key in cfg_names or key in _PARAM_KEYS) and value is not None:
             values[key] = value
-    if values.get("case") is not None:
-        explicit = [k for k in _PARAM_KEYS if values.get(k) is not None]
-        if explicit:
-            raise ConfigError(
-                f"preset 'case' conflicts with explicit keys {explicit}")
-    cfg = RunConfig(**{k: v for k, v in values.items() if k in cfg_names})
+    params = {k: values.pop(k) for k in _PARAM_KEYS if k in values}
+    if values.get("case") is not None and params:
+        raise ConfigError(
+            f"preset 'case' conflicts with explicit keys {list(params)}")
+    cfg = RunConfig(params=params,
+                    **{k: v for k, v in values.items() if k in cfg_names})
     if cfg.order not in (4, 6):
         raise ConfigError(f"order must be 4 or 6, got {cfg.order}")
     if cfg.drive not in ("full", "rwa", "both"):
@@ -143,6 +132,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"frame must be lab or rwf, got {cfg.frame!r}")
     if cfg.periods is not None and cfg.horizon is not None:
         raise ConfigError("periods and horizon are mutually exclusive")
+    if cfg.steps_per_period < 1:
+        raise ConfigError(
+            f"steps_per_period must be >= 1, got {cfg.steps_per_period}")
+    if cfg.periods is not None and cfg.periods < 1:
+        raise ConfigError(f"periods must be >= 1, got {cfg.periods}")
+    if cfg.horizon is not None and not cfg.horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
     return cfg
 
 
@@ -153,21 +149,17 @@ def resolve_params(cfg: RunConfig) -> LambdaParams:
                               f"expected one of {PRESET_NAMES}")
         return preset(cfg.case, delta_omega_p=cfg.delta_omega_p,
                       delta_omega_c=cfg.delta_omega_c)
-    required = ("e2", "e3", "rabi_p", "rabi_c")
-    missing = [k for k in required if getattr(cfg, k) is None]
+    kwargs = cfg.params
+    missing = [k for k in ("e2", "e3", "rabi_p", "rabi_c") if k not in kwargs]
     if missing:
         raise ConfigError(
             f"missing required keys {missing} (or pass case = \"A-I\" ... "
             f"\"C-II\")")
-    kwargs = {k: getattr(cfg, k) for k in _PARAM_KEYS
-              if getattr(cfg, k) is not None}
     try:
-        if cfg.omega_p is None and cfg.omega_c is None:
-            kwargs.pop("omega_p", None)
-            kwargs.pop("omega_c", None)
+        if "omega_p" not in kwargs and "omega_c" not in kwargs:
             return LambdaParams.tpr(delta_omega_p=cfg.delta_omega_p,
                                     delta_omega_c=cfg.delta_omega_c, **kwargs)
-        if cfg.omega_p is None or cfg.omega_c is None:
+        if "omega_p" not in kwargs or "omega_c" not in kwargs:
             raise ConfigError("omega_p and omega_c must be given together")
         return LambdaParams(**kwargs)
     except ValueError as exc:
@@ -312,31 +304,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_gap(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
-    period, steps = commensurate_period(p.omega_p, p.omega_c)
     rows = []
     for drive in _variants(cfg.drive):
-        g = liouville_generator(p, rwa=(drive == "rwa"), dissipative=True)
-        plan = periodic.make_plan(g, period, steps)
+        g, plan = resolve_period(p, drive == "rwa",
+                                 steps_per_period=cfg.steps_per_period)
         u_t, _ = one_period(g, plan, _order(cfg))
-        report = spectral_gap(u_t, period=period)
+        report = spectral_gap(u_t, period=plan.period)
         for i, lg in enumerate(report.eigen_logs):
             rows.append([drive, f"log{i}", lg.real, lg.imag])
         rows.append([drive, "gap", report.gap, ""])
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])
         rows.append([drive, "degenerate", int(report.degenerate), ""])
-    _write_csv(cfg, _metadata_lines(cfg, p, {"period": period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, {"period": plan.period}),
                ["drive", "quantity", "re", "im"], [_row_text(rows)])
     return EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
-    period, steps = commensurate_period(p.omega_p, p.omega_c)
     rows = []
     worst_fail = False
     for drive in _variants(cfg.drive):
-        g = liouville_generator(p, rwa=(drive == "rwa"))
-        plan = periodic.make_plan(g, period, steps)
+        g, plan = resolve_period(p, drive == "rwa",
+                                 steps_per_period=cfg.steps_per_period)
         u_t, _ = one_period(g, plan, _order(cfg))
         cptp = cptp_check(u_t)
         rho_t = (u_t @ vec(ground_state())).reshape(DIM, DIM)
@@ -354,11 +344,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             worst_fail |= not ok
             rows.append([drive, name, defect, threshold,
                          "pass" if ok else "FAIL"])
-    text = _row_text(rows)
-    _write_csv(cfg, _metadata_lines(cfg, p, {"period": period}),
-               ["drive", "check", "defect", "threshold", "status"], [text])
-    if cfg.out is not None:
-        sys.stdout.write(text)
+    _write_csv(cfg, _metadata_lines(cfg, p, {"period": plan.period}),
+               ["drive", "check", "defect", "threshold", "status"],
+               [_row_text(rows)])
     return EXIT_THRESHOLD if worst_fail else EXIT_OK
 
 
@@ -408,8 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
-    except (FloatingPointError, HorizonError, EigConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, HorizonError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

@@ -1,11 +1,11 @@
 """Dense complex linear algebra kernel.
 
-Everything here operates on small (<= 64x64) dense complex numpy arrays:
-3x3 Hilbert-space operators and 9x9 Liouville-space superoperators.  The
+Everything here operates on small dense complex numpy arrays: 3x3
+Hilbert-space operators and 9x9 Liouville-space superoperators.  The
 matrix exponential is implemented here directly (scaling-and-squaring with
 a degree-13 Pade core) because it dominates the propagation loops and the
 matrices are tiny; it takes whole (..., d, d) stacks, so that a chunk of
-Magnus steps costs one call.  Eigenvalues are delegated to LAPACK.  This
+Magnus steps costs one call.  Everything else calls numpy directly.  This
 module pins down the contracts the rest of the package relies on (error
 types, finiteness, value semantics).
 
@@ -22,22 +22,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
-
-
-class EigConvergenceError(RuntimeError):
-    """The QR eigenvalue iteration failed to converge."""
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
-
-
-def _require_square(a: np.ndarray, name: str = "matrix") -> None:
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
 
 
 # Degree-13 Pade numerator coefficients for exp, b[0] .. b[13].
@@ -61,9 +45,9 @@ def expm(a) -> np.ndarray:
     raises FloatingPointError rather than propagating NaNs.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack, got {a.shape}")
-    _require_square(a)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionError(
+            f"expected a square matrix or a stack of them, got {a.shape}")
     shape = a.shape
     a = a.reshape((math.prod(shape[:-2]),) + shape[-2:])
     with np.errstate(over="ignore"):
@@ -91,38 +75,7 @@ def expm(a) -> np.ndarray:
     return out.reshape(shape)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def eig(a) -> np.ndarray:
-    """All eigenvalues of a square matrix (order unspecified).
-
-    Backed by LAPACK's Hessenberg-reduction + shifted-QR driver.
-    Non-convergence raises EigConvergenceError, never silent.
-    """
-    a = _as_matrix(a)
-    _require_square(a)
-    if a.shape[0] > 64:
-        raise DimensionError(f"eig supports dimension <= 64, got {a.shape[0]}")
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigConvergenceError(str(exc)) from exc
-
-
 def frobenius_norm(a) -> float:
     """sqrt of the sum of squared moduli of all entries."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
-
-def commutator(a, b) -> np.ndarray:
-    """a @ b - b @ a for square matrices of equal dimension."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    _require_square(a, "first operand")
-    _require_square(b, "second operand")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a

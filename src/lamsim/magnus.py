@@ -59,14 +59,11 @@ class Generator:
 
     ``coefficients`` maps an array of times of any shape to the drive
     functions f_k at those times, shape (..., K); the default is no drive
-    (a constant generator).  anti_hermitian marks closed Hilbert-space
-    dynamics -i H(t); open Liouville-space generators (-i L(t) + D) are
-    not anti-Hermitian.  Shapes are checked once, here.
+    (a constant generator).  Shapes are checked once, here.
     """
 
     def __init__(self, a0, terms=(),
-                 coefficients: Callable[[np.ndarray], np.ndarray] = _no_drive,
-                 anti_hermitian: bool = False):
+                 coefficients: Callable[[np.ndarray], np.ndarray] = _no_drive):
         a0 = np.array(a0, dtype=complex)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"a0 must be a square matrix, got {a0.shape}")
@@ -83,7 +80,6 @@ class Generator:
         self.a0 = a0
         self.terms = terms
         self.coefficients = coefficients
-        self.anti_hermitian = anti_hermitian
         self.dim = a0.shape[0]
         self._flat_terms = terms.reshape(len(terms), a0.size)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .linalg import DimensionError, kron
+from .linalg import DimensionError
 from .magnus import Generator
 
 DIM = 3
@@ -142,11 +142,14 @@ def hamiltonian(p: LambdaParams, t: float, rwa: bool) -> np.ndarray:
     return h0(p) + (h_sr_rwa(p, t) if rwa else h_sr(p, t))
 
 
-def rwf_unitary(p: LambdaParams, t: float) -> np.ndarray:
-    """Rotating-frame unitary diag(1, e^{-i w_p t}, e^{-i (w_p - w_c) t})."""
-    return np.diag([1.0,
-                    np.exp(-1j * p.omega_p * t),
-                    np.exp(-1j * (p.omega_p - p.omega_c) * t)])
+def rwf_phases(p: LambdaParams, times) -> np.ndarray:
+    """Diagonal of the rotating-frame unitary
+    W(t) = diag(1, e^{-i w_p t}, e^{-i (w_p - w_c) t}) at each time, shape
+    times.shape + (3,); a state enters the frame as W(t)^dag rho W(t)."""
+    times = np.asarray(times, dtype=float)
+    return np.stack([np.ones_like(times),
+                     np.exp(-1j * p.omega_p * times),
+                     np.exp(-1j * (p.omega_p - p.omega_c) * times)], axis=-1)
 
 
 def h_rwf(p: LambdaParams) -> np.ndarray:
@@ -159,15 +162,6 @@ def h_rwf(p: LambdaParams) -> np.ndarray:
         [-p.rabi_p, 2.0 * (w2 - p.omega_p), -p.rabi_c],
         [0.0, -p.rabi_c, 2.0 * (w3 - (p.omega_p - p.omega_c))],
     ], dtype=complex)
-
-
-def rwf_transform(rho: np.ndarray, p: LambdaParams, t: float) -> np.ndarray:
-    """Conjugate a density matrix into the rotating frame: W(t)^dag rho W(t).
-
-    Diagonal elements are unchanged; off-diagonals pick up the drive phases.
-    """
-    w = rwf_unitary(p, t)
-    return w.conj().T @ np.asarray(rho, dtype=complex) @ w
 
 
 def jump_operators(p: LambdaParams) -> list[tuple[np.ndarray, float]]:
@@ -212,8 +206,8 @@ def lindbladian(p: LambdaParams) -> np.ndarray:
         if rate == 0.0:
             continue
         ldl = op.conj().T @ op
-        d += rate * (kron(op, op.conj())
-                     - 0.5 * (kron(ldl, ident) + kron(ident, ldl.T)))
+        d += rate * (np.kron(op, op.conj())
+                     - 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T)))
     return d
 
 
@@ -261,8 +255,7 @@ def _drive(p: LambdaParams, rwa: bool):
 def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
     """3x3 Hilbert-space generator -i H(t) for unitary dynamics."""
     ops, coefficients = _drive(p, rwa)
-    return Generator(-1j * h0(p), -1j * ops, coefficients,
-                     anti_hermitian=True)
+    return Generator(-1j * h0(p), -1j * ops, coefficients)
 
 
 def liouville_generator(p: LambdaParams, rwa: bool = False,

@@ -1,5 +1,5 @@
 """Periodic-driving machinery: one-period propagators, stroboscopic jumps,
-doubling to the steady state, micromotion, time averaging, and detection of
+doubling to the steady state, micromotion, period averaging, and detection of
 the time needed to converge to the steady state.
 
 For a generator with period T the propagator over [0, n T + t] factors as
@@ -18,6 +18,7 @@ from .linalg import frobenius_norm
 from .magnus import Generator, MagnusOrder, propagate
 from .model import DIM, unvec, vec
 
+BASE_STEPS = 2 ** 13 - 1          # steps per 2 pi of drive period
 PERIODICITY_TOL = 1e-12
 MAX_PLAN_STEPS = 10 ** 6
 
@@ -54,30 +55,27 @@ class PeriodicPlan:
         return np.linspace(0.0, self.period, self.steps_per_period + 1)
 
 
-def make_plan(g: Generator, period: float, steps_per_period: int,
-              validate: bool = True) -> PeriodicPlan:
+def make_plan(g: Generator, period: float, steps_per_period: int
+              ) -> PeriodicPlan:
     """Build a plan, checking that the generator really has the claimed
     period at 16 pseudo-random probe times."""
     plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
-    if validate:
-        probes = np.random.default_rng(1729).uniform(0.0, period, size=16)
-        a = g(probes)
-        defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"generator is not {period}-periodic: defect "
-                f"{defect[i]:.3e} at t={probes[i]:.6f}")
+    probes = np.random.default_rng(1729).uniform(0.0, period, size=16)
+    a = g(probes)
+    defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"generator is not {period}-periodic: defect "
+            f"{defect[i]:.3e} at t={probes[i]:.6f}")
     return plan
 
 
-def commensurate_period(omega_p: float, omega_c: float,
-                        base_period: float = 2.0 * np.pi,
-                        base_steps: int = 2 ** 13 - 1) -> tuple[float, int]:
+def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
     """Smallest period T = 2 pi q (integer q) commensurate with both drive
-    frequencies, with the step count scaled to keep dt fixed.
+    frequencies, and q * BASE_STEPS steps to keep dt fixed.
 
     Raises ValueError if no such period exists below the step cap.
     """
@@ -91,12 +89,12 @@ def commensurate_period(omega_p: float, omega_c: float,
                 f"drive frequency {omega} is not commensurate with 2 pi "
                 "to within 1e-9")
         q = np.lcm(q, frac.denominator)
-    steps = int(q) * base_steps
+    steps = int(q) * BASE_STEPS
     if steps > MAX_PLAN_STEPS:
         raise ValueError(
             f"commensurate period needs {steps} steps, above the cap "
             f"{MAX_PLAN_STEPS}")
-    return float(q) * base_period, steps
+    return float(q) * (2.0 * np.pi), steps
 
 
 def one_period(g: Generator, plan: PeriodicPlan,
@@ -176,28 +174,6 @@ class Trajectory:
     @property
     def populations(self) -> np.ndarray:
         return np.real(np.einsum("tii->ti", self.states))
-
-
-def steady_state_average(traj: Trajectory, window: float) -> np.ndarray:
-    """Trapezoid-rule time average of each matrix element over the final
-    window of the trajectory; trace is renormalized when its drift is
-    within rounding (<= 1e-9)."""
-    t_end = traj.times[-1]
-    mask = traj.times >= t_end - window - 1e-12 * max(1.0, abs(t_end))
-    times = traj.times[mask]
-    if len(times) < 2 or times[-1] - times[0] < window * (1.0 - 1e-9):
-        raise ValueError(
-            f"trajectory span {traj.times[-1] - traj.times[0]:.6g} does not "
-            f"cover the averaging window {window:.6g}")
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError("averaging requires uniform sampling")
-    states = traj.states[mask]
-    avg = np.trapezoid(states, x=times, axis=0) / (times[-1] - times[0])
-    tr = np.trace(avg).real
-    if abs(tr - 1.0) <= 1e-9:
-        avg = avg / tr
-    return avg
 
 
 def _period_average(micromotion_stack: np.ndarray, v_start: np.ndarray,

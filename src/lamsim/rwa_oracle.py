@@ -9,8 +9,6 @@ closed-form rotating-frame density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import LambdaParams
@@ -37,18 +35,6 @@ def lambda_eff(p: LambdaParams) -> float:
     """Effective Rabi angular frequency sqrt(rabi_c^2 + rabi_p^2) / 2."""
     _require_tpr(p)
     return 0.5 * np.hypot(p.rabi_c, p.rabi_p)
-
-
-@dataclass(frozen=True)
-class TprSolution:
-    """Resolved zero-detuning resonance case with its effective frequency."""
-
-    params: LambdaParams
-    lambda_eff: float
-
-    @classmethod
-    def from_params(cls, p: LambdaParams) -> "TprSolution":
-        return cls(params=p, lambda_eff=lambda_eff(p))
 
 
 def rwa_propagator_tpr(p: LambdaParams, t: float) -> np.ndarray:

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import periodic
 from .analysis import rwa_error, spectral_gap
-from .magnus import MagnusOrder, propagate
+from .magnus import Generator, MagnusOrder, propagate
 from .model import (LambdaParams, closed_generator, ground_state,
-                    liouville_generator, vec)
-from .periodic import (Trajectory, commensurate_period, convergence_time,
-                       one_period)
+                    liouville_generator, rwf_phases, vec)
+from .periodic import (PeriodicPlan, Trajectory, commensurate_period,
+                       convergence_time, one_period)
 
-BASE_STEPS = 2 ** 13 - 1          # steps per 2 pi of drive period
 STEADY_WINDOW = 8.0 * np.pi       # averaging window for steady-state values
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
@@ -39,19 +38,27 @@ def _variants(drive: str) -> tuple[str, ...]:
     return ("full", "rwa") if drive == "both" else (drive,)
 
 
-def _rwf_phases(p: LambdaParams, times: np.ndarray) -> np.ndarray:
-    """Phase tensor P[t, a, b] such that the rotating-frame state is the
-    elementwise product P * rho."""
-    w = np.stack([np.ones_like(times),
-                  np.exp(-1j * p.omega_p * times),
-                  np.exp(-1j * (p.omega_p - p.omega_c) * times)], axis=-1)
-    return np.conj(w)[:, :, None] * w[:, None, :]
+def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
+    """Rotating-frame transform W(t)^dag rho W(t) of one lab-frame state
+    or a stack of them: diagonals are unchanged, off-diagonals pick up the
+    drive phases."""
+    w = rwf_phases(p, times)
+    return (np.conj(w)[..., :, None] * w[..., None, :]) * states
 
 
-def to_rwf(states: np.ndarray, p: LambdaParams, times: np.ndarray
-           ) -> np.ndarray:
-    """Rotating-frame transform of a stack of lab-frame states."""
-    return _rwf_phases(p, np.asarray(times, dtype=float)) * states
+def resolve_period(p: LambdaParams, rwa: bool, *, closed: bool = False,
+                   steps_per_period: int | None = None
+                   ) -> tuple[Generator, PeriodicPlan]:
+    """How one drive period of a case is resolved: the generator (3x3
+    Hilbert space if closed, else 9x9 Liouville space with the case's own
+    dissipation) and a plan over the smallest commensurate period
+    T = 2 pi q, with steps_per_period steps (default q * BASE_STEPS)."""
+    period, steps = commensurate_period(p.omega_p, p.omega_c)
+    g = (closed_generator(p, rwa=rwa) if closed
+         else liouville_generator(p, rwa=rwa))
+    if steps_per_period is not None:
+        steps = steps_per_period
+    return g, periodic.make_plan(g, period, steps)
 
 
 def run_case(p: LambdaParams, horizon: float,
@@ -75,13 +82,10 @@ def run_case(p: LambdaParams, horizon: float,
         return Trajectory(times=np.array([0.0]),
                           states=np.array([rho0]), frame=frame)
 
-    period, steps = commensurate_period(p.omega_p, p.omega_c,
-                                        base_steps=BASE_STEPS)
-    if steps_per_period is not None:
-        steps = steps_per_period
     open_system = p.is_dissipative
-    g = (liouville_generator(p, rwa=rwa) if open_system
-         else closed_generator(p, rwa=rwa))
+    g, plan = resolve_period(p, rwa, closed=not open_system,
+                             steps_per_period=steps_per_period)
+    period, steps = plan.period, plan.steps_per_period
     v0 = vec(rho0)
 
     def evolve(props: np.ndarray) -> np.ndarray:
@@ -97,7 +101,6 @@ def run_case(p: LambdaParams, horizon: float,
                                   return_intermediate=True))
         times = np.linspace(0.0, horizon, n_steps + 1)
     else:
-        plan = periodic.make_plan(g, period, steps)
         u_t, micro = one_period(g, plan, order)
         n_periods = int(math.floor(horizon / period + 1e-12))
         blocks, time_blocks = [], []
@@ -189,10 +192,8 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     trace diagnostics."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
-    period, steps = commensurate_period(p.omega_p, p.omega_c,
-                                        base_steps=BASE_STEPS)
-    g = liouville_generator(p, rwa=rwa)
-    plan = periodic.make_plan(g, period, steps)
+    g, plan = resolve_period(p, rwa)
+    period = plan.period
     u_t, micro = one_period(g, plan, order)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
@@ -224,7 +225,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
         "gap_per_time": gap.gap_per_time,
         "trace_defect": float(abs(np.trace(states[-1]).real - 1.0)),
         "period": period,
-        "steps": steps,
+        "steps": plan.steps_per_period,
     }
 
 

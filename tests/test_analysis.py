@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lamsim.analysis import (choi_matrix, cptp_check, density_validity,
                              rwa_error, spectral_gap)
-from lamsim.linalg import expm, kron
+from lamsim.linalg import expm
 from lamsim.model import LDIM
 
 from conftest import random_complex_matrix
@@ -62,7 +62,7 @@ class TestChoi:
 
     def test_single_kraus_gives_rank_one(self, rng):
         a = random_complex_matrix(rng, 3)
-        m = kron(a, a.conj())  # the map rho -> A rho A^dag
+        m = np.kron(a, a.conj())  # the map rho -> A rho A^dag
         v = a.reshape(LDIM)
         assert np.allclose(choi_matrix(m), np.outer(v, v.conj()))
 
@@ -81,7 +81,7 @@ class TestCptpCheck:
         h = random_complex_matrix(rng, 3)
         h = h + h.conj().T
         u = expm(-1j * h)
-        report = cptp_check(kron(u, u.conj()))
+        report = cptp_check(np.kron(u, u.conj()))
         assert report.trace_preserving and report.completely_positive
 
     def test_transpose_map_is_positive_but_not_cp(self):

@@ -1,0 +1,49 @@
+"""The library names the benchmark harness (perfbench/) patches or calls.
+
+The harness wraps module attributes by name to time each layer, and its
+steady-tpr workload captures U_T through ``sweep.one_period``; renaming or
+moving any of these breaks the benchmark while the library still works.
+"""
+
+import importlib
+
+import pytest
+
+from lamsim import sweep
+from lamsim.magnus import MagnusOrder
+from lamsim.model import preset
+
+NAMES = [
+    "magnus.expm", "magnus.Generator.__call__", "magnus._STEPPERS",
+    "periodic.propagate", "periodic.make_plan", "sweep.propagate",
+    "sweep.one_period", "sweep.convergence_time", "sweep.spectral_gap",
+    "sweep.rwa_error", "sweep.to_rwf", "sweep.steady_state_summary",
+    "analysis.rwa_error", "cli.one_period", "cli.spectral_gap",
+    "cli.run_case", "cli.main", "model.preset", "rwa_oracle.rwa_density_tpr",
+]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_name_resolves(name):
+    module, _, path = name.partition(".")
+    obj = importlib.import_module(f"lamsim.{module}")
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    if attr == "_STEPPERS":
+        assert set(obj) == set(MagnusOrder)
+        assert all(callable(stepper) for stepper in obj.values())
+    else:
+        assert callable(obj)
+
+
+def test_steady_state_summary_resolves_one_period_once(monkeypatch):
+    calls = []
+    real = sweep.one_period
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "one_period", counting)
+    sweep.steady_state_summary(preset("B-II"), rwa=True)
+    assert len(calls) == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lamsim import cli
+from lamsim.analysis import cptp_check, spectral_gap
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, RunConfig, build_config, main,
                         parse_config_text, resolve_params)
-from lamsim.model import preset
+from lamsim.model import liouville_generator, preset
+from lamsim.periodic import make_plan, one_period
 from lamsim.sweep import SweepAxis, run_case
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
@@ -75,14 +77,15 @@ class TestResolveParams:
             resolve_params(RunConfig())
 
     def test_explicit_tpr(self):
-        cfg = RunConfig(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0,
+        cfg = RunConfig(params=dict(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0),
                         delta_omega_p=0.5)
         p = resolve_params(cfg)
         assert p.omega_p == pytest.approx(6.5)
         assert p.omega_c == pytest.approx(4.0)
 
     def test_partial_frequencies_rejected(self):
-        cfg = RunConfig(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0, omega_p=6.0)
+        cfg = RunConfig(params=dict(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0,
+                                    omega_p=6.0))
         with pytest.raises(ConfigError, match="together"):
             resolve_params(cfg)
 
@@ -203,6 +206,22 @@ class TestGapCommand:
         gap_row = next(r for r in rows if r.startswith("full,gap,"))
         assert float(gap_row.split(",")[2]) > 0.0
 
+    def test_steps_per_period_honoured(self, tmp_path):
+        def eigen_logs(*flags):
+            out = tmp_path / "gap.csv"
+            assert main(["gap", "--case", "A-II", "--drive", "full",
+                         "--out", str(out), *flags]) == EXIT_OK
+            _, rows = _read_csv(out)
+            cells = [r.split(",") for r in rows if ",log" in r]
+            return np.array([complex(float(re), float(im))
+                             for _, _, re, im in cells])
+
+        g = liouville_generator(preset("A-II"))
+        u_t, _ = one_period(g, make_plan(g, 2.0 * np.pi, 257))
+        coarse = eigen_logs("--steps-per-period", "257")
+        assert np.array_equal(coarse, spectral_gap(u_t).eigen_logs)
+        assert not np.array_equal(coarse, eigen_logs())
+
 
 class TestValidateCommand:
     def test_magnus_period_map_is_cptp(self, tmp_path):
@@ -212,6 +231,28 @@ class TestValidateCommand:
         assert rc == EXIT_OK
         _, rows = _read_csv(out)
         assert all(row.endswith("pass") for row in rows[1:])
+
+    def test_out_leaves_stdout_empty(self, tmp_path, capsys):
+        argv = ["validate", "--case", "A-II", "--steps-per-period", "257"]
+        out = tmp_path / "val.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        _, rows = _read_csv(out)
+        assert len(rows) == 1 + 2 * 6  # header, six checks per drive
+
+    def test_steps_per_period_honoured(self, tmp_path):
+        out = tmp_path / "val.csv"
+        assert main(["validate", "--case", "A-II", "--drive", "full",
+                     "--steps-per-period", "257", "--out", str(out)]) \
+            == EXIT_OK
+        _, rows = _read_csv(out)
+        g = liouville_generator(preset("A-II"))
+        u_t, _ = one_period(g, make_plan(g, 2.0 * np.pi, 257))
+        assert rows[1] == (f"full,trace_defect,"
+                           f"{cptp_check(u_t).trace_defect:.17g},"
+                           f"1e-10,pass")
 
 
 class TestSweepCommand:
@@ -282,6 +323,21 @@ class TestErrorPaths:
         rc = main(["propagate", "--e2", "6", "--e3", "2", "--rabi-p", "1",
                    "--rabi-c", "1", "--periods", "1", flag, value])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,value", [("--steps-per-period", "0"),
+                                            ("--steps-per-period", "-3"),
+                                            ("--horizon", "-5"),
+                                            ("--horizon", "0"),
+                                            ("--horizon", "nan"),
+                                            ("--periods", "0"),
+                                            ("--periods", "-2")])
+    def test_bad_steps_or_horizon(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--case", "A-I", "--drive", "rwa",
+                   flag, value, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_incommensurate_frequencies(self):
         rc = main(["propagate", "--e2", "6", "--e3", "2", "--rabi-p", "1",

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.linalg import (DimensionError, commutator, eig, expm,
-                           frobenius_norm, kron)
+from lamsim.linalg import DimensionError, expm, frobenius_norm
 
 from conftest import random_complex_matrix
 
@@ -88,61 +87,6 @@ class TestExpm:
     def test_non_finite_input_raises(self):
         with pytest.raises(FloatingPointError):
             expm(np.array([[1e308, 1e308], [1e308, 1e308]]))
-
-
-class TestKron:
-    @given(seed=st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_mixed_product(self, seed):
-        r = np.random.default_rng(seed)
-        a, b, c, d = (random_complex_matrix(r, 3) for _ in range(4))
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
-
-    def test_shape(self):
-        assert kron(np.eye(3), np.eye(3)).shape == (9, 9)
-
-    def test_bilinear(self, rng):
-        a = random_complex_matrix(rng, 3)
-        b = random_complex_matrix(rng, 3)
-        c = random_complex_matrix(rng, 3)
-        assert np.allclose(kron(a + 2.0 * b, c),
-                           kron(a, c) + 2.0 * kron(b, c))
-
-
-class TestEig:
-    def test_known_2x2(self):
-        vals = np.sort_complex(eig(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    @given(seed=st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_trace_and_det(self, seed):
-        a = random_complex_matrix(np.random.default_rng(seed), 4)
-        vals = eig(a)
-        assert np.isclose(vals.sum(), np.trace(a))
-        assert np.isclose(np.prod(vals), np.linalg.det(a))
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionError):
-            eig(np.eye(65))
-
-
-class TestCommutator:
-    def test_antisymmetric(self, rng):
-        a = random_complex_matrix(rng, 3)
-        b = random_complex_matrix(rng, 3)
-        assert np.allclose(commutator(a, b), -commutator(b, a))
-
-    def test_jacobi(self, rng):
-        a, b, c = (random_complex_matrix(rng, 3) for _ in range(3))
-        total = (commutator(a, commutator(b, c))
-                 + commutator(b, commutator(c, a))
-                 + commutator(c, commutator(a, b)))
-        assert np.allclose(total, 0.0, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            commutator(np.eye(2), np.eye(3))
 
 
 def test_frobenius_norm_value():

@@ -7,8 +7,8 @@ from lamsim.model import (ground_state, h_rwf, lindbladian,
                           liouville_generator, preset, unvec, vec)
 from lamsim.periodic import (HorizonError, PeriodicPlan, Trajectory,
                              commensurate_period, convergence_time, doubling,
-                             make_plan, one_period, steady_state_average,
-                             stroboscopic, trace_functional)
+                             make_plan, one_period, stroboscopic,
+                             trace_functional)
 
 STEPS = 256  # coarse grid keeps these structural tests fast
 
@@ -119,31 +119,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0]),
                        states=np.zeros((3, 3, 3)))
-
-
-class TestSteadyStateAverage:
-    def test_constant_trajectory(self):
-        rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
-        traj = Trajectory(times=np.linspace(0, 10, 101),
-                          states=np.repeat(rho[None], 101, axis=0))
-        assert np.allclose(steady_state_average(traj, 4.0), rho)
-
-    def test_oscillation_averages_out(self):
-        times = np.linspace(0, 20, 2001)
-        rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
-        wobble = 0.1 * np.sin(2.0 * np.pi * times)
-        states = np.repeat(rho[None], len(times), axis=0)
-        states[:, 0, 1] = wobble
-        states[:, 1, 0] = wobble
-        traj = Trajectory(times=times, states=states)
-        avg = steady_state_average(traj, 4.0)  # integer number of cycles
-        assert abs(avg[0, 1]) < 1e-4
-
-    def test_window_longer_than_span(self):
-        traj = Trajectory(times=np.linspace(0, 1, 11),
-                          states=np.repeat(np.eye(3)[None] / 3, 11, axis=0))
-        with pytest.raises(ValueError, match="window"):
-            steady_state_average(traj, 5.0)
 
 
 class TestConvergenceTime:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.model import ground_state, preset
-from lamsim.rwa_oracle import (NotTprError, TprSolution, lambda_eff,
-                               rwa_density_tpr, rwa_propagator_tpr)
+from lamsim.rwa_oracle import (NotTprError, lambda_eff, rwa_density_tpr,
+                               rwa_propagator_tpr)
 
 times = st.floats(0.0, 40.0, allow_nan=False)
 cases = st.sampled_from(["A-I", "B-I", "C-I"])
@@ -14,11 +14,6 @@ cases = st.sampled_from(["A-I", "B-I", "C-I"])
 def test_lambda_eff_value():
     assert lambda_eff(preset("A-I")) == \
         pytest.approx(0.5 * np.hypot(1.12, 1.0))
-
-
-def test_solution_wrapper():
-    sol = TprSolution.from_params(preset("B-I"))
-    assert sol.lambda_eff == pytest.approx(0.1 * np.sqrt(2.0))
 
 
 class TestPropagator:
