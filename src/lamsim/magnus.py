@@ -18,11 +18,11 @@ Because each step is a single exponential of (anti-Hermitian, or
 Lindblad-form) generator combinations, closed-dynamics steps are exactly
 unitary and open-dynamics steps preserve the trace functional to rounding.
 
-The steppers take one step start time or an array of them: the generator
-is affine in a few scalar drive functions, so all nodes of a whole chunk
-of steps are sampled, combined and exponentiated by single numpy calls on
-(..., d, d) stacks.  Only the cumulative product in ``propagate`` runs
-step by step.
+The steppers take one step start time or an array of them.  The generator
+is affine, A(t) = sum_m c_m(t) E_m over a basis E = (a0, terms...), so a
+chunk's exponents are per-step coefficient vectors times tables of E,
+[E_m, E_n] and [E_l, [E_m, E_n]], exponentiated by one call on a stack;
+``propagate`` multiplies them up in blocks of _BLOCK steps.
 """
 
 from __future__ import annotations
@@ -42,11 +42,17 @@ _NODES6 = np.array([0.5 - _GL_OFFSET, 0.5, 0.5 + _GL_OFFSET])
 # Steps sampled and exponentiated per batch in propagate: bounds the
 # temporaries at a few (CHUNK_STEPS, d, d) stacks whatever the step count.
 CHUNK_STEPS = 1024
+# Steps per block of the cumulative product in propagate.
+_BLOCK = 32
 
 
 class MagnusOrder(enum.Enum):
     ORDER4 = 4
     ORDER6 = 6
+
+
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def _no_drive(t: np.ndarray) -> np.ndarray:
@@ -81,49 +87,67 @@ class Generator:
         self.terms = terms
         self.coefficients = coefficients
         self.dim = a0.shape[0]
-        self._flat_terms = terms.reshape(len(terms), a0.size)
+        # Flattened rows: E_m, [E_m, E_n] for m < n, then [E_l, [E_m, E_n]].
+        basis = np.concatenate([a0[None], terms])
+        self._pairs = np.triu_indices(len(basis), 1)
+        pairs = _comm(basis[self._pairs[0]], basis[self._pairs[1]])
+        nested = _comm(basis[:, None], pairs).reshape((-1,) + a0.shape)
+        self._table = np.concatenate([basis, pairs, nested]).reshape(
+            -1, a0.size)
 
     def __call__(self, t) -> np.ndarray:
         """A(t) for a scalar time, shape (d, d), or for an array of times,
         shape t.shape + (d, d)."""
         t = np.asarray(t, dtype=float)
-        a = self.coefficients(t) @ self._flat_terms
+        a = self.coefficients(t) @ self._table[1:1 + len(self.terms)]
         a += self.a0.reshape(-1)
         return a.reshape(t.shape + self.a0.shape)
 
 
-def _check_dt(dt: float) -> None:
+def _node_coefficients(g: Generator, t, dt: float, nodes: np.ndarray):
+    """Coefficients over the basis E of the generator at the three nodes
+    of every step starting at t: three (n, 1 + K) arrays, n = t.size."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    t = np.asarray(t, dtype=float).reshape(-1, 1) + dt * nodes
+    c = np.concatenate([np.ones(t.shape + (1,)), g.coefficients(t)], axis=-1)
+    return c[:, 0], c[:, 1], c[:, 2]
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _pair_coefficients(g: Generator, x, y) -> np.ndarray:
+    """Coefficients over the [E_m, E_n] table of [x . E, y . E]."""
+    m, n = g._pairs
+    return x[:, m] * y[:, n] - x[:, n] * y[:, m]
 
 
-def _samples(g: Generator, t, dt: float, nodes: np.ndarray):
-    """Generator at the three nodes of every step starting at t."""
-    _check_dt(dt)
-    a = g(np.asarray(t, dtype=float)[..., None] + dt * nodes)
-    return a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+def _expand(g: Generator, coefficients: np.ndarray, t) -> np.ndarray:
+    """Combinations of the leading table rows, shaped to the times t."""
+    return (coefficients @ g._table[:coefficients.shape[-1]]).reshape(
+        np.shape(t) + (g.dim, g.dim))
 
 
 def _exponent4(g: Generator, t, dt: float) -> np.ndarray:
-    a0, am, a1 = _samples(g, t, dt, _NODES4)
-    return (dt / 6.0) * (a0 + 4.0 * am + a1) \
-        + (dt * dt / 12.0) * _comm(a1, a0)
+    a0, am, a1 = _node_coefficients(g, t, dt, _NODES4)
+    return _expand(g, np.concatenate(
+        [(dt / 6.0) * (a0 + 4.0 * am + a1),
+         (dt * dt / 12.0) * _pair_coefficients(g, a1, a0)], axis=-1), t)
 
 
 def _exponent6(g: Generator, t, dt: float) -> np.ndarray:
-    a1, a2, a3 = _samples(g, t, dt, _NODES6)
+    a1, a2, a3 = _node_coefficients(g, t, dt, _NODES6)
     # Graded combinations of the node samples: b1 ~ O(dt), b2, b3 ~ higher.
     b1 = dt * a2
     b2 = (np.sqrt(15.0) / 3.0) * dt * (a3 - a1)
     b3 = (10.0 / 3.0) * dt * (a3 - 2.0 * a2 + a1)
-    c1 = _comm(b1, b2)
-    c2 = (-1.0 / 60.0) * _comm(b1, 2.0 * b3 + c1)
-    return b1 + b3 / 12.0 \
-        + (1.0 / 240.0) * _comm(-20.0 * b1 - b3 + c1, b2 + c2)
+    c1 = _pair_coefficients(g, b1, b2)
+    # x = -20 b1 - b3 + c1, y = b2 + c2, c2 = -(2 [b1, b3] + [b1, c1]) / 60
+    x = _expand(g, np.concatenate([-20.0 * b1 - b3, c1], axis=-1), t)
+    nested = (b1[:, :, None] * c1[:, None, :]).reshape(
+        len(b1), b1.shape[1] * c1.shape[1])
+    y = _expand(g, np.concatenate(
+        [b2, (-1.0 / 30.0) * _pair_coefficients(g, b1, b3),
+         (-1.0 / 60.0) * nested], axis=-1), t)
+    return _expand(g, b1 + b3 / 12.0, t) + (1.0 / 240.0) * _comm(x, y)
 
 
 # The steppers exponentiate the Magnus exponent only after the helper that
@@ -172,8 +196,23 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
         cumulative[0] = u
     for start in range(0, steps, CHUNK_STEPS):
         k = np.arange(start, min(start + CHUNK_STEPS, steps))
-        for j, s in enumerate(stepper(g, t0 + k * dt, dt), start=start + 1):
-            u = s @ u
-            if return_intermediate:
-                cumulative[j] = u
+        products = _running_products(stepper(g, t0 + k * dt, dt), u)
+        u = products[-1]
+        if return_intermediate:
+            cumulative[start + 1:start + 1 + len(k)] = products
     return cumulative if return_intermediate else u
+
+
+def _running_products(steps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Running products steps[j] @ ... @ steps[0] @ u, j < n, of an
+    (n, d, d) stack: prefix products within blocks (batched over blocks),
+    a pass over block totals, then each block's entry propagator."""
+    n, d = len(steps), u.shape[-1]
+    pad = np.broadcast_to(np.eye(d), (-n % _BLOCK, d, d))
+    p = np.concatenate([steps, pad]).reshape(-1, _BLOCK, d, d)
+    for i in range(1, _BLOCK):
+        p[:, i] = p[:, i] @ p[:, i - 1]
+    entry = [u]
+    for total in p[:-1, -1]:
+        entry.append(total @ entry[-1])
+    return (p @ np.array(entry)[:, None]).reshape(-1, d, d)[:n]

@@ -43,6 +43,10 @@ class PeriodicPlan:
             raise ValueError("period must be positive")
         if self.steps_per_period < 1:
             raise ValueError("steps_per_period must be >= 1")
+        if self.steps_per_period > MAX_PLAN_STEPS:
+            raise ValueError(
+                f"steps_per_period {self.steps_per_period} is above the cap "
+                f"{MAX_PLAN_STEPS}")
 
     @property
     def dt(self) -> float:
@@ -89,12 +93,8 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
                 f"drive frequency {omega} is not commensurate with 2 pi "
                 "to within 1e-9")
         q = np.lcm(q, frac.denominator)
-    steps = int(q) * BASE_STEPS
-    if steps > MAX_PLAN_STEPS:
-        raise ValueError(
-            f"commensurate period needs {steps} steps, above the cap "
-            f"{MAX_PLAN_STEPS}")
-    return float(q) * (2.0 * np.pi), steps
+    plan = PeriodicPlan(float(q) * (2.0 * np.pi), int(q) * BASE_STEPS)
+    return plan.period, plan.steps_per_period
 
 
 def one_period(g: Generator, plan: PeriodicPlan,

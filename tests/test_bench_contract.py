@@ -3,15 +3,18 @@
 The harness wraps module attributes by name to time each layer, and its
 steady-tpr workload captures U_T through ``sweep.one_period``; renaming or
 moving any of these breaks the benchmark while the library still works.
+Its ``linalg.expm`` span wraps ``magnus.expm``, so a step must reach the
+exponential kernel through that name alone.
 """
 
 import importlib
 
+import numpy as np
 import pytest
 
-from lamsim import sweep
-from lamsim.magnus import MagnusOrder
-from lamsim.model import preset
+from lamsim import magnus, sweep
+from lamsim.magnus import CHUNK_STEPS, MagnusOrder
+from lamsim.model import liouville_generator, preset
 
 NAMES = [
     "magnus.expm", "magnus.Generator.__call__", "magnus._STEPPERS",
@@ -47,3 +50,19 @@ def test_steady_state_summary_resolves_one_period_once(monkeypatch):
     monkeypatch.setattr(sweep, "one_period", counting)
     sweep.steady_state_summary(preset("B-II"), rwa=True)
     assert len(calls) == 1
+
+
+def test_step6_calls_expm_once_per_chunk(monkeypatch):
+    calls = []
+    real = magnus.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(magnus, "expm", counting)
+    g = liouville_generator(preset("A-II"), rwa=False)
+    dt = 2.0 * np.pi / 8191
+    out = magnus.step6(g, dt * np.arange(CHUNK_STEPS), dt)
+    assert out.shape == (CHUNK_STEPS, 9, 9)
+    assert calls == [(CHUNK_STEPS, 9, 9)]

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lamsim import cli
+from lamsim import cli, periodic, sweep
 from lamsim.analysis import cptp_check, spectral_gap
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, RunConfig, build_config, main,
                         parse_config_text, resolve_params)
 from lamsim.model import liouville_generator, preset
-from lamsim.periodic import make_plan, one_period
+from lamsim.periodic import MAX_PLAN_STEPS, make_plan, one_period
 from lamsim.sweep import SweepAxis, run_case
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
@@ -337,6 +337,23 @@ class TestErrorPaths:
                    flag, value, "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
+    def test_steps_above_cap(self, tmp_path, capsys, monkeypatch, command):
+        # the plan refuses the override before any (steps + 1, d, d)
+        # propagator stack is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagate called")
+
+        monkeypatch.setattr(periodic, "propagate", refuse)
+        monkeypatch.setattr(sweep, "propagate", refuse)
+        out = tmp_path / "x.csv"
+        rc = main([command, "--case", "A-II", "--drive", "rwa",
+                   "--steps-per-period", str(MAX_PLAN_STEPS + 1),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_incommensurate_frequencies(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.linalg import DimensionError, expm, frobenius_norm
+from lamsim.linalg import (_TAYLOR8_THETA, DimensionError, expm,
+                           frobenius_norm)
 
 from conftest import random_complex_matrix
 
@@ -87,6 +88,48 @@ class TestExpm:
     def test_non_finite_input_raises(self):
         with pytest.raises(FloatingPointError):
             expm(np.array([[1e308, 1e308], [1e308, 1e308]]))
+
+
+class TestTaylorBranch:
+    """Stacks with 1-norm at most theta_8 take the degree-8 Taylor
+    polynomial, larger ones the Pade-13 branch."""
+
+    THETA = _TAYLOR8_THETA
+
+    @staticmethod
+    def _at_norm(rng, n, norm):
+        a = random_complex_matrix(rng, n)
+        return a * (norm / np.abs(a).sum(axis=0).max())
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_matches_series_near_threshold(self, rng, n, factor):
+        stack = np.array([self._at_norm(rng, n, factor * self.THETA)
+                          for _ in range(8)])
+        out = expm(stack)
+        for a, e in zip(stack, out):
+            assert np.allclose(e, expm_series(a), rtol=1e-13, atol=0.0)
+
+    def test_stack_straddling_threshold(self, rng):
+        norms = [0.1 * self.THETA, 0.99 * self.THETA, 1.01 * self.THETA,
+                 3.0 * self.THETA]
+        stack = np.array([self._at_norm(rng, 9, x) for x in norms])
+        out = expm(stack)
+        for a, e in zip(stack, out):
+            assert np.allclose(e, expm_series(a), rtol=1e-13, atol=0.0)
+            assert np.allclose(e, expm(a), rtol=1e-13, atol=0.0)
+
+    @given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([2, 3, 9]),
+           log_norm=st.floats(-7.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_stacks_match_series(self, seed, n, log_norm):
+        # 1-norms from 1e-8 to 10, within a stack spread over a decade
+        rng = np.random.default_rng(seed)
+        stack = np.array([self._at_norm(rng, n, 10.0 ** log_norm * x)
+                          for x in rng.uniform(0.1, 1.0, size=4)])
+        out = expm(stack)
+        for a, e in zip(stack, out):
+            assert np.allclose(e, expm_series(a), rtol=1e-12, atol=1e-13)
 
 
 def test_frobenius_norm_value():

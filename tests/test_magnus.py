@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.linalg import expm, frobenius_norm
-from lamsim.magnus import (CHUNK_STEPS, Generator, MagnusOrder, propagate,
-                           step, step4, step6)
+from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
+                           MagnusOrder, _exponent4, _exponent6,
+                           _running_products, propagate, step, step4, step6)
 from lamsim.model import closed_generator, liouville_generator, preset
 
 from conftest import random_complex_matrix
@@ -13,6 +14,35 @@ from conftest import random_complex_matrix
 
 def constant_generator(a: np.ndarray) -> Generator:
     return Generator(a)
+
+
+# Pointwise references: the Magnus exponents built from the generator's
+# node samples with explicit nested commutators.
+
+def _comm(a, b):
+    return a @ b - b @ a
+
+
+def _node_samples(g, t, dt, nodes):
+    a = g(np.asarray(t, dtype=float)[..., None] + dt * nodes)
+    return a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+
+
+def reference_exponent4(g, t, dt):
+    a0, am, a1 = _node_samples(g, t, dt, _NODES4)
+    return (dt / 6.0) * (a0 + 4.0 * am + a1) \
+        + (dt * dt / 12.0) * _comm(a1, a0)
+
+
+def reference_exponent6(g, t, dt):
+    a1, a2, a3 = _node_samples(g, t, dt, _NODES6)
+    b1 = dt * a2
+    b2 = (np.sqrt(15.0) / 3.0) * dt * (a3 - a1)
+    b3 = (10.0 / 3.0) * dt * (a3 - 2.0 * a2 + a1)
+    c1 = _comm(b1, b2)
+    c2 = (-1.0 / 60.0) * _comm(b1, 2.0 * b3 + c1)
+    return b1 + b3 / 12.0 \
+        + (1.0 / 240.0) * _comm(-20.0 * b1 - b3 + c1, b2 + c2)
 
 
 class TestExactness:
@@ -138,3 +168,46 @@ class TestBatchedSteps:
         assert worst <= 1e-13
         whole = propagate(g, 0.0, t1, steps, order=order)
         assert np.max(np.abs(whole - cum[-1])) <= 1e-13
+
+
+class TestTabulatedExponents:
+    DT = 2.0 * np.pi / 8191
+
+    @staticmethod
+    def _assert_matches(g, t, dt):
+        for tabulated, reference in ((_exponent4, reference_exponent4),
+                                     (_exponent6, reference_exponent6)):
+            out, ref = tabulated(g, t, dt), reference(g, t, dt)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t", [0.37, "chunk"])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("build,case", [(closed_generator, "A-I"),
+                                            (liouville_generator, "C-II")])
+    def test_match_nested_commutators(self, build, case, rwa, t):
+        if t == "chunk":
+            t = 0.1 + self.DT * np.arange(CHUNK_STEPS)
+        self._assert_matches(build(preset(case), rwa=rwa), t, self.DT)
+
+    def test_constant_generator(self, rng):
+        # no drive terms: a one-row basis and empty commutator tables
+        g = constant_generator(random_complex_matrix(rng, 3))
+        self._assert_matches(g, 0.5, 0.01)
+        self._assert_matches(g, 0.01 * np.arange(CHUNK_STEPS), 0.01)
+
+
+class TestBlockedProduct:
+    @pytest.mark.parametrize("n", [1, 31, 33, CHUNK_STEPS + 7])
+    def test_matches_sequential_product(self, rng, n):
+        # unitary steps, so the products stay of order one
+        h = np.array([random_complex_matrix(rng, 9) for _ in range(n + 1)])
+        unitaries = expm(0.1j * (h + np.conj(np.swapaxes(h, -1, -2))))
+        u, steps = unitaries[0], unitaries[1:]
+        out = _running_products(steps, u)
+        assert out.shape == (n, 9, 9)
+        worst = 0.0
+        for s, blocked in zip(steps, out):
+            u = s @ u
+            worst = max(worst, float(np.max(np.abs(blocked - u))))
+        assert worst <= 1e-13

@@ -5,10 +5,10 @@ from lamsim.linalg import frobenius_norm
 from lamsim.magnus import Generator, MagnusOrder, propagate
 from lamsim.model import (ground_state, h_rwf, lindbladian,
                           liouville_generator, preset, unvec, vec)
-from lamsim.periodic import (HorizonError, PeriodicPlan, Trajectory,
-                             commensurate_period, convergence_time, doubling,
-                             make_plan, one_period, stroboscopic,
-                             trace_functional)
+from lamsim.periodic import (MAX_PLAN_STEPS, HorizonError, PeriodicPlan,
+                             Trajectory, commensurate_period,
+                             convergence_time, doubling, make_plan,
+                             one_period, stroboscopic, trace_functional)
 
 STEPS = 256  # coarse grid keeps these structural tests fast
 
@@ -38,6 +38,8 @@ class TestPlan:
             PeriodicPlan(period=-1.0, steps_per_period=4)
         with pytest.raises(ValueError):
             PeriodicPlan(period=1.0, steps_per_period=0)
+        with pytest.raises(ValueError, match="cap"):
+            PeriodicPlan(period=1.0, steps_per_period=MAX_PLAN_STEPS + 1)
 
 
 class TestCommensurate:
