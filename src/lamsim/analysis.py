@@ -8,22 +8,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm
 from .model import DIM, LDIM
 
 DEGENERATE_GAP_TOL = 1e-12
 
 
-def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray) -> float:
-    """Relative Frobenius deviation |rho_rwa - rho|_F / |rho|_F."""
+def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
+    """Relative Frobenius deviation |rho_rwa - rho|_F / |rho|_F: a float
+    for one pair of states, an array for two (..., 3, 3) stacks, with the
+    norms taken over the last two axes."""
     rho_rwa = np.asarray(rho_rwa, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho_rwa.shape != rho.shape:
         raise ValueError(f"shape mismatch: {rho_rwa.shape} vs {rho.shape}")
-    denom = frobenius_norm(rho)
-    if denom == 0.0:
+    denom = np.linalg.norm(rho, axis=(-2, -1))
+    if np.any(denom == 0.0):
         raise ValueError("reference state has zero norm")
-    return frobenius_norm(rho_rwa - rho) / denom
+    err = np.linalg.norm(rho_rwa - rho, axis=(-2, -1)) / denom
+    return float(err) if err.ndim == 0 else err
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,29 @@
 """Periodic-driving machinery: one-period propagators, stroboscopic jumps,
-doubling to the steady state, micromotion, period averaging, and detection of
+doubling to the steady state, micromotion, period-mean maps, and detection of
 the time needed to converge to the steady state.
 
 For a generator with period T the propagator over [0, n T + t] factors as
 U(t, 0) @ U(T, 0)^n, so a single resolved period plus cheap matrix powers
 covers arbitrarily long horizons; repeated squaring of U(T, 0) reaches
-exponentially long times.
+exponentially long times, and the average over any one period is one fixed
+map (period_mean_map) of the state at the period's start.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import frobenius_norm
 from .magnus import Generator, MagnusOrder, propagate
-from .model import DIM, unvec, vec
+from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # steps per 2 pi of drive period
 PERIODICITY_TOL = 1e-12
 MAX_PLAN_STEPS = 10 ** 6
+MAX_PERIODS = 2 ** 40             # horizon of the steady-state search
 
 
 class HorizonError(RuntimeError):
@@ -176,22 +179,21 @@ class Trajectory:
         return np.real(np.einsum("tii->ti", self.states))
 
 
-def _period_average(micromotion_stack: np.ndarray, v_start: np.ndarray,
-                    period: float) -> np.ndarray:
-    """Trapezoid average of the state over one period, starting from the
-    vectorized state v_start at the period boundary."""
-    states = micromotion_stack @ v_start  # (steps+1, 9)
-    steps = len(states) - 1
-    weights = np.full(len(states), 1.0 / steps)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return unvec(weights @ states)
+def period_mean_map(micromotion: np.ndarray,
+                    row_factors: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k diag(row_factors[k]) micromotion[k], w_k the trapezoid
+    weights: the map from a period's start state to its average over the
+    period, built without a second stack-sized array."""
+    weights = np.full(len(micromotion), 1.0 / (len(micromotion) - 1))
+    weights[[0, -1]] *= 0.5
+    if row_factors is None:
+        return np.einsum("k,kij->ij", weights, micromotion)
+    return np.einsum("k,ki,kij->ij", weights, row_factors, micromotion)
 
 
 def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
                      eps: float = 1e-6,
                      order: MagnusOrder = MagnusOrder.ORDER6,
-                     max_periods: int = 2 ** 40,
                      precomputed: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> float:
     """Smallest n T at which the period-averaged state moves by <= eps
@@ -199,21 +201,19 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
 
     The search doubles n until the criterion holds, then bisects; it
     assumes a dissipative generator (a steady state exists) and raises
-    HorizonError, carrying the last observed delta, if max_periods is
+    HorizonError, carrying the last observed delta, if MAX_PERIODS is
     exhausted.
     """
     if g.dim != DIM * DIM:
         raise ValueError("convergence_time expects a Liouville-space generator")
     u_t, micromotion = (precomputed if precomputed is not None
                         else one_period(g, plan, order))
+    mean = period_mean_map(micromotion)
     v0 = vec(np.asarray(rho0, dtype=complex))
-    cache: dict[int, np.ndarray] = {}
 
+    @functools.cache
     def avg(n: int) -> np.ndarray:
-        if n not in cache:
-            w = np.linalg.matrix_power(u_t, n) @ v0
-            cache[n] = _period_average(micromotion, w, plan.period)
-        return cache[n]
+        return mean @ (np.linalg.matrix_power(u_t, n) @ v0)
 
     def delta(n: int) -> float:
         return frobenius_norm(avg(n) - avg(n - 1))
@@ -223,7 +223,7 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
 
     n = 2
     while delta(n) > eps:
-        if n > max_periods:
+        if n > MAX_PERIODS:
             raise HorizonError(
                 f"no steady state within {n} periods (delta {delta(n):.3e})",
                 last_delta=delta(n))

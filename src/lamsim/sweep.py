@@ -5,8 +5,8 @@ convergence times and spectral gaps.
 Each grid point is an independent work item: the drive period is chosen
 commensurate with both field frequencies, the step size is held near
 2 pi / 8191 regardless of the period, and steady-state values are
-trapezoid averages over an 8 pi window entered only after the
-period-to-period convergence criterion is met.
+trapezoid averages over the 8 pi window entered at the convergence time:
+one 9x9 rotating-frame period-mean map applied to the period-start states.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from . import periodic
 from .analysis import rwa_error, spectral_gap
 from .magnus import Generator, MagnusOrder, propagate
-from .model import (LambdaParams, closed_generator, ground_state,
-                    liouville_generator, rwf_phases, vec)
+from .model import (LDIM, LambdaParams, closed_generator, ground_state,
+                    liouville_generator, rwf_phases, unvec, vec)
 from .periodic import (PeriodicPlan, Trajectory, commensurate_period,
-                       convergence_time, one_period)
+                       convergence_time, one_period, period_mean_map)
 
 STEADY_WINDOW = 8.0 * np.pi       # averaging window for steady-state values
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
@@ -38,12 +38,17 @@ def _variants(drive: str) -> tuple[str, ...]:
     return ("full", "rwa") if drive == "both" else (drive,)
 
 
+def _rwf_factors(p: LambdaParams, times) -> np.ndarray:
+    """conj(w_i) w_j at each time: the entrywise factors of to_rwf."""
+    w = rwf_phases(p, times)
+    return np.conj(w)[..., :, None] * w[..., None, :]
+
+
 def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
     """Rotating-frame transform W(t)^dag rho W(t) of one lab-frame state
     or a stack of them: diagonals are unchanged, off-diagonals pick up the
     drive phases."""
-    w = rwf_phases(p, times)
-    return (np.conj(w)[..., :, None] * w[..., None, :]) * states
+    return _rwf_factors(p, times) * states
 
 
 def resolve_period(p: LambdaParams, rwa: bool, *, closed: bool = False,
@@ -188,43 +193,36 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
                          order: MagnusOrder = MagnusOrder.ORDER6,
                          eps: float = 1e-6) -> dict:
     """Steady-state observables at one grid point: rotating-frame averaged
-    state over the final 8 pi window, convergence time, spectral gap, and
-    trace diagnostics."""
+    state over the 8 pi window entered at t_conv, convergence time,
+    spectral gap, and trace diagnostics."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
     g, plan = resolve_period(p, rwa)
-    period = plan.period
     u_t, micro = one_period(g, plan, order)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
-    n_conv = int(round(t_conv / period))
-
-    window_periods = max(1, math.ceil(STEADY_WINDOW / period - 1e-9))
-    v0 = vec(ground_state())
-    w_start = np.linalg.matrix_power(u_t, n_conv) @ v0
-    blocks, time_blocks = [], []
-    grid = plan.micromotion_times
-    for j in range(window_periods):
-        arr = micro @ (np.linalg.matrix_power(u_t, j) @ w_start)
-        sl = slice(None) if j == window_periods - 1 else slice(0, -1)
-        blocks.append(arr[sl])
-        time_blocks.append((grid + (n_conv + j) * period)[sl])
-    states = np.concatenate(blocks).reshape(-1, 3, 3)
-    times = np.concatenate(time_blocks)
-    states_rwf = to_rwf(states, p, times)
-    span = times[-1] - times[0]
-    avg_rwf = np.trapezoid(states_rwf, x=times, axis=0) / span
+    # T-periodic frame phases: one map averages every period of the window.
+    mean_rwf = period_mean_map(
+        micro, _rwf_factors(p, plan.micromotion_times).reshape(-1, LDIM))
+    window_periods = max(1, math.ceil(STEADY_WINDOW / plan.period - 1e-9))
+    v = np.linalg.matrix_power(u_t, round(t_conv / plan.period)) @ vec(
+        ground_state())
+    starts = np.zeros(LDIM, dtype=complex)
+    for _ in range(window_periods):
+        starts += v
+        v = u_t @ v
+    avg_rwf = unvec(mean_rwf @ starts) / window_periods
     tr = np.trace(avg_rwf).real
     if abs(tr - 1.0) <= 1e-9:
         avg_rwf = avg_rwf / tr
-    gap = spectral_gap(u_t, period=period)
+    gap = spectral_gap(u_t, period=plan.period)
     return {
         "rho_ss_rwf": avg_rwf,
         "t_conv": t_conv,
         "gap": gap.gap,
         "gap_per_time": gap.gap_per_time,
-        "trace_defect": float(abs(np.trace(states[-1]).real - 1.0)),
-        "period": period,
+        "trace_defect": float(abs(np.trace(unvec(v)).real - 1.0)),
+        "period": plan.period,
         "steps": plan.steps_per_period,
     }
 
@@ -301,6 +299,4 @@ def rwa_error_curve(p: LambdaParams, horizon: float,
                     steps_per_period=steps_per_period)
     approx = run_case(p, horizon, order=order, drive="rwa",
                       steps_per_period=steps_per_period)
-    errors = np.array([
-        rwa_error(ra, rf) for ra, rf in zip(approx.states, full.states)])
-    return full.times, errors
+    return full.times, rwa_error(approx.states, full.states)

@@ -29,6 +29,25 @@ class TestRwaError:
         with pytest.raises(ValueError):
             rwa_error(np.eye(3), np.eye(2))
 
+    def test_single_pair_is_a_float(self):
+        assert type(rwa_error(np.zeros((3, 3)), np.eye(3))) is float
+
+    def test_stack_matches_per_state_loop(self, rng):
+        approx = rng.standard_normal((4, 5, 3, 3)) + 0j
+        exact = rng.standard_normal((4, 5, 3, 3)) + 1j * rng.standard_normal(
+            (4, 5, 3, 3))
+        want = np.array([[np.linalg.norm(a - r) / np.linalg.norm(r)
+                          for a, r in zip(row_a, row_r)]
+                         for row_a, row_r in zip(approx, exact)])
+        got = rwa_error(approx, exact)
+        assert got.shape == (4, 5)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_stack_with_one_zero_reference_rejected(self):
+        exact = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        with pytest.raises(ValueError, match="zero norm"):
+            rwa_error(np.ones((3, 3, 3)), exact)
+
 
 class TestSpectralGap:
     def test_known_diagonal_map(self):

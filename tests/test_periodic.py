@@ -8,7 +8,8 @@ from lamsim.model import (ground_state, h_rwf, lindbladian,
 from lamsim.periodic import (MAX_PLAN_STEPS, HorizonError, PeriodicPlan,
                              Trajectory, commensurate_period,
                              convergence_time, doubling, make_plan,
-                             one_period, stroboscopic, trace_functional)
+                             one_period, period_mean_map, stroboscopic,
+                             trace_functional)
 
 STEPS = 256  # coarse grid keeps these structural tests fast
 
@@ -145,8 +146,7 @@ class TestConvergenceTime:
         g = liouville_generator(preset("A-I"), dissipative=False)
         plan = make_plan(g, 2.0 * np.pi, 64)
         with pytest.raises(HorizonError) as exc_info:
-            convergence_time(g, plan, ground_state(), eps=1e-12,
-                             max_periods=64)
+            convergence_time(g, plan, ground_state(), eps=1e-12)
         assert exc_info.value.last_delta > 0.0
 
     def test_requires_liouville_generator(self):
@@ -155,6 +155,18 @@ class TestConvergenceTime:
         plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=8)
         with pytest.raises(ValueError, match="Liouville"):
             convergence_time(g, plan, ground_state())
+
+
+@pytest.mark.parametrize("with_factors", [False, True])
+def test_period_mean_map_is_trapezoid_average(open_setup, rng, with_factors):
+    _, plan, _, micro = open_setup
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    factors = (np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(micro), 9)))
+               if with_factors else np.ones((len(micro), 9)))
+    want = np.trapezoid(factors * (micro @ v), x=plan.micromotion_times,
+                        axis=0) / plan.period
+    got = period_mean_map(micro, factors if with_factors else None) @ v
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def expm_eig(a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lamsim import periodic
+from lamsim import periodic, sweep
+from lamsim.analysis import spectral_gap
 from lamsim.magnus import MagnusOrder
 from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, vec)
 from lamsim.periodic import commensurate_period, one_period
 from lamsim.rwa_oracle import rwa_density_tpr
-from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
-                          rwa_error_curve, steady_state_summary, to_rwf)
+from lamsim.sweep import (STEADY_WINDOW, SweepAxis, SweepSpec, run_case,
+                          run_sweep, rwa_error_curve, steady_state_summary,
+                          to_rwf)
 
 STEPS = 512  # coarse grid for structural checks; accuracy is tested elsewhere
 
@@ -139,6 +144,106 @@ class TestSteadyState:
     def test_closed_case_rejected(self):
         with pytest.raises(ValueError, match="dissipation"):
             steady_state_summary(preset("A-I"), rwa=False)
+
+
+def window_route(p, u_t, micro, plan, eps=1e-6):
+    """Reference steady state built state by state: trapezoid averages of
+    the states micro @ U^n v0 drive the doubling and bisection search for
+    t_conv, then the states micro @ U^j v_conv over ceil(8 pi / T) periods
+    go through to_rwf at their absolute times and np.trapezoid over the
+    window."""
+    v0 = vec(ground_state())
+    weights = np.full(len(micro), 1.0 / (len(micro) - 1))
+    weights[[0, -1]] *= 0.5
+
+    def delta(n):
+        a, b = (weights @ (micro @ (np.linalg.matrix_power(u_t, k) @ v0))
+                for k in (n, n - 1))
+        return np.linalg.norm(a - b)
+
+    n = 1
+    if delta(1) > eps:
+        n = 2
+        while delta(n) > eps:
+            n *= 2
+        lo = n // 2
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (lo, mid) if delta(mid) <= eps else (mid, n)
+    window = max(1, math.ceil(STEADY_WINDOW / plan.period - 1e-9))
+    v = np.linalg.matrix_power(u_t, n) @ v0
+    blocks, time_blocks = [], []
+    for j in range(window):
+        keep = slice(None) if j == window - 1 else slice(0, -1)
+        blocks.append((micro @ (np.linalg.matrix_power(u_t, j) @ v))[keep])
+        time_blocks.append(
+            (plan.micromotion_times + (n + j) * plan.period)[keep])
+    states = np.concatenate(blocks).reshape(-1, 3, 3)
+    times = np.concatenate(time_blocks)
+    avg = np.trapezoid(to_rwf(states, p, times), x=times, axis=0) / (
+        times[-1] - times[0])
+    tr = np.trace(avg).real
+    if abs(tr - 1.0) <= 1e-9:
+        avg = avg / tr
+    return {"rho_ss_rwf": avg, "t_conv": n * plan.period,
+            "gap": spectral_gap(u_t, period=plan.period).gap,
+            "trace_defect": abs(np.trace(states[-1]).real - 1.0),
+            "period": plan.period, "steps": plan.steps_per_period}
+
+
+def capture_one_period(monkeypatch, after=None):
+    """Route sweep.one_period through a wrapper that keeps its plan and
+    result in the returned dict, and calls after(dict) once it returns."""
+    seen = {}
+    real = sweep.one_period
+
+    def wrapper(g, plan, order=MagnusOrder.ORDER6):
+        seen["result"] = real(g, plan, order)
+        seen["plan"] = plan
+        if after is not None:
+            after(seen)
+        return seen["result"]
+
+    monkeypatch.setattr(sweep, "one_period", wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("case,drive,delta_omega_p", [
+    ("A-II", "full", 0.0), ("A-II", "rwa", 0.0), ("B-II", "full", 0.0),
+    ("B-II", "rwa", 0.0), ("C-II", "full", 0.0), ("C-II", "rwa", 0.0),
+    ("B-II", "full", 0.5), ("B-II", "rwa", 0.5),  # omega_p = 13/2: q = 2
+])
+def test_steady_state_matches_window_route(monkeypatch, case, drive,
+                                           delta_omega_p):
+    p = preset(case, delta_omega_p=delta_omega_p)
+    seen = capture_one_period(monkeypatch)
+    got = steady_state_summary(p, rwa=(drive == "rwa"))
+    u_t, micro = seen["result"]
+    want = window_route(p, u_t, micro, seen["plan"])
+    assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-12
+    assert abs(got["trace_defect"] - want["trace_defect"]) <= 1e-15
+    for key in ("t_conv", "gap", "period", "steps"):
+        assert got[key] == want[key], key
+
+
+def test_steady_state_memory_beyond_the_stack(monkeypatch):
+    # Everything after the resolved period works on 9x9 maps and
+    # 9-vectors; only the frame factors scale with the step count.
+    def mark(seen):
+        tracemalloc.reset_peak()
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+
+    seen = capture_one_period(monkeypatch, after=mark)
+    tracemalloc.start()
+    try:
+        steady_state_summary(preset("B-II"), rwa=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack_bytes = seen["result"][1].nbytes
+    assert peak - seen["base"] <= 0.5 * stack_bytes, (
+        f"{(peak - seen['base']) / 2**20:.2f} MiB peak after one_period, "
+        f"above half the {stack_bytes / 2**20:.2f} MiB stack")
 
 
 class TestRunSweep:
