@@ -139,6 +139,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"periods must be >= 1, got {cfg.periods}")
     if cfg.horizon is not None and not cfg.horizon > 0:
         raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
+    if not cfg.eps_ss > 0:
+        raise ConfigError(f"eps_ss must be positive, got {cfg.eps_ss}")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     return cfg
 
 
@@ -357,7 +361,10 @@ _COMMANDS = {"propagate": cmd_propagate, "sweep": cmd_sweep,
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key = value configuration file")
     sp.add_argument("--case", choices=PRESET_NAMES)
-    sp.add_argument("--order", type=int, choices=(4, 6))
+    sp.add_argument("--order", type=int, choices=(4, 6),
+                    help="Magnus order of the full drive (default 6); the "
+                         "RWA drive is propagated exactly in its rotating "
+                         "frame, whatever the order and step count")
     sp.add_argument("--steps-per-period", type=int, dest="steps_per_period")
     sp.add_argument("--periods", type=int)
     sp.add_argument("--horizon", type=float)

@@ -142,14 +142,18 @@ def hamiltonian(p: LambdaParams, t: float, rwa: bool) -> np.ndarray:
     return h0(p) + (h_sr_rwa(p, t) if rwa else h_sr(p, t))
 
 
+def _rwf_rates(p: LambdaParams) -> np.ndarray:
+    """Rates r of the rotating frame W(t) = diag(e^{-i r t}):
+    (0, w_p, w_p - w_c)."""
+    return np.array([0.0, p.omega_p, p.omega_p - p.omega_c])
+
+
 def rwf_phases(p: LambdaParams, times) -> np.ndarray:
     """Diagonal of the rotating-frame unitary
     W(t) = diag(1, e^{-i w_p t}, e^{-i (w_p - w_c) t}) at each time, shape
     times.shape + (3,); a state enters the frame as W(t)^dag rho W(t)."""
     times = np.asarray(times, dtype=float)
-    return np.stack([np.ones_like(times),
-                     np.exp(-1j * p.omega_p * times),
-                     np.exp(-1j * (p.omega_p - p.omega_c) * times)], axis=-1)
+    return np.exp(-1j * _rwf_rates(p) * times[..., None])
 
 
 def h_rwf(p: LambdaParams) -> np.ndarray:
@@ -229,33 +233,39 @@ def _comm_super(h: np.ndarray) -> np.ndarray:
 
 def _drive(p: LambdaParams, rwa: bool):
     """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
-    stack and the map from times (...) to the coefficients f_k, (..., K).
+    stack, the map from times (...) to the coefficients f_k, (..., K), and
+    the Hilbert-space frame rates in which the generator is constant (None
+    for the full drive).
 
     Full drive: -rabi cos(w t) on each field's symmetric coupling.  RWA:
     -rabi/2 e^{-i w t} on the raising part |2><g| and its conjugate on the
-    lowering part |g><2|.
+    lowering part |g><2|; constant in the rotating frame W(t), whose
+    phases are e^{i theta t} with theta = -_rwf_rates(p).
     """
     rabi = np.array([p.rabi_p, p.rabi_c])
     omega = np.array([p.omega_p, p.omega_c])
     if not rwa:
         ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
+        frame = None
 
         def coefficients(t: np.ndarray) -> np.ndarray:
             return -rabi * np.cos(omega * t[..., None])
     else:
         ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
+        frame = -_rwf_rates(p)
 
         def coefficients(t: np.ndarray) -> np.ndarray:
             c = -0.5 * rabi * np.exp(-1j * omega * t[..., None])
             return np.stack([c[..., 0], np.conj(c[..., 0]),
                              c[..., 1], np.conj(c[..., 1])], axis=-1)
-    return ops, coefficients
+    return ops, coefficients, frame
 
 
 def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
-    """3x3 Hilbert-space generator -i H(t) for unitary dynamics."""
-    ops, coefficients = _drive(p, rwa)
-    return Generator(-1j * h0(p), -1j * ops, coefficients)
+    """3x3 Hilbert-space generator -i H(t) for unitary dynamics; the RWA
+    drive declares the rotating frame, so it is propagated exactly."""
+    ops, coefficients, frame = _drive(p, rwa)
+    return Generator(-1j * h0(p), -1j * ops, coefficients, frame)
 
 
 def liouville_generator(p: LambdaParams, rwa: bool = False,
@@ -264,12 +274,16 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
 
     The same affine drive as closed_generator, with every operator lifted
     through the commutator superoperator and the time-independent
-    dissipator folded into the constant part.
+    dissipator folded into the constant part.  The RWA frame lifts to the
+    rates theta_i - theta_j of vec(rho)[i, j], flattened row-major; the
+    dissipator commutes with it.
     """
     if dissipative is None:
         dissipative = p.is_dissipative
-    ops, coefficients = _drive(p, rwa)
+    ops, coefficients, frame = _drive(p, rwa)
     a0 = -1j * _comm_super(h0(p))
     if dissipative:
         a0 = a0 + lindbladian(p)
-    return Generator(a0, -1j * _comm_super(ops), coefficients)
+    if frame is not None:
+        frame = np.subtract.outer(frame, frame).reshape(LDIM)
+    return Generator(a0, -1j * _comm_super(ops), coefficients, frame)

@@ -202,10 +202,13 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     The search doubles n until the criterion holds, then bisects; it
     assumes a dissipative generator (a steady state exists) and raises
     HorizonError, carrying the last observed delta, if MAX_PERIODS is
-    exhausted.
+    exhausted.  An eps that is not positive raises ValueError: a negative
+    eps is never met, and a NaN one fails every comparison of the search.
     """
     if g.dim != DIM * DIM:
         raise ValueError("convergence_time expects a Liouville-space generator")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     u_t, micromotion = (precomputed if precomputed is not None
                         else one_period(g, plan, order))
     mean = period_mean_map(micromotion)

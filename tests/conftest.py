@@ -10,6 +10,13 @@ def random_complex_matrix(rng: np.random.Generator, n: int,
                     + 1j * rng.standard_normal((n, n)))
 
 
+def expm_eig(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential from an eigendecomposition, independent of
+    lamsim.linalg.expm."""
+    vals, vecs = np.linalg.eig(a)
+    return vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

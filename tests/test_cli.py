@@ -339,6 +339,26 @@ class TestErrorPaths:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--eps-ss", "nan"),
+                                            ("--eps-ss", "-1"),
+                                            ("--eps-ss", "0"),
+                                            ("--workers", "0"),
+                                            ("--workers", "-1")])
+    def test_bad_sweep_settings(self, tmp_path, capsys, monkeypatch, flag,
+                                value):
+        # refused before any grid point is solved or a process pool starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--case", "B-II", "--omega-p-range", "6:6:1",
+                   "--drive", "rwa", flag, value, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
     def test_steps_above_cap(self, tmp_path, capsys, monkeypatch, command):
         # the plan refuses the override before any (steps + 1, d, d)

@@ -7,9 +7,11 @@ from lamsim.linalg import expm, frobenius_norm
 from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
                            MagnusOrder, _exponent4, _exponent6,
                            _running_products, propagate, step, step4, step6)
-from lamsim.model import closed_generator, liouville_generator, preset
+from lamsim.model import (LambdaParams, closed_generator, h_rwf,
+                          lindbladian, liouville_generator, preset)
+from lamsim.periodic import commensurate_period
 
-from conftest import random_complex_matrix
+from conftest import expm_eig, random_complex_matrix
 
 
 def constant_generator(a: np.ndarray) -> Generator:
@@ -153,8 +155,10 @@ class TestBatchedSteps:
     def test_propagate_equals_product_of_single_steps(self, build, case, rwa,
                                                       order):
         # CHUNK_STEPS + 7 steps cross one chunk boundary and end in a
-        # ragged last chunk
+        # ragged last chunk.  The RWA generators drop their frame, so the
+        # chunked Magnus product is checked on the complex four-term drive.
         g = build(preset(case), rwa=rwa)
+        g = Generator(g.a0, g.terms, g.coefficients)
         steps = CHUNK_STEPS + 7
         t1 = 1.3
         dt = t1 / steps
@@ -211,3 +215,77 @@ class TestBlockedProduct:
             u = s @ u
             worst = max(worst, float(np.max(np.abs(blocked - u))))
         assert worst <= 1e-13
+
+
+class TestFrameRoute:
+    """The RWA generators declare the rotating frame, in which they are
+    constant, so propagate returns Phi(t) exp((t - t0) A_rwf) Phi(t0)^-1
+    to rounding, whatever the order and step count."""
+
+    CASES = [("A-II", 0.0, 0.0), ("B-II", 0.0, 0.0), ("C-II", 0.0, 0.7),
+             ("B-II", 0.5, 0.0),  # omega_p = 13/2: commensurate period q = 2
+             ("B-II", 0.5, 0.7), ("closed-e1", 0.0, 0.0),
+             ("closed-e1", 0.0, 0.7)]
+
+    @staticmethod
+    def _case(name, delta_omega_p):
+        if name == "closed-e1":
+            # e1 != 0: the lab propagator carries the global phase e^{-i e1 t}
+            p = LambdaParams.tpr(e1=0.5, rabi_p=1.0, rabi_c=1.12)
+            return p, closed_generator(p, rwa=True)
+        p = preset(name, delta_omega_p=delta_omega_p)
+        return p, liouville_generator(p, rwa=True)
+
+    @staticmethod
+    def _reference(p, dim, t, t0):
+        """Phi(t) exp((t - t0) A_rwf) Phi(t0)^-1, from h_rwf, lindbladian
+        and an eigendecomposition exponential."""
+        h = h_rwf(p) + p.e1 * np.eye(3)
+
+        def phases(t):
+            w = np.exp(-1j * np.array([0.0, p.omega_p,
+                                       p.omega_p - p.omega_c]) * t)
+            return w if dim == 3 else np.kron(w, np.conj(w))
+
+        if dim == 3:
+            a_rwf = -1j * h
+        else:
+            a_rwf = -1j * (np.kron(h, np.eye(3)) - np.kron(np.eye(3), h.T)) \
+                + lindbladian(p)
+        return (phases(t)[:, None] * expm_eig((t - t0) * a_rwf)
+                * np.conj(phases(t0)))
+
+    @pytest.mark.parametrize("name,delta_omega_p,t0", CASES)
+    def test_matches_rotating_frame_exponential(self, name, delta_omega_p,
+                                                t0):
+        p, g = self._case(name, delta_omega_p)
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        cum = propagate(g, t0, t0 + period, steps, return_intermediate=True)
+        assert cum.shape == (steps + 1, g.dim, g.dim)
+        grid = np.linspace(t0, t0 + period, steps + 1)
+        for k in np.linspace(0, steps, 17).astype(int):
+            want = self._reference(p, g.dim, grid[k], t0)
+            assert np.max(np.abs(cum[k] - want)) <= 1e-11, k
+        whole = propagate(g, t0, t0 + period, steps)
+        assert np.max(np.abs(whole - self._reference(
+            p, g.dim, t0 + period, t0))) <= 1e-11
+
+    def test_order_has_no_effect(self):
+        g = liouville_generator(preset("A-II"), rwa=True)
+        out = {order: propagate(g, 0.0, 1.3, 100, order=order,
+                                return_intermediate=True)
+               for order in MagnusOrder}
+        assert np.array_equal(out[MagnusOrder.ORDER4],
+                              out[MagnusOrder.ORDER6])
+
+    @pytest.mark.parametrize("build", [closed_generator, liouville_generator])
+    def test_full_drive_rejects_rwa_frame(self, build):
+        p = preset("A-II")
+        rwa, full = build(p, rwa=True), build(p, rwa=False)
+        assert full.frame is None
+        with pytest.raises(ValueError, match="frame"):
+            Generator(full.a0, full.terms, full.coefficients, rwa.frame)
+
+    def test_frame_shape_checked(self):
+        with pytest.raises(ValueError, match="frame"):
+            Generator(np.eye(3), frame=np.zeros(2))

@@ -11,6 +11,8 @@ from lamsim.periodic import (MAX_PLAN_STEPS, HorizonError, PeriodicPlan,
                              one_period, period_mean_map, stroboscopic,
                              trace_functional)
 
+from conftest import expm_eig
+
 STEPS = 256  # coarse grid keeps these structural tests fast
 
 
@@ -149,6 +151,14 @@ class TestConvergenceTime:
             convergence_time(g, plan, ground_state(), eps=1e-12)
         assert exc_info.value.last_delta > 0.0
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
+    def test_eps_must_be_positive(self, open_setup, eps):
+        # NaN fails every comparison of the search, so it is refused first
+        g, plan, u_t, micro = open_setup
+        with pytest.raises(ValueError, match="eps"):
+            convergence_time(g, plan, ground_state(), eps=eps,
+                             precomputed=(u_t, micro))
+
     def test_requires_liouville_generator(self):
         from lamsim.model import closed_generator
         g = closed_generator(preset("A-I"))
@@ -167,13 +177,6 @@ def test_period_mean_map_is_trapezoid_average(open_setup, rng, with_factors):
                         axis=0) / plan.period
     got = period_mean_map(micro, factors if with_factors else None) @ v
     assert np.max(np.abs(got - want)) < 1e-14
-
-
-def expm_eig(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential from an eigendecomposition, independent of
-    lamsim.linalg.expm."""
-    vals, vecs = np.linalg.eig(a)
-    return vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
 
 
 @pytest.mark.parametrize("case,delta_omega_p", [
