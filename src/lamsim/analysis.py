@@ -11,6 +11,7 @@ import numpy as np
 from .model import DIM, LDIM
 
 DEGENERATE_GAP_TOL = 1e-12
+SAME_DECAY_TOL = 1e-9  # relative: decays this close are ordered by Im(log)
 
 
 def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
@@ -43,17 +44,25 @@ class GapReport:
 
 def spectral_gap(u_period: np.ndarray, period: float | None = None
                  ) -> GapReport:
-    """Principal-branch logs of the eigenvalues of a one-period propagator.
+    """Principal-branch logs of the eigenvalues of a one-period propagator,
+    sorted by decay exponent -Re(log) ascending; decays that agree to
+    SAME_DECAY_TOL * max(1, |decay|) count as equal and are ordered by
+    Im(log) ascending, so conjugate pairs sit side by side and the order
+    does not depend on the eigensolver's.
 
     The steady eigenvalue is the one whose log has real part closest to
-    zero; the gap is the smallest decay exponent -Re(log) among the rest.
-    A map with all decay exponents below tolerance (e.g. a unitary) is
-    reported with gap 0 and the degenerate flag set.
+    zero; the gap is the smallest decay exponent among the rest.  A map
+    with all decay exponents below tolerance (e.g. a unitary) is reported
+    with gap 0 and the degenerate flag set.
     """
     u_period = np.asarray(u_period, dtype=complex)
     logs = np.log(np.linalg.eigvals(u_period))
-    order = np.argsort(np.abs(logs.real))
-    steady = int(order[0])
+    logs = logs[np.argsort(-logs.real, kind="stable")]
+    decay = -logs.real
+    new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(
+        1.0, np.abs(decay[1:]))
+    logs = logs[np.lexsort((logs.imag, np.r_[0, np.cumsum(new_decay)]))]
+    steady = int(np.argmin(np.abs(logs.real)))
     decays = -np.delete(logs.real, steady)
     if len(decays) == 0 or np.max(decays) <= DEGENERATE_GAP_TOL:
         return GapReport(eigen_logs=logs, steady_index=steady, gap=0.0,

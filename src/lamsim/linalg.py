@@ -1,13 +1,15 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
-Everything here operates on small dense complex numpy arrays: 3x3
-Hilbert-space operators and 9x9 Liouville-space superoperators.  The
-matrix exponential is implemented here directly because it dominates the
-propagation loops and the matrices are tiny; it takes whole (..., d, d)
-stacks, so that a chunk of Magnus steps (1-norms below 0.02) costs one
-solve-free degree-8 Taylor evaluation, while stacks with a 1-norm above
-0.05 get scaling-and-squaring with a degree-13 Pade core.  Everything else
-calls numpy directly.  This module pins down the contracts the rest of the
+Everything here operates on small dense numpy arrays: complex 3x3
+Hilbert-space operators and 9x9 Liouville-space superoperators, the latter
+also real in the Hermitian coordinates of a Hermiticity-preserving
+generator (see ``magnus``).  The matrix exponential is implemented here directly because
+it dominates the propagation loops and the matrices are tiny; it takes
+whole (..., d, d) stacks, so that a chunk of Magnus steps (1-norms below
+0.02) costs one solve-free degree-8 Taylor evaluation, while stacks with a
+1-norm above 0.05 get scaling-and-squaring with a degree-13 Pade core.  A
+real stack stays real in both branches.  Everything else calls numpy
+directly.  This module pins down the contracts the rest of the
 package relies on (error types, finiteness, value semantics).
 
 All functions return freshly allocated arrays and never mutate their
@@ -46,11 +48,13 @@ def expm(a) -> np.ndarray:
     else scaling-and-squaring with a [13/13] Pade core, each matrix's
     squaring count chosen from its own 1-norm.
 
-    Raises DimensionError for non-square input.  Result entries are
-    guaranteed finite; a non-finite result (wildly out-of-range input)
-    raises FloatingPointError rather than propagating NaNs.
+    Real input gives a float64 result, anything else complex128.  Raises
+    DimensionError for non-square input.  Result entries are guaranteed
+    finite; a non-finite result (wildly out-of-range input) raises
+    FloatingPointError rather than propagating NaNs.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got {a.shape}")
@@ -65,7 +69,7 @@ def expm(a) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norms / _PADE13_THETA, 1.0))
                         ).astype(int)
     a_scaled = a / (2.0 ** squarings)[:, None, None]
-    ident = np.eye(shape[-1], dtype=complex)
+    ident = np.eye(shape[-1], dtype=a.dtype)
     b = _PADE13
     a2 = a_scaled @ a_scaled
     a4 = a2 @ a2

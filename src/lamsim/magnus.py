@@ -33,6 +33,16 @@ step count and for either order.
 The co-rotating (RWA) drive has such a frame (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009): a constant generator needs no Magnus
 correction terms); the full drive does not.
+
+A generator may instead declare a real basis: a unitary S such that
+S^dag E S is real for every basis row E, and real drive coefficients.  A
+Lindblad generator maps Hermitian operators to Hermitian operators, so in
+an orthonormal Hermitian operator basis (the coherence-vector form; Alicki
+& Lendi, Lect. Notes Phys. 717 (2007)) its samples, Magnus exponents, step
+exponentials and their products are all real.  ``propagate`` then runs the
+same steps on float64 stacks in those coordinates and maps each chunk's
+cumulative products back, S R S^dag, to the complex basis every interface
+uses.
 """
 
 from __future__ import annotations
@@ -54,9 +64,11 @@ _NODES6 = np.array([0.5 - _GL_OFFSET, 0.5, 0.5 + _GL_OFFSET])
 CHUNK_STEPS = 1024
 # Steps per block of the cumulative product in propagate.
 _BLOCK = 32
-# Largest entry of Phi(t)^-1 (A(t) - i Theta) Phi(t) - (A(0) - i Theta), per
-# unit of max(1, max |A(t)|), at which a declared frame is accepted.
-_FRAME_TOL = 1e-12
+# Largest defect of a declared frame or real basis, per unit of
+# max(1, max |A|), at which the claim is accepted: the entries of
+# Phi(t)^-1 (A(t) - i Theta) Phi(t) - (A(0) - i Theta), or the imaginary
+# parts of S^dag E S.
+_CLAIM_TOL = 1e-12
 
 
 class MagnusOrder(enum.Enum):
@@ -72,7 +84,24 @@ def _no_drive(t: np.ndarray) -> np.ndarray:
     return np.zeros(t.shape + (0,))
 
 
-class Generator:
+class _Tables:
+    """What the Magnus exponents of an affine generator are built from: the
+    drive coefficients and one flattened table of its basis
+    E = (a0, terms...), with rows E_m, [E_m, E_n] for m < n, then
+    [E_l, [E_m, E_n]], in the basis's dtype."""
+
+    def __init__(self, basis: np.ndarray,
+                 coefficients: Callable[[np.ndarray], np.ndarray]):
+        self.dim = basis.shape[-1]
+        self.coefficients = coefficients
+        self._pairs = np.triu_indices(len(basis), 1)
+        pairs = _comm(basis[self._pairs[0]], basis[self._pairs[1]])
+        nested = _comm(basis[:, None], pairs).reshape((-1,) + basis.shape[1:])
+        self._table = np.concatenate([basis, pairs, nested]).reshape(
+            -1, self.dim ** 2)
+
+
+class Generator(_Tables):
     """Affine time-dependent generator A(t) = a0 + sum_k f_k(t) terms[k]
     of a first-order linear flow.
 
@@ -80,14 +109,15 @@ class Generator:
     functions f_k at those times, shape (..., K); the default is no drive
     (a constant generator).  ``frame``, if given, is the real rate vector
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
-    generator is constant (see the module docstring); the claim is checked
-    at 16 probe times and a ValueError raised if it fails.  Shapes are
-    checked once, here.
+    generator is constant; ``real_basis``, if given, is a unitary S in
+    whose coordinates the generator is real (see the module docstring).
+    Both claims are checked and a ValueError raised if one fails; a frame,
+    when declared, decides the route.  Shapes are checked once, here.
     """
 
     def __init__(self, a0, terms=(),
                  coefficients: Callable[[np.ndarray], np.ndarray] = _no_drive,
-                 frame=None):
+                 frame=None, real_basis=None):
         a0 = np.array(a0, dtype=complex)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"a0 must be a square matrix, got {a0.shape}")
@@ -103,15 +133,7 @@ class Generator:
                              f"expected {(2, len(terms))}")
         self.a0 = a0
         self.terms = terms
-        self.coefficients = coefficients
-        self.dim = a0.shape[0]
-        # Flattened rows: E_m, [E_m, E_n] for m < n, then [E_l, [E_m, E_n]].
-        basis = np.concatenate([a0[None], terms])
-        self._pairs = np.triu_indices(len(basis), 1)
-        pairs = _comm(basis[self._pairs[0]], basis[self._pairs[1]])
-        nested = _comm(basis[:, None], pairs).reshape((-1,) + a0.shape)
-        self._table = np.concatenate([basis, pairs, nested]).reshape(
-            -1, a0.size)
+        super().__init__(np.concatenate([a0[None], terms]), coefficients)
         self.frame = None
         if frame is not None:
             frame = np.array(frame, dtype=float)
@@ -120,6 +142,48 @@ class Generator:
                                  f"vector, got shape {frame.shape}")
             self.frame = frame
             self._check_frame()
+        self.real_basis = None
+        self._real = None
+        if real_basis is not None:
+            self._declare_real_basis(np.array(real_basis, dtype=complex))
+
+    def _declare_real_basis(self, s: np.ndarray) -> None:
+        """Check that S is unitary, every S^dag E S real and the drive
+        coefficients real; keep the real tables and the map back to the vec
+        basis, or raise ValueError."""
+        if s.shape != self.a0.shape or np.max(np.abs(
+                s.conj().T @ s - np.eye(self.dim))) > _CLAIM_TOL:
+            raise ValueError(f"real_basis must be a unitary {self.a0.shape} "
+                             f"matrix")
+        rows = 1 + len(self.terms)
+        basis = s.conj().T @ self._table[:rows].reshape(
+            (rows,) + self.a0.shape) @ s
+        defect = np.max(np.abs(basis.imag), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(basis), axis=(-2, -1)))
+        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
+        if bad.size:
+            raise ValueError(
+                f"generator is not real in the declared basis: basis row "
+                f"{bad[0]} has imaginary part {defect[bad[0]]:.3e}")
+        if np.iscomplexobj(self.coefficients(np.zeros(2))):
+            raise ValueError("a real basis needs real drive coefficients")
+        self.real_basis = s
+        self._real = _Tables(basis.real.copy(), self.coefficients)
+        # vec(S R S^dag) = kron(S, conj S) vec(R), row-major, as two real maps
+        # acting on the right of flattened stacks.
+        to_vec = np.kron(s, s.conj()).T
+        self._to_vec = (to_vec.real.copy(), to_vec.imag.copy())
+
+    def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
+        """S r S^dag for a stack of propagators r in the real coordinates,
+        as a complex stack; r itself when no real basis is declared."""
+        if self._real is None:
+            return r
+        flat = r.reshape(-1, self.dim ** 2)
+        out = np.empty(flat.shape, dtype=complex)
+        out.real = flat @ self._to_vec[0]
+        out.imag = flat @ self._to_vec[1]
+        return out.reshape(r.shape)
 
     def _check_frame(self) -> None:
         """Raise ValueError unless Phi(t)^-1 (A(t) - i Theta) Phi(t) equals
@@ -131,7 +195,7 @@ class Generator:
         rotated = (a - shift) * np.exp(1j * rates * probes[:, None, None])
         defect = np.max(np.abs(rotated - (self(0.0) - shift)), axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        bad = np.flatnonzero(defect > _FRAME_TOL * scale)
+        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
         if bad.size:
             i = bad[0]
             raise ValueError(
@@ -147,7 +211,7 @@ class Generator:
         return a.reshape(t.shape + self.a0.shape)
 
 
-def _node_coefficients(g: Generator, t, dt: float, nodes: np.ndarray):
+def _node_coefficients(g: _Tables, t, dt: float, nodes: np.ndarray):
     """Coefficients over the basis E of the generator at the three nodes
     of every step starting at t: three (n, 1 + K) arrays, n = t.size."""
     if dt <= 0:
@@ -157,26 +221,26 @@ def _node_coefficients(g: Generator, t, dt: float, nodes: np.ndarray):
     return c[:, 0], c[:, 1], c[:, 2]
 
 
-def _pair_coefficients(g: Generator, x, y) -> np.ndarray:
+def _pair_coefficients(g: _Tables, x, y) -> np.ndarray:
     """Coefficients over the [E_m, E_n] table of [x . E, y . E]."""
     m, n = g._pairs
     return x[:, m] * y[:, n] - x[:, n] * y[:, m]
 
 
-def _expand(g: Generator, coefficients: np.ndarray, t) -> np.ndarray:
+def _expand(g: _Tables, coefficients: np.ndarray, t) -> np.ndarray:
     """Combinations of the leading table rows, shaped to the times t."""
     return (coefficients @ g._table[:coefficients.shape[-1]]).reshape(
         np.shape(t) + (g.dim, g.dim))
 
 
-def _exponent4(g: Generator, t, dt: float) -> np.ndarray:
+def _exponent4(g: _Tables, t, dt: float) -> np.ndarray:
     a0, am, a1 = _node_coefficients(g, t, dt, _NODES4)
     return _expand(g, np.concatenate(
         [(dt / 6.0) * (a0 + 4.0 * am + a1),
          (dt * dt / 12.0) * _pair_coefficients(g, a1, a0)], axis=-1), t)
 
 
-def _exponent6(g: Generator, t, dt: float) -> np.ndarray:
+def _exponent6(g: _Tables, t, dt: float) -> np.ndarray:
     a1, a2, a3 = _node_coefficients(g, t, dt, _NODES6)
     # Graded combinations of the node samples: b1 ~ O(dt), b2, b3 ~ higher.
     b1 = dt * a2
@@ -197,13 +261,13 @@ def _exponent6(g: Generator, t, dt: float) -> np.ndarray:
 # built it has returned, so its node samples and intermediate stacks are
 # freed before expm allocates its own.
 
-def step4(g: Generator, t, dt: float) -> np.ndarray:
+def step4(g: _Tables, t, dt: float) -> np.ndarray:
     """4th-order Magnus step matrix over [t, t + dt], or a stack of them
     for an array of step start times."""
     return expm(_exponent4(g, t, dt))
 
 
-def step6(g: Generator, t, dt: float) -> np.ndarray:
+def step6(g: _Tables, t, dt: float) -> np.ndarray:
     """6th-order Magnus step matrix over [t, t + dt], or a stack of them
     for an array of step start times."""
     return expm(_exponent6(g, t, dt))
@@ -224,8 +288,9 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
     Returns the full propagator matrix, or, with return_intermediate, the
     (steps + 1, d, d) array of cumulative propagators at every grid point
     t0 + k dt for k = 0 .. steps (identity first, full propagator last).
-    Steps are built CHUNK_STEPS at a time.  A generator with a frame takes
-    the exact route of _propagate_in_frame instead, and order has no
+    Steps are built CHUNK_STEPS at a time, on real stacks in the Hermitian
+    coordinates of a generator with a real basis.  A generator with a frame
+    takes the exact route of _propagate_in_frame instead, and order has no
     effect.
     """
     if t1 <= t0:
@@ -236,18 +301,20 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
     if g.frame is not None:
         return _propagate_in_frame(g, t0, dt, steps, return_intermediate)
     stepper = _STEPPERS[order]
-    u = np.eye(g.dim, dtype=complex)
+    tables = g if g._real is None else g._real
+    u = np.eye(g.dim, dtype=tables._table.dtype)
     cumulative = None
     if return_intermediate:
         cumulative = np.empty((steps + 1, g.dim, g.dim), dtype=complex)
-        cumulative[0] = u
+        cumulative[0] = np.eye(g.dim)
     for start in range(0, steps, CHUNK_STEPS):
         k = np.arange(start, min(start + CHUNK_STEPS, steps))
-        products = _running_products(stepper(g, t0 + k * dt, dt), u)
+        products = _running_products(stepper(tables, t0 + k * dt, dt), u)
         u = products[-1]
         if return_intermediate:
-            cumulative[start + 1:start + 1 + len(k)] = products
-    return cumulative if return_intermediate else u
+            cumulative[start + 1:start + 1 + len(k)] = g._vec_coordinates(
+                products)
+    return cumulative if return_intermediate else g._vec_coordinates(u)
 
 
 def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,

@@ -183,12 +183,17 @@ def period_mean_map(micromotion: np.ndarray,
                     row_factors: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k diag(row_factors[k]) micromotion[k], w_k the trapezoid
     weights: the map from a period's start state to its average over the
-    period, built without a second stack-sized array."""
-    weights = np.full(len(micromotion), 1.0 / (len(micromotion) - 1))
+    period, built without a second stack-sized array.  Without factors it
+    is one matrix-vector product over the flattened stack; with them, one
+    batched product, row i taking the weighted factors of row i against
+    every micromotion[k][i]."""
+    n, d = len(micromotion), micromotion.shape[-1]
+    weights = np.full(n, 1.0 / (n - 1))
     weights[[0, -1]] *= 0.5
     if row_factors is None:
-        return np.einsum("k,kij->ij", weights, micromotion)
-    return np.einsum("k,ki,kij->ij", weights, row_factors, micromotion)
+        return (weights @ micromotion.reshape(n, d * d)).reshape(d, d)
+    weighted = (weights[:, None] * row_factors).T[:, None, :]
+    return (weighted @ micromotion.transpose(1, 0, 2)).reshape(d, d)
 
 
 def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,

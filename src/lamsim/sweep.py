@@ -140,6 +140,10 @@ class SweepAxis:
         if self.name not in SWEEPABLE:
             raise ValueError(
                 f"cannot sweep {self.name!r}; allowed: {SWEEPABLE}")
+        bounds = (self.start, self.stop, self.step)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"{self.name} axis start:stop:step must be "
+                             f"finite, got {':'.join(map(str, bounds))}")
         if self.step <= 0:
             raise ValueError("axis step must be positive")
         if self.start > self.stop:

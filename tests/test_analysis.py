@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from lamsim.analysis import (choi_matrix, cptp_check, density_validity,
                              rwa_error, spectral_gap)
 from lamsim.linalg import expm
-from lamsim.model import LDIM
+from lamsim.model import LDIM, preset
+from lamsim.periodic import one_period
+from lamsim.sweep import resolve_period
 
 from conftest import random_complex_matrix
 
@@ -72,6 +74,38 @@ class TestSpectralGap:
         u = np.diag(np.exp([0.0, -2.0, -4.0]))
         report = spectral_gap(u, period=2.0)
         assert report.gap_per_time == pytest.approx(1.0)
+
+
+class TestEigenLogOrder:
+    def test_sorted_by_decay_then_imaginary_part(self):
+        logs = np.array([-2.0 + 1.0j, -0.5 - 0.3j, 0.0, -2.0 - 1.0j,
+                         -0.5 + 0.3j, -1.0])
+        report = spectral_gap(np.diag(np.exp(logs)))
+        want = [0.0, -0.5 - 0.3j, -0.5 + 0.3j, -1.0, -2.0 - 1.0j,
+                -2.0 + 1.0j]
+        assert np.allclose(report.eigen_logs, want, rtol=0.0, atol=1e-14)
+        assert report.steady_index == 0
+
+    @pytest.mark.parametrize("case,rwa", [("A-II", True), ("B-II", False)])
+    def test_order_independent_of_eigensolver(self, case, rwa):
+        # U_T and its transpose share a spectrum, but the eigensolver
+        # returns it in different orders and roundings
+        g, plan = resolve_period(preset(case), rwa)
+        u_t, _ = one_period(g, plan)
+        logs = spectral_gap(u_t).eigen_logs
+        logs_t = spectral_gap(u_t.T).eigen_logs
+        # the smallest B-II full eigenvalue, 1e-5, has a log conditioned at
+        # ~1e-12, hence bounds relative to |log|
+        tol = 1e-12 * np.maximum(1.0, np.abs(logs))
+        assert np.all(np.abs(logs - logs_t) <= tol)
+        # conjugate pairs sit side by side: each run of equal decays reads
+        # the same backwards after conjugation
+        decays = np.round(-logs.real, 9)
+        for d in np.unique(decays):
+            run = np.flatnonzero(decays == d)
+            assert np.array_equal(run, run[0] + np.arange(len(run)))
+            assert np.all(np.abs(logs[run] - np.conj(logs[run][::-1]))
+                          <= tol[run])
 
 
 class TestChoi:

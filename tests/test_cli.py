@@ -359,6 +359,26 @@ class TestErrorPaths:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,axis", [("--omega-p-range", "omega_p"),
+                                           ("--omega-c-range", "omega_c")])
+    @pytest.mark.parametrize("bound", ["nan:6:1", "6:nan:1", "6:6:nan",
+                                       "inf:6:1", "6:inf:1", "6:6:inf"])
+    def test_non_finite_sweep_range(self, tmp_path, capsys, monkeypatch,
+                                    flag, axis, bound):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        out = tmp_path / "x.csv"
+        if axis == "omega_c":
+            bound = bound.replace("6", "4")
+        rc = main(["sweep", "--case", "B-II", "--drive", "rwa", flag, bound,
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert axis in err and "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
     def test_steps_above_cap(self, tmp_path, capsys, monkeypatch, command):
         # the plan refuses the override before any (steps + 1, d, d)

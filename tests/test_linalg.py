@@ -132,6 +132,24 @@ class TestTaylorBranch:
             assert np.allclose(e, expm_series(a), rtol=1e-12, atol=1e-13)
 
 
+class TestRealInput:
+    """A real stack stays real in every branch, and matches the result of
+    the same matrices given as complex input."""
+
+    @pytest.mark.parametrize("norm", [0.5 * _TAYLOR8_THETA, _TAYLOR8_THETA,
+                                      2.0 * _TAYLOR8_THETA, 3.0, 40.0])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_real_stack_stays_real(self, rng, n, norm):
+        # Taylor at and below theta_8; Pade above it, with squarings at 40
+        a = rng.standard_normal((5, n, n))
+        a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        out = expm(a)
+        assert out.dtype == np.float64
+        want = expm(a.astype(complex))
+        assert want.dtype == complex
+        assert np.max(np.abs(out - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_frobenius_norm_value():
     assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0j]])) == \
         pytest.approx(5.0)

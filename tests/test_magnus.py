@@ -7,8 +7,8 @@ from lamsim.linalg import expm, frobenius_norm
 from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
                            MagnusOrder, _exponent4, _exponent6,
                            _running_products, propagate, step, step4, step6)
-from lamsim.model import (LambdaParams, closed_generator, h_rwf,
-                          lindbladian, liouville_generator, preset)
+from lamsim.model import (HERMITIAN_BASIS, LambdaParams, closed_generator,
+                          h_rwf, lindbladian, liouville_generator, preset)
 from lamsim.periodic import commensurate_period
 
 from conftest import expm_eig, random_complex_matrix
@@ -289,3 +289,71 @@ class TestFrameRoute:
     def test_frame_shape_checked(self):
         with pytest.raises(ValueError, match="frame"):
             Generator(np.eye(3), frame=np.zeros(2))
+
+
+class TestRealCoordinates:
+    """The full-drive Liouville generator declares the Hermitian operator
+    basis, in which it is real, and propagate runs its Magnus steps on real
+    stacks; results stay in the complex vec basis."""
+
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+    def test_propagate_equals_product_of_complex_steps(self, case, order):
+        g = liouville_generator(preset(case))
+        assert g.real_basis is not None
+        steps = CHUNK_STEPS + 7
+        t1 = 1.3
+        dt = t1 / steps
+        cum = propagate(g, 0.0, t1, steps, order=order,
+                        return_intermediate=True)
+        assert cum.dtype == complex
+        u = np.eye(g.dim, dtype=complex)
+        worst = 0.0
+        for k in range(steps):
+            u = step(g, k * dt, dt, order) @ u
+            worst = max(worst, float(np.max(np.abs(cum[k + 1] - u))))
+        assert worst <= 1e-13
+        assert np.array_equal(cum[0], np.eye(g.dim))
+        whole = propagate(g, 0.0, t1, steps, order=order)
+        assert whole.dtype == complex
+        assert np.max(np.abs(whole - u)) <= 1e-13
+
+    def test_declared_only_without_a_frame(self):
+        p = preset("C-II")
+        assert liouville_generator(p, rwa=True).real_basis is None
+        assert closed_generator(p).real_basis is None
+
+    def test_period_map_keeps_states_hermitian(self, rng):
+        p = preset("A-II")
+        g = liouville_generator(p)
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        u_t = propagate(g, 0.0, period, steps)
+        h = random_complex_matrix(rng, 3)
+        rho = (h + h.conj().T) / 2.0
+        out = (u_t @ rho.reshape(9)).reshape(3, 3)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-15
+
+    def test_random_complex_generator_rejected(self, rng):
+        with pytest.raises(ValueError, match="not real in the declared"):
+            Generator(random_complex_matrix(rng, 9),
+                      real_basis=HERMITIAN_BASIS)
+
+    def test_rwa_terms_without_frame_rejected(self):
+        g = liouville_generator(preset("C-II"), rwa=True)
+        with pytest.raises(ValueError, match="not real in the declared"):
+            Generator(g.a0, g.terms, g.coefficients,
+                      real_basis=HERMITIAN_BASIS)
+
+    def test_complex_coefficients_rejected(self):
+        # Hermiticity-preserving terms, but a complex drive function
+        g = liouville_generator(preset("C-II"))
+        with pytest.raises(ValueError, match="real drive coefficients"):
+            Generator(g.a0, g.terms,
+                      lambda t: np.exp(1j * t)[..., None] * np.ones(2),
+                      real_basis=HERMITIAN_BASIS)
+
+    def test_basis_must_be_unitary(self):
+        g = liouville_generator(preset("C-II"))
+        for s in (2.0 * HERMITIAN_BASIS, HERMITIAN_BASIS[:3]):
+            with pytest.raises(ValueError, match="unitary"):
+                Generator(g.a0, g.terms, g.coefficients, real_basis=s)
