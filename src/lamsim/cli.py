@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ._floattext import float_rows
 from .analysis import cptp_check, density_validity, spectral_gap
 from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
@@ -139,6 +140,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"periods must be >= 1, got {cfg.periods}")
     if cfg.horizon is not None and not cfg.horizon > 0:
         raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
+    if cfg.horizon is not None and not np.isfinite(cfg.horizon):
+        raise ConfigError(f"horizon must be finite, got {cfg.horizon}")
     if not cfg.eps_ss > 0:
         raise ConfigError(f"eps_ss must be positive, got {cfg.eps_ss}")
     if cfg.workers < 1:
@@ -218,7 +221,7 @@ def _row_text(rows) -> str:
 
 PROPAGATE_HEADER = ["t", "rho11", "rho22", "rho33", "re_r12", "im_r12",
                     "re_r13", "im_r13", "re_r23", "im_r23", "drive", "frame"]
-ROW_BLOCK = 4096  # rows formatted per template application
+ROW_BLOCK = 4096  # rows per text block
 
 
 def _propagate_columns(traj: Trajectory) -> np.ndarray:
@@ -233,10 +236,8 @@ def _propagate_columns(traj: Trajectory) -> np.ndarray:
 def _float_blocks(columns: np.ndarray, suffix: str):
     """Text blocks of ROW_BLOCK rows: every float as %.17g (the same text
     as _fmt), then the constant suffix."""
-    row = ",".join(["%.17g"] * columns.shape[1]) + suffix + "\n"
     for start in range(0, len(columns), ROW_BLOCK):
-        block = columns[start:start + ROW_BLOCK]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        yield float_rows(columns[start:start + ROW_BLOCK], suffix)
 
 
 def cmd_propagate(cfg: RunConfig) -> int:

@@ -1,15 +1,20 @@
 import dataclasses
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsim import cli, periodic, sweep
 from lamsim.analysis import cptp_check, spectral_gap
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                        PROPAGATE_HEADER, RunConfig, build_config, main,
-                        parse_config_text, resolve_params)
+                        PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
+                        main, parse_config_text, resolve_params)
 from lamsim.model import liouville_generator, preset
-from lamsim.periodic import MAX_PLAN_STEPS, make_plan, one_period
+from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, commensurate_period,
+                             make_plan, one_period)
 from lamsim.sweep import SweepAxis, run_case
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
@@ -156,6 +161,83 @@ def _reference_csv_body(case, frame, horizon, steps):
     return "\n".join(lines) + "\n"
 
 
+def _reference_rows(block, suffix):
+    """The CSV rows of a float block, formatted cell by cell."""
+    return "".join(",".join("%.17g" % x for x in row) + suffix + "\n"
+                   for row in block.tolist())
+
+
+def _emitted(block, suffix=",full,rwf"):
+    return "".join(cli._float_blocks(np.asarray(block, dtype=float), suffix))
+
+
+def _as_rows(values, ncols=10):
+    values = list(values) + [1.0] * (-len(values) % ncols)
+    return np.array(values, dtype=float).reshape(-1, ncols)
+
+
+def _decimal_ties():
+    """Doubles whose exact decimal expansion has 18 significant digits and
+    ends in 5, so that 17 digits sit exactly halfway: j / 2^m with j odd
+    and j 5^m an 18-digit number."""
+    ties = []
+    for m in range(1, 80):
+        lo, hi = -(-10 ** 17 // 5 ** m), min(10 ** 18 // 5 ** m, 2 ** 53)
+        for j in {lo, (lo + hi) // 2, hi - 1}:
+            j |= 1
+            if lo <= j < hi:
+                ties += [j / 2 ** m, -j / 2 ** m]
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return ties
+
+
+class TestFloatText:
+    """The vectorised emitter writes exactly the text of '%.17g' % x."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=10))
+    def test_matches_percent_g(self, values, ncols):
+        block = _as_rows(values, ncols)
+        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+
+    def test_edge_values(self):
+        big = sys.float_info.max
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  big, -big, np.inf, -np.inf, np.nan]
+        for k in range(-323, 309):
+            p = 10.0 ** k
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf),
+                       float(f"9.99999999999999995e{k}"), -p]
+        values += _decimal_ties()
+        block = _as_rows(values)
+        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2 ** 63, 20000, dtype=np.int64)
+        block = _as_rows(np.concatenate([
+            bits.view(np.float64), -bits.view(np.float64),
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000),
+            rng.random(20000)]))
+        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+
+    @pytest.mark.parametrize("nrows", [1, ROW_BLOCK, ROW_BLOCK + 1])
+    def test_block_shapes(self, nrows):
+        rng = np.random.default_rng(nrows)
+        block = (rng.standard_normal((nrows, 10))
+                 * 10.0 ** rng.integers(-8, 3, (nrows, 10)))
+        block[0, :3] = [0.0, -0.0, 0.5]
+        block[-1, -3:] = [np.nan, 1e300, 2.0 ** -25]  # 2^-25: a tie
+        blocks = list(cli._float_blocks(block, ",full,rwf"))
+        assert len(blocks) == -(-nrows // ROW_BLOCK)
+        assert all(text.endswith(",full,rwf\n") for text in blocks)
+        assert "".join(blocks) == _reference_rows(block, ",full,rwf")
+
+
 class TestPropagateBytes:
     # T = 2 pi for both presets: 2.5 stays inside the first period, 15.1
     # crosses two period boundaries and ends 0.4 T into the third.
@@ -176,6 +258,19 @@ class TestPropagateBytes:
         body = text[text.index("\nt,") + 1:]
         assert body == _reference_csv_body(case, frame, float(horizon),
                                            int(STEPS))
+
+    def test_default_steps_cross_a_block(self, tmp_path):
+        # BASE_STEPS + 1 = 8192 rows per drive: two ROW_BLOCKs each
+        out = tmp_path / "ts.csv"
+        assert main(["propagate", "--case", "B-II", "--drive", "both",
+                     "--periods", "1", "--frame", "rwf",
+                     "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        body = text[text.index("\nt,") + 1:]
+        p = preset("B-II")
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        assert BASE_STEPS + 1 > ROW_BLOCK
+        assert body == _reference_csv_body("B-II", "rwf", period, BASE_STEPS)
 
     def test_failed_drive_leaves_no_file(self, tmp_path, monkeypatch):
         real = cli.run_case
@@ -329,6 +424,7 @@ class TestErrorPaths:
                                             ("--horizon", "-5"),
                                             ("--horizon", "0"),
                                             ("--horizon", "nan"),
+                                            ("--horizon", "inf"),
                                             ("--periods", "0"),
                                             ("--periods", "-2")])
     def test_bad_steps_or_horizon(self, tmp_path, capsys, flag, value):
