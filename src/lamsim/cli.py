@@ -1,15 +1,17 @@
 """Command-line front end: config parsing, the propagate / sweep / gap /
 validate subcommands, and CSV emission.
 
-Configuration comes from an optional ``key = value`` file (``#`` comments,
-quoted strings) plus command-line flags; flags win.  All outputs are CSV
-with ``#``-prefixed metadata lines recording the fully resolved parameter
-set, so identical inputs give byte-identical files (unless ``--timestamp``
-is passed).
+Each setting is declared once (``_FLAGS``).  A subcommand takes the shared
+settings and those it reads (``_READS``), as flags or as keys of an
+optional ``key = value`` file (``#`` comments, quoted strings; flags win);
+any other setting exits 2.  Outputs are CSV with ``#``-prefixed metadata
+lines recording the resolved parameters and the settings read, so
+identical inputs give byte-identical files (unless ``--timestamp``).
 
 Exit codes: 0 success, 1 validation-threshold failure, 2 configuration or
-I/O error, 3 numerical failure (for ``sweep``: one or more grid points
-failed; the full CSV is still written and a summary goes to stderr).
+I/O error, 3 numerical failure or out of memory (for ``sweep``: one or more
+grid points failed; the full CSV is still written and a summary goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
 from .periodic import (BASE_STEPS, HorizonError, Trajectory,
                        commensurate_period, one_period)
-from .sweep import (SweepAxis, SweepSpec, _variants, resolve_period, run_case,
-                    run_sweep)
+from .sweep import (DRIVES, SweepAxis, SweepSpec, _variants, resolve_period,
+                    run_case, run_sweep)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -38,15 +40,39 @@ EXIT_NUMERICAL = 3
 _PARAM_KEYS = ("e1", "e2", "e3", "omega_p", "omega_c", "rabi_p", "rabi_c",
                "gamma_12", "gamma_23", "nbar_12", "nbar_23")
 
-# key -> parser for config-file / flag values
-_KEY_PARSERS = {
-    "case": str, "order": int, "steps_per_period": int, "periods": int,
-    "horizon": float, "drive": str, "frame": str, "out": str,
-    "eps_ss": float, "workers": int, "observables": str,
-    "delta_omega_p": float, "delta_omega_c": float,
-    "omega_p_range": str, "omega_c_range": str,
-    **{k: float for k in _PARAM_KEYS},
+# setting -> add_argument keywords of its --flag; a config-file value takes
+# the same type (str if none) and choices
+_FLAGS = {
+    "config": dict(help="key = value configuration file"),
+    "case": dict(choices=PRESET_NAMES), "out": {}, "observables": {},
+    "order": dict(type=int, choices=(4, 6),
+                  help="Magnus order of the full drive (default 6); the RWA "
+                       "drive is propagated exactly in its rotating frame, "
+                       "whatever the order and step count"),
+    "drive": dict(choices=DRIVES), "frame": dict(choices=("lab", "rwf")),
+    **{k: dict(type=int) for k in ("steps_per_period", "periods", "workers")},
+    **{k: dict(type=float) for k in ("horizon", "eps_ss", "delta_omega_p",
+                                     "delta_omega_c")},
+    **{k: dict(metavar="a:b:step")
+       for k in ("omega_p_range", "omega_c_range")},
+    "timestamp": dict(action="store_true", default=None,
+                      help="record generation time in the CSV header"),
+    **{k: dict(type=float, help=argparse.SUPPRESS) for k in _PARAM_KEYS},
 }
+_FLAG_ONLY = ("config", "timestamp")  # never config-file keys
+_SHARED = ("config", "case", "out", "timestamp", "delta_omega_p",
+           "delta_omega_c", *_PARAM_KEYS)
+# the settings each subcommand reads besides the shared ones
+_READS = {
+    "propagate": ("order", "steps_per_period", "periods", "horizon", "drive",
+                  "frame"),
+    "sweep": ("order", "drive", "observables", "eps_ss", "workers",
+              "omega_p_range", "omega_c_range"),
+    "gap": ("order", "steps_per_period", "drive"),
+    "validate": ("order", "steps_per_period", "drive"),
+}
+# the run settings a subcommand's metadata records, if it reads them
+_RECORDED = ("order", "steps_per_period", "drive", "frame", "eps_ss")
 
 
 class ConfigError(Exception):
@@ -78,20 +104,26 @@ class RunConfig:
     timestamp: bool = False
 
 
-def _parse_value(key: str, raw: str, where: str):
-    if key not in _KEY_PARSERS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+def _parse_value(key: str, raw: str, where: str, command: str):
+    if key in _FLAG_ONLY or key not in (*_SHARED, *_READS[command]):
+        raise ConfigError(f"{where}: {command} takes no key {key!r}")
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         raw = raw[1:-1]
+    spec = _FLAGS[key]
     try:
-        return _KEY_PARSERS[key](raw)
+        value = spec.get("type", str)(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    if "choices" in spec and value not in spec["choices"]:
+        raise ConfigError(f"{where}: {key} must be one of "
+                          f"{spec['choices']}, got {value!r}")
+    return value
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` configuration text into a validated dict."""
+def parse_config_text(text: str, command: str) -> dict:
+    """Parse ``key = value`` configuration text for one subcommand into a
+    validated dict."""
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -102,7 +134,7 @@ def parse_config_text(text: str) -> dict:
                               f"got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        out[key] = _parse_value(key, raw, f"line {lineno}")
+        out[key] = _parse_value(key, raw, f"line {lineno}", command)
     return out
 
 
@@ -112,7 +144,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
-                values.update(parse_config_text(fh.read()))
+                values.update(parse_config_text(fh.read(), args.command))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg_names = {f.name for f in dc_fields(RunConfig)}
@@ -125,12 +157,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             f"preset 'case' conflicts with explicit keys {list(params)}")
     cfg = RunConfig(params=params,
                     **{k: v for k, v in values.items() if k in cfg_names})
-    if cfg.order not in (4, 6):
-        raise ConfigError(f"order must be 4 or 6, got {cfg.order}")
-    if cfg.drive not in ("full", "rwa", "both"):
-        raise ConfigError(f"drive must be full, rwa or both, got {cfg.drive!r}")
-    if cfg.frame not in ("lab", "rwf"):
-        raise ConfigError(f"frame must be lab or rwf, got {cfg.frame!r}")
     if cfg.periods is not None and cfg.horizon is not None:
         raise ConfigError("periods and horizon are mutually exclusive")
     if cfg.steps_per_period < 1:
@@ -173,10 +199,6 @@ def resolve_params(cfg: RunConfig) -> LambdaParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _order(cfg: RunConfig) -> MagnusOrder:
-    return MagnusOrder.ORDER4 if cfg.order == 4 else MagnusOrder.ORDER6
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -185,11 +207,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _metadata_lines(cfg: RunConfig, p: LambdaParams,
+def _metadata_lines(cfg: RunConfig, p: LambdaParams, command: str,
                     extra: dict | None = None) -> list[str]:
     items = {k: getattr(p, k) for k in _PARAM_KEYS}
-    items.update(order=cfg.order, steps_per_period=cfg.steps_per_period,
-                 drive=cfg.drive, frame=cfg.frame, eps_ss=cfg.eps_ss)
+    items.update((k, getattr(cfg, k)) for k in _RECORDED
+                 if k in _READS[command])
     if extra:
         items.update(extra)
     lines = [f"# {key} = {_fmt(val)}" for key, val in items.items()]
@@ -249,13 +271,13 @@ def cmd_propagate(cfg: RunConfig) -> int:
         horizon = (cfg.periods if cfg.periods is not None else 1) * period
     # Every trajectory is computed before the output is opened, so a
     # numerical failure leaves no partial file.
-    columns = {drive: _propagate_columns(
-        run_case(p, horizon, order=_order(cfg), drive=drive, frame=cfg.frame,
-                 steps_per_period=cfg.steps_per_period))
+    columns = {drive: _propagate_columns(run_case(
+        p, horizon, order=MagnusOrder(cfg.order), drive=drive,
+        frame=cfg.frame, steps_per_period=cfg.steps_per_period))
         for drive in _variants(cfg.drive)}
     blocks = (text for drive, cols in columns.items()
               for text in _float_blocks(cols, f",{drive},{cfg.frame}"))
-    _write_csv(cfg, _metadata_lines(cfg, p, {"horizon": horizon}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "propagate", {"horizon": horizon}),
                PROPAGATE_HEADER, blocks)
     return EXIT_OK
 
@@ -292,12 +314,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         spec = SweepSpec(base=p, axis1=axes[0],
                          axis2=axes[1] if len(axes) > 1 else None,
                          observables=observables, drive=cfg.drive,
-                         order=_order(cfg), eps_ss=cfg.eps_ss,
+                         order=MagnusOrder(cfg.order), eps_ss=cfg.eps_ss,
                          workers=cfg.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_sweep(spec)
-    _write_csv(cfg, _metadata_lines(cfg, p, {"observables": cfg.observables}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "sweep",
+                               {"observables": cfg.observables}),
                result.columns, [_row_text(result.table())])
     errors = [row["error"] for row in result.rows if "error" in row]
     if errors:
@@ -313,14 +336,14 @@ def cmd_gap(cfg: RunConfig) -> int:
     for drive in _variants(cfg.drive):
         g, plan = resolve_period(p, drive == "rwa",
                                  steps_per_period=cfg.steps_per_period)
-        u_t, _ = one_period(g, plan, _order(cfg))
+        u_t, _ = one_period(g, plan, MagnusOrder(cfg.order))
         report = spectral_gap(u_t, period=plan.period)
         for i, lg in enumerate(report.eigen_logs):
             rows.append([drive, f"log{i}", lg.real, lg.imag])
         rows.append([drive, "gap", report.gap, ""])
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])
         rows.append([drive, "degenerate", int(report.degenerate), ""])
-    _write_csv(cfg, _metadata_lines(cfg, p, {"period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "gap", {"period": plan.period}),
                ["drive", "quantity", "re", "im"], [_row_text(rows)])
     return EXIT_OK
 
@@ -332,7 +355,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     for drive in _variants(cfg.drive):
         g, plan = resolve_period(p, drive == "rwa",
                                  steps_per_period=cfg.steps_per_period)
-        u_t, _ = one_period(g, plan, _order(cfg))
+        u_t, _ = one_period(g, plan, MagnusOrder(cfg.order))
         cptp = cptp_check(u_t)
         rho_t = (u_t @ vec(ground_state())).reshape(DIM, DIM)
         dens = density_validity(rho_t)
@@ -349,43 +372,19 @@ def cmd_validate(cfg: RunConfig) -> int:
             worst_fail |= not ok
             rows.append([drive, name, defect, threshold,
                          "pass" if ok else "FAIL"])
-    _write_csv(cfg, _metadata_lines(cfg, p, {"period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "validate",
+                                    {"period": plan.period}),
                ["drive", "check", "defect", "threshold", "status"],
                [_row_text(rows)])
     return EXIT_THRESHOLD if worst_fail else EXIT_OK
 
 
-_COMMANDS = {"propagate": cmd_propagate, "sweep": cmd_sweep,
-             "gap": cmd_gap, "validate": cmd_validate}
-
-
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key = value configuration file")
-    sp.add_argument("--case", choices=PRESET_NAMES)
-    sp.add_argument("--order", type=int, choices=(4, 6),
-                    help="Magnus order of the full drive (default 6); the "
-                         "RWA drive is propagated exactly in its rotating "
-                         "frame, whatever the order and step count")
-    sp.add_argument("--steps-per-period", type=int, dest="steps_per_period")
-    sp.add_argument("--periods", type=int)
-    sp.add_argument("--horizon", type=float)
-    sp.add_argument("--drive", choices=("full", "rwa", "both"))
-    sp.add_argument("--frame", choices=("lab", "rwf"))
-    sp.add_argument("--out")
-    sp.add_argument("--observables")
-    sp.add_argument("--eps-ss", type=float, dest="eps_ss")
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--delta-omega-p", type=float, dest="delta_omega_p")
-    sp.add_argument("--delta-omega-c", type=float, dest="delta_omega_c")
-    sp.add_argument("--omega-p-range", dest="omega_p_range",
-                    metavar="a:b:step")
-    sp.add_argument("--omega-c-range", dest="omega_c_range",
-                    metavar="a:b:step")
-    sp.add_argument("--timestamp", action="store_true", default=None,
-                    help="record generation time in the CSV header")
-    for key in _PARAM_KEYS:
-        sp.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key,
-                        help=argparse.SUPPRESS)
+_COMMANDS = {
+    "propagate": (cmd_propagate, "time-series propagation to CSV"),
+    "sweep": (cmd_sweep, "steady-state observables over frequency grids"),
+    "gap": (cmd_gap, "spectral gap of the one-period propagator"),
+    "validate": (cmd_validate, "CPTP and density-matrix defect report"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,17 +393,17 @@ def main(argv: list[str] | None = None) -> int:
         description="Driven three-level lambda-system dynamics via "
                     "Magnus-expansion propagators.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("propagate", "time-series propagation to CSV"),
-            ("sweep", "steady-state observables over frequency grids"),
-            ("gap", "spectral gap of the one-period propagator"),
-            ("validate", "CPTP and density-matrix defect report")):
-        _add_common_flags(subparsers.add_parser(name, help=helptext))
+    for name, (_, helptext) in _COMMANDS.items():
+        sp = subparsers.add_parser(name, help=helptext)
+        for key, kwargs in _FLAGS.items():
+            if key in _SHARED or key in _READS[name]:
+                sp.add_argument(f"--{key.replace('_', '-')}", **kwargs)
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
-    except (FloatingPointError, HorizonError, np.linalg.LinAlgError) as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except (FloatingPointError, HorizonError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

@@ -119,29 +119,6 @@ def h0(p: LambdaParams) -> np.ndarray:
     return np.diag([p.e1, p.e2, p.e3]).astype(complex)
 
 
-def h_sr(p: LambdaParams, t: float) -> np.ndarray:
-    """Exact (counter-rotating included) drive Hamiltonian at time t."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[0, 1] = h[1, 0] = -p.rabi_p * np.cos(p.omega_p * t)
-    h[1, 2] = h[2, 1] = -p.rabi_c * np.cos(p.omega_c * t)
-    return h
-
-
-def h_sr_rwa(p: LambdaParams, t: float) -> np.ndarray:
-    """Co-rotating-only drive Hamiltonian at time t."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[1, 0] = -0.5 * p.rabi_p * np.exp(-1j * p.omega_p * t)
-    h[0, 1] = np.conj(h[1, 0])
-    h[1, 2] = -0.5 * p.rabi_c * np.exp(-1j * p.omega_c * t)
-    h[2, 1] = np.conj(h[1, 2])
-    return h
-
-
-def hamiltonian(p: LambdaParams, t: float, rwa: bool) -> np.ndarray:
-    """Full system Hamiltonian h0 + drive at time t."""
-    return h0(p) + (h_sr_rwa(p, t) if rwa else h_sr(p, t))
-
-
 def _rwf_rates(p: LambdaParams) -> np.ndarray:
     """Rates r of the rotating frame W(t) = diag(e^{-i r t}):
     (0, w_p, w_p - w_c)."""
@@ -154,18 +131,6 @@ def rwf_phases(p: LambdaParams, times) -> np.ndarray:
     times.shape + (3,); a state enters the frame as W(t)^dag rho W(t)."""
     times = np.asarray(times, dtype=float)
     return np.exp(-1j * _rwf_rates(p) * times[..., None])
-
-
-def h_rwf(p: LambdaParams) -> np.ndarray:
-    """Time-independent Hamiltonian in the rotating frame (energies taken
-    relative to E1)."""
-    w2 = p.e2 - p.e1
-    w3 = p.e3 - p.e1
-    return 0.5 * np.array([
-        [0.0, -p.rabi_p, 0.0],
-        [-p.rabi_p, 2.0 * (w2 - p.omega_p), -p.rabi_c],
-        [0.0, -p.rabi_c, 2.0 * (w3 - (p.omega_p - p.omega_c))],
-    ], dtype=complex)
 
 
 def jump_operators(p: LambdaParams) -> list[tuple[np.ndarray, float]]:
@@ -194,11 +159,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if v.shape != (LDIM,):
         raise DimensionError(f"unvec expects a length-{LDIM} vector, got {v.shape}")
     return v.reshape(DIM, DIM).copy()
-
-
-def liouvillian(p: LambdaParams, t: float, rwa: bool = False) -> np.ndarray:
-    """Hamiltonian commutator superoperator H ox I - I ox H^T (9x9)."""
-    return _comm_super(hamiltonian(p, t, rwa))
 
 
 def lindbladian(p: LambdaParams) -> np.ndarray:

@@ -197,12 +197,11 @@ def period_mean_map(micromotion: np.ndarray,
 
 
 def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
-                     eps: float = 1e-6,
-                     order: MagnusOrder = MagnusOrder.ORDER6,
-                     precomputed: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> float:
+                     eps: float = 1e-6, *,
+                     precomputed: tuple[np.ndarray, np.ndarray]) -> float:
     """Smallest n T at which the period-averaged state moves by <= eps
-    (Frobenius) from the previous period's average.
+    (Frobenius) from the previous period's average, from the period map
+    and micromotion stack ``precomputed = one_period(g, plan)``.
 
     The search doubles n until the criterion holds, then bisects; it
     assumes a dissipative generator (a steady state exists) and raises
@@ -214,8 +213,7 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
         raise ValueError("convergence_time expects a Liouville-space generator")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    u_t, micromotion = (precomputed if precomputed is not None
-                        else one_period(g, plan, order))
+    u_t, micromotion = precomputed
     mean = period_mean_map(micromotion)
     v0 = vec(np.asarray(rho0, dtype=complex))
 

@@ -30,6 +30,12 @@ SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
                "convergence_time", "spectral_gap")
 DRIVES = ("full", "rwa", "both")
+# Cap on the rows (grid times) per drive of one run_case call,
+# floor(steps_per_period * horizon / period) + 1.  Every row's state is held
+# until the call returns, at about 630 B each with the time-series output
+# (~40 GiB at the cap), so a longer horizon is refused before anything is
+# computed.
+MAX_ROWS = 2 ** 26
 
 
 def _variants(drive: str) -> tuple[str, ...]:
@@ -76,6 +82,8 @@ def run_case(p: LambdaParams, horizon: float,
     9x9 Liouville space; horizons beyond one drive period reuse the
     resolved period stroboscopically, turning each period's propagators
     into states at once so no multi-period propagator stack is held.
+    A horizon of more than MAX_ROWS grid times raises ValueError before
+    anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -91,6 +99,10 @@ def run_case(p: LambdaParams, horizon: float,
     g, plan = resolve_period(p, rwa, closed=not open_system,
                              steps_per_period=steps_per_period)
     period, steps = plan.period, plan.steps_per_period
+    if steps * (horizon / period) >= MAX_ROWS:
+        raise ValueError(
+            f"horizon {horizon} needs about {steps * horizon / period:.3g} "
+            f"rows per drive, above the cap MAX_ROWS = {MAX_ROWS}")
     v0 = vec(rho0)
 
     def evolve(props: np.ndarray) -> np.ndarray:

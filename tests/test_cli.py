@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from decimal import Decimal
 
@@ -23,30 +24,31 @@ STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
 class TestConfigText:
     def test_basic(self):
         values = parse_config_text(
-            'case = "A-II"\n# comment\neps_ss = 1e-4\nworkers = 2\n')
+            'case = "A-II"\n# comment\neps_ss = 1e-4\nworkers = 2\n', "sweep")
         assert values == {"case": "A-II", "eps_ss": 1e-4, "workers": 2}
 
     def test_inline_comment_and_quotes(self):
-        values = parse_config_text("drive = 'rwa'  # co-rotating only\n")
+        values = parse_config_text("drive = 'rwa'  # co-rotating only\n",
+                                   "gap")
         assert values == {"drive": "rwa"}
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*bogus"):
-            parse_config_text("case = \"A-I\"\nbogus = 3\n")
+            parse_config_text("case = \"A-I\"\nbogus = 3\n", "propagate")
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="steps_per_period"):
-            parse_config_text("steps_per_period = many\n")
+            parse_config_text("steps_per_period = many\n", "validate")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
-            parse_config_text("just some words\n")
+            parse_config_text("just some words\n", "propagate")
 
 
 class TestBuildConfig:
-    def _args(self, **kw):
+    def _args(self, command="propagate", **kw):
         import argparse
-        ns = argparse.Namespace(config=None)
+        ns = argparse.Namespace(command=command, config=None)
         for key, value in kw.items():
             setattr(ns, key, value)
         return ns
@@ -70,6 +72,144 @@ class TestBuildConfig:
         cfg = build_config(self._args())
         assert cfg.order == 6 and cfg.steps_per_period == 8191
         assert cfg.drive == "both" and cfg.eps_ss == 1e-6
+
+
+# The settings each subcommand does not read, with values their readers
+# accept; each is refused as a flag and as a config-file key.
+UNREAD = {
+    "propagate": ("observables", "eps_ss", "workers", "omega_p_range",
+                  "omega_c_range"),
+    "sweep": ("steps_per_period", "periods", "horizon", "frame"),
+    "gap": ("periods", "horizon", "frame", "observables", "eps_ss",
+            "workers", "omega_p_range", "omega_c_range"),
+}
+UNREAD["validate"] = UNREAD["gap"]
+UNREAD_PAIRS = [(cmd, key) for cmd, keys in UNREAD.items() for key in keys]
+VALUES = {"observables": "populations", "eps_ss": "1e-4", "workers": "1",
+          "omega_p_range": "6:6:1", "omega_c_range": "4:4:1",
+          "steps_per_period": STEPS, "periods": "1", "horizon": "1.0",
+          "frame": "rwf"}
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
+class TestSettingsPerSubcommand:
+    def test_unread_pairs(self):
+        assert len(UNREAD_PAIRS) == 25
+        for command, keys in UNREAD.items():
+            assert not set(keys) & set(cli._READS[command])
+            assert set(keys) | set(cli._READS[command]) | set(
+                cli._SHARED) == set(cli._FLAGS)
+
+    @pytest.mark.parametrize("command,key", UNREAD_PAIRS)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, key):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--case", "A-II", _flag(key), VALUES[key],
+                  "--out", str(out)])
+        assert exc_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", UNREAD_PAIRS)
+    def test_unread_config_key_exits_2(self, tmp_path, capsys, command, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f'case = "A-II"\n{key} = {VALUES[key]}\n')
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert (f"line 2: {command} takes no key {key!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("line", ["order = 5", 'drive = "sideways"',
+                                      "timestamp = false",
+                                      "config = other.cfg"])
+    def test_bad_config_value_or_key_exits_2(self, tmp_path, capsys, command,
+                                             line):
+        # choices come from the flag table; flag-only settings are no keys
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f'case = "A-II"\n{line}\n')
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 2" in err and line.split(" =")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_only_read_settings(self, capsys, command):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--help"])
+        assert exc_info.value.code == 0
+        listed = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+        visible = {_flag(k)[2:] for k in (*cli._SHARED, *cli._READS[command])
+                   if k not in cli._PARAM_KEYS}
+        assert listed == visible | {"help"}
+
+    @pytest.mark.parametrize("argv,recorded", [
+        (["propagate", "--case", "A-II", "--periods", "1",
+          "--steps-per-period", STEPS],
+         ["order", "steps_per_period", "drive", "frame", "horizon"]),
+        (["sweep", "--case", "B-II", "--drive", "rwa", "--omega-p-range",
+          "6:6:1", "--observables", "populations"],
+         ["order", "drive", "eps_ss", "observables"]),
+        (["gap", "--case", "A-II", "--steps-per-period", STEPS],
+         ["order", "steps_per_period", "drive", "period"]),
+        (["validate", "--case", "A-II", "--steps-per-period", STEPS],
+         ["order", "steps_per_period", "drive", "period"]),
+    ])
+    def test_metadata_records_settings_read(self, tmp_path, argv, recorded):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) != EXIT_CONFIG
+        meta, _ = _read_csv(out)
+        keys = [line[2:].split(" = ")[0] for line in meta]
+        assert keys == [*cli._PARAM_KEYS, *recorded]
+
+
+class TestHorizonCap:
+    @pytest.mark.parametrize("flag,value", [("--horizon", "1e300"),
+                                            ("--horizon", "1e308"),
+                                            ("--periods", "100000000")])
+    def test_huge_horizon_exits_2(self, tmp_path, capsys, monkeypatch, flag,
+                                  value):
+        # refused before any propagator is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagate called")
+
+        monkeypatch.setattr(periodic, "propagate", refuse)
+        monkeypatch.setattr(sweep, "propagate", refuse)
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--case", "A-I", flag, value,
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "MAX_ROWS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cap_counts_rows_per_drive(self, monkeypatch):
+        # two periods of 64 steps and half a step: 129 rows, the cap
+        p, steps = preset("A-II"), int(STEPS)
+        dt = 2.0 * np.pi / steps
+        monkeypatch.setattr(sweep, "MAX_ROWS", 2 * steps + 1)
+        traj = run_case(p, 4.0 * np.pi + 0.5 * dt, steps_per_period=steps)
+        assert len(traj.times) == sweep.MAX_ROWS
+        with pytest.raises(ValueError, match="MAX_ROWS"):
+            run_case(p, 4.0 * np.pi + 1.5 * dt, steps_per_period=steps)
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 40.0 GiB")
+
+        monkeypatch.setattr(cli, "run_case", out_of_memory)
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--case", "A-I", "--periods", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResolveParams:

@@ -8,10 +8,10 @@ from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
                            MagnusOrder, _exponent4, _exponent6,
                            _running_products, propagate, step, step4, step6)
 from lamsim.model import (HERMITIAN_BASIS, LambdaParams, closed_generator,
-                          h_rwf, lindbladian, liouville_generator, preset)
+                          lindbladian, liouville_generator, preset)
 from lamsim.periodic import commensurate_period
 
-from conftest import expm_eig, random_complex_matrix
+from conftest import expm_eig, h_rwf, random_complex_matrix
 
 
 def constant_generator(a: np.ndarray) -> Generator:

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.model import (DIM, LDIM, PRESET_NAMES, LambdaParams,
-                          closed_generator, ground_state, h0, h_rwf, h_sr,
-                          h_sr_rwa, hamiltonian, jump_operators, lindbladian,
-                          liouville_generator, liouvillian, preset,
+                          closed_generator, ground_state, h0, jump_operators,
+                          lindbladian, liouville_generator, preset,
                           rwf_phases, unvec, vec)
 from lamsim.sweep import to_rwf
 
-from conftest import random_complex_matrix
+from conftest import (h_rwf, h_sr, h_sr_rwa, hamiltonian, liouvillian,
+                      random_complex_matrix)
 
 times = st.floats(-50.0, 50.0, allow_nan=False)
 

@@ -3,15 +3,15 @@ import pytest
 
 from lamsim.linalg import frobenius_norm
 from lamsim.magnus import Generator, MagnusOrder, propagate
-from lamsim.model import (ground_state, h_rwf, lindbladian,
-                          liouville_generator, preset, unvec, vec)
+from lamsim.model import (ground_state, lindbladian, liouville_generator,
+                          preset, unvec, vec)
 from lamsim.periodic import (MAX_PLAN_STEPS, HorizonError, PeriodicPlan,
                              Trajectory, commensurate_period,
                              convergence_time, doubling, make_plan,
                              one_period, period_mean_map, stroboscopic,
                              trace_functional)
 
-from conftest import expm_eig
+from conftest import expm_eig, h_rwf
 
 STEPS = 256  # coarse grid keeps these structural tests fast
 
@@ -148,7 +148,8 @@ class TestConvergenceTime:
         g = liouville_generator(preset("A-I"), dissipative=False)
         plan = make_plan(g, 2.0 * np.pi, 64)
         with pytest.raises(HorizonError) as exc_info:
-            convergence_time(g, plan, ground_state(), eps=1e-12)
+            convergence_time(g, plan, ground_state(), eps=1e-12,
+                             precomputed=one_period(g, plan))
         assert exc_info.value.last_delta > 0.0
 
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
@@ -164,7 +165,8 @@ class TestConvergenceTime:
         g = closed_generator(preset("A-I"))
         plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=8)
         with pytest.raises(ValueError, match="Liouville"):
-            convergence_time(g, plan, ground_state())
+            convergence_time(g, plan, ground_state(),
+                             precomputed=one_period(g, plan))
 
 
 @pytest.mark.parametrize("with_factors", [False, True])
