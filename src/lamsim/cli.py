@@ -27,8 +27,8 @@ from ._floattext import float_rows
 from .analysis import cptp_check, density_validity, spectral_gap
 from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
-from .periodic import (BASE_STEPS, HorizonError, Trajectory,
-                       commensurate_period, one_period)
+from .periodic import (HorizonError, Trajectory, commensurate_period,
+                       one_period)
 from .sweep import (DRIVES, SweepAxis, SweepSpec, _variants, resolve_period,
                     run_case, run_sweep)
 
@@ -90,7 +90,7 @@ class RunConfig:
     delta_omega_p: float = 0.0
     delta_omega_c: float = 0.0
     order: int = 6
-    steps_per_period: int = BASE_STEPS
+    steps_per_period: int | None = None  # None: q * BASE_STEPS
     periods: int | None = None
     horizon: float | None = None
     drive: str = "both"
@@ -159,7 +159,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                     **{k: v for k, v in values.items() if k in cfg_names})
     if cfg.periods is not None and cfg.horizon is not None:
         raise ConfigError("periods and horizon are mutually exclusive")
-    if cfg.steps_per_period < 1:
+    if cfg.steps_per_period is not None and cfg.steps_per_period < 1:
         raise ConfigError(
             f"steps_per_period must be >= 1, got {cfg.steps_per_period}")
     if cfg.periods is not None and cfg.periods < 1:
@@ -212,7 +212,7 @@ def _metadata_lines(cfg: RunConfig, p: LambdaParams, command: str,
     items = {k: getattr(p, k) for k in _PARAM_KEYS}
     items.update((k, getattr(cfg, k)) for k in _RECORDED
                  if k in _READS[command])
-    if extra:
+    if extra:  # a resolved value keeps its setting's place
         items.update(extra)
     lines = [f"# {key} = {_fmt(val)}" for key, val in items.items()]
     if cfg.timestamp:
@@ -264,7 +264,8 @@ def _float_blocks(columns: np.ndarray, suffix: str):
 
 def cmd_propagate(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
-    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    period, q_steps = commensurate_period(p.omega_p, p.omega_c)
+    steps = cfg.steps_per_period or q_steps  # build_config rejects 0
     if cfg.horizon is not None:
         horizon = cfg.horizon
     else:
@@ -273,11 +274,12 @@ def cmd_propagate(cfg: RunConfig) -> int:
     # numerical failure leaves no partial file.
     columns = {drive: _propagate_columns(run_case(
         p, horizon, order=MagnusOrder(cfg.order), drive=drive,
-        frame=cfg.frame, steps_per_period=cfg.steps_per_period))
+        frame=cfg.frame, steps_per_period=steps))
         for drive in _variants(cfg.drive)}
     blocks = (text for drive, cols in columns.items()
               for text in _float_blocks(cols, f",{drive},{cfg.frame}"))
-    _write_csv(cfg, _metadata_lines(cfg, p, "propagate", {"horizon": horizon}),
+    meta = {"steps_per_period": steps, "horizon": horizon}
+    _write_csv(cfg, _metadata_lines(cfg, p, "propagate", meta),
                PROPAGATE_HEADER, blocks)
     return EXIT_OK
 
@@ -343,7 +345,8 @@ def cmd_gap(cfg: RunConfig) -> int:
         rows.append([drive, "gap", report.gap, ""])
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])
         rows.append([drive, "degenerate", int(report.degenerate), ""])
-    _write_csv(cfg, _metadata_lines(cfg, p, "gap", {"period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "gap", {
+        "steps_per_period": plan.steps_per_period, "period": plan.period}),
                ["drive", "quantity", "re", "im"], [_row_text(rows)])
     return EXIT_OK
 
@@ -372,8 +375,8 @@ def cmd_validate(cfg: RunConfig) -> int:
             worst_fail |= not ok
             rows.append([drive, name, defect, threshold,
                          "pass" if ok else "FAIL"])
-    _write_csv(cfg, _metadata_lines(cfg, p, "validate",
-                                    {"period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "validate", {
+        "steps_per_period": plan.steps_per_period, "period": plan.period}),
                ["drive", "check", "defect", "threshold", "status"],
                [_row_text(rows)])
     return EXIT_THRESHOLD if worst_fail else EXIT_OK

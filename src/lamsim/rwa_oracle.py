@@ -4,7 +4,7 @@ resonance with zero detuning, used as ground truth for the numerical stack.
 At zero detuning the rotating-frame Hamiltonian has eigenvalues
 {0, +lam, -lam} with lam = sqrt(rabi_c^2 + rabi_p^2) / 2, which gives a
 closed-form time-evolution operator and, for the initial state |1><1|, a
-closed-form rotating-frame density matrix.
+closed-form rotating-frame density matrix (rwa_density_tpr).
 """
 
 from __future__ import annotations
@@ -35,27 +35,6 @@ def lambda_eff(p: LambdaParams) -> float:
     """Effective Rabi angular frequency sqrt(rabi_c^2 + rabi_p^2) / 2."""
     _require_tpr(p)
     return 0.5 * np.hypot(p.rabi_c, p.rabi_p)
-
-
-def rwa_propagator_tpr(p: LambdaParams, t: float) -> np.ndarray:
-    """Closed-form rotating-frame time-evolution operator (unitary)."""
-    lam = lambda_eff(p)
-    oc2 = p.rabi_c ** 2
-    op2 = p.rabi_p ** 2
-    s = oc2 + op2
-    c = np.cos(lam * t)
-    sn = np.sin(lam * t)
-    return np.array([
-        [(oc2 + op2 * c) / s,
-         1j * p.rabi_p * sn / (2.0 * lam),
-         p.rabi_c * p.rabi_p * (c - 1.0) / s],
-        [1j * p.rabi_p * sn / (2.0 * lam),
-         c,
-         1j * p.rabi_c * sn / (2.0 * lam)],
-        [p.rabi_c * p.rabi_p * (c - 1.0) / s,
-         1j * p.rabi_c * sn / (2.0 * lam),
-         (oc2 * c + op2) / s],
-    ], dtype=complex)
 
 
 def rwa_density_tpr(p: LambdaParams, t: float) -> np.ndarray:

@@ -4,9 +4,10 @@ convergence times and spectral gaps.
 
 Each grid point is an independent work item: the drive period is chosen
 commensurate with both field frequencies, the step size is held near
-2 pi / 8191 regardless of the period, and steady-state values are
-trapezoid averages over the 8 pi window entered at the convergence time:
-one 9x9 rotating-frame period-mean map applied to the period-start states.
+2 pi / 8191 regardless of the period, and the steady state is the limit of
+U_T^n applied to the initial state (its projection onto the fixed points
+of U_T), averaged over one period in the rotating frame by one 9x9
+period-mean map.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import periodic
-from .analysis import rwa_error, spectral_gap
+from .analysis import (DEGENERATE_GAP_TOL, cptp_check, rwa_error,
+                       spectral_gap)
 from .magnus import Generator, MagnusOrder, propagate
 from .model import (LDIM, LambdaParams, closed_generator, ground_state,
                     liouville_generator, rwf_phases, unvec, vec)
 from .periodic import (PeriodicPlan, Trajectory, commensurate_period,
                        convergence_time, one_period, period_mean_map)
 
-STEADY_WINDOW = 8.0 * np.pi       # averaging window for steady-state values
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
                "convergence_time", "spectral_gap")
@@ -208,36 +209,32 @@ class SweepResult:
 def steady_state_summary(p: LambdaParams, rwa: bool,
                          order: MagnusOrder = MagnusOrder.ORDER6,
                          eps: float = 1e-6) -> dict:
-    """Steady-state observables at one grid point: rotating-frame averaged
-    state over the 8 pi window entered at t_conv, convergence time,
-    spectral gap, and trace diagnostics."""
+    """Steady-state observables at one grid point: rho_ss_rwf, the
+    rotating-frame period average of lim U_T^n |1><1| (the unit-trace
+    projection R (L R)^-1 L v0 onto U_T's fixed points, R and L the null
+    vectors of U_T - I for its k >= 1 singular values <= DEGENERATE_GAP_TOL
+    * max(1, sigma_max)), the eps-convergence time t_conv of the period
+    averages, the spectral gap, and U_T's trace defect."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
     g, plan = resolve_period(p, rwa)
     u_t, micro = one_period(g, plan, order)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
-    # T-periodic frame phases: one map averages every period of the window.
+    left, sigma, right = np.linalg.svd(u_t - np.eye(LDIM))
+    k = max(1, int(np.sum(sigma <= DEGENERATE_GAP_TOL * max(1.0, sigma[0]))))
+    left, right = left[:, -k:].conj().T, right[-k:].conj().T
+    v_ss = right @ np.linalg.solve(left @ right, left @ vec(ground_state()))
+    # T-periodic frame phases: one map averages any period in the frame.
     mean_rwf = period_mean_map(
         micro, _rwf_factors(p, plan.micromotion_times).reshape(-1, LDIM))
-    window_periods = max(1, math.ceil(STEADY_WINDOW / plan.period - 1e-9))
-    v = np.linalg.matrix_power(u_t, round(t_conv / plan.period)) @ vec(
-        ground_state())
-    starts = np.zeros(LDIM, dtype=complex)
-    for _ in range(window_periods):
-        starts += v
-        v = u_t @ v
-    avg_rwf = unvec(mean_rwf @ starts) / window_periods
-    tr = np.trace(avg_rwf).real
-    if abs(tr - 1.0) <= 1e-9:
-        avg_rwf = avg_rwf / tr
     gap = spectral_gap(u_t, period=plan.period)
     return {
-        "rho_ss_rwf": avg_rwf,
+        "rho_ss_rwf": unvec(mean_rwf @ (v_ss / np.trace(unvec(v_ss)))),
         "t_conv": t_conv,
         "gap": gap.gap,
         "gap_per_time": gap.gap_per_time,
-        "trace_defect": float(abs(np.trace(unvec(v)).real - 1.0)),
+        "trace_defect": cptp_check(u_t).trace_defect,
         "period": plan.period,
         "steps": plan.steps_per_period,
     }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lamsim.model import DIM, LambdaParams, h0, preset
+from lamsim.rwa_oracle import lambda_eff
 
 
 def random_complex_matrix(rng: np.random.Generator, n: int,
@@ -60,6 +61,28 @@ def liouvillian(p: LambdaParams, t: float, rwa: bool = False) -> np.ndarray:
     """Hamiltonian commutator superoperator H ox I - I ox H^T (9x9)."""
     h, ident = hamiltonian(p, t, rwa), np.eye(DIM)
     return np.kron(h, ident) - np.kron(ident, h.T)
+
+
+def rwa_propagator_tpr(p: LambdaParams, t: float) -> np.ndarray:
+    """Closed-form rotating-frame time-evolution operator (unitary) at
+    zero-detuning two-photon resonance; rwa_density_tpr is U |1><1| U^dag."""
+    lam = lambda_eff(p)
+    oc2 = p.rabi_c ** 2
+    op2 = p.rabi_p ** 2
+    s = oc2 + op2
+    c = np.cos(lam * t)
+    sn = np.sin(lam * t)
+    return np.array([
+        [(oc2 + op2 * c) / s,
+         1j * p.rabi_p * sn / (2.0 * lam),
+         p.rabi_c * p.rabi_p * (c - 1.0) / s],
+        [1j * p.rabi_p * sn / (2.0 * lam),
+         c,
+         1j * p.rabi_c * sn / (2.0 * lam)],
+        [p.rabi_c * p.rabi_p * (c - 1.0) / s,
+         1j * p.rabi_c * sn / (2.0 * lam),
+         (oc2 * c + op2) / s],
+    ], dtype=complex)
 
 
 @pytest.fixture

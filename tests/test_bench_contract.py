@@ -1,8 +1,9 @@
 """The library names the benchmark harness (perfbench/) patches or calls.
 
 The harness wraps module attributes by name to time each layer, and its
-steady-tpr workload captures U_T through ``sweep.one_period``; renaming or
-moving any of these breaks the benchmark while the library still works.
+steady-tpr workload captures U_T through ``sweep.one_period`` and reads the
+summary keys in SUMMARY_KEYS; renaming or moving any of these breaks the
+benchmark while the library still works.
 Its ``linalg.expm`` span wraps ``magnus.expm``, so a step must reach the
 exponential kernel through that name alone.
 """
@@ -24,6 +25,7 @@ NAMES = [
     "analysis.rwa_error", "cli.one_period", "cli.spectral_gap",
     "cli.run_case", "cli.main", "model.preset", "rwa_oracle.rwa_density_tpr",
 ]
+SUMMARY_KEYS = {"rho_ss_rwf", "t_conv", "gap", "period"}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -48,8 +50,9 @@ def test_steady_state_summary_resolves_one_period_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "one_period", counting)
-    sweep.steady_state_summary(preset("B-II"), rwa=True)
+    summary = sweep.steady_state_summary(preset("B-II"), rwa=True)
     assert len(calls) == 1
+    assert SUMMARY_KEYS <= set(summary)
 
 
 def test_step6_calls_expm_once_per_chunk(monkeypatch):

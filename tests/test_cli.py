@@ -70,7 +70,7 @@ class TestBuildConfig:
 
     def test_defaults(self):
         cfg = build_config(self._args())
-        assert cfg.order == 6 and cfg.steps_per_period == 8191
+        assert cfg.order == 6 and cfg.steps_per_period is None
         assert cfg.drive == "both" and cfg.eps_ss == 1e-6
 
 
@@ -427,6 +427,24 @@ class TestPropagateBytes:
                    "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert not out.exists()
+
+
+class TestDefaultSteps:
+    # omega_p = 13/2 gives T = 4 pi (q = 2): every subcommand resolves it
+    # with the library's q * BASE_STEPS steps and records that count.
+    ARGS = ["--case", "B-II", "--delta-omega-p", "0.5", "--drive", "rwa"]
+
+    @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
+    def test_q_times_base_steps(self, tmp_path, command):
+        _, plan = sweep.resolve_period(preset("B-II", delta_omega_p=0.5),
+                                       rwa=True)
+        assert plan.steps_per_period == 2 * BASE_STEPS
+        out = tmp_path / "x.csv"
+        assert main([command, *self.ARGS, "--out", str(out)]) == EXIT_OK
+        meta, rows = _read_csv(out)
+        assert f"# steps_per_period = {plan.steps_per_period}" in meta
+        if command == "propagate":  # header, then one row per grid time
+            assert len(rows) == 1 + plan.steps_per_period + 1
 
 
 class TestGapCommand:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.model import ground_state, preset
-from lamsim.rwa_oracle import (NotTprError, lambda_eff, rwa_density_tpr,
-                               rwa_propagator_tpr)
+from lamsim.rwa_oracle import NotTprError, lambda_eff, rwa_density_tpr
+
+from conftest import rwa_propagator_tpr
 
 times = st.floats(0.0, 40.0, allow_nan=False)
 cases = st.sampled_from(["A-I", "B-I", "C-I"])
@@ -61,7 +62,7 @@ class TestDensity:
 class TestPreconditions:
     def test_detuned_rejected(self):
         with pytest.raises(NotTprError):
-            rwa_propagator_tpr(preset("A-I", delta_omega_p=0.1), 1.0)
+            rwa_density_tpr(preset("A-I", delta_omega_p=0.1), 1.0)
 
     def test_zero_drive_rejected(self):
         p = preset("A-I").with_(rabi_p=0.0, rabi_c=0.0)

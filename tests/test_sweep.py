@@ -1,19 +1,17 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lamsim import periodic, sweep
-from lamsim.analysis import spectral_gap
+from lamsim.analysis import cptp_check, spectral_gap
 from lamsim.magnus import MagnusOrder
 from lamsim.model import (closed_generator, ground_state,
-                          liouville_generator, preset, vec)
+                          liouville_generator, preset, unvec, vec)
 from lamsim.periodic import commensurate_period, one_period
 from lamsim.rwa_oracle import rwa_density_tpr
-from lamsim.sweep import (STEADY_WINDOW, SweepAxis, SweepSpec, run_case,
-                          run_sweep, rwa_error_curve, steady_state_summary,
-                          to_rwf)
+from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
+                          rwa_error_curve, steady_state_summary, to_rwf)
 
 STEPS = 512  # coarse grid for structural checks; accuracy is tested elsewhere
 
@@ -146,12 +144,13 @@ class TestSteadyState:
             steady_state_summary(preset("A-I"), rwa=False)
 
 
-def window_route(p, u_t, micro, plan, eps=1e-6):
+def reference_route(p, u_t, micro, plan, eps=1e-6):
     """Reference steady state built state by state: trapezoid averages of
     the states micro @ U^n v0 drive the doubling and bisection search for
-    t_conv, then the states micro @ U^j v_conv over ceil(8 pi / T) periods
-    go through to_rwf at their absolute times and np.trapezoid over the
-    window."""
+    t_conv; the fixed point v_fp of U_T (the unit-trace right singular
+    vector of U_T - I for its smallest singular value) gives the states
+    micro @ v_fp of one period, which go through to_rwf and np.trapezoid
+    over the period."""
     v0 = vec(ground_state())
     weights = np.full(len(micro), 1.0 / (len(micro) - 1))
     weights[[0, -1]] *= 0.5
@@ -170,24 +169,13 @@ def window_route(p, u_t, micro, plan, eps=1e-6):
         while n - lo > 1:
             mid = (lo + n) // 2
             lo, n = (lo, mid) if delta(mid) <= eps else (mid, n)
-    window = max(1, math.ceil(STEADY_WINDOW / plan.period - 1e-9))
-    v = np.linalg.matrix_power(u_t, n) @ v0
-    blocks, time_blocks = [], []
-    for j in range(window):
-        keep = slice(None) if j == window - 1 else slice(0, -1)
-        blocks.append((micro @ (np.linalg.matrix_power(u_t, j) @ v))[keep])
-        time_blocks.append(
-            (plan.micromotion_times + (n + j) * plan.period)[keep])
-    states = np.concatenate(blocks).reshape(-1, 3, 3)
-    times = np.concatenate(time_blocks)
-    avg = np.trapezoid(to_rwf(states, p, times), x=times, axis=0) / (
-        times[-1] - times[0])
-    tr = np.trace(avg).real
-    if abs(tr - 1.0) <= 1e-9:
-        avg = avg / tr
+    v_fp = np.linalg.svd(u_t - np.eye(len(u_t)))[2][-1].conj()
+    v_fp /= np.trace(unvec(v_fp))
+    times = plan.micromotion_times
+    states = to_rwf((micro @ v_fp).reshape(-1, 3, 3), p, times)
+    avg = np.trapezoid(states, x=times, axis=0) / plan.period
     return {"rho_ss_rwf": avg, "t_conv": n * plan.period,
             "gap": spectral_gap(u_t, period=plan.period).gap,
-            "trace_defect": abs(np.trace(states[-1]).real - 1.0),
             "period": plan.period, "steps": plan.steps_per_period}
 
 
@@ -213,17 +201,28 @@ def capture_one_period(monkeypatch, after=None):
     ("B-II", "rwa", 0.0), ("C-II", "full", 0.0), ("C-II", "rwa", 0.0),
     ("B-II", "full", 0.5), ("B-II", "rwa", 0.5),  # omega_p = 13/2: q = 2
 ])
-def test_steady_state_matches_window_route(monkeypatch, case, drive,
-                                           delta_omega_p):
+def test_steady_state_matches_reference_route(monkeypatch, case, drive,
+                                              delta_omega_p):
     p = preset(case, delta_omega_p=delta_omega_p)
     seen = capture_one_period(monkeypatch)
     got = steady_state_summary(p, rwa=(drive == "rwa"))
     u_t, micro = seen["result"]
-    want = window_route(p, u_t, micro, seen["plan"])
+    want = reference_route(p, u_t, micro, seen["plan"])
     assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-12
-    assert abs(got["trace_defect"] - want["trace_defect"]) <= 1e-15
+    assert got["trace_defect"] == cptp_check(u_t).trace_defect
     for key in ("t_conv", "gap", "period", "steps"):
         assert got[key] == want[key], key
+
+
+def test_steady_state_projects_a_degenerate_fixed_space():
+    # With rabi_c = gamma_23 = 0 level |3> is decoupled: U_T has a second
+    # fixed point, |3><3|, and |1><1| goes to the resonant two-level state.
+    p = preset("B-II").with_(rabi_c=0.0, gamma_23=0.0)
+    rho = steady_state_summary(p, rwa=True)["rho_ss_rwf"]
+    rabi, gamma = p.rabi_p, p.gamma_12
+    rho22 = (rabi ** 2 / 4) / (gamma ** 2 / 4 + rabi ** 2 / 2)
+    assert abs(rho[1, 1] - rho22) <= 1e-12
+    assert np.max(np.abs([rho[2, 2], rho[0, 2], rho[1, 2]])) <= 1e-12
 
 
 def test_steady_state_memory_beyond_the_stack(monkeypatch):
