@@ -76,9 +76,7 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
 
 @dataclass(frozen=True)
 class CptpReport:
-    trace_preserving: bool
     trace_defect: float
-    completely_positive: bool
     min_choi_eigenvalue: float
     choi_hermiticity_defect: float
 
@@ -94,11 +92,10 @@ def choi_matrix(m: np.ndarray) -> np.ndarray:
         LDIM, LDIM)
 
 
-def cptp_check(m: np.ndarray, trace_tol: float = 1e-10,
-               choi_tol: float = 1e-9) -> CptpReport:
-    """Trace preservation (left identity functional) and complete
-    positivity (Choi minimum eigenvalue) of a 9x9 map.  Reports, never
-    raises on failure."""
+def cptp_check(m: np.ndarray) -> CptpReport:
+    """Raw defects of a 9x9 map: trace preservation (left identity
+    functional), complete positivity (Choi minimum eigenvalue) and Choi
+    Hermiticity.  No thresholding."""
     m = np.asarray(m, dtype=complex)
     ident_functional = np.eye(DIM, dtype=complex).reshape(LDIM)
     trace_defect = float(np.max(np.abs(ident_functional @ m
@@ -107,9 +104,7 @@ def cptp_check(m: np.ndarray, trace_tol: float = 1e-10,
     herm_defect = float(np.max(np.abs(choi - choi.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
     return CptpReport(
-        trace_preserving=trace_defect <= trace_tol,
         trace_defect=trace_defect,
-        completely_positive=min_eig >= -choi_tol,
         min_choi_eigenvalue=min_eig,
         choi_hermiticity_defect=herm_defect,
     )

@@ -82,10 +82,8 @@ def make_plan(g: Generator, period: float, steps_per_period: int
 
 def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
     """Smallest period T = 2 pi q (integer q) commensurate with both drive
-    frequencies, and q * BASE_STEPS steps to keep dt fixed.
-
-    Raises ValueError if no such period exists below the step cap.
-    """
+    frequencies, and q * BASE_STEPS steps to keep dt fixed.  The step cap
+    is checked by the PeriodicPlan built with the step count in use."""
     from fractions import Fraction
 
     q = 1
@@ -96,8 +94,7 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
                 f"drive frequency {omega} is not commensurate with 2 pi "
                 "to within 1e-9")
         q = np.lcm(q, frac.denominator)
-    plan = PeriodicPlan(float(q) * (2.0 * np.pi), int(q) * BASE_STEPS)
-    return plan.period, plan.steps_per_period
+    return float(q) * (2.0 * np.pi), int(q) * BASE_STEPS
 
 
 def one_period(g: Generator, plan: PeriodicPlan,

@@ -80,11 +80,12 @@ def run_case(p: LambdaParams, horizon: float,
     """Propagate the density matrix from |1><1| over [0, horizon].
 
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
-    9x9 Liouville space; horizons beyond one drive period reuse the
-    resolved period stroboscopically, turning each period's propagators
-    into states at once so no multi-period propagator stack is held.
-    A horizon of more than MAX_ROWS grid times raises ValueError before
-    anything is propagated.
+    9x9 Liouville space.  One span is resolved: the drive period T, or a
+    shorter horizon h on its own ceil(steps * h / T)-step grid.  Longer
+    horizons reuse it stroboscopically: period n's rows are a prefix of
+    its propagators times U_T^n, turned into states at once, so no
+    multi-period propagator stack is held.  A horizon of more than
+    MAX_ROWS grid times raises ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -107,35 +108,35 @@ def run_case(p: LambdaParams, horizon: float,
     v0 = vec(rho0)
 
     def evolve(props: np.ndarray) -> np.ndarray:
-        # Propagators first, then the state: applying micro[keep] to
+        # Propagators first, then the state: applying micro[:m] to
         # u_n @ v0 instead changes last digits from the second period on.
         if open_system:
             return (props @ v0).reshape(-1, 3, 3)
         return props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
 
-    if horizon <= period:
-        n_steps = max(1, math.ceil(steps * horizon / period - 1e-9))
-        states = evolve(propagate(g, 0.0, horizon, n_steps, order=order,
-                                  return_intermediate=True))
-        times = np.linspace(0.0, horizon, n_steps + 1)
-    else:
-        u_t, micro = one_period(g, plan, order)
-        n_periods = int(math.floor(horizon / period + 1e-12))
-        blocks, time_blocks = [], []
-        u_n = np.eye(g.dim, dtype=complex)
-        grid = plan.micromotion_times
-        for j in range(n_periods + 1):
-            tau = grid + j * period
-            keep = tau <= horizon * (1.0 + 1e-12)
-            if j < n_periods:
-                keep[-1] = False  # endpoint duplicates next period's start
-            if not np.any(keep):
-                break
-            blocks.append(evolve(micro[keep] @ u_n))
-            time_blocks.append(tau[keep])
-            u_n = u_t @ u_n
-        states = np.concatenate(blocks)
-        times = np.concatenate(time_blocks)
+    span = min(horizon, period)
+    n_steps = max(1, math.ceil(steps * span / period - 1e-9))
+    micro = propagate(g, 0.0, span, n_steps, order=order,
+                      return_intermediate=True)
+    grid = np.linspace(0.0, span, n_steps + 1)
+    # A span shorter than T is repeated once: its second block is the
+    # row at t = h, micro[0] @ U(h).
+    n_spans = int(math.floor(horizon / span + 1e-12))
+    limit = horizon * (1.0 + 1e-12)
+    blocks, time_blocks = [], []
+    u_n = np.eye(g.dim, dtype=complex)
+    for j in range(n_spans + 1):
+        tau = grid + j * span
+        m = int(np.searchsorted(tau, limit, side="right"))
+        if j < n_spans:
+            m = min(m, n_steps)  # endpoint duplicates next span's start
+        if m == 0:
+            break
+        blocks.append(evolve(micro[:m] @ u_n))
+        time_blocks.append(tau[:m])
+        u_n = micro[-1] @ u_n
+    states = np.concatenate(blocks)
+    times = np.concatenate(time_blocks)
 
     if frame == "rwf":
         states = to_rwf(states, p, times)

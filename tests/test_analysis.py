@@ -124,10 +124,15 @@ class TestChoi:
             choi_matrix(np.eye(3))
 
 
+# the trace and Choi thresholds of lamsim validate's check table
+TRACE_TOL, CHOI_TOL = 1e-10, 1e-9
+
+
 class TestCptpCheck:
     def test_identity_map_passes(self):
         report = cptp_check(np.eye(LDIM))
-        assert report.trace_preserving and report.completely_positive
+        assert report.trace_defect <= TRACE_TOL
+        assert report.min_choi_eigenvalue >= -CHOI_TOL
         assert report.min_choi_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
     def test_unitary_conjugation_passes(self, rng):
@@ -135,7 +140,8 @@ class TestCptpCheck:
         h = h + h.conj().T
         u = expm(-1j * h)
         report = cptp_check(np.kron(u, u.conj()))
-        assert report.trace_preserving and report.completely_positive
+        assert report.trace_defect <= TRACE_TOL
+        assert report.min_choi_eigenvalue >= -CHOI_TOL
 
     def test_transpose_map_is_positive_but_not_cp(self):
         # the transpose map is the classic TP-but-not-CP witness
@@ -144,13 +150,13 @@ class TestCptpCheck:
             for j in range(3):
                 swap[3 * i + j, 3 * j + i] = 1.0
         report = cptp_check(swap)
-        assert report.trace_preserving
-        assert not report.completely_positive
+        assert report.trace_defect <= TRACE_TOL
+        assert report.min_choi_eigenvalue < -CHOI_TOL
         assert report.min_choi_eigenvalue == pytest.approx(-1.0)
 
     def test_trace_violation_detected(self):
         report = cptp_check(1.01 * np.eye(LDIM))
-        assert not report.trace_preserving
+        assert report.trace_defect > TRACE_TOL
         assert report.trace_defect == pytest.approx(0.01)
 
 

@@ -44,6 +44,19 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("just some words\n", "propagate")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(cli._READS)),
+           st.lists(st.one_of(
+               st.tuples(st.one_of(st.sampled_from(sorted(cli._FLAGS)),
+                                   st.text(max_size=12)),
+                         st.text(max_size=20)).map(" = ".join),
+               st.text(max_size=30)), max_size=6))
+    def test_arbitrary_lines_raise_only_config_error(self, command, lines):
+        try:
+            parse_config_text("\n".join(lines), command)
+        except ConfigError:
+            pass
+
 
 class TestBuildConfig:
     def _args(self, command="propagate", **kw):
@@ -649,6 +662,18 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,drive", [
+        ("gap", "both"), ("gap", "rwa"), ("validate", "rwa"),
+        ("propagate", "rwa")])
+    def test_steps_below_the_q_count_run(self, tmp_path, command, drive):
+        # q = 200, so q * BASE_STEPS is above the cap; 1000 steps are not
+        out = tmp_path / "x.csv"
+        rc = main([command, "--case", "B-II", "--delta-omega-p", "0.005",
+                   "--drive", drive, "--steps-per-period", "1000",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert "# steps_per_period = 1000" in out.read_text()
 
     def test_incommensurate_frequencies(self):
         rc = main(["propagate", "--e2", "6", "--e3", "2", "--rabi-p", "1",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,17 @@ class TestParams:
         kwargs[field] = np.nan
         with pytest.raises(ValueError, match="finite"):
             LambdaParams(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(
+        {f.name: st.floats() | st.floats(-10.0, 10.0)
+         for f in dataclasses.fields(LambdaParams)}))
+    def test_arbitrary_floats_raise_only_value_error(self, kwargs):
+        # NaN and +-inf included; a valid draw constructs
+        try:
+            LambdaParams(**kwargs)
+        except ValueError:
+            pass
 
     def test_with_(self):
         p = preset("A-I").with_(rabi_p=2.0)

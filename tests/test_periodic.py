@@ -60,9 +60,11 @@ class TestCommensurate:
         with pytest.raises(ValueError, match="commensurate"):
             commensurate_period(np.pi, 4.0)
 
-    def test_step_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            commensurate_period(6.0001, 4.0)
+    def test_no_step_cap(self):
+        # the cap belongs to the plan built with the step count in use
+        period, steps = commensurate_period(6.0001, 4.0)
+        assert period == pytest.approx(10 ** 4 * 2.0 * np.pi)
+        assert steps == 10 ** 4 * 8191
 
 
 class TestStroboscopic:

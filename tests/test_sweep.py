@@ -5,15 +5,24 @@ import pytest
 
 from lamsim import periodic, sweep
 from lamsim.analysis import cptp_check, spectral_gap
-from lamsim.magnus import MagnusOrder
+from lamsim.magnus import MagnusOrder, propagate
 from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, unvec, vec)
 from lamsim.periodic import commensurate_period, one_period
 from lamsim.rwa_oracle import rwa_density_tpr
-from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
-                          rwa_error_curve, steady_state_summary, to_rwf)
+from lamsim.sweep import (SweepAxis, SweepSpec, resolve_period, run_case,
+                          run_sweep, rwa_error_curve, steady_state_summary,
+                          to_rwf)
 
 STEPS = 512  # coarse grid for structural checks; accuracy is tested elsewhere
+
+
+def _states(p, props):
+    """The states props @ |1><1| (Liouville) or props |1><1| props^dag."""
+    rho0 = ground_state()
+    if p.is_dissipative:
+        return (props @ vec(rho0)).reshape(-1, 3, 3)
+    return props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
 
 
 class TestRunCase:
@@ -79,20 +88,45 @@ class TestRunCase:
                 keep[-1] = False
             blocks.append(micro[keep] @ u_n)
             u_n = u_t @ u_n
-        props = np.concatenate(blocks)
-        rho0 = ground_state()
-        if p.is_dissipative:
-            want = (props @ vec(rho0)).reshape(-1, 3, 3)
-        else:
-            want = props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
+        want = _states(p, np.concatenate(blocks))
         got = run_case(p, horizon, steps_per_period=STEPS).states
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["A-I", "B-II"])
+    @pytest.mark.parametrize("fraction", [0.4, 1.0])
+    def test_one_span_matches_a_direct_grid(self, case, fraction):
+        # Reference route: one propagate call over [0, h] on its own
+        # ceil(N h / T)-step grid, every row turned into a state.
+        p = preset(case)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        horizon = fraction * period
+        g = (liouville_generator(p) if p.is_dissipative
+             else closed_generator(p))
+        n = int(np.ceil(STEPS * horizon / period - 1e-9))
+        props = propagate(g, 0.0, horizon, n, return_intermediate=True)
+        traj = run_case(p, horizon, steps_per_period=STEPS)
+        assert np.array_equal(traj.states, _states(p, props))
+        assert np.array_equal(traj.times, np.linspace(0.0, horizon, n + 1))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             run_case(preset("A-I"), 1.0, drive="both")
         with pytest.raises(ValueError):
             run_case(preset("A-I"), 1.0, frame="interaction")
+
+
+class TestResolvePeriod:
+    def test_step_cap(self):
+        # omega_p = 6.0001 needs q = 10^4, and q * BASE_STEPS is above it
+        with pytest.raises(ValueError, match="cap"):
+            resolve_period(preset("A-II", delta_omega_p=0.0001), rwa=True)
+
+    def test_cap_applies_to_the_step_count_in_use(self):
+        g, plan = resolve_period(preset("B-II", delta_omega_p=0.005),
+                                 rwa=True, steps_per_period=1000)
+        assert plan.period == pytest.approx(200 * 2.0 * np.pi)
+        assert plan.steps_per_period == 1000
+        assert g.dim == 9
 
 
 class TestAxes:
