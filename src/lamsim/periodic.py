@@ -1,6 +1,7 @@
-"""Periodic-driving machinery: one-period propagators, stroboscopic jumps,
-doubling to the steady state, micromotion, period-mean maps, and detection of
-the time needed to converge to the steady state.
+"""Periodic-driving machinery: one-period propagators, the step count that
+resolves a period to a measured accuracy, stroboscopic jumps, doubling to
+the steady state, micromotion, period-mean maps, and detection of the time
+needed to converge to the steady state.
 
 For a generator with period T the propagator over [0, n T + t] factors as
 U(t, 0) @ U(T, 0)^n, so a single resolved period plus cheap matrix powers
@@ -12,7 +13,8 @@ map (period_mean_map) of the state at the period's start.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +23,11 @@ from .magnus import Generator, MagnusOrder, propagate
 from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # steps per 2 pi of drive period
+# The steady path's resolution (accurate_plan): the step-doubling estimate
+# of U_T's max-entry error it resolves to, and the least steps per 2 pi,
+# so that the trapezoid mean maps still resolve the drive's harmonics.
+STEP_ERROR_TARGET = 1e-12
+MIN_STEPS = 256
 PERIODICITY_TOL = 1e-12
 MAX_PLAN_STEPS = 10 ** 6
 MAX_PERIODS = 2 ** 40             # horizon of the steady-state search
@@ -95,6 +102,44 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
                 "to within 1e-9")
         q = np.lcm(q, frac.denominator)
     return float(q) * (2.0 * np.pi), int(q) * BASE_STEPS
+
+
+def accurate_plan(g: Generator, period: float,
+                  order: MagnusOrder = MagnusOrder.ORDER6
+                  ) -> tuple[PeriodicPlan, float]:
+    """The plan with the fewest steps N = q MIN_STEPS 2^k (T = 2 pi q)
+    whose step-doubling estimate of U_T's error,
+    max |U_N - U_{N/2}| / (2^order - 1), is <= STEP_ERROR_TARGET, and
+    that estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+
+    U_T is taken without intermediates at the floor and half of it; the
+    order's rate 2^order per doubling then predicts N, which is checked
+    against U_{N/2} and predicted again from the check until it holds.
+    Every count is checked against the step cap before it is propagated.
+    """
+    plan = make_plan(g, period,
+                     MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
+    rate = 2.0 ** order.value
+
+    def u(steps: int) -> np.ndarray:
+        return propagate(g, 0.0, period, steps, order=order)
+
+    def estimate(fine: np.ndarray, coarse: np.ndarray) -> float:
+        error = float(np.max(np.abs(fine - coarse))) / (rate - 1.0)
+        if not math.isfinite(error):
+            raise FloatingPointError(
+                f"U_T is not finite at {plan.steps_per_period} steps")
+        return error
+
+    full = u(plan.steps_per_period)
+    error = estimate(full, u(plan.steps_per_period // 2))
+    while error > STEP_ERROR_TARGET:
+        k = max(1, math.ceil(math.log(error / STEP_ERROR_TARGET, rate)))
+        plan = replace(plan, steps_per_period=plan.steps_per_period << k)
+        half = full if k == 1 else u(plan.steps_per_period // 2)
+        full = u(plan.steps_per_period)
+        error = estimate(full, half)
+    return plan, error
 
 
 def one_period(g: Generator, plan: PeriodicPlan,

@@ -3,11 +3,13 @@ line scans, and 2-d (control, probe) grids with steady-state observables,
 convergence times and spectral gaps.
 
 Each grid point is an independent work item: the drive period is chosen
-commensurate with both field frequencies, the step size is held near
-2 pi / 8191 regardless of the period, and the steady state is the limit of
-U_T^n applied to the initial state (its projection onto the fixed points
-of U_T), averaged over one period in the rotating frame by one 9x9
-period-mean map.
+commensurate with both field frequencies and resolved with the fewest
+steps whose step-doubling estimate of U_T's error is at most 1e-12
+(periodic.accurate_plan), and the steady state is the limit of U_T^n
+applied to the initial state (its projection onto the fixed points of
+U_T), averaged over one period in the rotating frame by one 9x9
+period-mean map.  Time series (run_case) keep q * BASE_STEPS grid points
+per period T = 2 pi q by default.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .analysis import (DEGENERATE_GAP_TOL, cptp_check, rwa_error,
 from .magnus import Generator, MagnusOrder, propagate
 from .model import (LDIM, LambdaParams, closed_generator, ground_state,
                     liouville_generator, rwf_phases, unvec, vec)
-from .periodic import (PeriodicPlan, Trajectory, commensurate_period,
-                       convergence_time, one_period, period_mean_map)
+from .periodic import (PeriodicPlan, Trajectory, accurate_plan,
+                       commensurate_period, convergence_time, one_period,
+                       period_mean_map)
 
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
@@ -215,10 +218,16 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     projection R (L R)^-1 L v0 onto U_T's fixed points, R and L the null
     vectors of U_T - I for its k >= 1 singular values <= DEGENERATE_GAP_TOL
     * max(1, sigma_max)), the eps-convergence time t_conv of the period
-    averages, the spectral gap, and U_T's trace defect."""
+    averages, the spectral gap, and U_T's trace defect.
+
+    The period is resolved once, with the step count ``steps`` that
+    periodic.accurate_plan chooses, and ``step_error`` is its step-doubling
+    estimate of U_T's max-entry error (<= STEP_ERROR_TARGET)."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
-    g, plan = resolve_period(p, rwa)
+    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    g = liouville_generator(p, rwa=rwa)
+    plan, step_error = accurate_plan(g, period, order)
     u_t, micro = one_period(g, plan, order)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
@@ -238,6 +247,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
         "trace_defect": cptp_check(u_t).trace_defect,
         "period": plan.period,
         "steps": plan.steps_per_period,
+        "step_error": step_error,
     }
 
 

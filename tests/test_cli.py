@@ -542,6 +542,18 @@ class TestSweepCommand:
         values = dict(zip(header, rows[1].split(",")))
         assert float(values["rwa_rho22"]) < 1e-4
 
+    def test_point_above_the_fixed_count_cap_runs(self, tmp_path):
+        # omega_p = 6.005 needs q = 200: q * BASE_STEPS is above the cap,
+        # the RWA drive's estimated count q * MIN_STEPS is not.
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--case", "B-II", "--drive", "rwa",
+                   "--omega-p-range", "6.005:6.005:1", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        values = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert "error" not in values
+        assert int(values["steps"]) == 200 * periodic.MIN_STEPS == 51200
+
     def test_failed_points_exit_numerical(self, tmp_path, monkeypatch,
                                           capsys):
         # The CLI has no gamma_12 axis; swap in the non-dissipative one of

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from lamsim import periodic
 from lamsim.linalg import frobenius_norm
 from lamsim.magnus import Generator, MagnusOrder, propagate
 from lamsim.model import (ground_state, lindbladian, liouville_generator,
                           preset, unvec, vec)
-from lamsim.periodic import (MAX_PLAN_STEPS, HorizonError, PeriodicPlan,
-                             Trajectory, commensurate_period,
+from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
+                             STEP_ERROR_TARGET, HorizonError, PeriodicPlan,
+                             Trajectory, accurate_plan, commensurate_period,
                              convergence_time, doubling, make_plan,
                              one_period, period_mean_map, stroboscopic,
                              trace_functional)
@@ -65,6 +67,67 @@ class TestCommensurate:
         period, steps = commensurate_period(6.0001, 4.0)
         assert period == pytest.approx(10 ** 4 * 2.0 * np.pi)
         assert steps == 10 ** 4 * 8191
+
+
+class TestAccuratePlan:
+    @staticmethod
+    def _fake_propagate(monkeypatch, scale, power):
+        """Route periodic.propagate to a 1x1 'U_T' of error scale / N^power
+        and return the list of step counts it is asked for."""
+        calls = []
+
+        def fake(g, t0, t1, steps, order=MagnusOrder.ORDER6):
+            calls.append(steps)
+            return np.array([[1.0 + scale * float(steps) ** -power]])
+
+        monkeypatch.setattr(periodic, "propagate", fake)
+        return calls
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_exact_route_takes_the_floor(self, q):
+        # B-II at omega_p = 13/2 has T = 4 pi (q = 2)
+        p = preset("B-II", delta_omega_p=0.5 * (q - 1))
+        g = liouville_generator(p, rwa=True)
+        plan, error = accurate_plan(g, 2.0 * np.pi * q)
+        assert plan.steps_per_period == q * MIN_STEPS
+        assert error <= 1e-15
+
+    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+    def test_estimate_tracks_the_true_error(self, case):
+        g = liouville_generator(preset(case))
+        plan, error = accurate_plan(g, 2.0 * np.pi)
+        assert error <= STEP_ERROR_TARGET
+        true = np.max(np.abs(propagate(g, 0.0, plan.period,
+                                       plan.steps_per_period)
+                             - propagate(g, 0.0, plan.period, BASE_STEPS)))
+        assert 0.5 * error <= true <= 2.0 * error
+
+    def test_prediction_is_checked_and_raised(self, monkeypatch):
+        # An error falling as N^-4 against the assumed N^-6: the first
+        # prediction from the floor undershoots and must be raised.
+        calls = self._fake_propagate(monkeypatch, 1e3, 4)
+        plan, error = accurate_plan(Generator(np.zeros((1, 1))), 2.0 * np.pi)
+
+        def estimate(n):
+            return 1e3 * ((n / 2) ** -4.0 - float(n) ** -4.0) / 63.0
+
+        n = plan.steps_per_period
+        assert error == pytest.approx(estimate(n), rel=1e-6)
+        assert estimate(n) <= STEP_ERROR_TARGET < estimate(n // 2)
+        assert calls[:2] == [MIN_STEPS, MIN_STEPS // 2]
+        assert max(calls) == n and n not in calls[:-1]
+
+    def test_cap_checked_before_propagating(self, monkeypatch):
+        calls = self._fake_propagate(monkeypatch, 1.0, 1)
+        g = Generator(np.zeros((1, 1)))
+        # the floor alone is above the cap: nothing is propagated
+        with pytest.raises(ValueError, match="cap"):
+            accurate_plan(g, 2.0 * np.pi * 10 ** 4)
+        assert calls == []
+        # the floor runs, the predicted count is above the cap
+        with pytest.raises(ValueError, match="cap"):
+            accurate_plan(g, 2.0 * np.pi * 2000)
+        assert max(calls) <= MAX_PLAN_STEPS
 
 
 class TestStroboscopic:

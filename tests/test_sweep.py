@@ -213,6 +213,13 @@ def reference_route(p, u_t, micro, plan, eps=1e-6):
             "period": plan.period, "steps": plan.steps_per_period}
 
 
+STEADY_CASES = [
+    ("A-II", "full", 0.0), ("A-II", "rwa", 0.0), ("B-II", "full", 0.0),
+    ("B-II", "rwa", 0.0), ("C-II", "full", 0.0), ("C-II", "rwa", 0.0),
+    ("B-II", "full", 0.5), ("B-II", "rwa", 0.5),  # omega_p = 13/2: q = 2
+]
+
+
 def capture_one_period(monkeypatch, after=None):
     """Route sweep.one_period through a wrapper that keeps its plan and
     result in the returned dict, and calls after(dict) once it returns."""
@@ -230,11 +237,7 @@ def capture_one_period(monkeypatch, after=None):
     return seen
 
 
-@pytest.mark.parametrize("case,drive,delta_omega_p", [
-    ("A-II", "full", 0.0), ("A-II", "rwa", 0.0), ("B-II", "full", 0.0),
-    ("B-II", "rwa", 0.0), ("C-II", "full", 0.0), ("C-II", "rwa", 0.0),
-    ("B-II", "full", 0.5), ("B-II", "rwa", 0.5),  # omega_p = 13/2: q = 2
-])
+@pytest.mark.parametrize("case,drive,delta_omega_p", STEADY_CASES)
 def test_steady_state_matches_reference_route(monkeypatch, case, drive,
                                               delta_omega_p):
     p = preset(case, delta_omega_p=delta_omega_p)
@@ -246,6 +249,47 @@ def test_steady_state_matches_reference_route(monkeypatch, case, drive,
     assert got["trace_defect"] == cptp_check(u_t).trace_defect
     for key in ("t_conv", "gap", "period", "steps"):
         assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("case,drive,delta_omega_p", STEADY_CASES)
+def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
+                                            delta_omega_p):
+    # The steady path at its estimated step count against the same path
+    # at q * BASE_STEPS.
+    p = preset(case, delta_omega_p=delta_omega_p)
+    rwa = drive == "rwa"
+    seen = capture_one_period(monkeypatch)
+    got = steady_state_summary(p, rwa=rwa)
+    u_got = seen["result"][0]
+    _, fixed = commensurate_period(p.omega_p, p.omega_c)
+    monkeypatch.setattr(sweep, "accurate_plan", lambda g, t, order: (
+        periodic.make_plan(g, t, fixed), 0.0))
+    want = steady_state_summary(p, rwa=rwa)
+    assert want["steps"] == seen["plan"].steps_per_period == fixed
+    assert np.max(np.abs(u_got - seen["result"][0])) <= 1e-12
+    assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-12
+    assert abs(got["gap"] - want["gap"]) <= 1e-12
+    assert got["t_conv"] == want["t_conv"]
+    assert got["step_error"] <= periodic.STEP_ERROR_TARGET
+    q = fixed // periodic.BASE_STEPS
+    if rwa:
+        assert got["steps"] == q * periodic.MIN_STEPS
+    else:
+        assert got["steps"] <= q * 2048
+
+
+def test_steady_state_memory_at_q_20():
+    # A-II at omega_p = 6.05: T = 40 pi.  On q * BASE_STEPS steps the
+    # RWA point peaks at 249 MiB; the exact frame route takes the floor.
+    p = preset("A-II", delta_omega_p=0.05)
+    tracemalloc.start()
+    try:
+        s = steady_state_summary(p, rwa=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s["steps"] == 20 * periodic.MIN_STEPS
+    assert peak <= 64 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak"
 
 
 def test_steady_state_projects_a_degenerate_fixed_space():
