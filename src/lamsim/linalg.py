@@ -5,10 +5,11 @@ Hilbert-space operators and 9x9 Liouville-space superoperators, the latter
 also real in the Hermitian coordinates of a Hermiticity-preserving
 generator (see ``magnus``).  The matrix exponential is implemented here directly because
 it dominates the propagation loops and the matrices are tiny; it takes
-whole (..., d, d) stacks, so that a chunk of Magnus steps (1-norms below
-0.02) costs one solve-free degree-8 Taylor evaluation, while stacks with a
-1-norm above 0.05 get scaling-and-squaring with a degree-13 Pade core.  A
-real stack stays real in both branches.  Everything else calls numpy
+whole (..., d, d) stacks, so that a chunk of Magnus steps costs one
+solve-free Taylor evaluation: degree 8 for 1-norms up to 0.05, degree 12
+up to 0.25 (the full drive's exponents at 1024 steps per 2 pi reach 0.21).
+Stacks with a larger 1-norm get scaling-and-squaring with a degree-13 Pade
+core.  A real stack stays real in every branch.  Everything else calls numpy
 directly.  This module pins down the contracts the rest of the
 package relies on (error types, finiteness, value semantics).
 
@@ -36,17 +37,22 @@ _PADE13 = np.array([
 ])
 # 1-norm below which the [13/13] approximant alone reaches double precision.
 _PADE13_THETA = 5.371920351148152
-# Largest 1-norm for the unscaled degree-8 Taylor polynomial (tail < 1e-17);
-# above it Pade stays unitary to 1e-14 where scaled Taylor drifts to 4e-13.
+# Largest 1-norm for the unscaled Taylor polynomial of degree 8 and 12, its
+# tail theta^(m+1) / (m+1)! below 1e-17 (the tail reaches the unit roundoff
+# at 0.070 and 0.335); beyond them scaled Pade stays unitary to 1e-14 where
+# scaled degree-8 Taylor drifts to 4e-13.
 _TAYLOR8_THETA = 5.0e-2
-_TAYLOR8 = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 9.0)])  # 1 / k!
+_TAYLOR12_THETA = 0.25
+_TAYLOR_DEGREES = ((_TAYLOR8_THETA, 8), (_TAYLOR12_THETA, 12))
+_INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 13.0)])  # 1 / k!
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential e^a of one matrix or of a (..., d, d) stack: a
-    degree-8 Taylor polynomial if every 1-norm is at most _TAYLOR8_THETA,
-    else scaling-and-squaring with a [13/13] Pade core, each matrix's
-    squaring count chosen from its own 1-norm.
+    Taylor polynomial of degree 8 if every 1-norm is at most
+    _TAYLOR8_THETA, of degree 12 if at most _TAYLOR12_THETA, else
+    scaling-and-squaring with a [13/13] Pade core, each matrix's squaring
+    count chosen from its own 1-norm.
 
     Real input gives a float64 result, anything else complex128.  Raises
     DimensionError for non-square input.  Result entries are guaranteed
@@ -64,8 +70,9 @@ def expm(a) -> np.ndarray:
         norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     if not np.all(np.isfinite(norms)):
         raise FloatingPointError("expm input norm is non-finite")
-    if norms.max(initial=0.0) <= _TAYLOR8_THETA:
-        return _taylor8(a).reshape(shape)
+    for theta, degree in _TAYLOR_DEGREES:
+        if norms.max(initial=0.0) <= theta:
+            return _taylor(a, degree).reshape(shape)
     squarings = np.ceil(np.log2(np.maximum(norms / _PADE13_THETA, 1.0))
                         ).astype(int)
     a_scaled = a / (2.0 ** squarings)[:, None, None]
@@ -87,16 +94,24 @@ def expm(a) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _taylor8(a: np.ndarray) -> np.ndarray:
-    """Degree-8 Taylor polynomial of an (n, d, d) stack, Paterson-Stockmeyer
-    form B0 + A^3 (B1 + A^3 B2) with B_j = sum_i c_3j+i A^i."""
-    c, diag = _TAYLOR8, np.arange(a.shape[-1])
-    a2 = a @ a
-    a3 = a2 @ a
+def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
+    """Taylor polynomial of degree m of an (n, d, d) stack, in
+    Paterson-Stockmeyer form B0 + A^s (B1 + A^s B2) with s = ceil(sqrt m),
+    B_j = sum_i c_sj+i A^i over i < s, B2 also taking the terms up to c_m
+    A^(m - 2s): s - 1 products for the powers, two Horner products."""
+    c, diag = _INV_FACTORIAL, np.arange(a.shape[-1])
+    s = math.isqrt(degree - 1) + 1
+    powers = [a]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ a)
     out = 0.0
-    for j in (6, 3, 0):  # B2, then Horner steps through B1 and B0
-        out = c[j + 1] * a + c[j + 2] * a2 + (a3 @ out if j < 6 else 0.0)
-        out[:, diag, diag] += c[j]  # the identity term, on the diagonal
+    for j in (2, 1, 0):  # B2, then Horner steps through B1 and B0
+        top = degree if j == 2 else s * j + s - 1
+        block = c[s * j + 1] * a
+        for i in range(s * j + 2, top + 1):
+            block = block + c[i] * powers[i - s * j - 1]
+        out = block + (powers[-1] @ out if j < 2 else 0.0)
+        out[:, diag, diag] += c[s * j]  # the identity term, on the diagonal
     return out  # finite: every entry is bounded by e^theta
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,18 +105,32 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
     return float(q) * (2.0 * np.pi), int(q) * BASE_STEPS
 
 
+def one_period(g: Generator, plan: PeriodicPlan,
+               order: MagnusOrder = MagnusOrder.ORDER6
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator over one period plus cumulative propagators at every
+    intra-period grid point (identity first, the full U_T last)."""
+    micromotion = propagate(g, 0.0, plan.period, plan.steps_per_period,
+                            order=order, return_intermediate=True)
+    return micromotion[-1], micromotion
+
+
 def accurate_plan(g: Generator, period: float,
-                  order: MagnusOrder = MagnusOrder.ORDER6
-                  ) -> tuple[PeriodicPlan, float]:
+                  order: MagnusOrder = MagnusOrder.ORDER6,
+                  resolve: Callable = one_period
+                  ) -> tuple[PeriodicPlan, float, tuple]:
     """The plan with the fewest steps N = q MIN_STEPS 2^k (T = 2 pi q)
     whose step-doubling estimate of U_T's error,
-    max |U_N - U_{N/2}| / (2^order - 1), is <= STEP_ERROR_TARGET, and
-    that estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+    max |U_N - U_{N/2}| / (2^order - 1), is <= STEP_ERROR_TARGET, that
+    estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and
+    the period resolved at it, resolve(g, plan, order) = (U_T, micromotion).
 
     U_T is taken without intermediates at the floor and half of it; the
-    order's rate 2^order per doubling then predicts N, which is checked
-    against U_{N/2} and predicted again from the check until it holds.
-    Every count is checked against the step cap before it is propagated.
+    order's rate 2^order per doubling then predicts N.  Each prediction is
+    resolved once; that resolution's U_T is checked against U_{N/2}, and N
+    is predicted again from the check until it holds, so the accepted N
+    steps are propagated once.  Every count is checked against the step
+    cap before it is propagated.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
@@ -133,23 +148,17 @@ def accurate_plan(g: Generator, period: float,
 
     full = u(plan.steps_per_period)
     error = estimate(full, u(plan.steps_per_period // 2))
+    resolved = None
     while error > STEP_ERROR_TARGET:
         k = max(1, math.ceil(math.log(error / STEP_ERROR_TARGET, rate)))
         plan = replace(plan, steps_per_period=plan.steps_per_period << k)
         half = full if k == 1 else u(plan.steps_per_period // 2)
-        full = u(plan.steps_per_period)
+        resolved = resolve(g, plan, order)
+        full = resolved[0]
         error = estimate(full, half)
-    return plan, error
-
-
-def one_period(g: Generator, plan: PeriodicPlan,
-               order: MagnusOrder = MagnusOrder.ORDER6
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over one period plus cumulative propagators at every
-    intra-period grid point (identity first, the full U_T last)."""
-    micromotion = propagate(g, 0.0, plan.period, plan.steps_per_period,
-                            order=order, return_intermediate=True)
-    return micromotion[-1], micromotion
+    if resolved is None:  # the floor holds
+        resolved = resolve(g, plan, order)
+    return plan, error, resolved
 
 
 def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,

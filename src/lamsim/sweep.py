@@ -220,15 +220,17 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     * max(1, sigma_max)), the eps-convergence time t_conv of the period
     averages, the spectral gap, and U_T's trace defect.
 
-    The period is resolved once, with the step count ``steps`` that
-    periodic.accurate_plan chooses, and ``step_error`` is its step-doubling
-    estimate of U_T's max-entry error (<= STEP_ERROR_TARGET)."""
+    The period is resolved once, by one_period at the step count ``steps``
+    that periodic.accurate_plan chooses, whose check reads that U_T, and
+    ``step_error`` is its step-doubling estimate of U_T's max-entry error
+    (<= STEP_ERROR_TARGET).  This module's one_period name is the one
+    passed, so a wrapper set on it sees the resolution."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     g = liouville_generator(p, rwa=rwa)
-    plan, step_error = accurate_plan(g, period, order)
-    u_t, micro = one_period(g, plan, order)
+    plan, step_error, (u_t, micro) = accurate_plan(g, period, order,
+                                                   resolve=one_period)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
     left, sigma, right = np.linalg.svd(u_t - np.eye(LDIM))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.linalg import (_TAYLOR8_THETA, DimensionError, expm,
-                           frobenius_norm)
+from lamsim.linalg import (_TAYLOR8_THETA, _TAYLOR12_THETA, DimensionError,
+                           expm, frobenius_norm)
 
 from conftest import random_complex_matrix
 
@@ -90,21 +90,20 @@ class TestExpm:
             expm(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
 
-class TestTaylorBranch:
-    """Stacks with 1-norm at most theta_8 take the degree-8 Taylor
-    polynomial, larger ones the Pade-13 branch."""
+def _at_norm(rng, n, norm):
+    a = random_complex_matrix(rng, n)
+    return a * (norm / np.abs(a).sum(axis=0).max())
 
-    THETA = _TAYLOR8_THETA
 
-    @staticmethod
-    def _at_norm(rng, n, norm):
-        a = random_complex_matrix(rng, n)
-        return a * (norm / np.abs(a).sum(axis=0).max())
+class _ThresholdChecks:
+    """Stacks on both sides of a Taylor branch's 1-norm bound THETA."""
+
+    THETA: float
 
     @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [3, 9])
     def test_matches_series_near_threshold(self, rng, n, factor):
-        stack = np.array([self._at_norm(rng, n, factor * self.THETA)
+        stack = np.array([_at_norm(rng, n, factor * self.THETA)
                           for _ in range(8)])
         out = expm(stack)
         for a, e in zip(stack, out):
@@ -113,11 +112,25 @@ class TestTaylorBranch:
     def test_stack_straddling_threshold(self, rng):
         norms = [0.1 * self.THETA, 0.99 * self.THETA, 1.01 * self.THETA,
                  3.0 * self.THETA]
-        stack = np.array([self._at_norm(rng, 9, x) for x in norms])
+        stack = np.array([_at_norm(rng, 9, x) for x in norms])
         out = expm(stack)
         for a, e in zip(stack, out):
             assert np.allclose(e, expm_series(a), rtol=1e-13, atol=0.0)
             assert np.allclose(e, expm(a), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_diagonal_at_threshold(self, n):
+        # |d^k| = THETA^k: the Taylor tail is as large as the bound admits
+        d = self.THETA * np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)),
+                           rtol=1e-14, atol=0.0)
+
+
+class TestTaylorBranch(_ThresholdChecks):
+    """Stacks with 1-norm at most theta_8 take the degree-8 Taylor
+    polynomial, larger ones the degree-12 or the Pade-13 branch."""
+
+    THETA = _TAYLOR8_THETA
 
     @given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([2, 3, 9]),
            log_norm=st.floats(-7.0, 1.0))
@@ -125,11 +138,28 @@ class TestTaylorBranch:
     def test_random_stacks_match_series(self, seed, n, log_norm):
         # 1-norms from 1e-8 to 10, within a stack spread over a decade
         rng = np.random.default_rng(seed)
-        stack = np.array([self._at_norm(rng, n, 10.0 ** log_norm * x)
+        stack = np.array([_at_norm(rng, n, 10.0 ** log_norm * x)
                           for x in rng.uniform(0.1, 1.0, size=4)])
         out = expm(stack)
         for a, e in zip(stack, out):
             assert np.allclose(e, expm_series(a), rtol=1e-12, atol=1e-13)
+
+
+class TestTaylor12Branch(_ThresholdChecks):
+    """Stacks with 1-norm above theta_8 and at most theta_12 take the
+    degree-12 Taylor polynomial, larger ones the Pade-13 branch; the
+    straddling stack mixes a theta_8, a theta_12 and two Pade matrices."""
+
+    THETA = _TAYLOR12_THETA
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_anti_hermitian_gives_unitary(self, rng, n):
+        h = np.array([random_complex_matrix(rng, n) for _ in range(8)])
+        a = -1j * (h + h.conj().transpose(0, 2, 1))
+        a *= self.THETA / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        u = expm(a)
+        defect = u @ u.conj().transpose(0, 2, 1) - np.eye(n)
+        assert np.max(np.abs(defect)) <= 1e-15
 
 
 class TestRealInput:
@@ -137,10 +167,12 @@ class TestRealInput:
     the same matrices given as complex input."""
 
     @pytest.mark.parametrize("norm", [0.5 * _TAYLOR8_THETA, _TAYLOR8_THETA,
-                                      2.0 * _TAYLOR8_THETA, 3.0, 40.0])
+                                      2.0 * _TAYLOR8_THETA, _TAYLOR12_THETA,
+                                      3.0, 40.0])
     @pytest.mark.parametrize("n", [3, 9])
     def test_real_stack_stays_real(self, rng, n, norm):
-        # Taylor at and below theta_8; Pade above it, with squarings at 40
+        # degree-8 Taylor at and below theta_8, degree 12 above it up to
+        # theta_12; Pade above that, with squarings at 40
         a = rng.standard_normal((5, n, n))
         a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
         out = expm(a)

@@ -73,40 +73,48 @@ class TestAccuratePlan:
     @staticmethod
     def _fake_propagate(monkeypatch, scale, power):
         """Route periodic.propagate to a 1x1 'U_T' of error scale / N^power
-        and return the list of step counts it is asked for."""
-        calls = []
+        and return the list of step counts it is asked for and the list of
+        those asked for with intermediates (the resolutions)."""
+        calls, resolved = [], []
 
-        def fake(g, t0, t1, steps, order=MagnusOrder.ORDER6):
+        def fake(g, t0, t1, steps, order=MagnusOrder.ORDER6,
+                 return_intermediate=False):
             calls.append(steps)
-            return np.array([[1.0 + scale * float(steps) ** -power]])
+            u = np.array([[1.0 + scale * float(steps) ** -power]])
+            if not return_intermediate:
+                return u
+            resolved.append(steps)
+            return np.array([np.eye(1), u])
 
         monkeypatch.setattr(periodic, "propagate", fake)
-        return calls
+        return calls, resolved
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_exact_route_takes_the_floor(self, q):
         # B-II at omega_p = 13/2 has T = 4 pi (q = 2)
         p = preset("B-II", delta_omega_p=0.5 * (q - 1))
         g = liouville_generator(p, rwa=True)
-        plan, error = accurate_plan(g, 2.0 * np.pi * q)
+        plan, error, (u_t, micro) = accurate_plan(g, 2.0 * np.pi * q)
         assert plan.steps_per_period == q * MIN_STEPS
         assert error <= 1e-15
+        assert len(micro) == plan.steps_per_period + 1
+        assert np.array_equal(u_t, micro[-1])
 
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
     def test_estimate_tracks_the_true_error(self, case):
         g = liouville_generator(preset(case))
-        plan, error = accurate_plan(g, 2.0 * np.pi)
+        plan, error, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
         assert error <= STEP_ERROR_TARGET
-        true = np.max(np.abs(propagate(g, 0.0, plan.period,
-                                       plan.steps_per_period)
-                             - propagate(g, 0.0, plan.period, BASE_STEPS)))
+        true = np.max(np.abs(u_t - propagate(g, 0.0, plan.period,
+                                             BASE_STEPS)))
         assert 0.5 * error <= true <= 2.0 * error
 
     def test_prediction_is_checked_and_raised(self, monkeypatch):
         # An error falling as N^-4 against the assumed N^-6: the first
         # prediction from the floor undershoots and must be raised.
-        calls = self._fake_propagate(monkeypatch, 1e3, 4)
-        plan, error = accurate_plan(Generator(np.zeros((1, 1))), 2.0 * np.pi)
+        calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
+        plan, error, (u_t, _) = accurate_plan(Generator(np.zeros((1, 1))),
+                                              2.0 * np.pi)
 
         def estimate(n):
             return 1e3 * ((n / 2) ** -4.0 - float(n) ** -4.0) / 63.0
@@ -116,9 +124,26 @@ class TestAccuratePlan:
         assert estimate(n) <= STEP_ERROR_TARGET < estimate(n // 2)
         assert calls[:2] == [MIN_STEPS, MIN_STEPS // 2]
         assert max(calls) == n and n not in calls[:-1]
+        # the failed check re-resolves; the result is the last resolution
+        assert len(resolved) >= 2 and resolved[-1] == n
+        assert u_t[0, 0] == 1.0 + 1e3 * float(n) ** -4.0
+
+    def test_failed_check_meets_the_cap(self, monkeypatch):
+        # The re-prediction after a failed check is above the cap: it is
+        # refused before it is propagated.
+        calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
+        g = Generator(np.zeros((1, 1)))
+        accurate_plan(g, 2.0 * np.pi)
+        first = resolved[0]
+        calls.clear()
+        resolved.clear()
+        monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", first)
+        with pytest.raises(ValueError, match="cap"):
+            accurate_plan(g, 2.0 * np.pi)
+        assert resolved == [first] and max(calls) == first
 
     def test_cap_checked_before_propagating(self, monkeypatch):
-        calls = self._fake_propagate(monkeypatch, 1.0, 1)
+        calls, _ = self._fake_propagate(monkeypatch, 1.0, 1)
         g = Generator(np.zeros((1, 1)))
         # the floor alone is above the cap: nothing is propagated
         with pytest.raises(ValueError, match="cap"):

@@ -262,8 +262,12 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
     got = steady_state_summary(p, rwa=rwa)
     u_got = seen["result"][0]
     _, fixed = commensurate_period(p.omega_p, p.omega_c)
-    monkeypatch.setattr(sweep, "accurate_plan", lambda g, t, order: (
-        periodic.make_plan(g, t, fixed), 0.0))
+
+    def fixed_plan(g, t, order, resolve):
+        plan = periodic.make_plan(g, t, fixed)
+        return plan, 0.0, resolve(g, plan, order)
+
+    monkeypatch.setattr(sweep, "accurate_plan", fixed_plan)
     want = steady_state_summary(p, rwa=rwa)
     assert want["steps"] == seen["plan"].steps_per_period == fixed
     assert np.max(np.abs(u_got - seen["result"][0])) <= 1e-12
@@ -276,6 +280,33 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
         assert got["steps"] == q * periodic.MIN_STEPS
     else:
         assert got["steps"] <= q * 2048
+
+
+@pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
+    # 1920 Magnus steps: the search takes U_T at 256, 128 and 512 steps,
+    # and the 1024-step check reads the one resolved stack, whose
+    # exponents (1-norms up to 0.21 on C-II) take no linear solve.
+    counts, solved_at, resolved = [], [], []
+    real_propagate, real_solve = periodic.propagate, np.linalg.solve
+
+    def counting(g, t0, t1, steps, **kwargs):
+        counts.append(steps)
+        return real_propagate(g, t0, t1, steps, **kwargs)
+
+    def solve(a, b):
+        if a.ndim == 3:  # expm's Pade branch, on a stack of steps
+            solved_at.append(counts[-1])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(periodic, "propagate", counting)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    capture_one_period(monkeypatch, after=lambda seen: resolved.append(
+        seen["plan"].steps_per_period))
+    s = steady_state_summary(preset(case), rwa=False)
+    assert s["steps"] == 1024 and resolved == [1024]
+    assert sorted(counts) == [128, 256, 512, 1024]
+    assert solved_at and 1024 not in solved_at
 
 
 def test_steady_state_memory_at_q_20():
