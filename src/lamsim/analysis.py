@@ -4,6 +4,7 @@ sanity reports."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ from .model import DIM, LDIM
 
 DEGENERATE_GAP_TOL = 1e-12
 SAME_DECAY_TOL = 1e-9  # relative: decays this close are ordered by Im(log)
+# |lambda_2| at or below the max-entry accuracy periodic.accurate_plan
+# guarantees for U_T (its STEP_ERROR_TARGET) is rounding noise: the gap it
+# gives is reported as unresolved (NaN).
+LAMBDA2_FLOOR = 1e-12
 
 
 def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
@@ -33,7 +38,8 @@ def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
 class GapReport:
     """Eigenvalue logs of a one-period propagator and the resulting decay
     gap.  gap is per period; gap_per_time additionally divides by the
-    period when one was supplied."""
+    period when one was supplied.  Both are NaN when the gap is unresolved
+    (|lambda_2| <= LAMBDA2_FLOOR)."""
 
     eigen_logs: np.ndarray
     steady_index: int
@@ -53,7 +59,9 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     The steady eigenvalue is the one whose log has real part closest to
     zero; the gap is the smallest decay exponent among the rest.  A map
     with all decay exponents below tolerance (e.g. a unitary) is reported
-    with gap 0 and the degenerate flag set.
+    with gap 0 and the degenerate flag set.  When the largest non-steady
+    eigenvalue modulus |lambda_2| = e^-gap is at or below LAMBDA2_FLOOR,
+    it is rounding noise and the gap is NaN (unresolved).
     """
     u_period = np.asarray(u_period, dtype=complex)
     logs = np.log(np.linalg.eigvals(u_period))
@@ -69,6 +77,8 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
                          degenerate=True,
                          gap_per_time=0.0 if period else None)
     gap = max(0.0, float(np.min(decays)))
+    if gap >= -math.log(LAMBDA2_FLOOR):  # |lambda_2| = e^-gap
+        gap = math.nan
     return GapReport(eigen_logs=logs, steady_index=steady, gap=gap,
                      degenerate=False,
                      gap_per_time=gap / period if period else None)

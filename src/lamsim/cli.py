@@ -10,13 +10,16 @@ identical inputs give byte-identical files (unless ``--timestamp``).
 
 Exit codes: 0 success, 1 validation-threshold failure, 2 configuration or
 I/O error, 3 numerical failure or out of memory (for ``sweep``: one or more
-grid points failed; the full CSV is still written and a summary goes to
-stderr).
+grid points failed; for ``gap`` and ``sweep --observables spectral_gap``:
+one or more spectral gaps are unresolved, |lambda_2(U_T)| <= 1e-12, and
+written as nan; in both cases the full CSV is still written and a count
+goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
@@ -24,7 +27,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._floattext import float_rows
-from .analysis import cptp_check, density_validity, spectral_gap
+from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
+                       spectral_gap)
 from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
 from .periodic import (HorizonError, Trajectory, commensurate_period,
@@ -328,18 +332,31 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if errors:
         print(f"sweep: {len(errors)} of {len(result.rows)} points failed; "
               f"first: {errors[0]}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    unresolved = _report_unresolved("sweep", [
+        value for row in result.rows for key, value in row.items()
+        if key.endswith("_gap")])
+    return EXIT_NUMERICAL if errors or unresolved else EXIT_OK
+
+
+def _report_unresolved(command: str, gaps: list[float]) -> int:
+    """Count the unresolved (NaN) gaps and say so on stderr."""
+    n = sum(map(math.isnan, gaps))
+    if n:
+        print(f"{command}: {n} of {len(gaps)} spectral gaps unresolved "
+              f"(|lambda_2(U_T)| <= {LAMBDA2_FLOOR:g}), written as nan",
+              file=sys.stderr)
+    return n
 
 
 def cmd_gap(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
-    rows = []
+    rows, gaps = [], []
     for drive in _variants(cfg.drive):
         g, plan = resolve_period(p, drive == "rwa",
                                  steps_per_period=cfg.steps_per_period)
         u_t, _ = one_period(g, plan, MagnusOrder(cfg.order))
         report = spectral_gap(u_t, period=plan.period)
+        gaps.append(report.gap)
         for i, lg in enumerate(report.eigen_logs):
             rows.append([drive, f"log{i}", lg.real, lg.imag])
         rows.append([drive, "gap", report.gap, ""])
@@ -348,7 +365,7 @@ def cmd_gap(cfg: RunConfig) -> int:
     _write_csv(cfg, _metadata_lines(cfg, p, "gap", {
         "steps_per_period": plan.steps_per_period, "period": plan.period}),
                ["drive", "quantity", "re", "im"], [_row_text(rows)])
-    return EXIT_OK
+    return EXIT_NUMERICAL if _report_unresolved("gap", gaps) else EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig) -> int:

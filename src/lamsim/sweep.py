@@ -36,9 +36,9 @@ OBSERVABLES = ("populations", "coherences", "rwa_error",
 DRIVES = ("full", "rwa", "both")
 # Cap on the rows (grid times) per drive of one run_case call,
 # floor(steps_per_period * horizon / period) + 1.  Every row's state is held
-# until the call returns, at about 630 B each with the time-series output
-# (~40 GiB at the cap), so a longer horizon is refused before anything is
-# computed.
+# until the call returns, at about 540 B each with the time-series output in
+# the rotating frame (310 B in the lab frame; ~34 GiB at the cap), so a
+# longer horizon is refused before anything is computed.
 MAX_ROWS = 2 ** 26
 
 
@@ -85,10 +85,11 @@ def run_case(p: LambdaParams, horizon: float,
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
     9x9 Liouville space.  One span is resolved: the drive period T, or a
     shorter horizon h on its own ceil(steps * h / T)-step grid.  Longer
-    horizons reuse it stroboscopically: period n's rows are a prefix of
-    its propagators times U_T^n, turned into states at once, so no
-    multi-period propagator stack is held.  A horizon of more than
-    MAX_ROWS grid times raises ValueError before anything is propagated.
+    horizons reuse it stroboscopically: period n's rows are column 0 of a
+    prefix of its propagators times U_T^n (one tall (m d, d) @ (d, d)
+    product), turned into states at once, so no multi-period propagator
+    stack is held.  A horizon of more than MAX_ROWS grid times raises
+    ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -108,15 +109,6 @@ def run_case(p: LambdaParams, horizon: float,
         raise ValueError(
             f"horizon {horizon} needs about {steps * horizon / period:.3g} "
             f"rows per drive, above the cap MAX_ROWS = {MAX_ROWS}")
-    v0 = vec(rho0)
-
-    def evolve(props: np.ndarray) -> np.ndarray:
-        # Propagators first, then the state: applying micro[:m] to
-        # u_n @ v0 instead changes last digits from the second period on.
-        if open_system:
-            return (props @ v0).reshape(-1, 3, 3)
-        return props @ rho0 @ np.conj(np.transpose(props, (0, 2, 1)))
-
     span = min(horizon, period)
     n_steps = max(1, math.ceil(steps * span / period - 1e-9))
     micro = propagate(g, 0.0, span, n_steps, order=order,
@@ -127,7 +119,8 @@ def run_case(p: LambdaParams, horizon: float,
     n_spans = int(math.floor(horizon / span + 1e-12))
     limit = horizon * (1.0 + 1e-12)
     blocks, time_blocks = [], []
-    u_n = np.eye(g.dim, dtype=complex)
+    d = g.dim
+    u_n = np.eye(d, dtype=complex)
     for j in range(n_spans + 1):
         tau = grid + j * span
         m = int(np.searchsorted(tau, limit, side="right"))
@@ -135,7 +128,15 @@ def run_case(p: LambdaParams, horizon: float,
             m = min(m, n_steps)  # endpoint duplicates next span's start
         if m == 0:
             break
-        blocks.append(evolve(micro[:m] @ u_n))
+        # Propagators first, then the state (applying micro[:m] to
+        # u_n @ e0 changes last digits from the second period on).  The
+        # initial state is e0 (|1>, or vec|1><1|), so a row's state is
+        # column 0 of its propagator; the copy frees the (m, d, d)
+        # product, which a view would keep alive.
+        col = (micro[:m].reshape(-1, d) @ u_n).reshape(
+            -1, d, d)[:, :, 0].copy()
+        blocks.append(col.reshape(-1, 3, 3) if open_system
+                      else col[:, :, None] * np.conj(col)[:, None, :])
         time_blocks.append(tau[:m])
         u_n = micro[-1] @ u_n
     states = np.concatenate(blocks)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.analysis import (choi_matrix, cptp_check, density_validity,
-                             rwa_error, spectral_gap)
+from lamsim.analysis import (LAMBDA2_FLOOR, choi_matrix, cptp_check,
+                             density_validity, rwa_error, spectral_gap)
 from lamsim.linalg import expm
 from lamsim.model import LDIM, preset
 from lamsim.periodic import one_period
@@ -74,6 +74,19 @@ class TestSpectralGap:
         u = np.diag(np.exp([0.0, -2.0, -4.0]))
         report = spectral_gap(u, period=2.0)
         assert report.gap_per_time == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lambda2,resolved", [
+        (2.0 * LAMBDA2_FLOOR, True), (LAMBDA2_FLOOR, False),
+        (1e-18, False)])
+    def test_gap_below_the_floor_is_unresolved(self, lambda2, resolved):
+        u = np.diag([1.0, lambda2, 0.5 * lambda2])
+        report = spectral_gap(u, period=2.0)
+        if resolved:
+            assert report.gap == pytest.approx(-np.log(lambda2))
+            assert report.gap_per_time == pytest.approx(report.gap / 2.0)
+        else:
+            assert np.isnan(report.gap) and np.isnan(report.gap_per_time)
+        assert not report.degenerate
 
 
 class TestEigenLogOrder:

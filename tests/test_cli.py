@@ -489,6 +489,21 @@ class TestGapCommand:
         assert not np.array_equal(coarse, eigen_logs())
 
 
+    def test_unresolved_gaps_exit_numerical(self, tmp_path, capsys):
+        # q = 20: |lambda_2(U_T)| < 1e-14 for both drives
+        out = tmp_path / "gap.csv"
+        rc = main(["gap", "--case", "A-II", "--delta-omega-p", "0.05",
+                   "--steps-per-period", "5120", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "gap: 2 of 2 spectral gaps unresolved (|lambda_2(U_T)| <= "
+            "1e-12), written as nan\n")
+        _, rows = _read_csv(out)
+        for drive in ("full", "rwa"):
+            assert f"{drive},gap,nan," in rows
+            assert f"{drive},gap_per_time,nan," in rows
+
+
 class TestValidateCommand:
     def test_magnus_period_map_is_cptp(self, tmp_path):
         out = tmp_path / "val.csv"
@@ -580,6 +595,25 @@ class TestSweepCommand:
         assert ok["error"] == "" and float(ok["rwa_rho22"]) < 1e-4
         assert capsys.readouterr().err == (
             f"sweep: 1 of 2 points failed; first: {failed['error']}\n")
+
+
+    def test_unresolved_gaps_exit_numerical(self, tmp_path, capsys):
+        # omega_p = 6.05 (q = 20) has an unresolved gap, 6.0 (q = 1) not
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--case", "A-II", "--drive", "rwa",
+                "--omega-p-range", "6.0:6.05:0.05", "--out", str(out)]
+        rc = main([*args, "--observables", "spectral_gap"])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "sweep: 1 of 2 spectral gaps unresolved (|lambda_2(U_T)| <= "
+            "1e-12), written as nan\n")
+        _, rows = _read_csv(out)
+        values = [dict(zip(rows[0].split(","), row.split(",")))
+                  for row in rows[1:]]
+        assert float(values[0]["rwa_gap"]) > 0.0
+        assert values[1]["rwa_gap"] == values[1]["rwa_gap_per_time"] == "nan"
+        assert main([*args, "--observables", "populations"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestErrorPaths:

@@ -69,15 +69,24 @@ class TestRunCase:
                            run_case(p, 1.0, frame="rwf",
                                     steps_per_period=STEPS).states)
 
+    def test_initial_state_is_the_first_basis_vector(self):
+        # run_case reads each state off column 0 of its propagator
+        rho0 = ground_state()
+        e0 = np.eye(9)[0]
+        assert np.array_equal(vec(rho0), e0)
+        assert np.array_equal(rho0, np.outer(e0[:3], e0[:3]))
+
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-I", "B-II"])
-    def test_period_blocks_match_stacked_propagators(self, case):
+    def test_period_blocks_match_stacked_propagators(self, case, drive):
         # Reference route: concatenate micro[keep] @ U_T^j over all periods,
         # then apply the whole stack to the initial state.
         p = preset(case)
+        rwa = drive == "rwa"
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         horizon = 3.4 * period
-        g = (liouville_generator(p) if p.is_dissipative
-             else closed_generator(p))
+        g = (liouville_generator(p, rwa=rwa) if p.is_dissipative
+             else closed_generator(p, rwa=rwa))
         plan = periodic.make_plan(g, period, STEPS)
         u_t, micro = one_period(g, plan, MagnusOrder.ORDER6)
         blocks, u_n = [], np.eye(g.dim, dtype=complex)
@@ -89,24 +98,47 @@ class TestRunCase:
             blocks.append(micro[keep] @ u_n)
             u_n = u_t @ u_n
         want = _states(p, np.concatenate(blocks))
-        got = run_case(p, horizon, steps_per_period=STEPS).states
+        got = run_case(p, horizon, drive=drive,
+                       steps_per_period=STEPS).states
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-I", "B-II"])
     @pytest.mark.parametrize("fraction", [0.4, 1.0])
-    def test_one_span_matches_a_direct_grid(self, case, fraction):
+    def test_one_span_matches_a_direct_grid(self, case, fraction, drive):
         # Reference route: one propagate call over [0, h] on its own
         # ceil(N h / T)-step grid, every row turned into a state.
         p = preset(case)
+        rwa = drive == "rwa"
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         horizon = fraction * period
-        g = (liouville_generator(p) if p.is_dissipative
-             else closed_generator(p))
+        g = (liouville_generator(p, rwa=rwa) if p.is_dissipative
+             else closed_generator(p, rwa=rwa))
         n = int(np.ceil(STEPS * horizon / period - 1e-9))
         props = propagate(g, 0.0, horizon, n, return_intermediate=True)
-        traj = run_case(p, horizon, steps_per_period=STEPS)
+        traj = run_case(p, horizon, drive=drive, steps_per_period=STEPS)
         assert np.array_equal(traj.states, _states(p, props))
         assert np.array_equal(traj.times, np.linspace(0.0, horizon, n + 1))
+
+    def test_memory_holds_one_period_product(self):
+        # A-II over 4 periods on q * BASE_STEPS steps.  Live at once: the
+        # one-period stack, one period's (m, 9, 9) product and the states
+        # (their blocks and the column being read, then in the rotating
+        # frame the states, their factors and the result).  Keeping each
+        # period's product alive, e.g. through a view of its column, adds
+        # three more stacks.
+        p = preset("A-II")
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        tracemalloc.start()
+        try:
+            traj = run_case(p, 4 * period, frame="rwf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = (steps + 1) * 9 * 9 * np.dtype(complex).itemsize
+        bound = 2 * stack + 2 * traj.states.nbytes
+        assert peak <= bound, (
+            f"{peak / 2**20:.1f} MiB peak, above {bound / 2**20:.1f} MiB")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -176,6 +208,16 @@ class TestSteadyState:
     def test_closed_case_rejected(self):
         with pytest.raises(ValueError, match="dissipation"):
             steady_state_summary(preset("A-I"), rwa=False)
+
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    @pytest.mark.parametrize("case", ["A-II", "C-II"])
+    def test_gap_at_q_20_is_unresolved(self, case, drive):
+        # omega_p = 6.05 gives T = 40 pi: |lambda_2(U_T)| is 1e-18 to
+        # 6e-15, below the accuracy of U_T's entries.
+        s = steady_state_summary(preset(case, delta_omega_p=0.05),
+                                 rwa=drive == "rwa")
+        assert np.isnan(s["gap"]) and np.isnan(s["gap_per_time"])
+        assert np.isfinite(s["rho_ss_rwf"]).all()
 
 
 def reference_route(p, u_t, micro, plan, eps=1e-6):
