@@ -13,7 +13,8 @@ I/O error, 3 numerical failure or out of memory (for ``sweep``: one or more
 grid points failed; for ``gap`` and ``sweep --observables spectral_gap``:
 one or more spectral gaps are unresolved, |lambda_2(U_T)| <= 1e-12, and
 written as nan; in both cases the full CSV is still written and a count
-goes to stderr).
+goes to stderr).  ``gap`` also writes nan for the eigen-log of every
+eigenvalue with |lambda| <= 1e-12, whatever the exit code.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
 from .periodic import (HorizonError, Trajectory, commensurate_period,
                        one_period)
-from .sweep import (DRIVES, SweepAxis, SweepSpec, _variants, resolve_period,
-                    run_case, run_sweep)
+from .sweep import (DRIVES, ROW_BLOCK, SweepAxis, SweepSpec, _variants,
+                    resolve_period, run_case, run_sweep)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -247,14 +248,13 @@ def _row_text(rows) -> str:
 
 PROPAGATE_HEADER = ["t", "rho11", "rho22", "rho33", "re_r12", "im_r12",
                     "re_r13", "im_r13", "re_r23", "im_r23", "drive", "frame"]
-ROW_BLOCK = 4096  # rows per text block
 
 
-def _propagate_columns(traj: Trajectory) -> np.ndarray:
-    """The trajectory as an (n, 10) float array in PROPAGATE_HEADER order."""
-    rho = traj.states
+def _propagate_columns(times: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rows of a trajectory as a (len(times), 10) float array in
+    PROPAGATE_HEADER order."""
     return np.column_stack([
-        traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+        times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
         rho[:, 0, 1].real, rho[:, 0, 1].imag, rho[:, 0, 2].real,
         rho[:, 0, 2].imag, rho[:, 1, 2].real, rho[:, 1, 2].imag])
 
@@ -264,6 +264,15 @@ def _float_blocks(columns: np.ndarray, suffix: str):
     as _fmt), then the constant suffix."""
     for start in range(0, len(columns), ROW_BLOCK):
         yield float_rows(columns[start:start + ROW_BLOCK], suffix)
+
+
+def _trajectory_blocks(traj: Trajectory, suffix: str):
+    """Text blocks of a trajectory, its columns built one ROW_BLOCK of
+    rows at a time."""
+    for start in range(0, len(traj.times), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        yield from _float_blocks(
+            _propagate_columns(traj.times[rows], traj.states[rows]), suffix)
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
@@ -276,12 +285,12 @@ def cmd_propagate(cfg: RunConfig) -> int:
         horizon = (cfg.periods if cfg.periods is not None else 1) * period
     # Every trajectory is computed before the output is opened, so a
     # numerical failure leaves no partial file.
-    columns = {drive: _propagate_columns(run_case(
+    trajectories = {drive: run_case(
         p, horizon, order=MagnusOrder(cfg.order), drive=drive,
-        frame=cfg.frame, steps_per_period=steps))
+        frame=cfg.frame, steps_per_period=steps)
         for drive in _variants(cfg.drive)}
-    blocks = (text for drive, cols in columns.items()
-              for text in _float_blocks(cols, f",{drive},{cfg.frame}"))
+    blocks = (text for drive, traj in trajectories.items()
+              for text in _trajectory_blocks(traj, f",{drive},{cfg.frame}"))
     meta = {"steps_per_period": steps, "horizon": horizon}
     _write_csv(cfg, _metadata_lines(cfg, p, "propagate", meta),
                PROPAGATE_HEADER, blocks)
@@ -358,6 +367,8 @@ def cmd_gap(cfg: RunConfig) -> int:
         report = spectral_gap(u_t, period=plan.period)
         gaps.append(report.gap)
         for i, lg in enumerate(report.eigen_logs):
+            if lg.real <= math.log(LAMBDA2_FLOOR):  # rounding noise
+                lg = complex(math.nan, math.nan)
             rows.append([drive, f"log{i}", lg.real, lg.imag])
         rows.append([drive, "gap", report.gap, ""])
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])

@@ -35,11 +35,13 @@ OBSERVABLES = ("populations", "coherences", "rwa_error",
                "convergence_time", "spectral_gap")
 DRIVES = ("full", "rwa", "both")
 # Cap on the rows (grid times) per drive of one run_case call,
-# floor(steps_per_period * horizon / period) + 1.  Every row's state is held
-# until the call returns, at about 540 B each with the time-series output in
-# the rotating frame (310 B in the lab frame; ~34 GiB at the cap), so a
-# longer horizon is refused before anything is computed.
+# floor(steps_per_period * horizon / period) + 1.  Every row's time and
+# state are held until the call returns, 152 B each (~9.5 GiB at the
+# cap), so a longer horizon is refused before anything is computed.
 MAX_ROWS = 2 ** 26
+# Rows per block of a time series: the tall product, the frame transform
+# and the CSV text are formed one block at a time.
+ROW_BLOCK = 2048
 
 
 def _variants(drive: str) -> tuple[str, ...]:
@@ -86,10 +88,12 @@ def run_case(p: LambdaParams, horizon: float,
     9x9 Liouville space.  One span is resolved: the drive period T, or a
     shorter horizon h on its own ceil(steps * h / T)-step grid.  Longer
     horizons reuse it stroboscopically: period n's rows are column 0 of a
-    prefix of its propagators times U_T^n (one tall (m d, d) @ (d, d)
-    product), turned into states at once, so no multi-period propagator
-    stack is held.  A horizon of more than MAX_ROWS grid times raises
-    ValueError before anything is propagated.
+    prefix of its propagators times U_T^n, formed ROW_BLOCK rows at a time
+    as tall (m d, d) @ (d, d) products and written, in the requested
+    frame, into one preallocated state stack, so no multi-period
+    propagator stack and no second full-length array is held.  A horizon
+    of more than MAX_ROWS grid times raises ValueError before anything is
+    propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -118,32 +122,40 @@ def run_case(p: LambdaParams, horizon: float,
     # row at t = h, micro[0] @ U(h).
     n_spans = int(math.floor(horizon / span + 1e-12))
     limit = horizon * (1.0 + 1e-12)
-    blocks, time_blocks = [], []
-    d = g.dim
-    u_n = np.eye(d, dtype=complex)
+    counts = []  # rows taken from each span
     for j in range(n_spans + 1):
-        tau = grid + j * span
-        m = int(np.searchsorted(tau, limit, side="right"))
+        m = int(np.searchsorted(grid + j * span, limit, side="right"))
         if j < n_spans:
             m = min(m, n_steps)  # endpoint duplicates next span's start
         if m == 0:
             break
-        # Propagators first, then the state (applying micro[:m] to
-        # u_n @ e0 changes last digits from the second period on).  The
-        # initial state is e0 (|1>, or vec|1><1|), so a row's state is
-        # column 0 of its propagator; the copy frees the (m, d, d)
-        # product, which a view would keep alive.
-        col = (micro[:m].reshape(-1, d) @ u_n).reshape(
-            -1, d, d)[:, :, 0].copy()
-        blocks.append(col.reshape(-1, 3, 3) if open_system
-                      else col[:, :, None] * np.conj(col)[:, None, :])
-        time_blocks.append(tau[:m])
+        counts.append(m)
+    times = np.empty(sum(counts))
+    states = np.empty((len(times), 3, 3), dtype=complex)
+    d = g.dim
+    u_n = np.eye(d, dtype=complex)
+    row = 0
+    for j, m in enumerate(counts):
+        times[row:row + m] = grid[:m] + j * span
+        for a in range(0, m, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, m)
+            # Propagators first, then the state (applying micro[a:b] to
+            # u_n @ e0 changes last digits from the second period on).
+            # The initial state is e0 (|1>, or vec|1><1|), so a row's
+            # state is column 0 of its propagator.
+            col = (micro[a:b].reshape(-1, d) @ u_n).reshape(
+                -1, d, d)[:, :, 0]
+            block = states[row + a:row + b]
+            if open_system:
+                block[...] = col.reshape(-1, 3, 3)
+            else:
+                np.multiply(col[:, :, None], np.conj(col)[:, None, :],
+                            out=block)
+            del col  # let the product go before the next one is formed
+            if frame == "rwf":
+                block[...] = to_rwf(block, p, times[row + a:row + b])
+        row += m
         u_n = micro[-1] @ u_n
-    states = np.concatenate(blocks)
-    times = np.concatenate(time_blocks)
-
-    if frame == "rwf":
-        states = to_rwf(states, p, times)
     return Trajectory(times=times, states=states, frame=frame)
 
 

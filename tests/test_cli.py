@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -14,8 +15,8 @@ from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
                         main, parse_config_text, resolve_params)
 from lamsim.model import liouville_generator, preset
-from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, commensurate_period,
-                             make_plan, one_period)
+from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, Trajectory,
+                             commensurate_period, make_plan, one_period)
 from lamsim.sweep import SweepAxis, run_case
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
@@ -425,6 +426,46 @@ class TestPropagateBytes:
         assert BASE_STEPS + 1 > ROW_BLOCK
         assert body == _reference_csv_body("B-II", "rwf", period, BASE_STEPS)
 
+    def test_memory_while_writing(self, tmp_path, monkeypatch):
+        # A-I over 8 periods in the rotating frame: 65,529 rows.  Once the
+        # trajectory is computed, writing adds one block's columns and
+        # float_rows temporaries (block_cost, measured here on the first
+        # ROW_BLOCK rows) and the text of the block before it, which the
+        # writer still holds; 256 KiB cover the file object and the
+        # metadata.  An (n, 10) column array of the whole trajectory
+        # (n * 80 B = 5 MiB) does not fit.
+        argv = ["propagate", "--case", "A-I", "--periods", "8", "--frame",
+                "rwf", "--drive", "full", "--out", str(tmp_path / "x.csv")]
+        list(cli._float_blocks(np.zeros((1, 10)), ""))  # build the tables
+        seen = {}
+        real = cli.run_case
+
+        def marking(*args, **kwargs):
+            seen["traj"] = real(*args, **kwargs)
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            return seen["traj"]
+
+        monkeypatch.setattr(cli, "run_case", marking)
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - seen["base"]
+            traj = seen.pop("traj")
+            head = Trajectory(traj.times[:ROW_BLOCK],
+                              traj.states[:ROW_BLOCK], traj.frame)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text, = cli._trajectory_blocks(head, ",full,rwf")
+            block_cost = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        n = len(traj.times)
+        bound = block_cost + len(text) + 2 ** 18
+        assert n * 10 * 8 > bound - block_cost
+        assert peak <= bound, (f"{peak / 2**20:.2f} MiB while writing, "
+                               f"above {bound / 2**20:.2f} MiB")
+
     def test_failed_drive_leaves_no_file(self, tmp_path, monkeypatch):
         real = cli.run_case
 
@@ -502,6 +543,15 @@ class TestGapCommand:
         for drive in ("full", "rwa"):
             assert f"{drive},gap,nan," in rows
             assert f"{drive},gap_per_time,nan," in rows
+            # the steady log0 is a number; every other eigenvalue is
+            # below LAMBDA2_FLOOR, so its log is written as nan
+            logs = [r.split(",")[1:] for r in rows
+                    if r.startswith(f"{drive},log")]
+            assert [cells[0] for cells in logs] == [f"log{i}"
+                                                    for i in range(9)]
+            assert abs(float(logs[0][1])) < 1e-9
+            assert np.isfinite(float(logs[0][2]))
+            assert all(cells[1:] == ["nan", "nan"] for cells in logs[1:])
 
 
 class TestValidateCommand:

@@ -78,32 +78,6 @@ class TestRunCase:
 
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-I", "B-II"])
-    def test_period_blocks_match_stacked_propagators(self, case, drive):
-        # Reference route: concatenate micro[keep] @ U_T^j over all periods,
-        # then apply the whole stack to the initial state.
-        p = preset(case)
-        rwa = drive == "rwa"
-        period, _ = commensurate_period(p.omega_p, p.omega_c)
-        horizon = 3.4 * period
-        g = (liouville_generator(p, rwa=rwa) if p.is_dissipative
-             else closed_generator(p, rwa=rwa))
-        plan = periodic.make_plan(g, period, STEPS)
-        u_t, micro = one_period(g, plan, MagnusOrder.ORDER6)
-        blocks, u_n = [], np.eye(g.dim, dtype=complex)
-        for j in range(4):
-            tau = plan.micromotion_times + j * period
-            keep = tau <= horizon * (1.0 + 1e-12)
-            if j < 3:
-                keep[-1] = False
-            blocks.append(micro[keep] @ u_n)
-            u_n = u_t @ u_n
-        want = _states(p, np.concatenate(blocks))
-        got = run_case(p, horizon, drive=drive,
-                       steps_per_period=STEPS).states
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("drive", ["full", "rwa"])
-    @pytest.mark.parametrize("case", ["A-I", "B-II"])
     @pytest.mark.parametrize("fraction", [0.4, 1.0])
     def test_one_span_matches_a_direct_grid(self, case, fraction, drive):
         # Reference route: one propagate call over [0, h] on its own
@@ -120,25 +94,90 @@ class TestRunCase:
         assert np.array_equal(traj.states, _states(p, props))
         assert np.array_equal(traj.times, np.linspace(0.0, horizon, n + 1))
 
-    def test_memory_holds_one_period_product(self):
-        # A-II over 4 periods on q * BASE_STEPS steps.  Live at once: the
-        # one-period stack, one period's (m, 9, 9) product and the states
-        # (their blocks and the column being read, then in the rotating
-        # frame the states, their factors and the result).  Keeping each
-        # period's product alive, e.g. through a view of its column, adds
-        # three more stacks.
+    @pytest.mark.parametrize("row_block", [7, 1000])
+    @pytest.mark.parametrize("frame", ["lab", "rwf"])
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    @pytest.mark.parametrize("case", ["A-I", "B-II"])
+    @pytest.mark.parametrize("fraction", [0.4, 3.4])
+    def test_row_blocks_match_stacked_propagators(self, monkeypatch,
+                                                  fraction, case, drive,
+                                                  frame, row_block):
+        # Reference route: the whole stack of propagators over the
+        # horizon (one span below a period, else micro[keep] @ U_T^j
+        # concatenated over periods) applied to the initial state at
+        # once, then to_rwf over all rows at once.  Blocks of 7 rows end
+        # inside every span; blocks of 1000 hold a whole span (at most 513
+        # rows).
+        p = preset(case)
+        rwa = drive == "rwa"
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        horizon = fraction * period
+        g = (liouville_generator(p, rwa=rwa) if p.is_dissipative
+             else closed_generator(p, rwa=rwa))
+        if horizon < period:
+            n = int(np.ceil(STEPS * horizon / period - 1e-9))
+            props = propagate(g, 0.0, horizon, n, return_intermediate=True)
+            times = np.linspace(0.0, horizon, n + 1)
+        else:
+            plan = periodic.make_plan(g, period, STEPS)
+            u_t, micro = one_period(g, plan, MagnusOrder.ORDER6)
+            blocks, time_blocks = [], []
+            u_n = np.eye(g.dim, dtype=complex)
+            for j in range(int(fraction) + 1):
+                tau = plan.micromotion_times + j * period
+                keep = tau <= horizon * (1.0 + 1e-12)
+                if j < int(fraction):
+                    keep[-1] = False
+                blocks.append(micro[keep] @ u_n)
+                time_blocks.append(tau[keep])
+                u_n = u_t @ u_n
+            props = np.concatenate(blocks)
+            times = np.concatenate(time_blocks)
+        want = _states(p, props)
+        if frame == "rwf":
+            want = to_rwf(want, p, times)
+        monkeypatch.setattr(sweep, "ROW_BLOCK", row_block)
+        traj = run_case(p, horizon, drive=drive, frame=frame,
+                        steps_per_period=STEPS)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, want)
+
+    def test_memory_after_the_span_is_resolved(self, monkeypatch):
+        # A-II over 4 periods on q * BASE_STEPS steps, in the rotating
+        # frame.  Once the span's stack micro is resolved, run_case adds
+        # the returned times and states, one block's tall
+        # (ROW_BLOCK d, d) product and the frame transform's temporaries
+        # of one block: phases, their conjugates, factors and result,
+        # each at most ROW_BLOCK x 9 complex numbers.  A full-length
+        # to_rwf temporary (one more states-sized array) or a whole-period
+        # product (one more micro) does not fit.
+        seen = {}
+        real = sweep.propagate
+
+        def marking(*args, **kwargs):
+            seen["micro"] = real(*args, **kwargs)
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            return seen["micro"]
+
+        monkeypatch.setattr(sweep, "propagate", marking)
         p = preset("A-II")
-        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
         tracemalloc.start()
         try:
             traj = run_case(p, 4 * period, frame="rwf")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack = (steps + 1) * 9 * 9 * np.dtype(complex).itemsize
-        bound = 2 * stack + 2 * traj.states.nbytes
-        assert peak <= bound, (
-            f"{peak / 2**20:.1f} MiB peak, above {bound / 2**20:.1f} MiB")
+        micro = seen.pop("micro")
+        complex_bytes = np.dtype(complex).itemsize
+        block = sweep.ROW_BLOCK * micro[0].size * complex_bytes
+        frame_temps = 4 * sweep.ROW_BLOCK * 9 * complex_bytes
+        bound = traj.states.nbytes + traj.times.nbytes + block + frame_temps
+        assert traj.states.nbytes > 0.25 * micro.nbytes
+        assert peak - seen["base"] <= bound, (
+            f"{(peak - seen['base']) / 2**20:.2f} MiB after propagate, "
+            f"above {bound / 2**20:.2f} MiB")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
