@@ -48,6 +48,13 @@ class GapReport:
     gap_per_time: float | None = None
 
 
+def resolved_log(log):
+    """Whether an eigenvalue with principal log `log` is resolved: its
+    modulus e^Re(log) is above LAMBDA2_FLOOR.  At or below the floor it is
+    rounding noise."""
+    return np.real(log) > math.log(LAMBDA2_FLOOR)
+
+
 def spectral_gap(u_period: np.ndarray, period: float | None = None
                  ) -> GapReport:
     """Principal-branch logs of the eigenvalues of a one-period propagator,
@@ -77,7 +84,7 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
                          degenerate=True,
                          gap_per_time=0.0 if period else None)
     gap = max(0.0, float(np.min(decays)))
-    if gap >= -math.log(LAMBDA2_FLOOR):  # |lambda_2| = e^-gap
+    if not resolved_log(-gap):  # log |lambda_2| = -gap
         gap = math.nan
     return GapReport(eigen_logs=logs, steady_index=steady, gap=gap,
                      degenerate=False,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._floattext import float_rows
 from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
-                       spectral_gap)
+                       resolved_log, spectral_gap)
 from .magnus import MagnusOrder
 from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
 from .periodic import (HorizonError, Trajectory, commensurate_period,
@@ -271,7 +271,7 @@ def _trajectory_blocks(traj: Trajectory, suffix: str):
     rows at a time."""
     for start in range(0, len(traj.times), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        yield from _float_blocks(
+        yield float_rows(
             _propagate_columns(traj.times[rows], traj.states[rows]), suffix)
 
 
@@ -367,7 +367,7 @@ def cmd_gap(cfg: RunConfig) -> int:
         report = spectral_gap(u_t, period=plan.period)
         gaps.append(report.gap)
         for i, lg in enumerate(report.eigen_logs):
-            if lg.real <= math.log(LAMBDA2_FLOOR):  # rounding noise
+            if not resolved_log(lg):
                 lg = complex(math.nan, math.nan)
             rows.append([drive, f"log{i}", lg.real, lg.imag])
         rows.append([drive, "gap", report.gap, ""])

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.analysis import (LAMBDA2_FLOOR, choi_matrix, cptp_check,
-                             density_validity, rwa_error, spectral_gap)
+                             density_validity, resolved_log, rwa_error,
+                             spectral_gap)
 from lamsim.linalg import expm
 from lamsim.model import LDIM, preset
 from lamsim.periodic import one_period
@@ -87,6 +90,7 @@ class TestSpectralGap:
         else:
             assert np.isnan(report.gap) and np.isnan(report.gap_per_time)
         assert not report.degenerate
+        assert resolved_log(complex(math.log(lambda2), 1.0)) == resolved
 
 
 class TestEigenLogOrder:

@@ -414,7 +414,7 @@ class TestPropagateBytes:
                                            int(STEPS))
 
     def test_default_steps_cross_a_block(self, tmp_path):
-        # BASE_STEPS + 1 = 8192 rows per drive: two ROW_BLOCKs each
+        # BASE_STEPS + 1 = 8192 rows per drive: more than one ROW_BLOCK each
         out = tmp_path / "ts.csv"
         assert main(["propagate", "--case", "B-II", "--drive", "both",
                      "--periods", "1", "--frame", "rwf",

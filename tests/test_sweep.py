@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lamsim import periodic, sweep
+from lamsim import magnus, periodic, sweep
 from lamsim.analysis import cptp_check, spectral_gap
 from lamsim.magnus import MagnusOrder, propagate
 from lamsim.model import (closed_generator, ground_state,
@@ -177,6 +177,43 @@ class TestRunCase:
         assert traj.states.nbytes > 0.25 * micro.nbytes
         assert peak - seen["base"] <= bound, (
             f"{(peak - seen['base']) / 2**20:.2f} MiB after propagate, "
+            f"above {bound / 2**20:.2f} MiB")
+
+    def test_memory_holds_one_period_product(self, monkeypatch):
+        # The peak of the whole run_case call, A-II over 4 periods in the
+        # rotating frame, within the one-period stack, its product and
+        # the states twice over.  Up to propagate's return the peak is
+        # micro plus a few CHUNK_STEPS-sized temporaries (the steps,
+        # their padded copy, the running products and their
+        # coordinates); a copy of micro does not fit.  What run_case adds
+        # after it is bounded by the test above.
+        seen = {}
+        real = sweep.propagate
+
+        def keeping(*args, **kwargs):
+            seen["micro"] = real(*args, **kwargs)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return seen["micro"]
+
+        monkeypatch.setattr(sweep, "propagate", keeping)
+        p = preset("A-II")
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        tracemalloc.start()
+        try:
+            traj = run_case(p, 4 * period, frame="rwf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        micro = seen.pop("micro")
+        stack = (steps + 1) * 9 * 9 * np.dtype(complex).itemsize
+        bound = 2 * stack + 2 * traj.states.nbytes
+        assert peak <= bound, (
+            f"{peak / 2**20:.1f} MiB peak, above {bound / 2**20:.1f} MiB")
+        chunk = magnus.CHUNK_STEPS * micro[0].nbytes
+        bound = micro.nbytes + 5 * chunk
+        assert bound < 2 * micro.nbytes
+        assert seen["peak"] <= bound, (
+            f"{seen['peak'] / 2**20:.2f} MiB peak in propagate, "
             f"above {bound / 2**20:.2f} MiB")
 
     def test_bad_arguments(self):
