@@ -14,8 +14,8 @@ from .model import DIM, LDIM
 DEGENERATE_GAP_TOL = 1e-12
 SAME_DECAY_TOL = 1e-9  # relative: decays this close are ordered by Im(log)
 # |lambda_2| at or below the max-entry accuracy periodic.accurate_plan
-# guarantees for U_T (its STEP_ERROR_TARGET) is rounding noise: the gap it
-# gives is reported as unresolved (NaN).
+# guarantees for every reported U_T (its STEP_ERROR_TARGET) is rounding
+# noise: the gap it gives is reported as unresolved (NaN).
 LAMBDA2_FLOOR = 1e-12
 
 

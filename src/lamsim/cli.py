@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
@@ -31,11 +32,12 @@ from ._floattext import float_rows
 from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
                        resolved_log, spectral_gap)
 from .magnus import MagnusOrder
-from .model import DIM, PRESET_NAMES, LambdaParams, ground_state, preset, vec
-from .periodic import (HorizonError, Trajectory, commensurate_period,
-                       one_period)
+from .model import (DIM, PRESET_NAMES, LambdaParams, ground_state,
+                    liouville_generator, preset, vec)
+from .periodic import (HorizonError, Trajectory, accurate_plan,
+                       commensurate_period, one_period)
 from .sweep import (DRIVES, ROW_BLOCK, SweepAxis, SweepSpec, _variants,
-                    resolve_period, run_case, run_sweep)
+                    run_case, run_sweep)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -73,11 +75,13 @@ _READS = {
                   "frame"),
     "sweep": ("order", "drive", "observables", "eps_ss", "workers",
               "omega_p_range", "omega_c_range"),
-    "gap": ("order", "steps_per_period", "drive"),
-    "validate": ("order", "steps_per_period", "drive"),
+    "gap": ("order", "drive"),
+    "validate": ("order", "drive"),
 }
 # the run settings a subcommand's metadata records, if it reads them
 _RECORDED = ("order", "steps_per_period", "drive", "frame", "eps_ss")
+# the part of a config line before its comment: a '#' inside quotes is text
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"?|'[^']*'?)*""")
 
 
 class ConfigError(Exception):
@@ -95,7 +99,7 @@ class RunConfig:
     delta_omega_p: float = 0.0
     delta_omega_c: float = 0.0
     order: int = 6
-    steps_per_period: int | None = None  # None: q * BASE_STEPS
+    steps_per_period: int | None = None  # propagate: q * BASE_STEPS
     periods: int | None = None
     horizon: float | None = None
     drive: str = "both"
@@ -131,7 +135,7 @@ def parse_config_text(text: str, command: str) -> dict:
     validated dict."""
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _BEFORE_COMMENT.match(line).group().strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -259,16 +263,10 @@ def _propagate_columns(times: np.ndarray, rho: np.ndarray) -> np.ndarray:
         rho[:, 0, 2].imag, rho[:, 1, 2].real, rho[:, 1, 2].imag])
 
 
-def _float_blocks(columns: np.ndarray, suffix: str):
-    """Text blocks of ROW_BLOCK rows: every float as %.17g (the same text
-    as _fmt), then the constant suffix."""
-    for start in range(0, len(columns), ROW_BLOCK):
-        yield float_rows(columns[start:start + ROW_BLOCK], suffix)
-
-
 def _trajectory_blocks(traj: Trajectory, suffix: str):
     """Text blocks of a trajectory, its columns built one ROW_BLOCK of
-    rows at a time."""
+    rows at a time: every float as %.17g (the same text as _fmt), then the
+    constant suffix."""
     for start in range(0, len(traj.times), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         yield float_rows(
@@ -357,14 +355,27 @@ def _report_unresolved(command: str, gaps: list[float]) -> int:
     return n
 
 
+def _period_maps(cfg: RunConfig, p: LambdaParams) -> tuple[dict, dict]:
+    """Each drive's one-period map U_T in Liouville space, resolved as
+    steady_state_summary resolves it (periodic.accurate_plan), and the
+    metadata: the period and one step count per drive, in row order."""
+    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    maps, steps = {}, []
+    for drive in _variants(cfg.drive):
+        plan, _, (u_t, _) = accurate_plan(
+            liouville_generator(p, rwa=drive == "rwa"), period,
+            MagnusOrder(cfg.order), resolve=one_period)
+        maps[drive] = u_t.copy()  # not a view holding the micromotion
+        steps.append(str(plan.steps_per_period))
+    return maps, {"steps_per_period": " ".join(steps), "period": period}
+
+
 def cmd_gap(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
+    maps, meta = _period_maps(cfg, p)
     rows, gaps = [], []
-    for drive in _variants(cfg.drive):
-        g, plan = resolve_period(p, drive == "rwa",
-                                 steps_per_period=cfg.steps_per_period)
-        u_t, _ = one_period(g, plan, MagnusOrder(cfg.order))
-        report = spectral_gap(u_t, period=plan.period)
+    for drive, u_t in maps.items():
+        report = spectral_gap(u_t, period=meta["period"])
         gaps.append(report.gap)
         for i, lg in enumerate(report.eigen_logs):
             if not resolved_log(lg):
@@ -373,20 +384,17 @@ def cmd_gap(cfg: RunConfig) -> int:
         rows.append([drive, "gap", report.gap, ""])
         rows.append([drive, "gap_per_time", report.gap_per_time, ""])
         rows.append([drive, "degenerate", int(report.degenerate), ""])
-    _write_csv(cfg, _metadata_lines(cfg, p, "gap", {
-        "steps_per_period": plan.steps_per_period, "period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "gap", meta),
                ["drive", "quantity", "re", "im"], [_row_text(rows)])
     return EXIT_NUMERICAL if _report_unresolved("gap", gaps) else EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = resolve_params(cfg)
+    maps, meta = _period_maps(cfg, p)
     rows = []
     worst_fail = False
-    for drive in _variants(cfg.drive):
-        g, plan = resolve_period(p, drive == "rwa",
-                                 steps_per_period=cfg.steps_per_period)
-        u_t, _ = one_period(g, plan, MagnusOrder(cfg.order))
+    for drive, u_t in maps.items():
         cptp = cptp_check(u_t)
         rho_t = (u_t @ vec(ground_state())).reshape(DIM, DIM)
         dens = density_validity(rho_t)
@@ -403,8 +411,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             worst_fail |= not ok
             rows.append([drive, name, defect, threshold,
                          "pass" if ok else "FAIL"])
-    _write_csv(cfg, _metadata_lines(cfg, p, "validate", {
-        "steps_per_period": plan.steps_per_period, "period": plan.period}),
+    _write_csv(cfg, _metadata_lines(cfg, p, "validate", meta),
                ["drive", "check", "defect", "threshold", "status"],
                [_row_text(rows)])
     return EXIT_THRESHOLD if worst_fail else EXIT_OK

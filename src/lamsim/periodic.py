@@ -23,10 +23,10 @@ from .linalg import frobenius_norm
 from .magnus import Generator, MagnusOrder, propagate
 from .model import DIM, vec
 
-BASE_STEPS = 2 ** 13 - 1          # steps per 2 pi of drive period
-# The steady path's resolution (accurate_plan): the step-doubling estimate
-# of U_T's max-entry error it resolves to, and the least steps per 2 pi,
-# so that the trapezoid mean maps still resolve the drive's harmonics.
+BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
+# How every U_T is resolved (accurate_plan): the step-doubling estimate of
+# U_T's max-entry error it resolves to, and the least steps per 2 pi, so
+# that the trapezoid mean maps still resolve the drive's harmonics.
 STEP_ERROR_TARGET = 1e-12
 MIN_STEPS = 256
 PERIODICITY_TOL = 1e-12
@@ -130,7 +130,8 @@ def accurate_plan(g: Generator, period: float,
     resolved once; that resolution's U_T is checked against U_{N/2}, and N
     is predicted again from the check until it holds, so the accepted N
     steps are propagated once.  Every count is checked against the step
-    cap before it is propagated.
+    cap before it is propagated.  Every U_T consumer (steady state, gap,
+    CPTP checks) reads the U_T this rule resolves.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))

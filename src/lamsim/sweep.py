@@ -8,8 +8,8 @@ steps whose step-doubling estimate of U_T's error is at most 1e-12
 (periodic.accurate_plan), and the steady state is the limit of U_T^n
 applied to the initial state (its projection onto the fixed points of
 U_T), averaged over one period in the rotating frame by one 9x9
-period-mean map.  Time series (run_case) keep q * BASE_STEPS grid points
-per period T = 2 pi q by default.
+period-mean map; the CLI's gap and validate resolve U_T alike.  Time
+series (run_case) keep q * BASE_STEPS grid points per period by default.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 from . import periodic
 from .analysis import (DEGENERATE_GAP_TOL, cptp_check, rwa_error,
                        spectral_gap)
-from .magnus import Generator, MagnusOrder, propagate
+from .magnus import MagnusOrder, propagate
 from .model import (LDIM, LambdaParams, closed_generator, ground_state,
                     liouville_generator, rwf_phases, unvec, vec)
-from .periodic import (PeriodicPlan, Trajectory, accurate_plan,
-                       commensurate_period, convergence_time, one_period,
-                       period_mean_map)
+from .periodic import (Trajectory, accurate_plan, commensurate_period,
+                       convergence_time, one_period, period_mean_map)
 
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
@@ -63,21 +62,6 @@ def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
     return _rwf_factors(p, times) * states
 
 
-def resolve_period(p: LambdaParams, rwa: bool, *, closed: bool = False,
-                   steps_per_period: int | None = None
-                   ) -> tuple[Generator, PeriodicPlan]:
-    """How one drive period of a case is resolved: the generator (3x3
-    Hilbert space if closed, else 9x9 Liouville space with the case's own
-    dissipation) and a plan over the smallest commensurate period
-    T = 2 pi q, with steps_per_period steps (default q * BASE_STEPS)."""
-    period, steps = commensurate_period(p.omega_p, p.omega_c)
-    g = (closed_generator(p, rwa=rwa) if closed
-         else liouville_generator(p, rwa=rwa))
-    if steps_per_period is not None:
-        steps = steps_per_period
-    return g, periodic.make_plan(g, period, steps)
-
-
 def run_case(p: LambdaParams, horizon: float,
              order: MagnusOrder = MagnusOrder.ORDER6,
              drive: str = "full", frame: str = "lab",
@@ -106,9 +90,12 @@ def run_case(p: LambdaParams, horizon: float,
                           states=np.array([rho0]), frame=frame)
 
     open_system = p.is_dissipative
-    g, plan = resolve_period(p, rwa, closed=not open_system,
-                             steps_per_period=steps_per_period)
-    period, steps = plan.period, plan.steps_per_period
+    period, steps = commensurate_period(p.omega_p, p.omega_c)
+    if steps_per_period is not None:
+        steps = steps_per_period
+    g = (liouville_generator(p, rwa=rwa) if open_system
+         else closed_generator(p, rwa=rwa))
+    periodic.make_plan(g, period, steps)  # checks periodicity and the cap
     if steps * (horizon / period) >= MAX_ROWS:
         raise ValueError(
             f"horizon {horizon} needs about {steps * horizon / period:.3g} "

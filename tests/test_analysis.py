@@ -9,9 +9,8 @@ from lamsim.analysis import (LAMBDA2_FLOOR, choi_matrix, cptp_check,
                              density_validity, resolved_log, rwa_error,
                              spectral_gap)
 from lamsim.linalg import expm
-from lamsim.model import LDIM, preset
-from lamsim.periodic import one_period
-from lamsim.sweep import resolve_period
+from lamsim.model import LDIM, liouville_generator, preset
+from lamsim.periodic import commensurate_period, make_plan, one_period
 
 from conftest import random_complex_matrix
 
@@ -107,8 +106,10 @@ class TestEigenLogOrder:
     def test_order_independent_of_eigensolver(self, case, rwa):
         # U_T and its transpose share a spectrum, but the eigensolver
         # returns it in different orders and roundings
-        g, plan = resolve_period(preset(case), rwa)
-        u_t, _ = one_period(g, plan)
+        p = preset(case)
+        g = liouville_generator(p, rwa=rwa)
+        u_t, _ = one_period(g, make_plan(
+            g, *commensurate_period(p.omega_p, p.omega_c)))
         logs = spectral_gap(u_t).eigen_logs
         logs_t = spectral_gap(u_t.T).eigen_logs
         # the smallest B-II full eigenvalue, 1e-5, has a log conditioned at

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim import cli, periodic, sweep
-from lamsim.analysis import cptp_check, spectral_gap
+from lamsim._floattext import float_rows
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
                         main, parse_config_text, resolve_params)
 from lamsim.model import liouville_generator, preset
-from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, Trajectory,
-                             commensurate_period, make_plan, one_period)
-from lamsim.sweep import SweepAxis, run_case
+from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
+                             Trajectory, accurate_plan, commensurate_period)
+from lamsim.sweep import SweepAxis, run_case, steady_state_summary
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
 
@@ -38,8 +38,14 @@ class TestConfigText:
             parse_config_text("case = \"A-I\"\nbogus = 3\n", "propagate")
 
     def test_type_mismatch(self):
-        with pytest.raises(ConfigError, match="steps_per_period"):
-            parse_config_text("steps_per_period = many\n", "validate")
+        with pytest.raises(ConfigError, match="bad value for 'steps_per"):
+            parse_config_text("steps_per_period = many\n", "propagate")
+
+    def test_hash_inside_quotes_is_text(self):
+        values = parse_config_text(
+            "out = \"run#1.csv\"  # the '#' before this one is text\n"
+            "case = 'A-II'#no space\n", "gap")
+        assert values == {"out": "run#1.csv", "case": "A-II"}
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -94,8 +100,9 @@ UNREAD = {
     "propagate": ("observables", "eps_ss", "workers", "omega_p_range",
                   "omega_c_range"),
     "sweep": ("steps_per_period", "periods", "horizon", "frame"),
-    "gap": ("periods", "horizon", "frame", "observables", "eps_ss",
-            "workers", "omega_p_range", "omega_c_range"),
+    "gap": ("steps_per_period", "periods", "horizon", "frame",
+            "observables", "eps_ss", "workers", "omega_p_range",
+            "omega_c_range"),
 }
 UNREAD["validate"] = UNREAD["gap"]
 UNREAD_PAIRS = [(cmd, key) for cmd, keys in UNREAD.items() for key in keys]
@@ -111,7 +118,7 @@ def _flag(key):
 
 class TestSettingsPerSubcommand:
     def test_unread_pairs(self):
-        assert len(UNREAD_PAIRS) == 25
+        assert len(UNREAD_PAIRS) == 27
         for command, keys in UNREAD.items():
             assert not set(keys) & set(cli._READS[command])
             assert set(keys) | set(cli._READS[command]) | set(
@@ -171,10 +178,10 @@ class TestSettingsPerSubcommand:
         (["sweep", "--case", "B-II", "--drive", "rwa", "--omega-p-range",
           "6:6:1", "--observables", "populations"],
          ["order", "drive", "eps_ss", "observables"]),
-        (["gap", "--case", "A-II", "--steps-per-period", STEPS],
-         ["order", "steps_per_period", "drive", "period"]),
-        (["validate", "--case", "A-II", "--steps-per-period", STEPS],
-         ["order", "steps_per_period", "drive", "period"]),
+        (["gap", "--case", "A-II"],
+         ["order", "drive", "steps_per_period", "period"]),
+        (["validate", "--case", "A-II"],
+         ["order", "drive", "steps_per_period", "period"]),
     ])
     def test_metadata_records_settings_read(self, tmp_path, argv, recorded):
         out = tmp_path / "x.csv"
@@ -299,20 +306,25 @@ class TestPropagateCommand:
         assert drives == {"full", "rwa"}
 
 
+def _reference_trajectory_rows(traj, suffix):
+    """The CSV rows of a trajectory, formatted cell by cell."""
+    lines = []
+    for t, rho in zip(traj.times, traj.states):
+        cells = [t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
+                 rho[0, 1].real, rho[0, 1].imag, rho[0, 2].real,
+                 rho[0, 2].imag, rho[1, 2].real, rho[1, 2].imag]
+        lines.append(",".join(f"{x:.17g}" for x in cells) + suffix + "\n")
+    return "".join(lines)
+
+
 def _reference_csv_body(case, frame, horizon, steps):
     """Header and rows of ``propagate --drive both``, formatted cell by
     cell from run_case."""
-    lines = [",".join(PROPAGATE_HEADER)]
-    for drive in ("full", "rwa"):
-        traj = run_case(preset(case), horizon, drive=drive, frame=frame,
-                        steps_per_period=steps)
-        for t, rho in zip(traj.times, traj.states):
-            cells = [t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-                     rho[0, 1].real, rho[0, 1].imag, rho[0, 2].real,
-                     rho[0, 2].imag, rho[1, 2].real, rho[1, 2].imag]
-            lines.append(",".join(f"{x:.17g}" for x in cells)
-                         + f",{drive},{frame}")
-    return "\n".join(lines) + "\n"
+    return ",".join(PROPAGATE_HEADER) + "\n" + "".join(
+        _reference_trajectory_rows(run_case(
+            preset(case), horizon, drive=drive, frame=frame,
+            steps_per_period=steps), f",{drive},{frame}")
+        for drive in ("full", "rwa"))
 
 
 def _reference_rows(block, suffix):
@@ -322,7 +334,7 @@ def _reference_rows(block, suffix):
 
 
 def _emitted(block, suffix=",full,rwf"):
-    return "".join(cli._float_blocks(np.asarray(block, dtype=float), suffix))
+    return float_rows(np.asarray(block, dtype=float), suffix)
 
 
 def _as_rows(values, ncols=10):
@@ -382,14 +394,18 @@ class TestFloatText:
     @pytest.mark.parametrize("nrows", [1, ROW_BLOCK, ROW_BLOCK + 1])
     def test_block_shapes(self, nrows):
         rng = np.random.default_rng(nrows)
-        block = (rng.standard_normal((nrows, 10))
-                 * 10.0 ** rng.integers(-8, 3, (nrows, 10)))
-        block[0, :3] = [0.0, -0.0, 0.5]
-        block[-1, -3:] = [np.nan, 1e300, 2.0 ** -25]  # 2^-25: a tie
-        blocks = list(cli._float_blocks(block, ",full,rwf"))
+        scale = 10.0 ** rng.integers(-8, 3, (nrows, 3, 3))
+        states = (rng.standard_normal((nrows, 3, 3))
+                  + 1j * rng.standard_normal((nrows, 3, 3))) * scale
+        states[0, 0] = [-0.0, complex(0.5, -0.0), 0.0]
+        states[-1, 1, 2] = complex(np.nan, 1e300)
+        states[-1, 2, 2] = 2.0 ** -25  # a tie
+        traj = Trajectory(np.cumsum(rng.random(nrows)), states, "rwf")
+        blocks = list(cli._trajectory_blocks(traj, ",full,rwf"))
         assert len(blocks) == -(-nrows // ROW_BLOCK)
         assert all(text.endswith(",full,rwf\n") for text in blocks)
-        assert "".join(blocks) == _reference_rows(block, ",full,rwf")
+        assert "".join(blocks) == _reference_trajectory_rows(traj,
+                                                             ",full,rwf")
 
 
 class TestPropagateBytes:
@@ -436,7 +452,7 @@ class TestPropagateBytes:
         # (n * 80 B = 5 MiB) does not fit.
         argv = ["propagate", "--case", "A-I", "--periods", "8", "--frame",
                 "rwf", "--drive", "full", "--out", str(tmp_path / "x.csv")]
-        list(cli._float_blocks(np.zeros((1, 10)), ""))  # build the tables
+        float_rows(np.zeros((1, 10)), "")  # build the tables
         seen = {}
         real = cli.run_case
 
@@ -484,21 +500,35 @@ class TestPropagateBytes:
 
 
 class TestDefaultSteps:
-    # omega_p = 13/2 gives T = 4 pi (q = 2): every subcommand resolves it
-    # with the library's q * BASE_STEPS steps and records that count.
-    ARGS = ["--case", "B-II", "--delta-omega-p", "0.5", "--drive", "rwa"]
+    # omega_p = 13/2 gives T = 4 pi (q = 2).  propagate's grid takes the
+    # library's q * BASE_STEPS steps; gap and validate take the count
+    # periodic.accurate_plan chooses for each drive.  Each records its
+    # counts.
+    ARGS = ["--case", "B-II", "--delta-omega-p", "0.5"]
 
-    @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
-    def test_q_times_base_steps(self, tmp_path, command):
-        _, plan = sweep.resolve_period(preset("B-II", delta_omega_p=0.5),
-                                       rwa=True)
-        assert plan.steps_per_period == 2 * BASE_STEPS
+    def test_q_times_base_steps(self, tmp_path):
         out = tmp_path / "x.csv"
-        assert main([command, *self.ARGS, "--out", str(out)]) == EXIT_OK
+        assert main(["propagate", *self.ARGS, "--drive", "rwa",
+                     "--out", str(out)]) == EXIT_OK
         meta, rows = _read_csv(out)
-        assert f"# steps_per_period = {plan.steps_per_period}" in meta
-        if command == "propagate":  # header, then one row per grid time
-            assert len(rows) == 1 + plan.steps_per_period + 1
+        assert f"# steps_per_period = {2 * BASE_STEPS}" in meta
+        # header, then one row per grid time
+        assert len(rows) == 1 + 2 * BASE_STEPS + 1
+
+    @pytest.mark.parametrize("command", ["gap", "validate"])
+    def test_one_accurate_count_per_drive(self, tmp_path, command):
+        p = preset("B-II", delta_omega_p=0.5)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        counts = [accurate_plan(liouville_generator(p, rwa=rwa),
+                                period)[0].steps_per_period
+                  for rwa in (False, True)]
+        assert counts == [2 * 1024, 2 * MIN_STEPS]
+        out = tmp_path / "x.csv"
+        assert main([command, *self.ARGS, "--drive", "both",
+                     "--out", str(out)]) == EXIT_OK
+        meta, _ = _read_csv(out)
+        assert "# steps_per_period = 2048 512" in meta
+        assert f"# period = {period!r}" in meta
 
 
 class TestGapCommand:
@@ -513,28 +543,38 @@ class TestGapCommand:
         gap_row = next(r for r in rows if r.startswith("full,gap,"))
         assert float(gap_row.split(",")[2]) > 0.0
 
-    def test_steps_per_period_honoured(self, tmp_path):
-        def eigen_logs(*flags):
-            out = tmp_path / "gap.csv"
-            assert main(["gap", "--case", "A-II", "--drive", "full",
-                         "--out", str(out), *flags]) == EXIT_OK
-            _, rows = _read_csv(out)
-            cells = [r.split(",") for r in rows if ",log" in r]
-            return np.array([complex(float(re), float(im))
-                             for _, _, re, im in cells])
+    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+    def test_gap_equals_the_steady_path(self, tmp_path, case):
+        # one rule resolves U_T for both, so the gaps agree to the bit
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--case", case, "--drive", "both",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        gaps = [r.split(",")[2] for r in rows if ",gap," in r]
+        assert gaps == ["%.17g" % steady_state_summary(preset(case),
+                                                       rwa)["gap"]
+                        for rwa in (False, True)]
 
-        g = liouville_generator(preset("A-II"))
-        u_t, _ = one_period(g, make_plan(g, 2.0 * np.pi, 257))
-        coarse = eigen_logs("--steps-per-period", "257")
-        assert np.array_equal(coarse, spectral_gap(u_t).eigen_logs)
-        assert not np.array_equal(coarse, eigen_logs())
-
+    def test_memory_at_q_20(self, tmp_path):
+        # T = 40 pi: the RWA drive resolves U_T at 20 * MIN_STEPS steps,
+        # so the peak is a few (20 MIN_STEPS + 1, 9, 9) complex stacks
+        out = tmp_path / "gap.csv"
+        tracemalloc.start()
+        try:
+            main(["gap", "--case", "A-II", "--delta-omega-p", "0.05",
+                  "--drive", "rwa", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 3 * (20 * MIN_STEPS + 1) * 81 * 16
+        assert peak <= bound, (f"{peak / 2**20:.2f} MiB peak, above "
+                               f"{bound / 2**20:.2f} MiB")
 
     def test_unresolved_gaps_exit_numerical(self, tmp_path, capsys):
         # q = 20: |lambda_2(U_T)| < 1e-14 for both drives
         out = tmp_path / "gap.csv"
         rc = main(["gap", "--case", "A-II", "--delta-omega-p", "0.05",
-                   "--steps-per-period", "5120", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "gap: 2 of 2 spectral gaps unresolved (|lambda_2(U_T)| <= "
@@ -564,7 +604,7 @@ class TestValidateCommand:
         assert all(row.endswith("pass") for row in rows[1:])
 
     def test_out_leaves_stdout_empty(self, tmp_path, capsys):
-        argv = ["validate", "--case", "A-II", "--steps-per-period", "257"]
+        argv = ["validate", "--case", "A-II"]
         out = tmp_path / "val.csv"
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().out == ""
@@ -573,17 +613,16 @@ class TestValidateCommand:
         _, rows = _read_csv(out)
         assert len(rows) == 1 + 2 * 6  # header, six checks per drive
 
-    def test_steps_per_period_honoured(self, tmp_path):
+    def test_q_200_runs(self, tmp_path):
+        # q * BASE_STEPS = 1,638,200 is above the cap; the RWA drive's
+        # accurate count q * MIN_STEPS = 51,200 is not
         out = tmp_path / "val.csv"
-        assert main(["validate", "--case", "A-II", "--drive", "full",
-                     "--steps-per-period", "257", "--out", str(out)]) \
+        assert main(["validate", "--case", "B-II", "--delta-omega-p",
+                     "0.005", "--drive", "rwa", "--out", str(out)]) \
             == EXIT_OK
-        _, rows = _read_csv(out)
-        g = liouville_generator(preset("A-II"))
-        u_t, _ = one_period(g, make_plan(g, 2.0 * np.pi, 257))
-        assert rows[1] == (f"full,trace_defect,"
-                           f"{cptp_check(u_t).trace_defect:.17g},"
-                           f"1e-10,pass")
+        meta, rows = _read_csv(out)
+        assert "# steps_per_period = 51200" in meta
+        assert all(row.endswith("pass") for row in rows[1:])
 
 
 class TestSweepCommand:
@@ -742,8 +781,7 @@ class TestErrorPaths:
         assert axis in err and "finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["propagate", "gap", "validate"])
-    def test_steps_above_cap(self, tmp_path, capsys, monkeypatch, command):
+    def test_steps_above_cap(self, tmp_path, capsys, monkeypatch):
         # the plan refuses the override before any (steps + 1, d, d)
         # propagator stack is allocated
         def refuse(*args, **kwargs):
@@ -752,21 +790,18 @@ class TestErrorPaths:
         monkeypatch.setattr(periodic, "propagate", refuse)
         monkeypatch.setattr(sweep, "propagate", refuse)
         out = tmp_path / "x.csv"
-        rc = main([command, "--case", "A-II", "--drive", "rwa",
+        rc = main(["propagate", "--case", "A-II", "--drive", "rwa",
                    "--steps-per-period", str(MAX_PLAN_STEPS + 1),
                    "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,drive", [
-        ("gap", "both"), ("gap", "rwa"), ("validate", "rwa"),
-        ("propagate", "rwa")])
-    def test_steps_below_the_q_count_run(self, tmp_path, command, drive):
+    def test_steps_below_the_q_count_run(self, tmp_path):
         # q = 200, so q * BASE_STEPS is above the cap; 1000 steps are not
         out = tmp_path / "x.csv"
-        rc = main([command, "--case", "B-II", "--delta-omega-p", "0.005",
-                   "--drive", drive, "--steps-per-period", "1000",
+        rc = main(["propagate", "--case", "B-II", "--delta-omega-p", "0.005",
+                   "--drive", "rwa", "--steps-per-period", "1000",
                    "--out", str(out)])
         assert rc == EXIT_OK
         assert "# steps_per_period = 1000" in out.read_text()

@@ -10,9 +10,8 @@ from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, unvec, vec)
 from lamsim.periodic import commensurate_period, one_period
 from lamsim.rwa_oracle import rwa_density_tpr
-from lamsim.sweep import (SweepAxis, SweepSpec, resolve_period, run_case,
-                          run_sweep, rwa_error_curve, steady_state_summary,
-                          to_rwf)
+from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
+                          rwa_error_curve, steady_state_summary, to_rwf)
 
 STEPS = 512  # coarse grid for structural checks; accuracy is tested elsewhere
 
@@ -221,20 +220,6 @@ class TestRunCase:
             run_case(preset("A-I"), 1.0, drive="both")
         with pytest.raises(ValueError):
             run_case(preset("A-I"), 1.0, frame="interaction")
-
-
-class TestResolvePeriod:
-    def test_step_cap(self):
-        # omega_p = 6.0001 needs q = 10^4, and q * BASE_STEPS is above it
-        with pytest.raises(ValueError, match="cap"):
-            resolve_period(preset("A-II", delta_omega_p=0.0001), rwa=True)
-
-    def test_cap_applies_to_the_step_count_in_use(self):
-        g, plan = resolve_period(preset("B-II", delta_omega_p=0.005),
-                                 rwa=True, steps_per_period=1000)
-        assert plan.period == pytest.approx(200 * 2.0 * np.pi)
-        assert plan.steps_per_period == 1000
-        assert g.dim == 9
 
 
 class TestAxes:
