@@ -53,9 +53,9 @@ _FLAGS = {
     "config": dict(help="key = value configuration file"),
     "case": dict(choices=PRESET_NAMES), "out": {}, "observables": {},
     "order": dict(type=int, choices=(4, 6),
-                  help="Magnus order of the full drive (default 6); the RWA "
-                       "drive is propagated exactly in its rotating frame, "
-                       "whatever the order and step count"),
+                  help="Magnus order of the full drive's time series "
+                       "(default 6); the RWA drive is exact in its rotating "
+                       "frame at any order and step count"),
     "drive": dict(choices=DRIVES), "frame": dict(choices=("lab", "rwf")),
     **{k: dict(type=int) for k in ("steps_per_period", "periods", "workers")},
     **{k: dict(type=float) for k in ("horizon", "eps_ss", "delta_omega_p",
@@ -73,10 +73,10 @@ _SHARED = ("config", "case", "out", "timestamp", "delta_omega_p",
 _READS = {
     "propagate": ("order", "steps_per_period", "periods", "horizon", "drive",
                   "frame"),
-    "sweep": ("order", "drive", "observables", "eps_ss", "workers",
-              "omega_p_range", "omega_c_range"),
-    "gap": ("order", "drive"),
-    "validate": ("order", "drive"),
+    "sweep": ("drive", "observables", "eps_ss", "workers", "omega_p_range",
+              "omega_c_range"),
+    "gap": ("drive",),
+    "validate": ("drive",),
 }
 # the run settings a subcommand's metadata records, if it reads them
 _RECORDED = ("order", "steps_per_period", "drive", "frame", "eps_ss")
@@ -98,7 +98,7 @@ class RunConfig:
     params: dict[str, float] = field(default_factory=dict)
     delta_omega_p: float = 0.0
     delta_omega_c: float = 0.0
-    order: int = 6
+    order: int = 6  # propagate only
     steps_per_period: int | None = None  # propagate: q * BASE_STEPS
     periods: int | None = None
     horizon: float | None = None
@@ -327,8 +327,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         spec = SweepSpec(base=p, axis1=axes[0],
                          axis2=axes[1] if len(axes) > 1 else None,
                          observables=observables, drive=cfg.drive,
-                         order=MagnusOrder(cfg.order), eps_ss=cfg.eps_ss,
-                         workers=cfg.workers)
+                         eps_ss=cfg.eps_ss, workers=cfg.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_sweep(spec)
@@ -364,7 +363,7 @@ def _period_maps(cfg: RunConfig, p: LambdaParams) -> tuple[dict, dict]:
     for drive in _variants(cfg.drive):
         plan, _, (u_t, _) = accurate_plan(
             liouville_generator(p, rwa=drive == "rwa"), period,
-            MagnusOrder(cfg.order), resolve=one_period)
+            resolve=one_period)
         maps[drive] = u_t.copy()  # not a view holding the micromotion
         steps.append(str(plan.steps_per_period))
     return maps, {"steps_per_period": " ".join(steps), "period": period}

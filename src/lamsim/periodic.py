@@ -60,10 +60,6 @@ class PeriodicPlan:
                 f"{MAX_PLAN_STEPS}")
 
     @property
-    def dt(self) -> float:
-        return self.period / self.steps_per_period
-
-    @property
     def micromotion_times(self) -> np.ndarray:
         """The steps_per_period + 1 grid times of one period, 0 and T
         included."""
@@ -105,28 +101,27 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
     return float(q) * (2.0 * np.pi), int(q) * BASE_STEPS
 
 
-def one_period(g: Generator, plan: PeriodicPlan,
-               order: MagnusOrder = MagnusOrder.ORDER6
+def one_period(g: Generator, plan: PeriodicPlan
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over one period plus cumulative propagators at every
-    intra-period grid point (identity first, the full U_T last)."""
+    """Sixth-order propagator over one period plus cumulative propagators
+    at every intra-period grid point (identity first, the full U_T last)."""
     micromotion = propagate(g, 0.0, plan.period, plan.steps_per_period,
-                            order=order, return_intermediate=True)
+                            return_intermediate=True)
     return micromotion[-1], micromotion
 
 
 def accurate_plan(g: Generator, period: float,
-                  order: MagnusOrder = MagnusOrder.ORDER6,
                   resolve: Callable = one_period
                   ) -> tuple[PeriodicPlan, float, tuple]:
     """The plan with the fewest steps N = q MIN_STEPS 2^k (T = 2 pi q)
-    whose step-doubling estimate of U_T's error,
-    max |U_N - U_{N/2}| / (2^order - 1), is <= STEP_ERROR_TARGET, that
+    whose step-doubling estimate of the sixth-order U_T's error,
+    max |U_N - U_{N/2}| / (2^6 - 1), is <= STEP_ERROR_TARGET, that
     estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and
-    the period resolved at it, resolve(g, plan, order) = (U_T, micromotion).
+    the period resolved at it, resolve(g, plan) = (U_T, micromotion).
+    At that accuracy a lower Magnus order would change only the cost.
 
     U_T is taken without intermediates at the floor and half of it; the
-    order's rate 2^order per doubling then predicts N.  Each prediction is
+    rate 2^6 per doubling then predicts N.  Each prediction is
     resolved once; that resolution's U_T is checked against U_{N/2}, and N
     is predicted again from the check until it holds, so the accepted N
     steps are propagated once.  Every count is checked against the step
@@ -135,10 +130,10 @@ def accurate_plan(g: Generator, period: float,
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
-    rate = 2.0 ** order.value
+    rate = 2.0 ** MagnusOrder.ORDER6.value
 
     def u(steps: int) -> np.ndarray:
-        return propagate(g, 0.0, period, steps, order=order)
+        return propagate(g, 0.0, period, steps)
 
     def estimate(fine: np.ndarray, coarse: np.ndarray) -> float:
         error = float(np.max(np.abs(fine - coarse))) / (rate - 1.0)
@@ -154,11 +149,11 @@ def accurate_plan(g: Generator, period: float,
         k = max(1, math.ceil(math.log(error / STEP_ERROR_TARGET, rate)))
         plan = replace(plan, steps_per_period=plan.steps_per_period << k)
         half = full if k == 1 else u(plan.steps_per_period // 2)
-        resolved = resolve(g, plan, order)
+        resolved = resolve(g, plan)
         full = resolved[0]
         error = estimate(full, half)
     if resolved is None:  # the floor holds
-        resolved = resolve(g, plan, order)
+        resolved = resolve(g, plan)
     return plan, error, resolved
 
 

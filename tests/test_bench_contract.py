@@ -41,7 +41,11 @@ def test_name_resolves(name):
         assert callable(obj)
 
 
-def test_steady_state_summary_resolves_one_period_once(monkeypatch):
+@pytest.mark.parametrize("case,rwa", [("B-II", True), ("A-II", False)])
+def test_steady_state_summary_resolves_one_period_once(monkeypatch, case,
+                                                       rwa):
+    # B-II rwa resolves at the step floor, A-II full after the prediction
+    # loop raises the count: either way one_period runs once.
     calls = []
     real = sweep.one_period
 
@@ -50,7 +54,7 @@ def test_steady_state_summary_resolves_one_period_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "one_period", counting)
-    summary = sweep.steady_state_summary(preset("B-II"), rwa=True)
+    summary = sweep.steady_state_summary(preset(case), rwa=rwa)
     assert len(calls) == 1
     assert SUMMARY_KEYS <= set(summary)
 

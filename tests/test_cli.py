@@ -99,15 +99,15 @@ class TestBuildConfig:
 UNREAD = {
     "propagate": ("observables", "eps_ss", "workers", "omega_p_range",
                   "omega_c_range"),
-    "sweep": ("steps_per_period", "periods", "horizon", "frame"),
-    "gap": ("steps_per_period", "periods", "horizon", "frame",
+    "sweep": ("order", "steps_per_period", "periods", "horizon", "frame"),
+    "gap": ("order", "steps_per_period", "periods", "horizon", "frame",
             "observables", "eps_ss", "workers", "omega_p_range",
             "omega_c_range"),
 }
 UNREAD["validate"] = UNREAD["gap"]
 UNREAD_PAIRS = [(cmd, key) for cmd, keys in UNREAD.items() for key in keys]
-VALUES = {"observables": "populations", "eps_ss": "1e-4", "workers": "1",
-          "omega_p_range": "6:6:1", "omega_c_range": "4:4:1",
+VALUES = {"order": "4", "observables": "populations", "eps_ss": "1e-4",
+          "workers": "1", "omega_p_range": "6:6:1", "omega_c_range": "4:4:1",
           "steps_per_period": STEPS, "periods": "1", "horizon": "1.0",
           "frame": "rwf"}
 
@@ -118,7 +118,7 @@ def _flag(key):
 
 class TestSettingsPerSubcommand:
     def test_unread_pairs(self):
-        assert len(UNREAD_PAIRS) == 27
+        assert len(UNREAD_PAIRS) == 30
         for command, keys in UNREAD.items():
             assert not set(keys) & set(cli._READS[command])
             assert set(keys) | set(cli._READS[command]) | set(
@@ -177,11 +177,10 @@ class TestSettingsPerSubcommand:
          ["order", "steps_per_period", "drive", "frame", "horizon"]),
         (["sweep", "--case", "B-II", "--drive", "rwa", "--omega-p-range",
           "6:6:1", "--observables", "populations"],
-         ["order", "drive", "eps_ss", "observables"]),
-        (["gap", "--case", "A-II"],
-         ["order", "drive", "steps_per_period", "period"]),
+         ["drive", "eps_ss", "observables"]),
+        (["gap", "--case", "A-II"], ["drive", "steps_per_period", "period"]),
         (["validate", "--case", "A-II"],
-         ["order", "drive", "steps_per_period", "period"]),
+         ["drive", "steps_per_period", "period"]),
     ])
     def test_metadata_records_settings_read(self, tmp_path, argv, recorded):
         out = tmp_path / "x.csv"
@@ -288,6 +287,16 @@ class TestPropagateCommand:
         first = rows[1].split(",")
         total = float(first[1]) + float(first[2]) + float(first[3])
         assert total == pytest.approx(1.0, abs=1e-15)
+
+    def test_order_4_is_recorded_and_used(self, tmp_path):
+        args = ["propagate", "--case", "A-II", "--drive", "full",
+                "--periods", "1", "--steps-per-period", STEPS]
+        out4, out6 = tmp_path / "o4.csv", tmp_path / "o6.csv"
+        assert main(args + ["--order", "4", "--out", str(out4)]) == EXIT_OK
+        assert main(args + ["--out", str(out6)]) == EXIT_OK
+        (meta4, rows4), (meta6, rows6) = _read_csv(out4), _read_csv(out6)
+        assert "# order = 4" in meta4 and "# order = 6" in meta6
+        assert rows4[0] == rows6[0] and rows4[-1] != rows6[-1]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["propagate", "--case", "B-I", "--drive", "full",
@@ -703,6 +712,22 @@ class TestSweepCommand:
         assert values[1]["rwa_gap"] == values[1]["rwa_gap_per_time"] == "nan"
         assert main([*args, "--observables", "populations"]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    def test_rwa_error_needs_both_drives(self, tmp_path, capsys, monkeypatch,
+                                         drive):
+        # refused before any grid point is solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--case", "A-II", "--omega-p-range", "6:6:1",
+                   "--drive", drive, "--observables", "rwa_error",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "'rwa_error'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -5,7 +5,7 @@ import pytest
 
 from lamsim import magnus, periodic, sweep
 from lamsim.analysis import cptp_check, spectral_gap
-from lamsim.magnus import MagnusOrder, propagate
+from lamsim.magnus import propagate
 from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, unvec, vec)
 from lamsim.periodic import commensurate_period, one_period
@@ -119,7 +119,7 @@ class TestRunCase:
             times = np.linspace(0.0, horizon, n + 1)
         else:
             plan = periodic.make_plan(g, period, STEPS)
-            u_t, micro = one_period(g, plan, MagnusOrder.ORDER6)
+            u_t, micro = one_period(g, plan)
             blocks, time_blocks = [], []
             u_n = np.eye(g.dim, dtype=complex)
             for j in range(int(fraction) + 1):
@@ -247,6 +247,14 @@ class TestSpecValidation:
                       axis1=SweepAxis("omega_p", 5.0, 6.0, 1.0),
                       observables=("entropy",))
 
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    def test_rwa_error_needs_both_drives(self, drive):
+        axis = SweepAxis("omega_p", 6.0, 6.0, 1.0)
+        with pytest.raises(ValueError, match="rwa_error.*'both'"):
+            SweepSpec(base=preset("A-II"), axis1=axis, drive=drive,
+                      observables=("rwa_error",))
+        SweepSpec(base=preset("A-II"), axis1=axis, observables=("rwa_error",))
+
     def test_grid_order(self):
         spec = SweepSpec(base=preset("A-II"),
                          axis1=SweepAxis("omega_p", 5.0, 6.0, 1.0),
@@ -329,8 +337,8 @@ def capture_one_period(monkeypatch, after=None):
     seen = {}
     real = sweep.one_period
 
-    def wrapper(g, plan, order=MagnusOrder.ORDER6):
-        seen["result"] = real(g, plan, order)
+    def wrapper(g, plan):
+        seen["result"] = real(g, plan)
         seen["plan"] = plan
         if after is not None:
             after(seen)
@@ -366,9 +374,9 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
     u_got = seen["result"][0]
     _, fixed = commensurate_period(p.omega_p, p.omega_c)
 
-    def fixed_plan(g, t, order, resolve):
+    def fixed_plan(g, t, resolve):
         plan = periodic.make_plan(g, t, fixed)
-        return plan, 0.0, resolve(g, plan, order)
+        return plan, 0.0, resolve(g, plan)
 
     monkeypatch.setattr(sweep, "accurate_plan", fixed_plan)
     want = steady_state_summary(p, rwa=rwa)
