@@ -142,35 +142,39 @@ def float_rows(block: np.ndarray, suffix: str) -> str:
     newline."""
     tab = _tables()
     nrows, ncols = block.shape
+    # Every intermediate is freed as soon as the words no longer need it.
     x = np.abs(block).ravel()
     neg = np.signbit(block).ravel()
     zero = x == 0.0
     fast = (x >= _X_MIN) & (x <= _X_MAX)
     x = np.where(fast, x, 1.0)
     k = np.floor(np.log10(x)).astype(np.int64)
-    trunc, frac = _scaled(x, k, tab)
-    off = np.flatnonzero((trunc < _E16) | (trunc >= _E17))
+    d, frac = _scaled(x, k, tab)
+    off = np.flatnonzero((d < _E16) | (d >= _E17))
     if off.size:
-        k[off] += np.where(trunc[off] < _E16, -1, 1)
-        trunc[off], frac[off] = _scaled(x[off], k[off], tab)
-    d = trunc + (frac > 0.5)
+        k[off] += np.where(d[off] < _E16, -1, 1)
+        d[off], frac[off] = _scaled(x[off], k[off], tab)
+    del x, off
+    d += frac > 0.5
     k += d == _E17
     d[d == _E17] = _E16
     bad = ((~fast & ~zero) | (np.abs(frac - 0.5) < _TIE)
            | (d < _E16) | (d >= _E17))
     clear = zero | bad
+    del fast, frac, zero
     d[clear] = 0
     k[clear] = 0
+    del clear
 
     d0 = d // _E16
-    rest = d - d0 * _E16
-    g1 = rest // 10 ** 12
-    rest -= g1 * 10 ** 12
-    g2 = rest // 10 ** 8
-    rest -= g2 * 10 ** 8
-    g3 = rest // 10 ** 4
-    groups = (g1, g2, g3, rest - g3 * 10 ** 4)
-    nsig = np.ones_like(d)
+    d -= d0 * _E16
+    groups = []
+    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
+        groups.append(d // scale)
+        d -= groups[-1] * scale
+    groups.append(d)
+    del d
+    nsig = np.ones_like(d0)
     for w, g in enumerate(groups):
         np.maximum(nsig, np.take(tab["nsig_w"][w], g), out=nsig)
     fixed = (k >= -4) & (k < 17)
@@ -179,28 +183,38 @@ def float_rows(block: np.ndarray, suffix: str) -> str:
 
     words = np.empty((_WORDS, nrows * ncols), np.uint32)
     np.take(tab["lead"], neg * 20 + has_int * 10 + d0, out=words[0])
+    np.take(tab["frac_lead"], ~has_int * 10 + d0, out=words[6])
+    del neg, has_int, d0
+    zeros = np.where(fixed & (k < 0), -1 - k, 0)
+    np.take(tab["point"], (nsig > L) * 4 + zeros, out=words[5])
+    del fixed, zeros
     int_at = L * 4
     frac_at = (L * 18 + nsig) * 4
+    del L, nsig
     for w, g in enumerate(groups):
         digits = np.take(tab["group"], g)
         words[1 + w] = digits & np.take(tab["int_mask"], int_at + w)
         words[7 + w] = digits & np.take(tab["frac_mask"], frac_at + w)
-    zeros = np.where(fixed & (k < 0), -1 - k, 0)
-    np.take(tab["point"], (nsig > L) * 4 + zeros, out=words[5])
-    np.take(tab["frac_lead"], ~has_int * 10 + d0, out=words[6])
-    code = k + _X_OFF
-    code.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
-    np.take(tab["expo"][0], code, out=words[11])
-    np.take(tab["expo"][1], code, out=words[12])
+    del groups, g, digits, int_at, frac_at
+    k += _X_OFF  # the exponent code
+    k.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
+    np.take(tab["expo"][0], k, out=words[11])
+    np.take(tab["expo"][1], k, out=words[12])
+    del k
 
     tail = np.array(_words(suffix.encode("ascii") + b"\n"), np.uint32)
     rows = np.empty((nrows, ncols * _WORDS + len(tail)), np.uint32)
     rows[:, :ncols * _WORDS].reshape(nrows, ncols, _WORDS)[...] = \
         words.reshape(_WORDS, nrows, ncols).transpose(1, 2, 0)
+    del words
     rows[:, ncols * _WORDS:] = tail
     bad_rows = np.flatnonzero(bad.reshape(nrows, ncols).any(axis=1))
     rows[bad_rows] = 0
-    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    raw = rows.tobytes()
+    del rows
+    raw = raw.translate(None, b"\0")
+    text = raw.decode("ascii")
+    del raw
     if not bad_rows.size:
         return text
     lines = text.split("\n")[:-1]

@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import expm
+from .linalg import expm, kron
 
 _GL_OFFSET = np.sqrt(15.0) / 10.0  # 3-point Gauss-Legendre node offset
 # Node positions within a step, as fractions of dt.
@@ -171,7 +171,7 @@ class Generator(_Tables):
         self._real = _Tables(basis.real.copy(), self.coefficients)
         # vec(S R S^dag) = kron(S, conj S) vec(R), row-major, as two real maps
         # acting on the right of flattened stacks.
-        to_vec = np.kron(s, s.conj()).T
+        to_vec = kron(s, s.conj()).T
         self._to_vec = (to_vec.real.copy(), to_vec.imag.copy())
 
     def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
@@ -254,7 +254,11 @@ def _exponent6(g: _Tables, t, dt: float) -> np.ndarray:
     y = _expand(g, np.concatenate(
         [b2, (-1.0 / 30.0) * _pair_coefficients(g, b1, b3),
          (-1.0 / 60.0) * nested], axis=-1), t)
-    return _expand(g, b1 + b3 / 12.0, t) + (1.0 / 240.0) * _comm(x, y)
+    out = x @ y  # (1 / 240) [x, y], formed in place
+    out -= y @ x
+    out *= 1.0 / 240.0
+    out += _expand(g, b1 + b3 / 12.0, t)
+    return out
 
 
 # The steppers exponentiate the Magnus exponent only after the helper that
@@ -350,10 +354,13 @@ def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
 def _running_products(steps: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Running products steps[j] @ ... @ steps[0] @ u, j < n, of an
     (n, d, d) stack: prefix products within blocks (batched over blocks),
-    a pass over block totals, then each block's entry propagator."""
+    a pass over block totals, then each block's entry propagator.  A
+    stack of whole blocks is overwritten by the prefix products."""
     n, d = len(steps), u.shape[-1]
-    pad = np.broadcast_to(np.eye(d), (-n % _BLOCK, d, d))
-    p = np.concatenate([steps, pad]).reshape(-1, _BLOCK, d, d)
+    if n % _BLOCK:
+        pad = np.broadcast_to(np.eye(d), (-n % _BLOCK, d, d))
+        steps = np.concatenate([steps, pad])
+    p = steps.reshape(-1, _BLOCK, d, d)
     for i in range(1, _BLOCK):
         p[:, i] = p[:, i] @ p[:, i - 1]
     entry = [u]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, kron
 from .magnus import Generator
 
 DIM = 3
@@ -170,8 +170,8 @@ def lindbladian(p: LambdaParams) -> np.ndarray:
         if rate == 0.0:
             continue
         ldl = op.conj().T @ op
-        d += rate * (np.kron(op, op.conj())
-                     - 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T)))
+        d += rate * (kron(op, op.conj())
+                     - 0.5 * (kron(ldl, ident) + kron(ident, ldl.T)))
     return d
 
 
@@ -204,7 +204,7 @@ def _comm_super(h: np.ndarray) -> np.ndarray:
     """Commutator superoperator kron(h, I) - kron(I, h.T) of one operator,
     or of each operator in a (K, 3, 3) stack."""
     ident = np.eye(DIM)
-    return np.kron(h, ident) - np.kron(ident, np.swapaxes(h, -1, -2))
+    return kron(h, ident) - kron(ident, np.swapaxes(h, -1, -2))
 
 
 def _drive(p: LambdaParams, rwa: bool):

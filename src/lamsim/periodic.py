@@ -120,8 +120,10 @@ def accurate_plan(g: Generator, period: float,
     the period resolved at it, resolve(g, plan) = (U_T, micromotion).
     At that accuracy a lower Magnus order would change only the cost.
 
-    U_T is taken without intermediates at the floor and half of it; the
-    rate 2^6 per doubling then predicts N.  Each prediction is
+    A generator with a frame takes the floor with estimate 0.0 and no
+    probe: its U_N = Phi(T) exp(T B) is the same matrix for every N.
+    Otherwise U_T is taken without intermediates at the floor and half of
+    it; the rate 2^6 per doubling then predicts N.  Each prediction is
     resolved once; that resolution's U_T is checked against U_{N/2}, and N
     is predicted again from the check until it holds, so the accepted N
     steps are propagated once.  Every count is checked against the step
@@ -130,6 +132,8 @@ def accurate_plan(g: Generator, period: float,
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
+    if g.frame is not None:
+        return plan, 0.0, resolve(g, plan)
     rate = 2.0 ** MagnusOrder.ORDER6.value
 
     def u(steps: int) -> np.ndarray:

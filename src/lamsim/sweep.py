@@ -16,7 +16,6 @@ series (run_case) keep q * BASE_STEPS grid points per period by default.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +303,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     abort the sweep.  Rows come back in deterministic grid order."""
     points = spec.grid()
     if spec.workers > 1:
+        # only here: keeps importing cli light (the pool loads multiprocessing)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(points), points))
     else:

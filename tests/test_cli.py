@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import re
 import sys
@@ -416,6 +417,22 @@ class TestFloatText:
         assert "".join(blocks) == _reference_trajectory_rows(traj,
                                                              ",full,rwf")
 
+    def test_block_temporaries(self):
+        # One ROW_BLOCK x 10 block: its 13-word cells (1.0 MiB), their rows
+        # and the joined bytes, not every intermediate column at once.
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((ROW_BLOCK, 10)) * 10.0 ** rng.integers(
+            -8, 3, (ROW_BLOCK, 10))
+        float_rows(block[:1], "")  # build the tables
+        tracemalloc.start()
+        try:
+            text = float_rows(block, ",full,rwf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _reference_rows(block, ",full,rwf")
+        assert peak <= 4.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB peak"
+
 
 class TestPropagateBytes:
     # T = 2 pi for both presets: 2.5 stays inside the first period, 15.1
@@ -778,7 +795,8 @@ class TestErrorPaths:
             raise AssertionError("sweep started")
 
         monkeypatch.setattr(cli, "run_sweep", refuse)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
         out = tmp_path / "x.csv"
         rc = main(["sweep", "--case", "B-II", "--omega-p-range", "6:6:1",
                    "--drive", "rwa", flag, value, "--out", str(out)])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.linalg import (_TAYLOR8_THETA, _TAYLOR12_THETA, DimensionError,
-                           expm, frobenius_norm)
+from lamsim.linalg import (_INV_FACTORIAL, _TAYLOR8_THETA, _TAYLOR12_THETA,
+                           DimensionError, _taylor, expm, frobenius_norm,
+                           kron)
+from lamsim.model import HERMITIAN_BASIS
 
 from conftest import random_complex_matrix
 
@@ -180,6 +182,76 @@ class TestRealInput:
         want = expm(a.astype(complex))
         assert want.dtype == complex
         assert np.max(np.abs(out - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _taylor_plain(a, degree):
+    """The Paterson-Stockmeyer evaluation as plain sums of scaled powers."""
+    c, diag = _INV_FACTORIAL, np.arange(a.shape[-1])
+    s = math.isqrt(degree - 1) + 1
+    powers = [a]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ a)
+    out = 0.0
+    for j in (2, 1, 0):
+        top = degree if j == 2 else s * j + s - 1
+        block = c[s * j + 1] * a
+        for i in range(s * j + 2, top + 1):
+            block = block + c[i] * powers[i - s * j - 1]
+        out = block + (powers[-1] @ out if j < 2 else 0.0)
+        out[:, diag, diag] += c[s * j]
+    return out
+
+
+@pytest.mark.parametrize("degree", [8, 12])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_taylor_adds_in_the_order_of_the_plain_sum(rng, degree, dtype):
+    a = 0.03 * rng.standard_normal((100, 9, 9))
+    if dtype is complex:
+        a = a + 0.03j * rng.standard_normal((100, 9, 9))
+    assert np.array_equal(_taylor(a, degree), _taylor_plain(a, degree))
+
+
+class TestMemoryLayout:
+    """A transposed or otherwise non-C-ordered input gives the bits of its
+    C-ordered copy in every branch."""
+
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 3.0])  # Taylor 8, 12, Pade
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_transposed_matrix(self, rng, norm, dtype):
+        a = rng.standard_normal((9, 9)).astype(dtype)
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        assert np.array_equal(expm(a.T), expm(np.ascontiguousarray(a.T)))
+
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 3.0])
+    def test_swapped_stack(self, rng, norm):
+        a = np.array([random_complex_matrix(rng, 3) for _ in range(5)])
+        a *= norm / np.max(np.sum(np.abs(a), axis=-2))
+        t = np.swapaxes(a, -1, -2)
+        assert np.array_equal(expm(t), expm(np.ascontiguousarray(t)))
+
+    def test_transposed_zero_is_identity(self):
+        assert np.array_equal(expm(np.zeros((3, 3)).T), np.eye(3))
+
+
+class TestKron:
+    """The broadcast product has np.kron's entries, bit for bit."""
+
+    def test_operators(self, rng):
+        a, b = random_complex_matrix(rng, 3), random_complex_matrix(rng, 3)
+        for x, y in [(a, b), (a, a.conj()), (a, np.eye(3)), (np.eye(3), b)]:
+            assert np.array_equal(kron(x, y), np.kron(x, y))
+
+    def test_stacks(self, rng):
+        h = np.array([random_complex_matrix(rng, 3) for _ in range(4)])
+        ident = np.eye(3)
+        for x, y in [(h, ident), (ident, np.swapaxes(h, -1, -2)),
+                     (h, random_complex_matrix(rng, 3))]:
+            assert kron(x, y).shape == (4, 9, 9)
+            assert np.array_equal(kron(x, y), np.kron(x, y))
+
+    def test_hermitian_basis_pair(self):
+        s = HERMITIAN_BASIS
+        assert np.array_equal(kron(s, s.conj()), np.kron(s, s.conj()))
 
 
 def test_frobenius_norm_value():

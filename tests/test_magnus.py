@@ -202,6 +202,17 @@ class TestTabulatedExponents:
 
 
 class TestBlockedProduct:
+    @pytest.mark.parametrize("n", [CHUNK_STEPS, 1000, 1])
+    def test_whole_blocks_skip_the_padding(self, rng, n):
+        # one more identity step makes the stack need padding; the first n
+        # products are the same bits with or without it
+        h = np.array([random_complex_matrix(rng, 9) for _ in range(n + 1)])
+        unitaries = expm(0.1j * (h + np.conj(np.swapaxes(h, -1, -2))))
+        u, steps = unitaries[0], unitaries[1:]
+        padded = _running_products(
+            np.concatenate([steps, np.eye(9)[None]]), u)[:n]
+        assert np.array_equal(_running_products(steps.copy(), u), padded)
+
     @pytest.mark.parametrize("n", [1, 31, 33, CHUNK_STEPS + 7])
     def test_matches_sequential_product(self, rng, n):
         # unitary steps, so the products stay of order one

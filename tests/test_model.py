@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamsim import magnus, model
 from lamsim.model import (DIM, LDIM, PRESET_NAMES, LambdaParams,
                           closed_generator, ground_state, h0, jump_operators,
                           lindbladian, liouville_generator, preset,
@@ -229,6 +230,23 @@ class TestGenerators:
         p = preset("A-II")
         g = liouville_generator(p, dissipative=False)
         assert np.allclose(g(0.1), -1j * liouvillian(p, 0.1), atol=1e-13)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_same_bits_as_np_kron(self, monkeypatch, name, rwa):
+        p = preset(name)
+        built = [closed_generator(p, rwa), liouville_generator(p, rwa)]
+        monkeypatch.setattr(model, "kron", np.kron)
+        monkeypatch.setattr(magnus, "kron", np.kron)
+        for g, want in zip(built, [closed_generator(p, rwa),
+                                   liouville_generator(p, rwa)]):
+            assert np.array_equal(g.a0, want.a0)
+            assert np.array_equal(g.terms, want.terms)
+            assert np.array_equal(g._table, want._table)
+            assert (g._real is None) == (want._real is None)
+            if g._real is not None:
+                assert np.array_equal(g._real._table, want._real._table)
+                assert all(map(np.array_equal, g._to_vec, want._to_vec))
 
 
 def test_ground_state():

@@ -89,13 +89,22 @@ class TestAccuratePlan:
         return calls, resolved
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_exact_route_takes_the_floor(self, q):
-        # B-II at omega_p = 13/2 has T = 4 pi (q = 2)
+    def test_exact_route_takes_the_floor(self, monkeypatch, q):
+        # B-II at omega_p = 13/2 has T = 4 pi (q = 2).  U_N = Phi(T) exp(T B)
+        # for every N: no probe, nothing to compare.
         p = preset("B-II", delta_omega_p=0.5 * (q - 1))
         g = liouville_generator(p, rwa=True)
+        calls = []
+
+        def counting(g, t0, t1, steps, **kwargs):
+            calls.append((steps, kwargs.get("return_intermediate", False)))
+            return propagate(g, t0, t1, steps, **kwargs)
+
+        monkeypatch.setattr(periodic, "propagate", counting)
         plan, error, (u_t, micro) = accurate_plan(g, 2.0 * np.pi * q)
         assert plan.steps_per_period == q * MIN_STEPS
-        assert error <= 1e-15
+        assert error == 0.0
+        assert calls == [(q * MIN_STEPS, True)]
         assert len(micro) == plan.steps_per_period + 1
         assert np.array_equal(u_t, micro[-1])
 
@@ -127,6 +136,27 @@ class TestAccuratePlan:
         assert len(resolved) >= 2 and resolved[-1] == n
         assert u_t[0, 0] == 1.0 + 1e3 * float(n) ** -4.0
 
+    @pytest.mark.parametrize("scale, n", [(1e2, MIN_STEPS),
+                                          (1e4, 2 * MIN_STEPS)])
+    def test_weak_drive_is_propagated_once_per_count(self, monkeypatch,
+                                                     scale, n):
+        # scale / N^6: the estimate at the floor holds for the smaller
+        # scale, at twice the floor for the larger.  The floor and half of
+        # it are probed, the accepted count is resolved once, and no count
+        # is propagated twice.
+        calls, resolved = self._fake_propagate(monkeypatch, scale, 6)
+        plan, error, (u_t, _) = accurate_plan(Generator(np.zeros((1, 1))),
+                                              2.0 * np.pi)
+
+        def estimate(n):
+            return scale * ((n / 2) ** -6.0 - float(n) ** -6.0) / 63.0
+
+        assert estimate(n) <= STEP_ERROR_TARGET < estimate(n // 2)
+        assert plan.steps_per_period == n and resolved == [n]
+        assert calls == [MIN_STEPS, MIN_STEPS // 2, n]
+        assert error == pytest.approx(estimate(n), rel=1e-2)
+        assert u_t[0, 0] == 1.0 + scale * float(n) ** -6.0
+
     def test_failed_check_meets_the_cap(self, monkeypatch):
         # The re-prediction after a failed check is above the cap: it is
         # refused before it is propagated.
@@ -152,6 +182,28 @@ class TestAccuratePlan:
         with pytest.raises(ValueError, match="cap"):
             accurate_plan(g, 2.0 * np.pi * 2000)
         assert max(calls) <= MAX_PLAN_STEPS
+
+    @pytest.mark.parametrize("cap", [MIN_STEPS, 2 * MIN_STEPS,
+                                     4 * MIN_STEPS, 8 * MIN_STEPS,
+                                     32 * MIN_STEPS])
+    @pytest.mark.parametrize("power", [1, 4, 6])
+    def test_cap_checked_before_every_count(self, monkeypatch, cap, power):
+        calls, _ = self._fake_propagate(monkeypatch, 1e3, power)
+        real = periodic.propagate
+
+        def capped(g, t0, t1, steps, **kwargs):
+            assert steps <= cap, f"{steps} steps propagated past the cap"
+            return real(g, t0, t1, steps, **kwargs)
+
+        monkeypatch.setattr(periodic, "propagate", capped)
+        monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", cap)
+        try:
+            plan, _, _ = accurate_plan(Generator(np.zeros((1, 1))),
+                                       2.0 * np.pi)
+        except ValueError as exc:
+            assert "cap" in str(exc)
+        else:
+            assert plan.steps_per_period <= cap
 
 
 class TestStroboscopic:

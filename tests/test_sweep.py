@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,6 +493,28 @@ class TestRunSweep:
         for row in result.rows:
             assert set(row) <= set(result.columns)
         assert len(result.table()) == len(result.rows)
+
+    def test_two_workers_give_the_serial_rows(self):
+        spec = SweepSpec(base=preset("B-II"),
+                         axis1=SweepAxis("omega_p", 6.0, 6.5, 0.5),
+                         drive="rwa")
+        serial = run_sweep(spec)
+        pooled = run_sweep(replace(spec, workers=2))
+        assert len(serial.rows) == 2
+        assert not any("error" in row for row in serial.rows)
+        assert pooled.columns == serial.columns
+        assert pooled.rows == serial.rows
+
+
+def test_importing_cli_loads_no_process_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lamsim.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_rwa_error_curve_starts_at_zero():
