@@ -7,7 +7,10 @@ For a generator with period T the propagator over [0, n T + t] factors as
 U(t, 0) @ U(T, 0)^n, so a single resolved period plus cheap matrix powers
 covers arbitrarily long horizons; repeated squaring of U(T, 0) reaches
 exponentially long times, and the average over any one period is one fixed
-map (period_mean_map) of the state at the period's start.
+map (period_mean_map) of the state at the period's start.  The same
+factorisation inside the reported period, U(T) = U(T/m)^m for a generator
+that is also T/m-periodic, lets accurate_plan and one_period resolve only
+the sub-period T/m (m = 2 for the presets at two-photon resonance).
 """
 
 from __future__ import annotations
@@ -44,10 +47,13 @@ class HorizonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicPlan:
-    """One resolved drive period: length, step count, intra-period grid."""
+    """One resolved drive period: length T, step count N over T, and the
+    number m of repeats of the generator's sub-period T/m that one_period
+    composes U_T from (1: T is resolved as a whole)."""
 
     period: float
     steps_per_period: int
+    repeats: int = 1
 
     def __post_init__(self):
         if self.period <= 0:
@@ -57,7 +63,14 @@ class PeriodicPlan:
         if self.steps_per_period > MAX_PLAN_STEPS:
             raise ValueError(
                 f"steps_per_period {self.steps_per_period} is above the cap "
-                f"{MAX_PLAN_STEPS}")
+                f"{MAX_PLAN_STEPS} at the period T = {self.period:.6g} = "
+                f"2 pi q, q = {self.period / (2.0 * np.pi):g}: step counts "
+                "grow in proportion to q, the least common denominator of "
+                "the drive frequencies")
+        if self.repeats < 1 or self.steps_per_period % self.repeats:
+            raise ValueError(
+                f"repeats {self.repeats} must be >= 1 and divide "
+                f"steps_per_period {self.steps_per_period}")
 
     @property
     def micromotion_times(self) -> np.ndarray:
@@ -66,28 +79,54 @@ class PeriodicPlan:
         return np.linspace(0.0, self.period, self.steps_per_period + 1)
 
 
-def make_plan(g: Generator, period: float, steps_per_period: int
-              ) -> PeriodicPlan:
-    """Build a plan, checking that the generator really has the claimed
-    period at 16 pseudo-random probe times."""
-    plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
+def _periodicity_defect(g: Generator, period: float
+                        ) -> tuple[float, float] | None:
+    """The first (defect, t) among 16 seeded probe times t in [0, period)
+    where max |A(t + period) - A(t)| exceeds PERIODICITY_TOL max(1, |A(t)|),
+    or None if the generator passes as period-periodic."""
     probes = np.random.default_rng(1729).uniform(0.0, period, size=16)
     a = g(probes)
     defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"generator is not {period}-periodic: defect "
-            f"{defect[i]:.3e} at t={probes[i]:.6f}")
+    return (defect[bad[0]], probes[bad[0]]) if bad.size else None
+
+
+def make_plan(g: Generator, period: float, steps_per_period: int
+              ) -> PeriodicPlan:
+    """Build a plan, checking that the generator really has the claimed
+    period at 16 pseudo-random probe times."""
+    plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
+    bad = _periodicity_defect(g, period)
+    if bad is not None:
+        raise ValueError(f"generator is not {period}-periodic: defect "
+                         f"{bad[0]:.3e} at t={bad[1]:.6f}")
     return plan
 
 
+def _repeats(g: Generator, period: float) -> int:
+    """The largest power of two m <= MIN_STEPS // 2 for which the generator
+    passes make_plan's check as (period / m)-periodic.
+
+    Powers of two suffice for period = 2 pi q from commensurate_period:
+    the fundamental count gcd(q omega_p, q omega_c) is coprime to q, so
+    only its power-of-two part divides the step grid q MIN_STEPS 2^k.  At
+    two-photon resonance (omega_p = 6, omega_c = 4) m = 2; off resonance,
+    e.g. omega_p = 6.05 (q = 20), m = 1 and nothing is saved."""
+    m = 1
+    while (m < MIN_STEPS // 2
+           and _periodicity_defect(g, period / (2 * m)) is None):
+        m *= 2
+    return m
+
+
 def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
-    """Smallest period T = 2 pi q (integer q) commensurate with both drive
-    frequencies, and q * BASE_STEPS steps to keep dt fixed.  The step cap
-    is checked by the PeriodicPlan built with the step count in use."""
+    """Smallest 2 pi multiple T = 2 pi q (integer q) that is a period of
+    both drive frequencies, and q * BASE_STEPS steps to keep dt fixed.  T
+    is the reported period; it need not be the drive's fundamental one,
+    which is T / gcd(q omega_p, q omega_c) (pi at omega_p = 6, omega_c =
+    4).  The step cap is checked by the PeriodicPlan built with the step
+    count in use."""
     from fractions import Fraction
 
     q = 1
@@ -104,9 +143,23 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
 def one_period(g: Generator, plan: PeriodicPlan
                ) -> tuple[np.ndarray, np.ndarray]:
     """Sixth-order propagator over one period plus cumulative propagators
-    at every intra-period grid point (identity first, the full U_T last)."""
-    micromotion = propagate(g, 0.0, plan.period, plan.steps_per_period,
-                            return_intermediate=True)
+    at every intra-period grid point (identity first, the full U_T last).
+
+    With plan.repeats = m > 1 only the sub-period T/m is propagated, on
+    N/m steps; by U(j T/m + t) = U(t) U(j T/m) each later repeat j is one
+    batched product of that sub-stack with the stack's row j N/m, so the
+    (N + 1)-row stack costs N/m Magnus steps (Shirley, Phys. Rev. 138,
+    B979 (1965))."""
+    m = plan.repeats
+    n = plan.steps_per_period // m
+    sub = propagate(g, 0.0, plan.period / m, n, return_intermediate=True)
+    if m == 1:
+        return sub[-1], sub
+    micromotion = np.empty((m * n + 1,) + sub.shape[1:], dtype=sub.dtype)
+    micromotion[:n + 1] = sub
+    for j in range(1, m):
+        np.matmul(sub[1:], micromotion[j * n],
+                  out=micromotion[j * n + 1:(j + 1) * n + 1])
     return micromotion[-1], micromotion
 
 
@@ -122,22 +175,29 @@ def accurate_plan(g: Generator, period: float,
 
     A generator with a frame takes the floor with estimate 0.0 and no
     probe: its U_N = Phi(T) exp(T B) is the same matrix for every N.
-    Otherwise U_T is taken without intermediates at the floor and half of
-    it; the rate 2^6 per doubling then predicts N.  Each prediction is
-    resolved once; that resolution's U_T is checked against U_{N/2}, and N
-    is predicted again from the check until it holds, so the accepted N
-    steps are propagated once.  Every count is checked against the step
-    cap before it is propagated.  Every U_T consumer (steady state, gap,
-    CPTP checks) reads the U_T this rule resolves.
+    Otherwise the plan carries the repeats m of the generator's shortest
+    power-of-two sub-period T/m (_repeats), and every U_N is the m-th
+    power of the N/m-step U_{T/m}: the same Magnus steps for 1/m of the
+    cost (m = 2 on the resonant presets, 1 off resonance).  U_T is taken
+    without intermediates at the floor and half of it; the rate 2^6 per
+    doubling then predicts N.  Each prediction is resolved once; that
+    resolution's U_T is checked against U_{N/2}, and N is predicted again
+    from the check until it holds, so the accepted N steps are propagated
+    once.  Every count is checked against the step cap before it is
+    propagated.  Every U_T consumer (steady state, gap, CPTP checks) reads
+    the U_T this rule resolves.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
     if g.frame is not None:
         return plan, 0.0, resolve(g, plan)
+    m = _repeats(g, period)
+    plan = replace(plan, repeats=m)
     rate = 2.0 ** MagnusOrder.ORDER6.value
 
     def u(steps: int) -> np.ndarray:
-        return propagate(g, 0.0, period, steps)
+        return np.linalg.matrix_power(
+            propagate(g, 0.0, period / m, steps // m), m)
 
     def estimate(fine: np.ndarray, coarse: np.ndarray) -> float:
         error = float(np.max(np.abs(fine - coarse))) / (rate - 1.0)

@@ -840,6 +840,15 @@ class TestErrorPaths:
         assert "cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_commensurate_period_above_the_cap(self, capsys):
+        # omega_p = 6.0001 needs q = 10^4: the floor q * MIN_STEPS is
+        # above the cap before anything is propagated
+        rc = main(["gap", "--case", "A-II", "--delta-omega-p", "0.0001"])
+        assert rc == EXIT_CONFIG == 2
+        err = capsys.readouterr().err
+        assert "cap" in err and "q = 10000" in err
+        assert "least common denominator of the drive frequencies" in err
+
     def test_steps_below_the_q_count_run(self, tmp_path):
         # q = 200, so q * BASE_STEPS is above the cap; 1000 steps are not
         out = tmp_path / "x.csv"

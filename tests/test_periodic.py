@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,9 @@ class TestPlan:
             PeriodicPlan(period=1.0, steps_per_period=0)
         with pytest.raises(ValueError, match="cap"):
             PeriodicPlan(period=1.0, steps_per_period=MAX_PLAN_STEPS + 1)
+        for repeats in (0, 3):
+            with pytest.raises(ValueError, match="repeats"):
+                PeriodicPlan(period=1.0, steps_per_period=4, repeats=repeats)
 
 
 class TestCommensurate:
@@ -66,6 +71,54 @@ class TestCommensurate:
         period, steps = commensurate_period(6.0001, 4.0)
         assert period == pytest.approx(10 ** 4 * 2.0 * np.pi)
         assert steps == 10 ** 4 * 8191
+
+
+def cos_drive() -> Generator:
+    """1x1 generator cos(t): period 2 pi and no shorter power-of-two
+    sub-period, so accurate_plan resolves it whole (repeats 1)."""
+    return Generator(np.zeros((1, 1)), [np.ones((1, 1))],
+                     coefficients=lambda t: np.cos(t)[..., None])
+
+
+class TestRepeats:
+    @pytest.mark.parametrize("case, delta_omega_p, m", [
+        ("A-II", 0.0, 2), ("B-II", 0.0, 2), ("C-II", 0.0, 2),
+        ("A-II", 2.0, 4), ("A-II", 0.05, 1)])
+    def test_full_drive(self, case, delta_omega_p, m):
+        # omega_c = 4 with omega_p = 6 repeats every pi, with 8 every
+        # pi / 2; omega_p = 6.05 (q = 20) has no shorter period than T
+        p = preset(case, delta_omega_p=delta_omega_p)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        assert periodic._repeats(liouville_generator(p), period) == m
+
+    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+    @pytest.mark.parametrize("delta_omega_p", [0.0, 2.0, 0.05])
+    def test_rwa_drive_is_resolved_whole(self, case, delta_omega_p):
+        # the exact frame route is the same matrix for any sub-period
+        p = preset(case, delta_omega_p=delta_omega_p)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        plan, _, _ = accurate_plan(liouville_generator(p, rwa=True), period)
+        assert plan.repeats == 1
+
+    def test_cos_drive(self):
+        assert periodic._repeats(cos_drive(), 2.0 * np.pi) == 1
+
+    def test_constant_generator_is_bounded(self):
+        # every sub-period passes; the floor's half probe keeps >= 1 step
+        m = periodic._repeats(Generator(np.zeros((1, 1))), 2.0 * np.pi)
+        assert m <= MIN_STEPS // 2
+        assert (MIN_STEPS // 2) % m == 0
+
+    @pytest.mark.parametrize("delta_omega_p, m", [(0.0, 2), (2.0, 4)])
+    def test_one_period_from_repeats(self, delta_omega_p, m):
+        g = liouville_generator(preset("A-II", delta_omega_p=delta_omega_p))
+        plan = make_plan(g, 2.0 * np.pi, STEPS)
+        _, whole = one_period(g, plan)
+        u_t, composed = one_period(g, replace(plan, repeats=m))
+        assert composed.shape == whole.shape
+        assert np.array_equal(composed[0], np.eye(g.dim))
+        assert np.array_equal(u_t, composed[-1])
+        assert np.max(np.abs(composed - whole)) <= 1e-13
 
 
 class TestAccuratePlan:
@@ -121,8 +174,7 @@ class TestAccuratePlan:
         # An error falling as N^-4 against the assumed N^-6: the first
         # prediction from the floor undershoots and must be raised.
         calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
-        plan, error, (u_t, _) = accurate_plan(Generator(np.zeros((1, 1))),
-                                              2.0 * np.pi)
+        plan, error, (u_t, _) = accurate_plan(cos_drive(), 2.0 * np.pi)
 
         def estimate(n):
             return 1e3 * ((n / 2) ** -4.0 - float(n) ** -4.0) / 63.0
@@ -145,8 +197,7 @@ class TestAccuratePlan:
         # it are probed, the accepted count is resolved once, and no count
         # is propagated twice.
         calls, resolved = self._fake_propagate(monkeypatch, scale, 6)
-        plan, error, (u_t, _) = accurate_plan(Generator(np.zeros((1, 1))),
-                                              2.0 * np.pi)
+        plan, error, (u_t, _) = accurate_plan(cos_drive(), 2.0 * np.pi)
 
         def estimate(n):
             return scale * ((n / 2) ** -6.0 - float(n) ** -6.0) / 63.0
@@ -161,7 +212,7 @@ class TestAccuratePlan:
         # The re-prediction after a failed check is above the cap: it is
         # refused before it is propagated.
         calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
-        g = Generator(np.zeros((1, 1)))
+        g = cos_drive()
         accurate_plan(g, 2.0 * np.pi)
         first = resolved[0]
         calls.clear()
@@ -198,8 +249,7 @@ class TestAccuratePlan:
         monkeypatch.setattr(periodic, "propagate", capped)
         monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", cap)
         try:
-            plan, _, _ = accurate_plan(Generator(np.zeros((1, 1))),
-                                       2.0 * np.pi)
+            plan, _, _ = accurate_plan(cos_drive(), 2.0 * np.pi)
         except ValueError as exc:
             assert "cap" in str(exc)
         else:

@@ -400,9 +400,11 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
 
 @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
 def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
-    # 1920 Magnus steps: the search takes U_T at 256, 128 and 512 steps,
-    # and the 1024-step check reads the one resolved stack, whose
-    # exponents (1-norms up to 0.21 on C-II) take no linear solve.
+    # 960 Magnus steps: the drive repeats every T/2 = pi, so the search
+    # takes U_T as U_{T/2}^2 at 256, 128 and 512 steps (propagating 128,
+    # 64 and 256), and the 1024-step check reads the one resolved stack,
+    # built from 512 steps over T/2 whose exponents (1-norms up to 0.21
+    # on C-II) take no linear solve.
     counts, solved_at, resolved = [], [], []
     real_propagate, real_solve = periodic.propagate, np.linalg.solve
 
@@ -421,8 +423,22 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
         seen["plan"].steps_per_period))
     s = steady_state_summary(preset(case), rwa=False)
     assert s["steps"] == 1024 and resolved == [1024]
-    assert sorted(counts) == [128, 256, 512, 1024]
-    assert solved_at and 1024 not in solved_at
+    assert sorted(counts) == [64, 128, 256, 512]
+    assert solved_at and 512 not in solved_at
+
+
+@pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+def test_full_drive_sub_period_matches_the_whole_period(monkeypatch, case):
+    p = preset(case)
+    seen = capture_one_period(monkeypatch)
+    got = steady_state_summary(p, rwa=False)
+    assert seen["plan"].repeats == 2
+    monkeypatch.setattr(periodic, "_repeats", lambda g, period: 1)
+    want = steady_state_summary(p, rwa=False)
+    assert seen["plan"].repeats == 1
+    assert got["steps"] == want["steps"] and got["t_conv"] == want["t_conv"]
+    assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-14
+    assert abs(got["gap"] - want["gap"]) <= 1e-12
 
 
 def test_steady_state_memory_at_q_20():
