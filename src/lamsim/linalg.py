@@ -3,16 +3,19 @@
 Everything here operates on small dense numpy arrays: complex 3x3
 Hilbert-space operators and 9x9 Liouville-space superoperators, the latter
 also real in the Hermitian coordinates of a Hermiticity-preserving
-generator (see ``magnus``).  The matrix exponential is implemented here directly because
-it dominates the propagation loops and the matrices are tiny; it takes
-whole (..., d, d) stacks, so that a chunk of Magnus steps costs one
-solve-free Taylor evaluation: degree 8 for 1-norms up to 0.05, degree 12
-up to 0.25 (the full drive's exponents at 1024 steps per 2 pi reach 0.21).
-Stacks with a larger 1-norm get scaling-and-squaring with a degree-13 Pade
-core.  A real stack stays real in every branch.  ``kron`` forms Kronecker
-products of operators and operator stacks by broadcasting.  Everything else
-calls numpy directly.  This module pins down the contracts the rest of the
-package relies on (error types, finiteness, value semantics).
+generator (see ``magnus``).  The matrix exponential is implemented here
+directly because it dominates the propagation loops and the matrices are
+tiny; it takes whole (..., d, d) stacks, so that a chunk of Magnus steps
+costs one solve-free Taylor evaluation: degree 8 for 1-norms up to 0.05,
+12 up to 0.25, 16 up to 0.7 and 25 up to 2.3 (4, 5, 6 and 8 matrix
+products), which covers every Magnus stack of the presets' steady-state
+search (exponent 1-norms up to 1.7 at its coarsest probe).  Stacks with a
+larger 1-norm, such as the exact rotating-frame route's e^{TB}, get
+scaling-and-squaring with a degree-13 Pade core.  A real stack stays real
+in every branch.  ``kron`` forms Kronecker products of operators and
+operator stacks by broadcasting.  Everything else calls numpy directly.
+This module pins down the contracts the rest of the package relies on
+(error types, finiteness, value semantics).
 
 All functions return freshly allocated arrays and never mutate their
 arguments.
@@ -38,20 +41,24 @@ _PADE13 = np.array([
 ])
 # 1-norm below which the [13/13] approximant alone reaches double precision.
 _PADE13_THETA = 5.371920351148152
-# Largest 1-norm for the unscaled Taylor polynomial of degree 8 and 12, its
-# tail theta^(m+1) / (m+1)! below 1e-17 (the tail reaches the unit roundoff
-# at 0.070 and 0.335); beyond them scaled Pade stays unitary to 1e-14 where
-# scaled degree-8 Taylor drifts to 4e-13.
+# Largest 1-norm for the unscaled Taylor polynomial of degree 8, 12, 16 and
+# 25, its tail theta^(m+1) / (m+1)! below 1e-17 (the tail reaches the unit
+# roundoff at 0.070, 0.335, 0.83 and 2.57; Bader, Blanes & Casas,
+# Mathematics 7, 1174 (2019)).  Beyond the top tier scaled Pade stays
+# unitary to 1e-14 where scaled degree-8 Taylor drifts to 4e-13.
 _TAYLOR8_THETA = 5.0e-2
 _TAYLOR12_THETA = 0.25
-_TAYLOR_DEGREES = ((_TAYLOR8_THETA, 8), (_TAYLOR12_THETA, 12))
-_INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 13.0)])  # 1 / k!
+_TAYLOR16_THETA = 0.7
+_TAYLOR25_THETA = 2.3
+_TAYLOR_DEGREES = ((_TAYLOR8_THETA, 8), (_TAYLOR12_THETA, 12),
+                   (_TAYLOR16_THETA, 16), (_TAYLOR25_THETA, 25))
+_INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 26.0)])  # 1 / k!
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential e^a of one matrix or of a (..., d, d) stack: a
-    Taylor polynomial of degree 8 if every 1-norm is at most
-    _TAYLOR8_THETA, of degree 12 if at most _TAYLOR12_THETA, else
+    """Matrix exponential e^a of one matrix or of a (..., d, d) stack: the
+    Taylor polynomial of the lowest degree in _TAYLOR_DEGREES (8, 12, 16,
+    25) whose 1-norm bound holds for every matrix, else
     scaling-and-squaring with a [13/13] Pade core, each matrix's squaring
     count chosen from its own 1-norm.
 
@@ -99,21 +106,23 @@ def expm(a) -> np.ndarray:
 
 def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
     """Taylor polynomial of degree m of an (n, d, d) stack, in
-    Paterson-Stockmeyer form B0 + A^s (B1 + A^s B2) with s = ceil(sqrt m),
-    B_j = sum_i c_sj+i A^i over i < s, B2 also taking the terms up to c_m
-    A^(m - 2s): s - 1 products for the powers A^2 .. A^s, kept in one
-    preallocated stack, and two Horner products.  Each term is added into
-    its block through one temporary stack, in the order of the plain sum."""
+    Paterson-Stockmeyer form B0 + A^s (B1 + A^s (... + A^s Br)) with
+    s = ceil(sqrt m) and r = ceil(m / s) - 1, B_j = sum_i c_sj+i A^i over
+    i < s, Br also taking the terms up to c_m A^(m - rs): s - 1 products for
+    the powers A^2 .. A^s, kept in one preallocated stack, and r Horner
+    products.  Each term is added into its block through one temporary
+    stack, in the order of the plain sum."""
     c, n, d = _INV_FACTORIAL, len(a), a.shape[-1]
     s = math.isqrt(degree - 1) + 1
+    r = -(-degree // s) - 1
     powers = np.empty((s - 1,) + a.shape, a.dtype)  # A^2 .. A^s
     np.matmul(a, a, out=powers[0])
     for i in range(1, s - 1):
         np.matmul(powers[i - 1], a, out=powers[i])
     term = np.empty_like(a)
     out = None
-    for j in (2, 1, 0):  # B2, then Horner steps through B1 and B0
-        top = degree if j == 2 else s * j + s - 1
+    for j in range(r, -1, -1):  # Br, then Horner steps down to B0
+        top = degree if j == r else s * j + s - 1
         block = c[s * j + 1] * a
         for i in range(s * j + 2, top + 1):
             block += np.multiply(c[i], powers[i - s * j - 2], out=term)

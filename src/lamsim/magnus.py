@@ -48,6 +48,7 @@ uses.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Callable
 
 import numpy as np
@@ -84,20 +85,39 @@ def _no_drive(t: np.ndarray) -> np.ndarray:
     return np.zeros(t.shape + (0,))
 
 
+@functools.cache
+def _probe_fractions() -> np.ndarray:
+    """The 16 seeded fractions of a span at whose multiples a claim about a
+    generator (a frame, a period) is checked; drawn on first use, so that
+    importing the package does not import numpy.random."""
+    fractions = np.random.default_rng(1729).random(16)
+    fractions.flags.writeable = False
+    return fractions
+
+
 class _Tables:
     """What the Magnus exponents of an affine generator are built from: the
-    drive coefficients and one flattened table of its basis
-    E = (a0, terms...), with rows E_m, [E_m, E_n] for m < n, then
-    [E_l, [E_m, E_n]], in the basis's dtype."""
+    drive coefficients, the rows of its basis E = (a0, terms...) flattened,
+    and, built on first Magnus use, the index pairs m < n and one flattened
+    table with rows E_m, [E_m, E_n], then [E_l, [E_m, E_n]], in the basis's
+    dtype."""
 
     def __init__(self, basis: np.ndarray,
                  coefficients: Callable[[np.ndarray], np.ndarray]):
         self.dim = basis.shape[-1]
         self.coefficients = coefficients
-        self._pairs = np.triu_indices(len(basis), 1)
+        self._rows = basis.reshape(len(basis), self.dim ** 2)
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.triu_indices(len(self._rows), 1)
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        basis = self._rows.reshape(-1, self.dim, self.dim)
         pairs = _comm(basis[self._pairs[0]], basis[self._pairs[1]])
         nested = _comm(basis[:, None], pairs).reshape((-1,) + basis.shape[1:])
-        self._table = np.concatenate([basis, pairs, nested]).reshape(
+        return np.concatenate([basis, pairs, nested]).reshape(
             -1, self.dim ** 2)
 
 
@@ -155,9 +175,7 @@ class Generator(_Tables):
                 s.conj().T @ s - np.eye(self.dim))) > _CLAIM_TOL:
             raise ValueError(f"real_basis must be a unitary {self.a0.shape} "
                              f"matrix")
-        rows = 1 + len(self.terms)
-        basis = s.conj().T @ self._table[:rows].reshape(
-            (rows,) + self.a0.shape) @ s
+        basis = s.conj().T @ self._rows.reshape((-1,) + self.a0.shape) @ s
         defect = np.max(np.abs(basis.imag), axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(basis), axis=(-2, -1)))
         bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
@@ -188,7 +206,7 @@ class Generator(_Tables):
     def _check_frame(self) -> None:
         """Raise ValueError unless Phi(t)^-1 (A(t) - i Theta) Phi(t) equals
         A(0) - i Theta at 16 pseudo-random probe times in [0, 2 pi)."""
-        probes = np.random.default_rng(1729).uniform(0.0, 2.0 * np.pi, 16)
+        probes = 2.0 * np.pi * _probe_fractions()
         a = self(probes)
         shift = 1j * np.diag(self.frame)
         rates = self.frame[None, :] - self.frame[:, None]
@@ -206,7 +224,7 @@ class Generator(_Tables):
         """A(t) for a scalar time, shape (d, d), or for an array of times,
         shape t.shape + (d, d)."""
         t = np.asarray(t, dtype=float)
-        a = self.coefficients(t) @ self._table[1:1 + len(self.terms)]
+        a = self.coefficients(t) @ self._rows[1:]
         a += self.a0.reshape(-1)
         return a.reshape(t.shape + self.a0.shape)
 
@@ -306,7 +324,7 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
         return _propagate_in_frame(g, t0, dt, steps, return_intermediate)
     stepper = _STEPPERS[order]
     tables = g if g._real is None else g._real
-    u = np.eye(g.dim, dtype=tables._table.dtype)
+    u = np.eye(g.dim, dtype=tables._rows.dtype)
     cumulative = None
     if return_intermediate:
         cumulative = np.empty((steps + 1, g.dim, g.dim), dtype=complex)

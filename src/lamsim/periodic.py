@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import frobenius_norm
-from .magnus import Generator, MagnusOrder, propagate
+from .magnus import Generator, MagnusOrder, _probe_fractions, propagate
 from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
@@ -84,7 +84,7 @@ def _periodicity_defect(g: Generator, period: float
     """The first (defect, t) among 16 seeded probe times t in [0, period)
     where max |A(t + period) - A(t)| exceeds PERIODICITY_TOL max(1, |A(t)|),
     or None if the generator passes as period-periodic."""
-    probes = np.random.default_rng(1729).uniform(0.0, period, size=16)
+    probes = period * _probe_fractions()
     a = g(probes)
     defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
@@ -307,6 +307,24 @@ def period_mean_map(micromotion: np.ndarray,
     return (weighted @ micromotion.transpose(1, 0, 2)).reshape(d, d)
 
 
+def _powers_of(u: np.ndarray, v: np.ndarray) -> Callable[[int], np.ndarray]:
+    """n -> u^n v, as matrix-vector products of v with the squares u^(2^j)
+    that n's bits select, highest bit first.  Each square is formed once,
+    by squaring the one before, when an n first needs it."""
+    squares = [u]
+
+    def power(n: int) -> np.ndarray:
+        while len(squares) < n.bit_length():
+            squares.append(squares[-1] @ squares[-1])
+        out = v
+        for j in reversed(range(n.bit_length())):
+            if n >> j & 1:
+                out = squares[j] @ out
+        return out
+
+    return power
+
+
 def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
                      eps: float = 1e-6, *,
                      precomputed: tuple[np.ndarray, np.ndarray]) -> float:
@@ -314,11 +332,13 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     (Frobenius) from the previous period's average, from the period map
     and micromotion stack ``precomputed = one_period(g, plan)``.
 
-    The search doubles n until the criterion holds, then bisects; it
-    assumes a dissipative generator (a steady state exists) and raises
-    HorizonError, carrying the last observed delta, if MAX_PERIODS is
-    exhausted.  An eps that is not positive raises ValueError: a negative
-    eps is never met, and a NaN one fails every comparison of the search.
+    The search doubles n until the criterion holds, then bisects.  The
+    states U_T^n v0 come from _powers_of, which forms each U_T^(2^j) once:
+    no matrix power is formed per n.  It assumes a dissipative generator
+    (a steady state exists) and raises HorizonError, carrying the last
+    observed delta, if MAX_PERIODS is exhausted.  An eps that is not
+    positive raises ValueError: a negative eps is never met, and a NaN one
+    fails every comparison of the search.
     """
     if g.dim != DIM * DIM:
         raise ValueError("convergence_time expects a Liouville-space generator")
@@ -326,11 +346,11 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
         raise ValueError(f"eps must be positive, got {eps}")
     u_t, micromotion = precomputed
     mean = period_mean_map(micromotion)
-    v0 = vec(np.asarray(rho0, dtype=complex))
+    power = _powers_of(u_t, vec(np.asarray(rho0, dtype=complex)))
 
     @functools.cache
     def avg(n: int) -> np.ndarray:
-        return mean @ (np.linalg.matrix_power(u_t, n) @ v0)
+        return mean @ power(n)
 
     def delta(n: int) -> float:
         return frobenius_norm(avg(n) - avg(n - 1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim.linalg import (_INV_FACTORIAL, _TAYLOR8_THETA, _TAYLOR12_THETA,
+                           _TAYLOR16_THETA, _TAYLOR25_THETA, _TAYLOR_DEGREES,
                            DimensionError, _taylor, expm, frobenius_norm,
                            kron)
 from lamsim.model import HERMITIAN_BASIS
@@ -127,10 +128,19 @@ class _ThresholdChecks:
         assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)),
                            rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_anti_hermitian_gives_unitary(self, rng, n):
+        h = np.array([random_complex_matrix(rng, n) for _ in range(8)])
+        a = -1j * (h + h.conj().transpose(0, 2, 1))
+        a *= self.THETA / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        u = expm(a)
+        defect = u @ u.conj().transpose(0, 2, 1) - np.eye(n)
+        assert np.max(np.abs(defect)) <= 1e-15
+
 
 class TestTaylorBranch(_ThresholdChecks):
     """Stacks with 1-norm at most theta_8 take the degree-8 Taylor
-    polynomial, larger ones the degree-12 or the Pade-13 branch."""
+    polynomial, larger ones a higher Taylor tier or the Pade-13 branch."""
 
     THETA = _TAYLOR8_THETA
 
@@ -149,19 +159,26 @@ class TestTaylorBranch(_ThresholdChecks):
 
 class TestTaylor12Branch(_ThresholdChecks):
     """Stacks with 1-norm above theta_8 and at most theta_12 take the
-    degree-12 Taylor polynomial, larger ones the Pade-13 branch; the
-    straddling stack mixes a theta_8, a theta_12 and two Pade matrices."""
+    degree-12 Taylor polynomial, larger ones the degree-16 or degree-25
+    polynomial or the Pade-13 branch; the straddling stack, whose largest
+    norm is 3 theta_12, takes the degree-25 one."""
 
     THETA = _TAYLOR12_THETA
 
-    @pytest.mark.parametrize("n", [3, 9])
-    def test_anti_hermitian_gives_unitary(self, rng, n):
-        h = np.array([random_complex_matrix(rng, n) for _ in range(8)])
-        a = -1j * (h + h.conj().transpose(0, 2, 1))
-        a *= self.THETA / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
-        u = expm(a)
-        defect = u @ u.conj().transpose(0, 2, 1) - np.eye(n)
-        assert np.max(np.abs(defect)) <= 1e-15
+
+class TestTaylor16Branch(_ThresholdChecks):
+    """Stacks with 1-norm above theta_12 and at most theta_16 take the
+    degree-16 Taylor polynomial; the straddling stack takes degree 25."""
+
+    THETA = _TAYLOR16_THETA
+
+
+class TestTaylor25Branch(_ThresholdChecks):
+    """Stacks with 1-norm above theta_16 and at most theta_25 take the
+    degree-25 Taylor polynomial, larger ones the Pade-13 branch, which the
+    straddling stack and the factor-2 stacks take."""
+
+    THETA = _TAYLOR25_THETA
 
 
 class TestRealInput:
@@ -170,11 +187,13 @@ class TestRealInput:
 
     @pytest.mark.parametrize("norm", [0.5 * _TAYLOR8_THETA, _TAYLOR8_THETA,
                                       2.0 * _TAYLOR8_THETA, _TAYLOR12_THETA,
-                                      3.0, 40.0])
+                                      0.5, _TAYLOR16_THETA, 1.5,
+                                      _TAYLOR25_THETA, 3.0, 40.0])
     @pytest.mark.parametrize("n", [3, 9])
     def test_real_stack_stays_real(self, rng, n, norm):
-        # degree-8 Taylor at and below theta_8, degree 12 above it up to
-        # theta_12; Pade above that, with squarings at 40
+        # degree-8 Taylor at and below theta_8, then degree 12, 16 and 25
+        # up to theta_12, theta_16 and theta_25; Pade above that, with
+        # squarings at 40
         a = rng.standard_normal((5, n, n))
         a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
         out = expm(a)
@@ -185,24 +204,38 @@ class TestRealInput:
 
 
 def _taylor_plain(a, degree):
-    """The Paterson-Stockmeyer evaluation as plain sums of scaled powers."""
+    """The Paterson-Stockmeyer evaluation as plain sums of scaled powers,
+    over ceil(degree / s) blocks."""
     c, diag = _INV_FACTORIAL, np.arange(a.shape[-1])
     s = math.isqrt(degree - 1) + 1
+    r = math.ceil(degree / s) - 1
     powers = [a]
     for _ in range(s - 1):
         powers.append(powers[-1] @ a)
     out = 0.0
-    for j in (2, 1, 0):
-        top = degree if j == 2 else s * j + s - 1
+    for j in range(r, -1, -1):
+        top = degree if j == r else s * j + s - 1
         block = c[s * j + 1] * a
         for i in range(s * j + 2, top + 1):
             block = block + c[i] * powers[i - s * j - 1]
-        out = block + (powers[-1] @ out if j < 2 else 0.0)
+        out = block + (powers[-1] @ out if j < r else 0.0)
         out[:, diag, diag] += c[s * j]
     return out
 
 
-@pytest.mark.parametrize("degree", [8, 12])
+def test_tiers_are_ordered_and_bounded_by_their_tails():
+    # each theta's first neglected term theta^(m+1) / (m+1)! is <= 1e-17
+    assert [m for _, m in _TAYLOR_DEGREES] == [8, 12, 16, 25]
+    thetas = [theta for theta, _ in _TAYLOR_DEGREES]
+    assert thetas == sorted(thetas)
+    for theta, m in _TAYLOR_DEGREES:
+        assert theta ** (m + 1) / math.factorial(m + 1) <= 1e-17
+    assert np.allclose(_INV_FACTORIAL, [1.0 / math.factorial(k)
+                                        for k in range(26)],
+                       rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("degree", [m for _, m in _TAYLOR_DEGREES])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_taylor_adds_in_the_order_of_the_plain_sum(rng, degree, dtype):
     a = 0.03 * rng.standard_normal((100, 9, 9))
@@ -215,14 +248,15 @@ class TestMemoryLayout:
     """A transposed or otherwise non-C-ordered input gives the bits of its
     C-ordered copy in every branch."""
 
-    @pytest.mark.parametrize("norm", [0.01, 0.2, 3.0])  # Taylor 8, 12, Pade
+    # Taylor 8, 12, 16, 25, Pade
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.5, 2.0, 3.0])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_transposed_matrix(self, rng, norm, dtype):
         a = rng.standard_normal((9, 9)).astype(dtype)
         a *= norm / np.max(np.sum(np.abs(a), axis=0))
         assert np.array_equal(expm(a.T), expm(np.ascontiguousarray(a.T)))
 
-    @pytest.mark.parametrize("norm", [0.01, 0.2, 3.0])
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.5, 2.0, 3.0])
     def test_swapped_stack(self, rng, norm):
         a = np.array([random_complex_matrix(rng, 3) for _ in range(5)])
         a *= norm / np.max(np.sum(np.abs(a), axis=-2))

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from lamsim.linalg import expm, frobenius_norm
 from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
                            MagnusOrder, _exponent4, _exponent6,
-                           _running_products, propagate, step, step4, step6)
+                           _probe_fractions, _running_products, propagate,
+                           step, step4, step6)
 from lamsim.model import (HERMITIAN_BASIS, LambdaParams, closed_generator,
                           lindbladian, liouville_generator, preset)
 from lamsim.periodic import commensurate_period
@@ -136,6 +137,34 @@ class TestGeneratorType:
         for idx in np.ndindex(times.shape):
             assert np.allclose(out[idx], a0 + np.cos(times[idx]) * a1)
         assert g(0.5).shape == (2, 2)
+
+
+class TestSetUpWork:
+    """Set-up work a generator's route does not read is skipped."""
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_commutator_table_is_built_on_first_magnus_use(self, rwa):
+        # the frame route reads no table; a real-basis generator reads only
+        # the real copy's; a complex one builds its own on its first step
+        lazy = {"_pairs", "_table"}
+        g = liouville_generator(preset("A-II"), rwa=rwa)
+        assert not lazy & vars(g).keys()
+        propagate(g, 0.0, np.pi, 8)
+        assert not lazy & vars(g).keys()
+        assert rwa == (g._real is None)
+        if not rwa:
+            assert lazy <= vars(g._real).keys()
+        closed = closed_generator(preset("A-II"))
+        assert not lazy & vars(closed).keys()
+        propagate(closed, 0.0, np.pi, 8)
+        assert lazy <= vars(closed).keys()
+
+    @pytest.mark.parametrize("span", [2.0 * np.pi, np.pi, 0.7, 4000.0 * np.pi])
+    def test_probe_times_are_the_seeded_uniform_draws(self, span):
+        want = np.random.default_rng(1729).uniform(0.0, span, size=16)
+        assert np.array_equal(span * _probe_fractions(), want)
+        assert _probe_fractions() is _probe_fractions()
+        assert not _probe_fractions().flags.writeable
 
 
 class TestBatchedSteps:

@@ -361,6 +361,111 @@ class TestConvergenceTime:
                              precomputed=one_period(g, plan))
 
 
+# The paper's steady-state presets at two-photon resonance and the periods
+# their period averages take to settle to eps = 1e-6 (benchmark gate (e)).
+PRESET_T_CONV = {("A-II", "full"): 7, ("A-II", "rwa"): 7,
+                 ("B-II", "full"): 78, ("B-II", "rwa"): 79,
+                 ("C-II", "full"): 5, ("C-II", "rwa"): 5}
+# Deltas of the squares route against matrix_power's, relative to the
+# Frobenius norm of the first period's average (0.6-1 at the presets): the
+# two routes round U_T^n v0 differently, by up to 5.6e-16 at n <= 200.
+DELTA_RTOL = 2e-15
+
+
+@pytest.fixture(scope="module")
+def resolved_presets():
+    """(g, plan, U_T, micromotion) of each preset and drive, resolved as
+    steady_state_summary resolves them."""
+    out = {}
+    for case, drive in PRESET_T_CONV:
+        g = liouville_generator(preset(case), rwa=drive == "rwa")
+        plan, _, (u_t, micro) = accurate_plan(g, 2.0 * np.pi)
+        out[case, drive] = g, plan, u_t, micro
+    return out
+
+
+def _matrix_power_periods(u_t, micro, eps):
+    """Convergence periods by the doubling and bisection search on the
+    states matrix_power(U_T, n) @ v0: the route the squares replace."""
+    mean, v0 = period_mean_map(micro), vec(ground_state())
+
+    def delta(n):
+        a, b = (mean @ (np.linalg.matrix_power(u_t, k) @ v0)
+                for k in (n, n - 1))
+        return frobenius_norm(a - b)
+
+    if delta(1) <= eps:
+        return 1
+    n = 2
+    while delta(n) > eps:
+        n *= 2
+    lo = n // 2
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if delta(mid) <= eps else (mid, n)
+    return n
+
+
+class TestSquares:
+    """convergence_time's states U_T^n v0 come from squares of U_T, each
+    formed once, and give matrix_power's deltas and periods."""
+
+    @pytest.mark.parametrize("key", list(PRESET_T_CONV), ids="-".join)
+    def test_deltas_match_matrix_power(self, resolved_presets, key):
+        _, _, u_t, micro = resolved_presets[key]
+        mean, v0 = period_mean_map(micro), vec(ground_state())
+        power = periodic._powers_of(u_t, v0)
+        got = [mean @ power(n) for n in range(201)]
+        want = [mean @ (np.linalg.matrix_power(u_t, n) @ v0)
+                for n in range(201)]
+        scale = frobenius_norm(want[1])
+        for n in range(1, 201):
+            assert abs(frobenius_norm(got[n] - got[n - 1])
+                       - frobenius_norm(want[n] - want[n - 1])) \
+                <= DELTA_RTOL * scale, f"n = {n}"
+
+    @pytest.mark.parametrize("key", list(PRESET_T_CONV), ids="-".join)
+    def test_each_square_is_formed_once(self, monkeypatch, resolved_presets,
+                                        key):
+        # every matrix-matrix product of the search is a new square: the
+        # doubling stops at 2^k >= t_conv / T, so k = (n - 1).bit_length()
+        g, plan, u_t, micro = resolved_presets[key]
+        products = []
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, Counting) else x
+                         for x in inputs]
+                if ufunc is np.matmul and all(np.ndim(x) == 2 for x in plain):
+                    products.append(1)
+                return getattr(ufunc, method)(*plain, **kwargs).view(Counting)
+
+        def no_power(*args):
+            raise AssertionError("matrix_power called")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+        t = convergence_time(g, plan, ground_state(),
+                             precomputed=(u_t.view(Counting), micro))
+        n = PRESET_T_CONV[key]
+        assert t == n * plan.period
+        assert len(products) == (n - 1).bit_length()
+
+    def test_periods_match_matrix_power_on_a_seeded_scan(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(12):
+            case = str(rng.choice(["A-II", "B-II", "C-II"]))
+            scale, rwa = rng.uniform(0.3, 2.0), bool(rng.integers(2))
+            eps = 10.0 ** rng.uniform(-8.0, -3.0)
+            p = preset(case)
+            g = liouville_generator(
+                p.with_(rabi_p=scale * p.rabi_p, rabi_c=scale * p.rabi_c),
+                rwa=rwa)
+            plan, _, (u_t, micro) = accurate_plan(g, 2.0 * np.pi)
+            t = convergence_time(g, plan, ground_state(), eps=eps,
+                                 precomputed=(u_t, micro))
+            assert t == _matrix_power_periods(u_t, micro, eps) * plan.period
+
+
 @pytest.mark.parametrize("with_factors", [False, True])
 def test_period_mean_map_is_trapezoid_average(open_setup, rng, with_factors):
     _, plan, _, micro = open_setup
