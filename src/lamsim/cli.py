@@ -177,8 +177,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
     if cfg.horizon is not None and not np.isfinite(cfg.horizon):
         raise ConfigError(f"horizon must be finite, got {cfg.horizon}")
-    if not cfg.eps_ss > 0:
-        raise ConfigError(f"eps_ss must be positive, got {cfg.eps_ss}")
+    if not 0 < cfg.eps_ss < np.inf:
+        raise ConfigError(
+            f"eps_ss must be positive and finite, got {cfg.eps_ss}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     return cfg

@@ -11,9 +11,10 @@ costs one solve-free Taylor evaluation: degree 8 for 1-norms up to 0.05,
 products), which covers every Magnus stack of the presets' steady-state
 search (exponent 1-norms up to 1.7 at its coarsest probe).  Stacks with a
 larger 1-norm, such as the exact rotating-frame route's e^{TB}, get
-scaling-and-squaring with a degree-13 Pade core.  A real stack stays real
-in every branch.  ``kron`` forms Kronecker products of operators and
-operator stacks by broadcasting.  Everything else calls numpy directly.
+scaling and squaring on the degree-25 polynomial.  No branch takes a
+linear solve, and a real stack stays real.  ``kron`` forms Kronecker
+products of operators and operator stacks by broadcasting.  Everything
+else calls numpy directly.
 This module pins down the contracts the rest of the package relies on
 (error types, finiteness, value semantics).
 
@@ -32,20 +33,10 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-# Degree-13 Pade numerator coefficients for exp, b[0] .. b[13].
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-])
-# 1-norm below which the [13/13] approximant alone reaches double precision.
-_PADE13_THETA = 5.371920351148152
 # Largest 1-norm for the unscaled Taylor polynomial of degree 8, 12, 16 and
 # 25, its tail theta^(m+1) / (m+1)! below 1e-17 (the tail reaches the unit
 # roundoff at 0.070, 0.335, 0.83 and 2.57; Bader, Blanes & Casas,
-# Mathematics 7, 1174 (2019)).  Beyond the top tier scaled Pade stays
-# unitary to 1e-14 where scaled degree-8 Taylor drifts to 4e-13.
+# Mathematics 7, 1174 (2019)).
 _TAYLOR8_THETA = 5.0e-2
 _TAYLOR12_THETA = 0.25
 _TAYLOR16_THETA = 0.7
@@ -58,9 +49,10 @@ _INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 26.0)])  # 1 / k!
 def expm(a) -> np.ndarray:
     """Matrix exponential e^a of one matrix or of a (..., d, d) stack: the
     Taylor polynomial of the lowest degree in _TAYLOR_DEGREES (8, 12, 16,
-    25) whose 1-norm bound holds for every matrix, else
-    scaling-and-squaring with a [13/13] Pade core, each matrix's squaring
-    count chosen from its own 1-norm.
+    25) whose 1-norm bound holds for every matrix.  Otherwise each matrix
+    is scaled into the top tier by 2^-s, s = ceil(log2(|a|_1 / theta_25)),
+    and its degree-25 polynomial squared s times (scaling and squaring;
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
     Real input gives a float64 result, anything else complex128.  Raises
     DimensionError for non-square input.  Result entries are guaranteed
@@ -83,20 +75,10 @@ def expm(a) -> np.ndarray:
     for theta, degree in _TAYLOR_DEGREES:
         if norms.max(initial=0.0) <= theta:
             return _taylor(a, degree).reshape(shape)
-    squarings = np.ceil(np.log2(np.maximum(norms / _PADE13_THETA, 1.0))
-                        ).astype(int)
-    a_scaled = a / (2.0 ** squarings)[:, None, None]
-    ident = np.eye(shape[-1], dtype=a.dtype)
-    b = _PADE13
-    a2 = a_scaled @ a_scaled
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a_scaled @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                    + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    out = np.linalg.solve(v - u, v + u)
-    for i in range(squarings.max(initial=0)):
+    theta, degree = _TAYLOR_DEGREES[-1]
+    squarings = np.ceil(np.log2(np.maximum(norms / theta, 1.0))).astype(int)
+    out = _taylor(a / (2.0 ** squarings)[:, None, None], degree)
+    for i in range(squarings.max()):
         pending = squarings > i
         out[pending] = out[pending] @ out[pending]
     if not np.all(np.isfinite(out)):

@@ -82,12 +82,16 @@ class PeriodicPlan:
 def _periodicity_defect(g: Generator, period: float
                         ) -> tuple[float, float] | None:
     """The first (defect, t) among 16 seeded probe times t in [0, period)
-    where max |A(t + period) - A(t)| exceeds PERIODICITY_TOL max(1, |A(t)|),
-    or None if the generator passes as period-periodic."""
+    where max |A(t + period) - A(t)| exceeds
+    PERIODICITY_TOL max(1, |A(t)|) max(1, (t + period) / 2 pi), or None if
+    the generator passes as period-periodic.  The last factor admits the
+    rounding of the drive phases omega t, which grows with t: at q = 1000
+    it alone is about 6e-12."""
     probes = period * _probe_fractions()
     a = g(probes)
     defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) * np.maximum(
+        1.0, (probes + period) / (2.0 * np.pi))
     bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
     return (defect[bad[0]], probes[bad[0]]) if bad.size else None
 
@@ -337,13 +341,14 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     no matrix power is formed per n.  It assumes a dissipative generator
     (a steady state exists) and raises HorizonError, carrying the last
     observed delta, if MAX_PERIODS is exhausted.  An eps that is not
-    positive raises ValueError: a negative eps is never met, and a NaN one
-    fails every comparison of the search.
+    positive and finite raises ValueError: a negative eps is never met, a
+    NaN one fails every comparison of the search, and an infinite one is
+    met by any first period.
     """
     if g.dim != DIM * DIM:
         raise ValueError("convergence_time expects a Liouville-space generator")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     u_t, micromotion = precomputed
     mean = period_mean_map(micromotion)
     power = _powers_of(u_t, vec(np.asarray(rho0, dtype=complex)))

@@ -784,6 +784,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--eps-ss", "nan"),
+                                            ("--eps-ss", "inf"),
                                             ("--eps-ss", "-1"),
                                             ("--eps-ss", "0"),
                                             ("--workers", "0"),

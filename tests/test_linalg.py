@@ -9,9 +9,22 @@ from lamsim.linalg import (_INV_FACTORIAL, _TAYLOR8_THETA, _TAYLOR12_THETA,
                            _TAYLOR16_THETA, _TAYLOR25_THETA, _TAYLOR_DEGREES,
                            DimensionError, _taylor, expm, frobenius_norm,
                            kron)
-from lamsim.model import HERMITIAN_BASIS
+from lamsim.model import HERMITIAN_BASIS, liouville_generator, preset
+from lamsim.periodic import MIN_STEPS
 
-from conftest import random_complex_matrix
+from conftest import expm_eig, random_complex_matrix
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_linear_solve():
+    """Every expm in this module runs with np.linalg.solve disabled: no
+    tier and no squaring phase takes a linear solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm took a linear solve")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", refuse)
+        yield
 
 
 def expm_series(a: np.ndarray, terms: int = 64) -> np.ndarray:
@@ -53,7 +66,7 @@ class TestExpm:
         assert np.isclose(np.linalg.det(expm(a)), np.exp(np.trace(a)))
 
     def test_large_norm_scaling(self):
-        # norm far above the Pade threshold exercises the squaring phase
+        # norm far above theta_25 exercises the squaring phase
         a = 50.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
         expected = np.array([[math.cos(50.0), math.sin(50.0)],
                              [-math.sin(50.0), math.cos(50.0)]])
@@ -140,7 +153,8 @@ class _ThresholdChecks:
 
 class TestTaylorBranch(_ThresholdChecks):
     """Stacks with 1-norm at most theta_8 take the degree-8 Taylor
-    polynomial, larger ones a higher Taylor tier or the Pade-13 branch."""
+    polynomial, larger ones a higher Taylor tier or scaling and squaring
+    on the degree-25 one."""
 
     THETA = _TAYLOR8_THETA
 
@@ -160,8 +174,8 @@ class TestTaylorBranch(_ThresholdChecks):
 class TestTaylor12Branch(_ThresholdChecks):
     """Stacks with 1-norm above theta_8 and at most theta_12 take the
     degree-12 Taylor polynomial, larger ones the degree-16 or degree-25
-    polynomial or the Pade-13 branch; the straddling stack, whose largest
-    norm is 3 theta_12, takes the degree-25 one."""
+    polynomial; the straddling stack, whose largest norm is 3 theta_12,
+    takes the degree-25 one."""
 
     THETA = _TAYLOR12_THETA
 
@@ -175,10 +189,38 @@ class TestTaylor16Branch(_ThresholdChecks):
 
 class TestTaylor25Branch(_ThresholdChecks):
     """Stacks with 1-norm above theta_16 and at most theta_25 take the
-    degree-25 Taylor polynomial, larger ones the Pade-13 branch, which the
-    straddling stack and the factor-2 stacks take."""
+    degree-25 Taylor polynomial, larger ones scaling and squaring on it,
+    which the straddling stack and the factor-2 stacks take."""
 
     THETA = _TAYLOR25_THETA
+
+
+class TestAboveTopTier:
+    """Scaling and squaring on the degree-25 polynomial far above theta_25,
+    checked against the eigendecomposition."""
+
+    @pytest.mark.parametrize("norm", [3.0, 93.0, 1e4])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_anti_hermitian_matches_eig(self, rng, n, norm):
+        # the eigenvector oracle's own rounding grows with the norm
+        h = random_complex_matrix(rng, n)
+        a = -1j * (h + h.conj().T)
+        a *= norm / np.abs(a).sum(axis=0).max()
+        assert np.max(np.abs(expm(a) - expm_eig(a))) <= 1e-15 * norm
+
+    def test_exact_route_doubling_stack(self):
+        # exp(2^i dt B) for C-II's rotating-frame generator B at the step
+        # floor, 1-norms 0.36 .. 93 (doubling stack of magnus's exact route)
+        g = liouville_generator(preset("C-II"), rwa=True)
+        b = g(0.0) - 1j * np.diag(g.frame)
+        dt = 2.0 * np.pi / MIN_STEPS
+        stack = np.multiply.outer(
+            dt * 2.0 ** np.arange(MIN_STEPS.bit_length()), b)
+        # five or more squarings for the largest
+        assert np.abs(stack[-1]).sum(axis=0).max() > 32 * _TAYLOR25_THETA
+        for e, a in zip(expm(stack), stack):
+            want = expm_eig(a)
+            assert np.max(np.abs(e - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestRealInput:
@@ -192,8 +234,8 @@ class TestRealInput:
     @pytest.mark.parametrize("n", [3, 9])
     def test_real_stack_stays_real(self, rng, n, norm):
         # degree-8 Taylor at and below theta_8, then degree 12, 16 and 25
-        # up to theta_12, theta_16 and theta_25; Pade above that, with
-        # squarings at 40
+        # up to theta_12, theta_16 and theta_25; degree 25 with squarings
+        # above that
         a = rng.standard_normal((5, n, n))
         a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
         out = expm(a)
@@ -248,7 +290,7 @@ class TestMemoryLayout:
     """A transposed or otherwise non-C-ordered input gives the bits of its
     C-ordered copy in every branch."""
 
-    # Taylor 8, 12, 16, 25, Pade
+    # Taylor 8, 12, 16, 25, 25 with squarings
     @pytest.mark.parametrize("norm", [0.01, 0.2, 0.5, 2.0, 3.0])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_transposed_matrix(self, rng, norm, dtype):

@@ -39,6 +39,25 @@ class TestPlan:
         with pytest.raises(ValueError, match="periodic"):
             make_plan(g, 0.7 * np.pi, 16)
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("q", [1000, 2000, 3906])
+    def test_validation_admits_phase_rounding_at_large_q(self, q, rwa):
+        # A(t + T) - A(t) carries the rounding of omega (t + T), about 6e-12
+        # at q = 1000; q = 3906 is the largest q whose MIN_STEPS q steps
+        # stay under the cap
+        p = preset("A-II", delta_omega_p=1.0 / q)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        assert period == pytest.approx(2.0 * np.pi * q)
+        plan = make_plan(liouville_generator(p, rwa=rwa), period,
+                         MIN_STEPS * q)
+        assert plan.steps_per_period == MIN_STEPS * q
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_validation_catches_near_period(self, rwa):
+        g = liouville_generator(preset("A-II"), rwa=rwa)
+        with pytest.raises(ValueError, match="periodic"):
+            make_plan(g, 2.0 * np.pi * (1.0 + 1e-9), 16)
+
     def test_bad_plan_args(self):
         with pytest.raises(ValueError):
             PeriodicPlan(period=-1.0, steps_per_period=4)
@@ -344,9 +363,10 @@ class TestConvergenceTime:
                              precomputed=one_period(g, plan))
         assert exc_info.value.last_delta > 0.0
 
-    @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, 0.0])
     def test_eps_must_be_positive(self, open_setup, eps):
-        # NaN fails every comparison of the search, so it is refused first
+        # NaN fails every comparison of the search, so it is refused first;
+        # inf would pass the first period whatever the state
         g, plan, u_t, micro = open_setup
         with pytest.raises(ValueError, match="eps"):
             convergence_time(g, plan, ground_state(), eps=eps,

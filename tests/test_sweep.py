@@ -414,7 +414,7 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
         return real_propagate(g, t0, t1, steps, **kwargs)
 
     def solve(a, b):
-        if a.ndim == 3:  # expm's Pade branch, on a stack of steps
+        if a.ndim == 3:  # a batched solve, on a stack of steps
             solved_at.append(counts[-1])
         return real_solve(a, b)
 
