@@ -10,13 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DIM, LDIM
+from .periodic import STEP_ERROR_TARGET
 
 DEGENERATE_GAP_TOL = 1e-12
 SAME_DECAY_TOL = 1e-9  # relative: decays this close are ordered by Im(log)
 # |lambda_2| at or below the max-entry accuracy periodic.accurate_plan
-# guarantees for every reported U_T (its STEP_ERROR_TARGET) is rounding
-# noise: the gap it gives is reported as unresolved (NaN).
-LAMBDA2_FLOOR = 1e-12
+# guarantees for every reported U_T is rounding noise: the gap it gives is
+# reported as unresolved (NaN).
+LAMBDA2_FLOOR = STEP_ERROR_TARGET
 
 
 def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):

@@ -204,6 +204,9 @@ def resolve_params(cfg: RunConfig) -> LambdaParams:
                                     delta_omega_c=cfg.delta_omega_c, **kwargs)
         if "omega_p" not in kwargs or "omega_c" not in kwargs:
             raise ConfigError("omega_p and omega_c must be given together")
+        for key in ("omega_p", "omega_c"):
+            if getattr(cfg, f"delta_{key}"):
+                raise ConfigError(f"delta_{key} cannot detune explicit {key}")
         return LambdaParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -212,8 +215,6 @@ def resolve_params(cfg: RunConfig) -> LambdaParams:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
-    if value is None:
-        return ""
     return str(value)
 
 

@@ -65,10 +65,10 @@ _NODES6 = np.array([0.5 - _GL_OFFSET, 0.5, 0.5 + _GL_OFFSET])
 CHUNK_STEPS = 1024
 # Steps per block of the cumulative product in propagate.
 _BLOCK = 32
-# Largest defect of a declared frame or real basis, per unit of
-# max(1, max |A|), at which the claim is accepted: the entries of
-# Phi(t)^-1 (A(t) - i Theta) Phi(t) - (A(0) - i Theta), or the imaginary
-# parts of S^dag E S.
+# Largest defect of a claim about a generator, per unit of max(1, max |A|),
+# at which it is accepted: of Phi(t)^-1 (A(t) - i Theta) Phi(t) - A(0)
+# + i Theta (a frame), of Im S^dag E S (a real basis) or of A(t + T) - A(t)
+# (a period T; see periodicity_defect).
 _CLAIM_TOL = 1e-12
 
 
@@ -131,8 +131,9 @@ class Generator(_Tables):
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
     generator is constant; ``real_basis``, if given, is a unitary S in
     whose coordinates the generator is real (see the module docstring).
-    Both claims are checked and a ValueError raised if one fails; a frame,
-    when declared, decides the route.  Shapes are checked once, here.
+    Both claims (and a period, by periodicity_defect) are checked and a
+    ValueError raised if one fails; a frame, when declared, decides the
+    route.  Shapes are checked once, here.
     """
 
     def __init__(self, a0, terms=(),
@@ -219,6 +220,20 @@ class Generator(_Tables):
             raise ValueError(
                 f"generator is not constant in the declared frame: defect "
                 f"{defect[i]:.3e} at t={probes[i]:.6f}")
+
+    def periodicity_defect(self, period: float) -> tuple[float, float] | None:
+        """The first (defect, t) among 16 seeded probe times t in [0, period)
+        where max |A(t + period) - A(t)| exceeds _CLAIM_TOL max(1, |A(t)|)
+        max(1, (t + period) / 2 pi), or None if A is period-periodic.  The
+        last factor admits the rounding of the drive phases omega t, which
+        grows with t: at q = 1000 it alone is about 6e-12."""
+        probes = period * _probe_fractions()
+        a = self(probes)
+        defect = np.max(np.abs(self(probes + period) - a), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) \
+            * np.maximum(1.0, (probes + period) / (2.0 * np.pi))
+        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
+        return (defect[bad[0]], probes[bad[0]]) if bad.size else None
 
     def __call__(self, t) -> np.ndarray:
         """A(t) for a scalar time, shape (d, d), or for an array of times,

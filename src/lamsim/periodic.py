@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import frobenius_norm
-from .magnus import Generator, MagnusOrder, _probe_fractions, propagate
+from .magnus import Generator, MagnusOrder, propagate
 from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
@@ -32,7 +32,6 @@ BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
 # that the trapezoid mean maps still resolve the drive's harmonics.
 STEP_ERROR_TARGET = 1e-12
 MIN_STEPS = 256
-PERIODICITY_TOL = 1e-12
 MAX_PLAN_STEPS = 10 ** 6
 MAX_PERIODS = 2 ** 40             # horizon of the steady-state search
 
@@ -79,29 +78,12 @@ class PeriodicPlan:
         return np.linspace(0.0, self.period, self.steps_per_period + 1)
 
 
-def _periodicity_defect(g: Generator, period: float
-                        ) -> tuple[float, float] | None:
-    """The first (defect, t) among 16 seeded probe times t in [0, period)
-    where max |A(t + period) - A(t)| exceeds
-    PERIODICITY_TOL max(1, |A(t)|) max(1, (t + period) / 2 pi), or None if
-    the generator passes as period-periodic.  The last factor admits the
-    rounding of the drive phases omega t, which grows with t: at q = 1000
-    it alone is about 6e-12."""
-    probes = period * _probe_fractions()
-    a = g(probes)
-    defect = np.max(np.abs(g(probes + period) - a), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) * np.maximum(
-        1.0, (probes + period) / (2.0 * np.pi))
-    bad = np.flatnonzero(defect > PERIODICITY_TOL * scale)
-    return (defect[bad[0]], probes[bad[0]]) if bad.size else None
-
-
 def make_plan(g: Generator, period: float, steps_per_period: int
               ) -> PeriodicPlan:
     """Build a plan, checking that the generator really has the claimed
-    period at 16 pseudo-random probe times."""
+    period at 16 pseudo-random probe times (Generator.periodicity_defect)."""
     plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
-    bad = _periodicity_defect(g, period)
+    bad = g.periodicity_defect(period)
     if bad is not None:
         raise ValueError(f"generator is not {period}-periodic: defect "
                          f"{bad[0]:.3e} at t={bad[1]:.6f}")
@@ -119,7 +101,7 @@ def _repeats(g: Generator, period: float) -> int:
     e.g. omega_p = 6.05 (q = 20), m = 1 and nothing is saved."""
     m = 1
     while (m < MIN_STEPS // 2
-           and _periodicity_defect(g, period / (2 * m)) is None):
+           and g.periodicity_defect(period / (2 * m)) is None):
         m *= 2
     return m
 

@@ -16,6 +16,7 @@ series (run_case) keep q * BASE_STEPS grid points per period by default.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,12 @@ def run_case(p: LambdaParams, horizon: float,
     grid = np.linspace(0.0, span, n_steps + 1)
     # A span shorter than T is repeated once: its second block is the
     # row at t = h, micro[0] @ U(h).
-    n_spans = int(math.floor(horizon / span + 1e-12))
-    limit = horizon * (1.0 + 1e-12)
-    counts = []  # rows taken from each span
-    for j in range(n_spans + 1):
-        m = int(np.searchsorted(grid + j * span, limit, side="right"))
-        if j < n_spans:
-            m = min(m, n_steps)  # endpoint duplicates next span's start
-        if m == 0:
-            break
-        counts.append(m)
+    # Rows taken from each span: a whole span's endpoint duplicates the
+    # next span's start, and the last span is cut at the horizon.
+    spans = int(math.floor(horizon / span + 1e-12))
+    last = int(np.searchsorted(grid + spans * span, horizon * (1.0 + 1e-12),
+                               side="right"))
+    counts = [n_steps] * spans + [last] * (last > 0)
     times = np.empty(sum(counts))
     states = np.empty((len(times), 3, 3), dtype=complex)
     d = g.dim
@@ -218,7 +215,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     projection R (L R)^-1 L v0 onto U_T's fixed points, R and L the null
     vectors of U_T - I for its k >= 1 singular values <= DEGENERATE_GAP_TOL
     * max(1, sigma_max)), the eps-convergence time t_conv of the period
-    averages, the spectral gap, and U_T's trace defect.
+    averages, the spectral gap, U_T's trace defect, and U_T itself (u_t).
 
     The period is resolved once, by one_period at the step count ``steps``
     that periodic.accurate_plan chooses, whose check reads that U_T, and
@@ -250,6 +247,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
         "period": plan.period,
         "steps": plan.steps_per_period,
         "step_error": step_error,
+        "u_t": u_t.copy(),  # owned: a kept summary holds no stack
     }
 
 
@@ -300,13 +298,15 @@ def _eval_point(spec: SweepSpec, overrides: dict[str, float]) -> dict:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point; failures are recorded per row and never
-    abort the sweep.  Rows come back in deterministic grid order."""
+    abort the sweep.  Rows come back in deterministic grid order.  A pool
+    forks all its processes at once, so it gets min(workers, points, CPUs)."""
     points = spec.grid()
-    if spec.workers > 1:
+    workers = min(spec.workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
         # only here: keeps importing cli light (the pool loads multiprocessing)
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(points), points))
     else:
         rows = [_eval_point(spec, pt) for pt in points]
@@ -319,13 +319,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def rwa_error_curve(p: LambdaParams, horizon: float,
-                    order: MagnusOrder = MagnusOrder.ORDER6,
                     steps_per_period: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Relative Frobenius deviation between the co-rotating-drive and
-    exact-drive states over time, from the shared initial state |1><1|."""
-    full = run_case(p, horizon, order=order, drive="full",
+    exact-drive (sixth-order) states over time, from |1><1|."""
+    full = run_case(p, horizon, drive="full",
                     steps_per_period=steps_per_period)
-    approx = run_case(p, horizon, order=order, drive="rwa",
+    approx = run_case(p, horizon, drive="rwa",
                       steps_per_period=steps_per_period)
     return full.times, rwa_error(approx.states, full.states)

@@ -25,7 +25,7 @@ NAMES = [
     "analysis.rwa_error", "cli.one_period", "cli.spectral_gap",
     "cli.run_case", "cli.main", "model.preset", "rwa_oracle.rwa_density_tpr",
 ]
-SUMMARY_KEYS = {"rho_ss_rwf", "t_conv", "gap", "period"}
+SUMMARY_KEYS = {"rho_ss_rwf", "t_conv", "gap", "period", "u_t"}
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -3,6 +3,7 @@ import dataclasses
 import re
 import sys
 import tracemalloc
+from datetime import datetime
 from decimal import Decimal
 
 import numpy as np
@@ -248,6 +249,46 @@ class TestResolveParams:
         p = resolve_params(cfg)
         assert p.omega_p == pytest.approx(6.5)
         assert p.omega_c == pytest.approx(4.0)
+
+    def test_explicit_frequencies(self):
+        # a zero detuning is no conflict
+        cfg = RunConfig(params=dict(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0,
+                                    omega_p=6.5, omega_c=4.25),
+                        delta_omega_p=0.0, delta_omega_c=-0.0)
+        p = resolve_params(cfg)
+        assert (p.omega_p, p.omega_c) == (6.5, 4.25)
+
+    # A detuning has no frequency to shift once both are given explicitly:
+    # it is refused, as a flag or a config key, not dropped.
+    EXPLICIT = ["--e2", "6", "--e3", "2", "--rabi-p", "1", "--rabi-c", "1.12",
+                "--gamma-12", "0.9", "--gamma-23", "1", "--omega-p", "6",
+                "--omega-c", "4", "--drive", "rwa"]
+
+    @pytest.mark.parametrize("key", ["delta_omega_p", "delta_omega_c"])
+    def test_detuning_flag_refused_next_to_frequencies(self, tmp_path,
+                                                        capsys, key):
+        out = tmp_path / "x.csv"
+        rc = main(["gap", *self.EXPLICIT, _flag(key), "0.5",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key} cannot detune explicit {key[6:]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["delta_omega_p", "delta_omega_c"])
+    def test_detuning_key_refused_next_to_frequencies(self, tmp_path,
+                                                       capsys, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("e2 = 6\ne3 = 2\nrabi_p = 1\nrabi_c = 1.12\n"
+                            "gamma_12 = 0.9\ngamma_23 = 1\nomega_p = 6\n"
+                            f"omega_c = 4\n{key} = -0.25\n")
+        out = tmp_path / "x.csv"
+        rc = main(["gap", "--config", str(cfg_file), "--drive", "rwa",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key} cannot detune explicit {key[6:]}" in err
+        assert not out.exists()
 
     def test_partial_frequencies_rejected(self):
         cfg = RunConfig(params=dict(e2=6.0, e3=2.0, rabi_p=1.0, rabi_c=1.0,
@@ -558,6 +599,16 @@ class TestDefaultSteps:
 
 
 class TestGapCommand:
+    def test_timestamp_is_recorded_last(self, tmp_path):
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--case", "A-II", "--drive", "rwa", "--timestamp",
+                     "--out", str(out)]) == EXIT_OK
+        meta, _ = _read_csv(out)
+        assert meta[-1].startswith("# generated = ")
+        stamp = datetime.fromisoformat(meta[-1][len("# generated = "):])
+        assert stamp.tzinfo is not None
+        assert not any("generated" in line for line in meta[:-1])
+
     def test_eigen_logs_and_summary(self, tmp_path):
         out = tmp_path / "gap.csv"
         rc = main(["gap", "--case", "A-II", "--drive", "full",

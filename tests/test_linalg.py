@@ -208,6 +208,12 @@ class TestAboveTopTier:
         a *= norm / np.abs(a).sum(axis=0).max()
         assert np.max(np.abs(expm(a) - expm_eig(a))) <= 1e-15 * norm
 
+    def test_overflow_in_the_squarings_raises(self):
+        # a finite input whose exponential overflows only while squaring
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite"):
+            expm(np.array([[710.0]]))
+
     def test_exact_route_doubling_stack(self):
         # exp(2^i dt B) for C-II's rotating-frame generator B at the step
         # floor, 1-norms 0.36 .. 93 (doubling stack of magnus's exact route)

@@ -372,6 +372,11 @@ class TestConvergenceTime:
             convergence_time(g, plan, ground_state(), eps=eps,
                              precomputed=(u_t, micro))
 
+    def test_first_period_meets_a_loose_eps(self, open_setup):
+        g, plan, u_t, micro = open_setup
+        assert convergence_time(g, plan, ground_state(), eps=1.0,
+                                precomputed=(u_t, micro)) == plan.period
+
     def test_requires_liouville_generator(self):
         from lamsim.model import closed_generator
         g = closed_generator(preset("A-I"))
@@ -484,6 +489,35 @@ class TestSquares:
             t = convergence_time(g, plan, ground_state(), eps=eps,
                                  precomputed=(u_t, micro))
             assert t == _matrix_power_periods(u_t, micro, eps) * plan.period
+
+
+def _scanned_periods(u_t, micro, eps=1e-6, limit=10_000):
+    """The first n with delta(n) <= eps, by a plain scan of the states
+    U_T v0, U_T^2 v0, ... one mat-vec at a time."""
+    mean, v = period_mean_map(micro), vec(ground_state())
+    previous = mean @ v
+    for n in range(1, limit + 1):
+        v = u_t @ v
+        average = mean @ v
+        if frobenius_norm(average - previous) <= eps:
+            return n
+        previous = average
+    raise AssertionError(f"no convergence within {limit} periods")
+
+
+@pytest.mark.parametrize("delta_omega_p", [0.0, 0.5, -0.5, 0.25, 1.0])
+@pytest.mark.parametrize("case,drive", [
+    ("A-II", "full"), ("A-II", "rwa"), ("B-II", "full"), ("B-II", "rwa"),
+    ("C-II", "full"), ("C-II", "rwa")])
+def test_search_finds_the_first_converged_period(case, drive, delta_omega_p):
+    # doubling and bisection return the smallest n only if the deltas
+    # cross eps once; a plain scan from n = 1 finds the first crossing
+    p = preset(case, delta_omega_p=delta_omega_p)
+    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    g = liouville_generator(p, rwa=drive == "rwa")
+    plan, _, (u_t, micro) = accurate_plan(g, period)
+    t = convergence_time(g, plan, ground_state(), precomputed=(u_t, micro))
+    assert t == _scanned_periods(u_t, micro) * plan.period
 
 
 @pytest.mark.parametrize("with_factors", [False, True])

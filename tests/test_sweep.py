@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lamsim import magnus, periodic, sweep
-from lamsim.analysis import cptp_check, spectral_gap
+from lamsim.analysis import cptp_check, rwa_error, spectral_gap
 from lamsim.magnus import propagate
 from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, unvec, vec)
@@ -487,7 +487,67 @@ def test_steady_state_memory_beyond_the_stack(monkeypatch):
         f"above half the {stack_bytes / 2**20:.2f} MiB stack")
 
 
+def test_summary_returns_an_owned_copy_of_u_t(monkeypatch):
+    # the resolved U_T, bit for bit, held apart from the micromotion stack
+    seen = capture_one_period(monkeypatch)
+    s = steady_state_summary(preset("A-II"), rwa=False)
+    u_t, micro = seen["result"]
+    assert s["u_t"].tobytes() == u_t.tobytes()
+    assert s["u_t"].shape == (9, 9) and s["u_t"].flags.owndata
+    assert not np.shares_memory(s["u_t"], micro)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestRunSweep:
+    @pytest.mark.parametrize("points,cpus,started", [
+        (1, 2, []), (3, 2, [2]), (3, 8, [3]), (3, None, [])])
+    def test_workers_are_clamped(self, monkeypatch, points, cpus, started):
+        # --workers 100000 must not ask the pool for 100000 processes: it
+        # forks max_workers children as it starts
+        import concurrent.futures
+
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: _RecordingPool(pools,
+                                                               max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "_eval_point", lambda spec, pt: dict(pt))
+        spec = SweepSpec(base=preset("B-II"), workers=100_000,
+                         axis1=SweepAxis("omega_p", 6.0, 6.0 + points - 1,
+                                         1.0))
+        result = run_sweep(spec)
+        assert pools == started
+        assert [row["omega_p"] for row in result.rows] == \
+            [6.0 + k for k in range(points)]
+
+    def test_convergence_time_and_rwa_error_columns(self):
+        p = preset("A-II")
+        spec = SweepSpec(base=p, axis1=SweepAxis("omega_p", 6.0, 6.0, 1.0),
+                         observables=("convergence_time", "rwa_error"))
+        (row,) = run_sweep(spec).rows
+        full, rwa = (steady_state_summary(p, rwa=r) for r in (False, True))
+        assert row["full_t_conv"] == full["t_conv"] == 7 * full["period"]
+        assert row["rwa_t_conv"] == rwa["t_conv"]
+        assert row["rwa_error"] == rwa_error(rwa["rho_ss_rwf"],
+                                             full["rho_ss_rwf"])
+        assert not any("rho" in key or "gap" in key for key in row)
+
     def test_failure_isolation(self):
         # gamma_12 = gamma_23 = 0 makes the point non-dissipative, which
         # must produce an error row, not abort the sweep
