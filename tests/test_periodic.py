@@ -555,3 +555,41 @@ def test_trace_functional_reads_trace(rng):
     rho = random_complex_matrix(rng, 3)
     w = trace_functional()
     assert np.isclose(w.conj() @ vec(rho), np.trace(rho))
+
+
+# Sign of each basis state under the drive's half-period shift tau:
+# -Omega_k cos(omega_k (t + tau)) = s_k (-Omega_k cos(omega_k t)), and
+# Z = diag(s_p, 1, s_c) absorbs both signs.  Worked out by hand from
+# omega_p, omega_c and tau, not read from the library.
+SYMMETRY_CASES = [
+    ("A-II", 0.0, (-1, 1, 1)), ("B-II", 0.0, (-1, 1, 1)),
+    ("C-II", 0.0, (-1, 1, 1)),   # tau = pi/2: cos 3 pi = -1, cos 2 pi = 1
+    ("A-II", 2.0, (1, 1, -1)),   # tau = pi/4: cos 2 pi = 1, cos pi = -1
+    ("A-II", 0.05, (-1, 1, 1)),  # q = 20, tau = 20 pi: cos 121 pi = -1
+    ("C-II", 0.05, (-1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("case,delta_omega_p,z", SYMMETRY_CASES)
+def test_period_average_vanishes_where_the_sign_gauge_flips(
+        case, delta_omega_p, z):
+    # A(t + tau) = Z A(t) Z makes the periodic steady state covariant,
+    # rho(t + tau) = Z rho(t) Z, so its lab-frame period average has
+    # <rho_ij> = 0 wherever z_i z_j = -1.  The zeros are exact up to the
+    # accuracy U_T is resolved to and the rounding of the drive phases
+    # omega t, which grows with t: the tolerance is q STEP_ERROR_TARGET.
+    p = preset(case, delta_omega_p=delta_omega_p)
+    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    q = round(period / (2.0 * np.pi))
+    tol = q * STEP_ERROR_TARGET
+    _, _, (u_t, micro) = accurate_plan(liouville_generator(p), period)
+    v_ss = np.linalg.svd(u_t - np.eye(9))[2][-1].conj()
+    mean = unvec(period_mean_map(micro) @ v_ss / np.trace(unvec(v_ss)))
+    flips = np.multiply.outer(z, z) < 0
+    assert np.max(np.abs(mean[flips])) <= tol
+    # At q = 1 the coherence the gauge keeps is far from zero.  At q = 20
+    # it is negligible too, for another reason: its first non-oscillating
+    # harmonic, 80 omega_p = 121 omega_c, is of order 201 in the fields.
+    i, j = np.triu_indices(3, 1)
+    kept = np.abs(mean[i, j])[~flips[i, j]]
+    assert kept.size == 1 and (q > 1 or kept[0] >= 1e4 * tol)
