@@ -6,14 +6,25 @@ check between two checkouts:
     PYTHONPATH=src python3 scripts/snapshot_outputs.py OUTDIR
 
 ``summaries.txt`` holds the steady_state_summary fields of A/B/C-II with
-both drives at delta_omega_p = 0, 2 (sub-period repeats m = 4) and 0.05
+both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 (q = 20), every float as exact hex.  Each CLI run below writes its CSV to
 ``<name>.csv`` and its exit code and stderr to ``<name>.status``.
+
+A change that is meant to move values at rounding level declares the
+moves from two snapshots, writing nothing:
+
+    python3 scripts/snapshot_outputs.py after_out --compare before_out
+
+prints the max |delta| of every summary field, per drive over all points,
+and of every CSV and status file: 0 where bit-identical, "differs" where
+text or shape differs, and "only in ..." where one side lacks it.
 """
 
 import argparse
 import contextlib
 import io
+import itertools
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +34,7 @@ from lamsim.model import preset
 from lamsim.sweep import steady_state_summary
 
 SUMMARY_FIELDS = ("rho_ss_rwf", "t_conv", "gap", "gap_per_time",
-                  "trace_defect", "period", "steps", "step_error")
+                  "trace_defect", "period", "steps", "step_error", "u_t")
 CASES = ("A-II", "B-II", "C-II")
 DETUNINGS = (0.0, 2.0, 0.05)
 RUNS = {
@@ -54,10 +65,81 @@ def _hex(value) -> str:
     return str(value)
 
 
+def _number(token: str) -> float:
+    return float.fromhex(token) if "0x" in token else float(token)
+
+
+def _max_delta(ours: list, base: list) -> float | None:
+    """Max |a - b| over two lists of rows of text tokens: equal text is 0,
+    numbers (hex or decimal) differ by value, NaN against a number by inf;
+    None if the shapes differ or a text token does."""
+    if [len(row) for row in ours] != [len(row) for row in base]:
+        return None
+    worst = 0.0
+    for a, b in zip(itertools.chain(*ours), itertools.chain(*base)):
+        if a == b:
+            continue
+        try:
+            delta = abs(_number(a) - _number(b))
+        except ValueError:
+            return None
+        worst = max(worst, delta if delta == delta else float("inf"))
+    return worst
+
+
+def _summary_rows(path: Path) -> dict:
+    """summaries.txt as {"case drive dw=... field": rows of tokens}."""
+    lines = (line.split(" = ") for line in path.read_text().splitlines())
+    return {key: [token.split(",") for token in value.split()]
+            for key, value in lines}
+
+
+def compare(out: Path, base: Path) -> list[str]:
+    """One line per summary field (per drive) and per other file: its max
+    |delta| between the snapshots out and base."""
+    ours, theirs = _summary_rows(out / "summaries.txt"), \
+        _summary_rows(base / "summaries.txt")
+    fields = defaultdict(list)
+    for key in sorted(ours.keys() | theirs.keys()):
+        _, drive, _, field = key.split()
+        fields[f"summaries.txt {drive} {field}"].append(
+            _max_delta(ours[key], theirs[key])
+            if key in ours and key in theirs else f"only in "
+            f"{out if key in ours else base}: {key}")
+    names = sorted({p.name for d in (out, base) for p in d.iterdir()}
+                   - {"summaries.txt"})
+    for name in names:
+        if not (out / name).exists() or not (base / name).exists():
+            side = out if (out / name).exists() else base
+            fields[name].append(f"only in {side}")
+            continue
+        rows = [[line.split(",") for line in (d / name).read_text()
+                 .splitlines()] for d in (out, base)]
+        fields[name].append(_max_delta(*rows))
+    lines = []
+    for label, deltas in fields.items():
+        text = [d for d in deltas if isinstance(d, str)]
+        if text:
+            lines.append(f"{label}: {text[0]}")
+        elif None in deltas:
+            lines.append(f"{label}: differs")
+        else:
+            worst = max(deltas)
+            lines.append(f"{label}: {'0' if worst == 0 else f'{worst:.2g}'}")
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("outdir", type=Path)
-    out = ap.parse_args().outdir
+    ap.add_argument("--compare", type=Path, metavar="BASEDIR",
+                    help="print the max |delta| of OUTDIR against BASEDIR "
+                    "instead of writing a snapshot")
+    args = ap.parse_args()
+    out = args.outdir
+    if args.compare is not None:
+        print("\n".join(compare(out, args.compare)))
+        return
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for case in CASES:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DIM, LDIM
-from .periodic import STEP_ERROR_TARGET
+from .periodic import STEP_ERROR_TARGET, trace_functional
 
 DEGENERATE_GAP_TOL = 1e-12
 SAME_DECAY_TOL = 1e-9  # relative: decays this close are ordered by Im(log)
@@ -114,18 +114,12 @@ def cptp_check(m: np.ndarray) -> CptpReport:
     """Raw defects of a 9x9 map: trace preservation (left identity
     functional), complete positivity (Choi minimum eigenvalue) and Choi
     Hermiticity.  No thresholding."""
-    m = np.asarray(m, dtype=complex)
-    ident_functional = np.eye(DIM, dtype=complex).reshape(LDIM)
-    trace_defect = float(np.max(np.abs(ident_functional @ m
-                                       - ident_functional)))
-    choi = choi_matrix(m)
-    herm_defect = float(np.max(np.abs(choi - choi.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))))
+    w, choi = trace_functional(), choi_matrix(m)
     return CptpReport(
-        trace_defect=trace_defect,
-        min_choi_eigenvalue=min_eig,
-        choi_hermiticity_defect=herm_defect,
-    )
+        trace_defect=float(np.max(np.abs(w @ np.asarray(m) - w))),
+        min_choi_eigenvalue=float(np.min(np.linalg.eigvalsh(
+            0.5 * (choi + choi.conj().T)))),
+        choi_hermiticity_defect=float(np.max(np.abs(choi - choi.conj().T))))
 
 
 @dataclass(frozen=True)

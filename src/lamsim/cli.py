@@ -168,20 +168,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                     **{k: v for k, v in values.items() if k in cfg_names})
     if cfg.periods is not None and cfg.horizon is not None:
         raise ConfigError("periods and horizon are mutually exclusive")
-    if cfg.steps_per_period is not None and cfg.steps_per_period < 1:
-        raise ConfigError(
-            f"steps_per_period must be >= 1, got {cfg.steps_per_period}")
-    if cfg.periods is not None and cfg.periods < 1:
-        raise ConfigError(f"periods must be >= 1, got {cfg.periods}")
-    if cfg.horizon is not None and not cfg.horizon > 0:
-        raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
-    if cfg.horizon is not None and not np.isfinite(cfg.horizon):
-        raise ConfigError(f"horizon must be finite, got {cfg.horizon}")
-    if not 0 < cfg.eps_ss < np.inf:
-        raise ConfigError(
-            f"eps_ss must be positive and finite, got {cfg.eps_ss}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    for key, holds, rule in (
+            *((k, lambda v: v >= 1, ">= 1")
+              for k in ("steps_per_period", "periods", "workers")),
+            *((k, lambda v: 0 < v < np.inf, "positive and finite")
+              for k in ("horizon", "eps_ss"))):
+        value = getattr(cfg, key)
+        if value is not None and not holds(value):
+            raise ConfigError(f"{key} must be {rule}, got {value}")
     return cfg
 
 

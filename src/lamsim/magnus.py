@@ -65,11 +65,11 @@ _NODES6 = np.array([0.5 - _GL_OFFSET, 0.5, 0.5 + _GL_OFFSET])
 CHUNK_STEPS = 1024
 # Steps per block of the cumulative product in propagate.
 _BLOCK = 32
-# Largest defect of a claim about a generator, per unit of max(1, max |A|),
-# at which it is accepted: of Phi(t)^-1 (A(t) - i Theta) Phi(t) - A(0)
-# + i Theta (a frame), of Im S^dag E S (a real basis) or of A(t + T) - A(t)
-# (a period T; see periodicity_defect).
-_CLAIM_TOL = 1e-12
+# Largest accepted defect of a claim about a generator, per unit of max(1,
+# max |A|): of A(t + s) - D A(t) D^-1, a time shift s acting as a diagonal D
+# (shift_defect; a frame Phi as D = Phi(_FRAME_SHIFT), Phi(1) = I only for
+# rates in 2 pi Z), or of Im S^dag E S (a real basis).
+_CLAIM_TOL, _FRAME_SHIFT = 1e-12, 1.0
 
 
 class MagnusOrder(enum.Enum):
@@ -87,8 +87,8 @@ def _no_drive(t: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _probe_fractions() -> np.ndarray:
-    """The 16 seeded fractions of a span at whose multiples a claim about a
-    generator (a frame, a period) is checked; drawn on first use, so that
+    """The 16 seeded fractions of a time shift at whose multiples a claim
+    about the shift is checked (shift_defect); drawn on first use, so that
     importing the package does not import numpy.random."""
     fractions = np.random.default_rng(1729).random(16)
     fractions.flags.writeable = False
@@ -131,14 +131,15 @@ class Generator(_Tables):
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
     generator is constant; ``real_basis``, if given, is a unitary S in
     whose coordinates the generator is real (see the module docstring).
-    Both claims (and a period, by periodicity_defect) are checked and a
-    ValueError raised if one fails; a frame, when declared, decides the
-    route.  Shapes are checked once, here.
+    Both claims are checked and a ValueError raised if one fails; a frame,
+    when declared, decides the route.  ``gauge`` maps a time shift s to the
+    +-1 diagonal of a sign gauge Z that s may act as, A(t + s) = Z A(t) Z,
+    which periodic checks before use (default I).  Shapes are checked here.
     """
 
     def __init__(self, a0, terms=(),
                  coefficients: Callable[[np.ndarray], np.ndarray] = _no_drive,
-                 frame=None, real_basis=None):
+                 frame=None, real_basis=None, gauge=None):
         a0 = np.array(a0, dtype=complex)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"a0 must be a square matrix, got {a0.shape}")
@@ -162,7 +163,13 @@ class Generator(_Tables):
                 raise ValueError(f"frame must be a length-{self.dim} rate "
                                  f"vector, got shape {frame.shape}")
             self.frame = frame
-            self._check_frame()
+            bad = self.shift_defect(_FRAME_SHIFT,
+                                    np.exp(1j * _FRAME_SHIFT * frame))
+            if bad is not None:
+                raise ValueError(
+                    f"generator is not constant in the declared frame: "
+                    f"defect {bad[0]:.3e} at t={bad[1]:.6f}")
+        self.gauge = gauge or (lambda shift: np.ones(len(a0)))
         self.real_basis = None
         self._real = None
         if real_basis is not None:
@@ -204,34 +211,20 @@ class Generator(_Tables):
         out.imag = flat @ self._to_vec[1]
         return out.reshape(r.shape)
 
-    def _check_frame(self) -> None:
-        """Raise ValueError unless Phi(t)^-1 (A(t) - i Theta) Phi(t) equals
-        A(0) - i Theta at 16 pseudo-random probe times in [0, 2 pi)."""
-        probes = 2.0 * np.pi * _probe_fractions()
-        a = self(probes)
-        shift = 1j * np.diag(self.frame)
-        rates = self.frame[None, :] - self.frame[:, None]
-        rotated = (a - shift) * np.exp(1j * rates * probes[:, None, None])
-        defect = np.max(np.abs(rotated - (self(0.0) - shift)), axis=(-2, -1))
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"generator is not constant in the declared frame: defect "
-                f"{defect[i]:.3e} at t={probes[i]:.6f}")
-
-    def periodicity_defect(self, period: float) -> tuple[float, float] | None:
-        """The first (defect, t) among 16 seeded probe times t in [0, period)
-        where max |A(t + period) - A(t)| exceeds _CLAIM_TOL max(1, |A(t)|)
-        max(1, (t + period) / 2 pi), or None if A is period-periodic.  The
-        last factor admits the rounding of the drive phases omega t, which
-        grows with t: at q = 1000 it alone is about 6e-12."""
-        probes = period * _probe_fractions()
-        a = self(probes)
-        defect = np.max(np.abs(self(probes + period) - a), axis=(-2, -1))
+    def shift_defect(self, shift: float, d=None) -> tuple[float, float] | None:
+        """The first (defect, t) among 16 seeded probe times t in [0, shift)
+        where max |A(t + shift) - D A(t) D^-1| exceeds _CLAIM_TOL
+        max(1, |A(t)|) max(1, (t + shift) / 2 pi), or None if shifting time
+        by ``shift`` acts as conjugation by D = diag(d): the frame Phi(s)
+        of a frame, I (d None) at a period, a sign gauge Z at a half period.
+        The last factor admits the rounding of the drive phases omega t,
+        which grows with t: at q = 1000 it alone is about 6e-12."""
+        probes = shift * _probe_fractions()
+        d = np.ones(self.dim) if d is None else np.asarray(d)
+        a = self(probes) * (d[:, None] / d)
+        defect = np.max(np.abs(self(probes + shift) - a), axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) \
-            * np.maximum(1.0, (probes + period) / (2.0 * np.pi))
+            * np.maximum(1.0, (probes + shift) / (2.0 * np.pi))
         bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
         return (defect[bad[0]], probes[bad[0]]) if bad.size else None
 

@@ -96,12 +96,9 @@ def preset(name: str, *, delta_omega_p=0.0, delta_omega_c=0.0) -> LambdaParams:
     """Built-in parameter presets A-I ... C-II (see _PRESET_TABLE)."""
     try:
         letter, variant = name.split("-")
-        fields = dict(_PRESET_TABLE[letter])
+        gammas = {"I": {}, "II": dict(gamma_12=0.9, gamma_23=1.0)}[variant]
+        fields = dict(_PRESET_TABLE[letter], **gammas)
     except (ValueError, KeyError):
-        raise KeyError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    if variant == "II":
-        fields.update(gamma_12=0.9, gamma_23=1.0)
-    elif variant != "I":
         raise KeyError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     return LambdaParams.tpr(delta_omega_p=delta_omega_p,
                             delta_omega_c=delta_omega_c, **fields)
@@ -207,6 +204,14 @@ def _comm_super(h: np.ndarray) -> np.ndarray:
     return kron(h, ident) - kron(ident, np.swapaxes(h, -1, -2))
 
 
+def _signs(p: LambdaParams, shift: float) -> np.ndarray:
+    """Z = diag(s_p, 1, s_c) for a time shift s, s_k the sign of cos(w_k s):
+    where both cosines are +-1, A(t + s) = Z A(t) Z for either drive."""
+    s_p, s_c = np.where(np.cos(np.array([p.omega_p, p.omega_c]) * shift)
+                        < 0.0, -1.0, 1.0)
+    return np.array([s_p, 1.0, s_c])
+
+
 def _drive(p: LambdaParams, rwa: bool):
     """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
     stack, the map from times (...) to the coefficients f_k, (..., K), and
@@ -241,7 +246,8 @@ def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
     """3x3 Hilbert-space generator -i H(t) for unitary dynamics; the RWA
     drive declares the rotating frame, so it is propagated exactly."""
     ops, coefficients, frame = _drive(p, rwa)
-    return Generator(-1j * h0(p), -1j * ops, coefficients, frame)
+    return Generator(-1j * h0(p), -1j * ops, coefficients, frame,
+                     gauge=lambda shift: _signs(p, shift))
 
 
 def liouville_generator(p: LambdaParams, rwa: bool = False,
@@ -253,7 +259,8 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     dissipator folded into the constant part.  The RWA frame lifts to the
     rates theta_i - theta_j of vec(rho)[i, j], flattened row-major; the
     dissipator commutes with it.  The full drive, which has no frame,
-    declares HERMITIAN_BASIS, in which it is real.
+    declares HERMITIAN_BASIS, in which it is real.  The sign gauge lifts
+    to Z (x) Z; each jump operator only changes sign under Z.
     """
     if dissipative is None:
         dissipative = p.is_dissipative
@@ -264,4 +271,5 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     if frame is not None:
         frame = np.subtract.outer(frame, frame).reshape(LDIM)
     return Generator(a0, -1j * _comm_super(ops), coefficients, frame,
-                     HERMITIAN_BASIS if frame is None else None)
+                     HERMITIAN_BASIS if frame is None else None,
+                     lambda shift: np.kron(*2 * [_signs(p, shift)]))

@@ -7,10 +7,11 @@ For a generator with period T the propagator over [0, n T + t] factors as
 U(t, 0) @ U(T, 0)^n, so a single resolved period plus cheap matrix powers
 covers arbitrarily long horizons; repeated squaring of U(T, 0) reaches
 exponentially long times, and the average over any one period is one fixed
-map (period_mean_map) of the state at the period's start.  The same
-factorisation inside the reported period, U(T) = U(T/m)^m for a generator
-that is also T/m-periodic, lets accurate_plan and one_period resolve only
-the sub-period T/m (m = 2 for the presets at two-photon resonance).
+map (period_mean_map) of the state at the period's start.  Inside T, a
+shift by tau = T/r that acts as a +-1 sign gauge, A(t + tau) = Z A(t) Z (a
+Floquet dynamical symmetry; Alon, Averbukh & Moiseyev, Phys. Rev. Lett. 80,
+3743 (1998)), gives U_T = (Z U_tau)^r for even r, so accurate_plan and
+one_period resolve only tau: T/4 for the presets, T/2 off resonance.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ class HorizonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicPlan:
-    """One resolved drive period: length T, step count N over T, and the
-    number m of repeats of the generator's sub-period T/m that one_period
-    composes U_T from (1: T is resolved as a whole)."""
+    """One resolved drive period: length T, step count N over T, the
+    repeats r of tau = T/r that one_period composes U_T from (1: T is
+    resolved whole), and the diagonal of tau's sign gauge Z (empty: I)."""
 
     period: float
     steps_per_period: int
     repeats: int = 1
+    signs: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.period <= 0:
@@ -70,6 +72,15 @@ class PeriodicPlan:
             raise ValueError(
                 f"repeats {self.repeats} must be >= 1 and divide "
                 f"steps_per_period {self.steps_per_period}")
+        if not set(self.signs) <= {1.0, -1.0}:
+            raise ValueError(f"signs {self.signs} must all be +1 or -1")
+
+    def gauge(self, dim: int) -> np.ndarray:
+        """Z's diagonal for a generator of dimension dim, or ValueError."""
+        if len(self.signs) not in (0, dim):
+            raise ValueError(f"signs {self.signs} has length "
+                             f"{len(self.signs)}, not the generator's {dim}")
+        return np.array(self.signs or (1.0,) * dim)
 
     @property
     def micromotion_times(self) -> np.ndarray:
@@ -81,29 +92,32 @@ class PeriodicPlan:
 def make_plan(g: Generator, period: float, steps_per_period: int
               ) -> PeriodicPlan:
     """Build a plan, checking that the generator really has the claimed
-    period at 16 pseudo-random probe times (Generator.periodicity_defect)."""
+    period at 16 pseudo-random probe times (Generator.shift_defect)."""
     plan = PeriodicPlan(period=period, steps_per_period=steps_per_period)
-    bad = g.periodicity_defect(period)
+    bad = g.shift_defect(period)
     if bad is not None:
         raise ValueError(f"generator is not {period}-periodic: defect "
                          f"{bad[0]:.3e} at t={bad[1]:.6f}")
     return plan
 
 
-def _repeats(g: Generator, period: float) -> int:
-    """The largest power of two m <= MIN_STEPS // 2 for which the generator
-    passes make_plan's check as (period / m)-periodic.
+def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
+    """The largest power of two r <= MIN_STEPS // 2 (the floor's half
+    probe keeps >= 1 step) for which a shift by period / r acts as the
+    generator's sign gauge Z (Generator.shift_defect), and Z's diagonal.
 
     Powers of two suffice for period = 2 pi q from commensurate_period:
     the fundamental count gcd(q omega_p, q omega_c) is coprime to q, so
     only its power-of-two part divides the step grid q MIN_STEPS 2^k.  At
-    two-photon resonance (omega_p = 6, omega_c = 4) m = 2; off resonance,
-    e.g. omega_p = 6.05 (q = 20), m = 1 and nothing is saved."""
-    m = 1
-    while (m < MIN_STEPS // 2
-           and g.periodicity_defect(period / (2 * m)) is None):
-        m *= 2
-    return m
+    omega_p = 6, omega_c = 4 a shift by pi / 2 flips the probe: r = 4,
+    Z = diag(-1, 1, 1); off resonance (omega_p = 6.05, q = 20) r = 2."""
+    r, z = 1, np.ones(g.dim)
+    while r < MIN_STEPS // 2:
+        signs = g.gauge(period / (2 * r))
+        if g.shift_defect(period / (2 * r), signs) is not None:
+            break
+        r, z = 2 * r, signs
+    return r, z
 
 
 def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
@@ -131,21 +145,24 @@ def one_period(g: Generator, plan: PeriodicPlan
     """Sixth-order propagator over one period plus cumulative propagators
     at every intra-period grid point (identity first, the full U_T last).
 
-    With plan.repeats = m > 1 only the sub-period T/m is propagated, on
-    N/m steps; by U(j T/m + t) = U(t) U(j T/m) each later repeat j is one
-    batched product of that sub-stack with the stack's row j N/m, so the
-    (N + 1)-row stack costs N/m Magnus steps (Shirley, Phys. Rev. 138,
+    With plan.repeats = r > 1 only tau = T/r is propagated, on N/r steps;
+    by U(j tau + s) = Z^j U(s) Z^j U(j tau), Z the plan's sign gauge, each
+    later repeat j is one batched product of that sub-stack with the
+    stack's row j N/r, Z^j taken as exact row scalings of its factors; so
+    the (N + 1)-row stack costs N/r Magnus steps (Shirley, Phys. Rev. 138,
     B979 (1965))."""
-    m = plan.repeats
-    n = plan.steps_per_period // m
-    sub = propagate(g, 0.0, plan.period / m, n, return_intermediate=True)
-    if m == 1:
+    r = plan.repeats
+    n = plan.steps_per_period // r
+    z = plan.gauge(g.dim)[:, None]
+    sub = propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
+    if r == 1:
         return sub[-1], sub
-    micromotion = np.empty((m * n + 1,) + sub.shape[1:], dtype=sub.dtype)
+    micromotion = np.empty((r * n + 1,) + sub.shape[1:], dtype=sub.dtype)
     micromotion[:n + 1] = sub
-    for j in range(1, m):
-        np.matmul(sub[1:], micromotion[j * n],
-                  out=micromotion[j * n + 1:(j + 1) * n + 1])
+    for j in range(1, r):
+        block = micromotion[j * n + 1:(j + 1) * n + 1]
+        np.matmul(sub[1:], z ** j * micromotion[j * n], out=block)
+        block *= z ** j
     return micromotion[-1], micromotion
 
 
@@ -161,29 +178,28 @@ def accurate_plan(g: Generator, period: float,
 
     A generator with a frame takes the floor with estimate 0.0 and no
     probe: its U_N = Phi(T) exp(T B) is the same matrix for every N.
-    Otherwise the plan carries the repeats m of the generator's shortest
-    power-of-two sub-period T/m (_repeats), and every U_N is the m-th
-    power of the N/m-step U_{T/m}: the same Magnus steps for 1/m of the
-    cost (m = 2 on the resonant presets, 1 off resonance).  U_T is taken
-    without intermediates at the floor and half of it; the rate 2^6 per
-    doubling then predicts N.  Each prediction is resolved once; that
-    resolution's U_T is checked against U_{N/2}, and N is predicted again
-    from the check until it holds, so the accepted N steps are propagated
-    once.  Every count is checked against the step cap before it is
-    propagated.  Every U_T consumer (steady state, gap, CPTP checks) reads
-    the U_T this rule resolves.
+    Otherwise the plan carries the repeats r and sign gauge Z of _repeats,
+    and every U_N is (Z U_tau)^r from the N/r-step U_tau, tau = T/r: 1/r
+    of the Magnus steps (r = 4 on the presets).  U_T is taken without
+    intermediates at the floor and half of it; the rate 2^6 per doubling
+    then predicts N.  Each prediction is resolved once; that resolution's
+    U_T is checked against U_{N/2}, and N is predicted again from the
+    check until it holds, so the accepted N steps are propagated once.
+    Every count is checked against the step cap before it is propagated.
+    Every U_T consumer (steady state, gap, CPTP checks) reads the U_T this
+    rule resolves.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
     if g.frame is not None:
         return plan, 0.0, resolve(g, plan)
-    m = _repeats(g, period)
-    plan = replace(plan, repeats=m)
+    r, z = _repeats(g, period)
+    plan = replace(plan, repeats=r, signs=tuple(z))
     rate = 2.0 ** MagnusOrder.ORDER6.value
 
     def u(steps: int) -> np.ndarray:
         return np.linalg.matrix_power(
-            propagate(g, 0.0, period / m, steps // m), m)
+            z[:, None] * propagate(g, 0.0, period / r, steps // r), r)
 
     def estimate(fine: np.ndarray, coarse: np.ndarray) -> float:
         error = float(np.max(np.abs(fine - coarse))) / (rate - 1.0)
@@ -232,19 +248,12 @@ def doubling(u_period: np.ndarray, m: int,
     """
     if m < 0:
         raise ValueError(f"doubling count must be non-negative, got {m}")
-    u = u_period.copy()
-
-    def reproject(mat):
-        w = fixed_functional
-        return mat - np.outer(w, (w.conj() @ mat - w.conj())) / (
-            np.vdot(w, w))
-
-    if fixed_functional is not None:
-        u = reproject(u)
-    for _ in range(m):
-        u = u @ u
-        if fixed_functional is not None:
-            u = reproject(u)
+    u, w = u_period.copy(), fixed_functional
+    for i in range(m + 1):
+        if i:
+            u = u @ u
+        if w is not None:  # the rank-1 reprojection onto w^dag u = w^dag
+            u = u - np.outer(w, (w.conj() @ u - w.conj())) / np.vdot(w, w)
     return u
 
 

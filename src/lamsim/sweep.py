@@ -4,8 +4,8 @@ convergence times and spectral gaps.
 
 Each grid point is an independent work item: the drive period is chosen
 commensurate with both field frequencies and resolved with the fewest
-steps whose step-doubling estimate of the sixth-order U_T's error is
-at most 1e-12
+steps whose step-doubling estimate of the sixth-order U_T's error is at
+most 1e-12, from the half sub-period T/(2m) under its sign gauge
 (periodic.accurate_plan), and the steady state is the limit of U_T^n
 applied to the initial state (its projection onto the fixed points of
 U_T), averaged over one period in the rotating frame by one 9x9

@@ -326,6 +326,14 @@ class TestFrameRoute:
         with pytest.raises(ValueError, match="frame"):
             Generator(full.a0, full.terms, full.coefficients, rwa.frame)
 
+    @pytest.mark.parametrize("shift", [0.3, 2.0, 40.0])
+    def test_any_shift_acts_as_the_frame(self, shift):
+        # Phi(t) (A(t') - i Theta) Phi(t)^-1 = A(t + t') - i Theta, and the
+        # diagonal Phi commutes with i Theta: a shift acts as Phi(shift)
+        g = liouville_generator(preset("C-II", delta_omega_p=0.7), rwa=True)
+        assert g.shift_defect(shift, np.exp(1j * shift * g.frame)) is None
+        assert g.shift_defect(shift) is not None
+
     def test_frame_shape_checked(self):
         with pytest.raises(ValueError, match="frame"):
             Generator(np.eye(3), frame=np.zeros(2))

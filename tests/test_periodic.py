@@ -6,8 +6,8 @@ import pytest
 from lamsim import periodic
 from lamsim.linalg import frobenius_norm
 from lamsim.magnus import Generator, MagnusOrder, propagate
-from lamsim.model import (ground_state, lindbladian, liouville_generator,
-                          preset, unvec, vec)
+from lamsim.model import (closed_generator, ground_state, lindbladian,
+                          liouville_generator, preset, unvec, vec)
 from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
                              STEP_ERROR_TARGET, HorizonError, PeriodicPlan,
                              Trajectory, accurate_plan, commensurate_period,
@@ -66,8 +66,24 @@ class TestPlan:
         with pytest.raises(ValueError, match="cap"):
             PeriodicPlan(period=1.0, steps_per_period=MAX_PLAN_STEPS + 1)
         for repeats in (0, 3):
-            with pytest.raises(ValueError, match="repeats"):
+            with pytest.raises(ValueError, match=f"repeats {repeats} "):
                 PeriodicPlan(period=1.0, steps_per_period=4, repeats=repeats)
+
+    @pytest.mark.parametrize("signs", [(1.0, 0.0, 1.0), (1.0, -0.5),
+                                       (1.0, np.nan)])
+    def test_signs_must_be_plus_or_minus_one(self, signs):
+        with pytest.raises(ValueError, match="signs .* must all be"):
+            PeriodicPlan(period=1.0, steps_per_period=4, repeats=2,
+                         signs=signs)
+
+    def test_signs_must_match_the_generator(self):
+        g = liouville_generator(preset("A-II"))
+        plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=STEPS,
+                            repeats=4, signs=(-1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=r"signs \(-1.0, 1.0, 1.0\) "
+                           "has length 3, not the generator's 9"):
+            one_period(g, plan)
+        assert np.array_equal(replace(plan, signs=()).gauge(9), np.ones(9))
 
 
 class TestCommensurate:
@@ -99,16 +115,34 @@ def cos_drive() -> Generator:
                      coefficients=lambda t: np.cos(t)[..., None])
 
 
+def lifted(z):
+    """The diagonal of Z (x) Z, Z = diag(z): a sign gauge on vec(rho)."""
+    return np.kron(z, z)
+
+
 class TestRepeats:
+    """The gauge search (_repeats): the largest power of two r <= 128
+    for which a shift by T/r acts as the generator's sign gauge Z."""
+
+    # Z at the half sub-period of each detuning, worked out by hand:
+    # omega_p = 6, omega_c = 4: tau = pi / 2 flips the probe (cos 3 pi);
+    # omega_p = 8: tau = pi / 4 flips the control (cos pi);
+    # omega_p = 6.05 (q = 20): tau = 20 pi flips the probe (cos 121 pi).
+    SIGNS = {0.0: (-1, 1, 1), 2.0: (1, 1, -1), 0.05: (-1, 1, 1)}
+
     @pytest.mark.parametrize("case, delta_omega_p, m", [
         ("A-II", 0.0, 2), ("B-II", 0.0, 2), ("C-II", 0.0, 2),
-        ("A-II", 2.0, 4), ("A-II", 0.05, 1)])
+        ("A-II", 2.0, 4), ("A-II", 0.05, 1), ("C-II", 0.05, 1)])
     def test_full_drive(self, case, delta_omega_p, m):
-        # omega_c = 4 with omega_p = 6 repeats every pi, with 8 every
-        # pi / 2; omega_p = 6.05 (q = 20) has no shorter period than T
+        # the drive repeats every T/m, and a shift by half of that acts as
+        # the sign gauge Z: r = 2m (4, 8 and 2 here)
         p = preset(case, delta_omega_p=delta_omega_p)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
-        assert periodic._repeats(liouville_generator(p), period) == m
+        z = self.SIGNS[delta_omega_p]
+        r, got = periodic._repeats(liouville_generator(p), period)
+        assert r == 2 * m and np.array_equal(got, lifted(z))
+        r, got = periodic._repeats(closed_generator(p), period)
+        assert r == 2 * m and np.array_equal(got, z)
 
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
     @pytest.mark.parametrize("delta_omega_p", [0.0, 2.0, 0.05])
@@ -117,23 +151,42 @@ class TestRepeats:
         p = preset(case, delta_omega_p=delta_omega_p)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         plan, _, _ = accurate_plan(liouville_generator(p, rwa=True), period)
-        assert plan.repeats == 1
+        assert plan.repeats == 1 and plan.signs == ()
 
     def test_cos_drive(self):
-        assert periodic._repeats(cos_drive(), 2.0 * np.pi) == 1
+        r, z = periodic._repeats(cos_drive(), 2.0 * np.pi)
+        assert r == 1 and np.array_equal(z, [1.0])
 
     def test_constant_generator_is_bounded(self):
-        # every sub-period passes; the floor's half probe keeps >= 1 step
-        m = periodic._repeats(Generator(np.zeros((1, 1))), 2.0 * np.pi)
-        assert m <= MIN_STEPS // 2
-        assert (MIN_STEPS // 2) % m == 0
+        # every shift passes; the floor's half probe keeps >= 1 step
+        r, _ = periodic._repeats(Generator(np.zeros((1, 1))), 2.0 * np.pi)
+        assert r <= MIN_STEPS // 2
+        assert (MIN_STEPS // 2) % r == 0
+
+    def test_broken_sign_pattern_falls_back_to_periodicity(self):
+        # The field cos 2t + cos 4t / 10 repeats every pi, but at pi / 2
+        # only its first harmonic flips sign: the gauge it declares there,
+        # diag(-1, 1, 1), fails the check, and the search keeps r = 2, Z = I.
+        p = preset("A-II")
+        full = closed_generator(p)
+        broken = Generator(
+            full.a0, full.terms[:1],
+            lambda t: (np.cos(2.0 * t) + 0.1 * np.cos(4.0 * t))[..., None],
+            gauge=lambda s: np.array([np.sign(np.cos(2.0 * s)), 1.0, 1.0]))
+        assert np.array_equal(broken.gauge(np.pi / 2), [-1.0, 1.0, 1.0])
+        assert broken.shift_defect(np.pi / 2, [-1.0, 1.0, 1.0]) is not None
+        r, z = periodic._repeats(broken, 2.0 * np.pi)
+        assert r == 2 and np.array_equal(z, np.ones(3))
 
     @pytest.mark.parametrize("delta_omega_p, m", [(0.0, 2), (2.0, 4)])
     def test_one_period_from_repeats(self, delta_omega_p, m):
+        # the gauge route against the period resolved whole
         g = liouville_generator(preset("A-II", delta_omega_p=delta_omega_p))
         plan = make_plan(g, 2.0 * np.pi, STEPS)
         _, whole = one_period(g, plan)
-        u_t, composed = one_period(g, replace(plan, repeats=m))
+        u_t, composed = one_period(g, replace(
+            plan, repeats=2 * m,
+            signs=tuple(lifted(self.SIGNS[delta_omega_p]))))
         assert composed.shape == whole.shape
         assert np.array_equal(composed[0], np.eye(g.dim))
         assert np.array_equal(u_t, composed[-1])

@@ -30,7 +30,7 @@ def test_snapshot_outputs_writes_every_output(tmp_path):
     assert done.returncode == 0, done.stderr
     out = tmp_path / "out"
     summaries = (out / "summaries.txt").read_text().splitlines()
-    assert len(summaries) == 3 * 3 * 2 * 8  # cases x detunings x drives
+    assert len(summaries) == 3 * 3 * 2 * 9  # cases x detunings x drives
     assert "C-II full dw=0.05 gap = nan" in summaries
     names = {path.stem for path in out.glob("*.status")}
     assert names == {path.stem for path in out.glob("*.csv")}
@@ -41,3 +41,56 @@ def test_snapshot_outputs_writes_every_output(tmp_path):
             assert status.startswith("exit 3\ngap: 2 of 2 spectral gaps")
         else:
             assert status == "exit 0\n", name
+
+
+def _snapshot(path, summaries, files):
+    path.mkdir()
+    (path / "summaries.txt").write_text("\n".join(summaries) + "\n")
+    for name, text in files.items():
+        (path / name).write_text(text)
+    return path
+
+
+def test_snapshot_compare_reports_each_move(tmp_path):
+    one, third = (1.0).hex(), (1.0 / 3.0).hex()
+    moved = (1.0 / 3.0 + 2.0 ** -52).hex()
+    base = _snapshot(tmp_path / "base", [
+        f"A-II full dw=0.0 rho_ss_rwf = {one},{third} {one},{one}",
+        f"B-II full dw=0.0 rho_ss_rwf = {one},{one} {one},{one}",
+        "A-II full dw=0.0 steps = 1024",
+        "A-II rwa dw=0.0 gap = nan",
+        f"A-II rwa dw=0.0 t_conv = {one}",
+    ], {"run.csv": "# order = 6\nt,x\n0,1\n0.5,0.25\n",
+        "run.status": "exit 0\n", "text.csv": "a,full\n",
+        "shape.csv": "a\n1\n", "gone.csv": "a\n"})
+    out = _snapshot(tmp_path / "out", [
+        f"A-II full dw=0.0 rho_ss_rwf = {one},{moved} {one},{one}",
+        f"B-II full dw=0.0 rho_ss_rwf = {one},{one} {one},{one}",
+        "A-II full dw=0.0 steps = 1024",
+        "A-II rwa dw=0.0 gap = nan",
+        "A-II rwa dw=0.0 t_conv = nan",
+        f"A-II rwa dw=0.0 step_error = {one}",
+    ], {"run.csv": "# order = 6\nt,x\n0,1\n0.5,0.2500000000001\n",
+        "run.status": "exit 0\n", "text.csv": "a,rwa\n",
+        "shape.csv": "a\n1\n2\n"})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"),
+         str(out), "--compare", str(base)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = dict(line.split(": ", 1) for line in done.stdout.splitlines())
+    assert report == {
+        "summaries.txt full rho_ss_rwf": "2.2e-16",
+        "summaries.txt full steps": "0",
+        "summaries.txt rwa gap": "0",
+        "summaries.txt rwa t_conv": "inf",
+        "summaries.txt rwa step_error":
+            f"only in {out}: A-II rwa dw=0.0 step_error",
+        "gone.csv": f"only in {base}",
+        "run.csv": "1e-13",
+        "run.status": "0",
+        "shape.csv": "differs",
+        "text.csv": "differs",
+    }
+    assert not (out / "gap_A-II.csv").exists()  # compare writes nothing

@@ -400,12 +400,12 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
 
 @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
 def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
-    # 960 Magnus steps: the drive repeats every T/2 = pi, so the search
-    # takes U_T as U_{T/2}^2 at 256, 128 and 512 steps (propagating 128,
-    # 64 and 256), and the 1024-step check reads the one resolved stack,
-    # built from 512 steps over T/2.  No count takes a linear solve: the
-    # exponents' 1-norms reach 1.67 (C-II at 64 steps over T/2), inside
-    # expm's solve-free Taylor tiers.
+    # 480 Magnus steps: a shift by T/4 = pi/2 acts as the sign gauge
+    # Z = diag(-1, 1, 1), so the search takes U_T as (Z U_{T/4})^4 at 256,
+    # 128 and 512 steps (propagating 64, 32 and 128), and the 1024-step
+    # check reads the one resolved stack, built from 256 steps over T/4.
+    # No count takes a linear solve: the exponents' 1-norms reach 1.67
+    # (C-II at 32 steps over T/4), inside expm's solve-free Taylor tiers.
     counts, solved_at, resolved = [], [], []
     real_propagate, real_solve = periodic.propagate, np.linalg.solve
 
@@ -424,7 +424,7 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
         seen["plan"].steps_per_period))
     s = steady_state_summary(preset(case), rwa=False)
     assert s["steps"] == 1024 and resolved == [1024]
-    assert sorted(counts) == [64, 128, 256, 512]
+    assert sorted(counts) == [32, 64, 128, 256]
     assert solved_at == []
 
 
@@ -433,10 +433,12 @@ def test_full_drive_sub_period_matches_the_whole_period(monkeypatch, case):
     p = preset(case)
     seen = capture_one_period(monkeypatch)
     got = steady_state_summary(p, rwa=False)
-    assert seen["plan"].repeats == 2
-    monkeypatch.setattr(periodic, "_repeats", lambda g, period: 1)
+    assert seen["plan"].repeats == 4
+    assert seen["plan"].signs == tuple(np.kron([-1, 1, 1], [-1, 1, 1]))
+    monkeypatch.setattr(periodic, "_repeats",
+                        lambda g, period: (1, np.ones(g.dim)))
     want = steady_state_summary(p, rwa=False)
-    assert seen["plan"].repeats == 1
+    assert seen["plan"].repeats == 1 and seen["plan"].signs == (1.0,) * 9
     assert got["steps"] == want["steps"] and got["t_conv"] == want["t_conv"]
     assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-14
     assert abs(got["gap"] - want["gap"]) <= 1e-12
