@@ -109,8 +109,9 @@ def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
     Powers of two suffice for period = 2 pi q from commensurate_period:
     the fundamental count gcd(q omega_p, q omega_c) is coprime to q, so
     only its power-of-two part divides the step grid q MIN_STEPS 2^k.  At
-    omega_p = 6, omega_c = 4 a shift by pi / 2 flips the probe: r = 4,
-    Z = diag(-1, 1, 1); off resonance (omega_p = 6.05, q = 20) r = 2."""
+    omega_p = 6, omega_c = 4 the drive repeats every T/m = pi and a shift
+    by T/(2m) flips the probe: r = 2m = 4, Z = diag(-1, 1, 1); off
+    resonance (omega_p = 6.05, q = 20) r = 2."""
     r, z = 1, np.ones(g.dim)
     while r < MIN_STEPS // 2:
         signs = g.gauge(period / (2 * r))
