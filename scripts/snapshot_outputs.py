@@ -8,7 +8,9 @@ check between two checkouts:
 ``summaries.txt`` holds the steady_state_summary fields of A/B/C-II with
 both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 (q = 20), every float as exact hex.  Each CLI run below writes its CSV to
-``<name>.csv`` and its exit code and stderr to ``<name>.status``.
+``<name>.csv`` and its exit code and stderr to ``<name>.status``; the
+``_3T`` runs span three periods, so they cover the rows that each period
+takes over from the one before.
 
 A change that is meant to move values at rounding level declares the
 moves from two snapshots, writing nothing:
@@ -40,6 +42,10 @@ DETUNINGS = (0.0, 2.0, 0.05)
 RUNS = {
     "propagate_A-I_full": ["propagate", "--case", "A-I", "--drive", "full"],
     "propagate_A-II_rwf": ["propagate", "--case", "A-II", "--frame", "rwf"],
+    "propagate_A-I_full_3T": ["propagate", "--case", "A-I", "--periods", "3",
+                              "--drive", "full"],
+    "propagate_A-II_rwf_3T": ["propagate", "--case", "A-II", "--periods",
+                              "3", "--frame", "rwf"],
     "propagate_B-II_lab": ["propagate", "--case", "B-II", "--horizon", "2.5",
                            "--frame", "lab"],
     "propagate_C-I_order4": ["propagate", "--case", "C-I", "--order", "4"],

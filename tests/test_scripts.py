@@ -34,7 +34,7 @@ def test_snapshot_outputs_writes_every_output(tmp_path):
     assert "C-II full dw=0.05 gap = nan" in summaries
     names = {path.stem for path in out.glob("*.status")}
     assert names == {path.stem for path in out.glob("*.csv")}
-    assert len(names) == 8
+    assert len(names) == 10
     for name in names:
         status = (out / f"{name}.status").read_text()
         if name == "gap_C-II_q20":  # both gaps unresolved at q = 20
