@@ -110,13 +110,19 @@ def choi_matrix(m: np.ndarray) -> np.ndarray:
         LDIM, LDIM)
 
 
+def trace_defect(m: np.ndarray) -> float:
+    """max |w m - w|, w = vec(I): a 9x9 map's trace-preservation defect."""
+    w = trace_functional()
+    return float(np.max(np.abs(w @ np.asarray(m) - w)))
+
+
 def cptp_check(m: np.ndarray) -> CptpReport:
-    """Raw defects of a 9x9 map: trace preservation (left identity
-    functional), complete positivity (Choi minimum eigenvalue) and Choi
-    Hermiticity.  No thresholding."""
-    w, choi = trace_functional(), choi_matrix(m)
+    """Raw defects of a 9x9 map: trace preservation (trace_defect),
+    complete positivity (Choi minimum eigenvalue) and Choi Hermiticity.
+    No thresholding."""
+    choi = choi_matrix(m)
     return CptpReport(
-        trace_defect=float(np.max(np.abs(w @ np.asarray(m) - w))),
+        trace_defect=trace_defect(m),
         min_choi_eigenvalue=float(np.min(np.linalg.eigvalsh(
             0.5 * (choi + choi.conj().T)))),
         choi_hermiticity_defect=float(np.max(np.abs(choi - choi.conj().T))))

@@ -286,21 +286,15 @@ class Trajectory:
         return np.real(np.einsum("tii->ti", self.states))
 
 
-def period_mean_map(micromotion: np.ndarray,
-                    row_factors: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k diag(row_factors[k]) micromotion[k], w_k the trapezoid
-    weights: the map from a period's start state to its average over the
-    period, built without a second stack-sized array.  Without factors it
-    is one matrix-vector product over the flattened stack; with them, one
-    batched product, row i taking the weighted factors of row i against
-    every micromotion[k][i]."""
-    n, d = len(micromotion), micromotion.shape[-1]
+def period_mean_map(stack: np.ndarray) -> np.ndarray:
+    """sum_k w_k stack[k], w_k the trapezoid weights of a period's even
+    grid, by one product over the flattened stack: of the micromotion, the
+    map from a period's start state to its period average; of the states
+    along a period, that average."""
+    n = len(stack)
     weights = np.full(n, 1.0 / (n - 1))
     weights[[0, -1]] *= 0.5
-    if row_factors is None:
-        return (weights @ micromotion.reshape(n, d * d)).reshape(d, d)
-    weighted = (weights[:, None] * row_factors).T[:, None, :]
-    return (weighted @ micromotion.transpose(1, 0, 2)).reshape(d, d)
+    return (weights @ stack.reshape(n, -1)).reshape(stack.shape[1:])
 
 
 def _powers_of(u: np.ndarray, v: np.ndarray) -> Callable[[int], np.ndarray]:

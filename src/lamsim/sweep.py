@@ -8,8 +8,8 @@ steps whose step-doubling estimate of the sixth-order U_T's error is at
 most 1e-12, from the half sub-period T/(2m) under its sign gauge
 (periodic.accurate_plan), and the steady state is the limit of U_T^n
 applied to the initial state (its projection onto the fixed points of
-U_T), averaged over one period in the rotating frame by one 9x9
-period-mean map; the CLI's gap and validate resolve U_T alike.  Time
+U_T), averaged over one period in the rotating frame as the trapezoid
+mean of its states; the CLI's gap and validate resolve U_T alike.  Time
 series (run_case) keep q * BASE_STEPS grid points per period by default.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import periodic
-from .analysis import (DEGENERATE_GAP_TOL, cptp_check, rwa_error,
-                       spectral_gap)
+from .analysis import (DEGENERATE_GAP_TOL, rwa_error, spectral_gap,
+                       trace_defect)
 from .magnus import MagnusOrder, propagate
 from .model import (LDIM, LambdaParams, closed_generator, ground_state,
                     liouville_generator, rwf_phases, unvec, vec)
@@ -39,8 +39,8 @@ DRIVES = ("full", "rwa", "both")
 # state are held until the call returns, 152 B each (~9.5 GiB at the
 # cap), so a longer horizon is refused before anything is computed.
 MAX_ROWS = 2 ** 26
-# Rows per block of a time series: the tall product, the frame transform
-# and the CSV text are formed one block at a time.
+# Rows per block of a time series: the states, their frame transform and
+# the CSV text are formed one block at a time.
 ROW_BLOCK = 2048
 
 
@@ -72,23 +72,24 @@ def run_case(p: LambdaParams, horizon: float,
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
     9x9 Liouville space.  One span is resolved: the drive period T, or a
     shorter horizon h on its own ceil(steps * h / T)-step grid.  Longer
-    horizons reuse it stroboscopically: period n's rows are column 0 of a
-    prefix of its propagators times U_T^n, formed ROW_BLOCK rows at a time
-    as tall (m d, d) @ (d, d) products and written, in the requested
-    frame, into one preallocated state stack, so no multi-period
-    propagator stack and no second full-length array is held.  A horizon
-    of more than MAX_ROWS grid times raises ValueError before anything is
-    propagated.
+    horizons reuse it stroboscopically: the state v_n = U_T^n e0 (e0 = |1>,
+    or vec|1><1|) is carried from period to period, and period n's rows are
+    the span's propagators applied to it, ROW_BLOCK rows at a time, written
+    in the requested frame into one preallocated state stack, so no
+    multi-period propagator stack and no second full-length array is
+    held.  A horizon that is negative or NaN, or of more than MAX_ROWS grid
+    times, raises ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
     if frame not in ("lab", "rwf"):
         raise ValueError(f"frame must be 'lab' or 'rwf', got {frame!r}")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     rwa = drive == "rwa"
-    rho0 = ground_state()
-    if horizon <= 0:
+    if horizon == 0:
         return Trajectory(times=np.array([0.0]),
-                          states=np.array([rho0]), frame=frame)
+                          states=np.array([ground_state()]), frame=frame)
 
     open_system = p.is_dissipative
     period, steps = commensurate_period(p.omega_p, p.omega_c)
@@ -116,30 +117,23 @@ def run_case(p: LambdaParams, horizon: float,
     counts = [n_steps] * spans + [last] * (last > 0)
     times = np.empty(sum(counts))
     states = np.empty((len(times), 3, 3), dtype=complex)
-    d = g.dim
-    u_n = np.eye(d, dtype=complex)
+    v = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
     row = 0
     for j, m in enumerate(counts):
         times[row:row + m] = grid[:m] + j * span
         for a in range(0, m, ROW_BLOCK):
             b = min(a + ROW_BLOCK, m)
-            # Propagators first, then the state (applying micro[a:b] to
-            # u_n @ e0 changes last digits from the second period on).
-            # The initial state is e0 (|1>, or vec|1><1|), so a row's
-            # state is column 0 of its propagator.
-            col = (micro[a:b].reshape(-1, d) @ u_n).reshape(
-                -1, d, d)[:, :, 0]
+            col = micro[a:b] @ v
             block = states[row + a:row + b]
             if open_system:
                 block[...] = col.reshape(-1, 3, 3)
             else:
                 np.multiply(col[:, :, None], np.conj(col)[:, None, :],
                             out=block)
-            del col  # let the product go before the next one is formed
             if frame == "rwf":
                 block[...] = to_rwf(block, p, times[row + a:row + b])
         row += m
-        u_n = micro[-1] @ u_n
+        v = micro[-1] @ v
     return Trajectory(times=times, states=states, frame=frame)
 
 
@@ -211,7 +205,8 @@ class SweepResult:
 def steady_state_summary(p: LambdaParams, rwa: bool,
                          eps: float = 1e-6) -> dict:
     """Steady-state observables at one grid point: rho_ss_rwf, the
-    rotating-frame period average of lim U_T^n |1><1| (the unit-trace
+    rotating-frame trapezoid average over one period of the states that
+    the period's propagators take lim U_T^n |1><1| to (the unit-trace
     projection R (L R)^-1 L v0 onto U_T's fixed points, R and L the null
     vectors of U_T - I for its k >= 1 singular values <= DEGENERATE_GAP_TOL
     * max(1, sigma_max)), the eps-convergence time t_conv of the period
@@ -234,16 +229,16 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     k = max(1, int(np.sum(sigma <= DEGENERATE_GAP_TOL * max(1.0, sigma[0]))))
     left, right = left[:, -k:].conj().T, right[-k:].conj().T
     v_ss = right @ np.linalg.solve(left @ right, left @ vec(ground_state()))
-    # T-periodic frame phases: one map averages any period in the frame.
-    mean_rwf = period_mean_map(
-        micro, _rwf_factors(p, plan.micromotion_times).reshape(-1, LDIM))
+    # factors first: their broadcast temporaries are freed before the states
+    factors = _rwf_factors(p, plan.micromotion_times).reshape(-1, LDIM)
     gap = spectral_gap(u_t, period=plan.period)
     return {
-        "rho_ss_rwf": unvec(mean_rwf @ (v_ss / np.trace(unvec(v_ss)))),
+        "rho_ss_rwf": unvec(period_mean_map(
+            factors * (micro @ (v_ss / np.trace(unvec(v_ss)))))),
         "t_conv": t_conv,
         "gap": gap.gap,
         "gap_per_time": gap.gap_per_time,
-        "trace_defect": cptp_check(u_t).trace_defect,
+        "trace_defect": trace_defect(u_t),
         "period": plan.period,
         "steps": plan.steps_per_period,
         "step_error": step_error,

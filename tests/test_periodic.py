@@ -579,9 +579,11 @@ def test_period_mean_map_is_trapezoid_average(open_setup, rng, with_factors):
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     factors = (np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(micro), 9)))
                if with_factors else np.ones((len(micro), 9)))
-    want = np.trapezoid(factors * (micro @ v), x=plan.micromotion_times,
+    states = factors * (micro @ v)
+    want = np.trapezoid(states, x=plan.micromotion_times,
                         axis=0) / plan.period
-    got = period_mean_map(micro, factors if with_factors else None) @ v
+    got = (period_mean_map(states) if with_factors
+           else period_mean_map(micro) @ v)
     assert np.max(np.abs(got - want)) < 1e-14
 
 

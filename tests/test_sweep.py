@@ -74,7 +74,7 @@ class TestRunCase:
                                     steps_per_period=STEPS).states)
 
     def test_initial_state_is_the_first_basis_vector(self):
-        # run_case reads each state off column 0 of its propagator
+        # run_case carries the first basis vector as the initial state
         rho0 = ground_state()
         e0 = np.eye(9)[0]
         assert np.array_equal(vec(rho0), e0)
@@ -106,12 +106,12 @@ class TestRunCase:
     def test_row_blocks_match_stacked_propagators(self, monkeypatch,
                                                   fraction, case, drive,
                                                   frame, row_block):
-        # Reference route: the whole stack of propagators over the
-        # horizon (one span below a period, else micro[keep] @ U_T^j
-        # concatenated over periods) applied to the initial state at
-        # once, then to_rwf over all rows at once.  Blocks of 7 rows end
-        # inside every span; blocks of 1000 hold a whole span (at most 513
-        # rows).
+        # Reference route: below a period, the whole stack of propagators
+        # over the horizon applied to the initial state at once; else the
+        # states micro[keep] @ v_j, v_j = U_T v_(j-1) from v_0 = e0 (|1>,
+        # or vec|1><1|), concatenated over periods; then to_rwf over all
+        # rows at once.  Blocks of 7 rows end inside every span; blocks of
+        # 1000 hold a whole span (at most 513 rows).
         p = preset(case)
         rwa = drive == "rwa"
         period, _ = commensurate_period(p.omega_p, p.omega_c)
@@ -122,22 +122,25 @@ class TestRunCase:
             n = int(np.ceil(STEPS * horizon / period - 1e-9))
             props = propagate(g, 0.0, horizon, n, return_intermediate=True)
             times = np.linspace(0.0, horizon, n + 1)
+            want = _states(p, props)
         else:
             plan = periodic.make_plan(g, period, STEPS)
             u_t, micro = one_period(g, plan)
             blocks, time_blocks = [], []
-            u_n = np.eye(g.dim, dtype=complex)
+            v = (vec(ground_state()) if p.is_dissipative
+                 else ground_state()[:, 0])
             for j in range(int(fraction) + 1):
                 tau = plan.micromotion_times + j * period
                 keep = tau <= horizon * (1.0 + 1e-12)
                 if j < int(fraction):
                     keep[-1] = False
-                blocks.append(micro[keep] @ u_n)
+                blocks.append(micro[keep] @ v)
                 time_blocks.append(tau[keep])
-                u_n = u_t @ u_n
-            props = np.concatenate(blocks)
+                v = u_t @ v
+            cols = np.concatenate(blocks)
             times = np.concatenate(time_blocks)
-        want = _states(p, props)
+            want = (cols.reshape(-1, 3, 3) if p.is_dissipative
+                    else cols[:, :, None] * np.conj(cols)[:, None, :])
         if frame == "rwf":
             want = to_rwf(want, p, times)
         monkeypatch.setattr(sweep, "ROW_BLOCK", row_block)
@@ -149,12 +152,13 @@ class TestRunCase:
     def test_memory_after_the_span_is_resolved(self, monkeypatch):
         # A-II over 4 periods on q * BASE_STEPS steps, in the rotating
         # frame.  Once the span's stack micro is resolved, run_case adds
-        # the returned times and states, one block's tall
-        # (ROW_BLOCK d, d) product and the frame transform's temporaries
-        # of one block: phases, their conjugates, factors and result,
-        # each at most ROW_BLOCK x 9 complex numbers.  A full-length
-        # to_rwf temporary (one more states-sized array) or a whole-period
-        # product (one more micro) does not fit.
+        # the returned times and states, one block's (ROW_BLOCK, d)
+        # product micro[a:b] @ v and the frame transform's temporaries of
+        # one block: phases, their conjugates, factors and result, each
+        # at most ROW_BLOCK x 9 complex numbers.  A full-length to_rwf
+        # temporary (one more states-sized array), a block's propagator
+        # product (ROW_BLOCK d x d) or a whole-period product (one more
+        # micro) does not fit.
         seen = {}
         real = sweep.propagate
 
@@ -175,7 +179,7 @@ class TestRunCase:
             tracemalloc.stop()
         micro = seen.pop("micro")
         complex_bytes = np.dtype(complex).itemsize
-        block = sweep.ROW_BLOCK * micro[0].size * complex_bytes
+        block = sweep.ROW_BLOCK * micro.shape[-1] * complex_bytes
         frame_temps = 4 * sweep.ROW_BLOCK * 9 * complex_bytes
         bound = traj.states.nbytes + traj.times.nbytes + block + frame_temps
         assert traj.states.nbytes > 0.25 * micro.nbytes
@@ -225,6 +229,9 @@ class TestRunCase:
             run_case(preset("A-I"), 1.0, drive="both")
         with pytest.raises(ValueError):
             run_case(preset("A-I"), 1.0, frame="interaction")
+        for horizon in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="horizon"):
+                run_case(preset("A-I"), horizon)
 
 
 class TestAxes:
@@ -365,6 +372,18 @@ def test_steady_state_matches_reference_route(monkeypatch, case, drive,
     assert got["trace_defect"] == cptp_check(u_t).trace_defect
     for key in ("t_conv", "gap", "period", "steps"):
         assert got[key] == want[key], key
+
+
+def test_summary_reads_the_trace_defect_without_a_choi_spectrum(
+        monkeypatch):
+    # the summary reports U_T's trace defect alone: no Choi matrix and no
+    # Hermitian eigenvalue solve
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    s = steady_state_summary(preset("A-II"), rwa=True)
+    assert 0.0 <= s["trace_defect"] <= 1e-12
 
 
 @pytest.mark.parametrize("case,drive,delta_omega_p", STEADY_CASES)
