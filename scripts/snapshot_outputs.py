@@ -18,8 +18,10 @@ moves from two snapshots, writing nothing:
     python3 scripts/snapshot_outputs.py after_out --compare before_out
 
 prints the max |delta| of every summary field, per drive over all points,
-and of every CSV and status file: 0 where bit-identical, "differs" where
-text or shape differs, and "only in ..." where one side lacks it.
+and of every CSV and status file: 0 where bit-identical, "0 (text differs)"
+where equal values are written differently (-0 for 0, 0.50 for 0.5),
+"differs" where a text token or the shape differs, and "only in ..." where
+one side lacks it.
 """
 
 import argparse
@@ -75,13 +77,14 @@ def _number(token: str) -> float:
     return float.fromhex(token) if "0x" in token else float(token)
 
 
-def _max_delta(ours: list, base: list) -> float | None:
-    """Max |a - b| over two lists of rows of text tokens: equal text is 0,
+def _max_delta(ours: list, base: list) -> tuple[float, bool] | None:
+    """Max |a - b| over two lists of rows of text tokens, and whether two
+    tokens of equal value are written differently: equal text is 0,
     numbers (hex or decimal) differ by value, NaN against a number by inf;
     None if the shapes differ or a text token does."""
     if [len(row) for row in ours] != [len(row) for row in base]:
         return None
-    worst = 0.0
+    worst, retext = 0.0, False
     for a, b in zip(itertools.chain(*ours), itertools.chain(*base)):
         if a == b:
             continue
@@ -89,8 +92,9 @@ def _max_delta(ours: list, base: list) -> float | None:
             delta = abs(_number(a) - _number(b))
         except ValueError:
             return None
+        retext = retext or delta == 0.0
         worst = max(worst, delta if delta == delta else float("inf"))
-    return worst
+    return worst, retext
 
 
 def _summary_rows(path: Path) -> dict:
@@ -130,8 +134,12 @@ def compare(out: Path, base: Path) -> list[str]:
         elif None in deltas:
             lines.append(f"{label}: differs")
         else:
-            worst = max(deltas)
-            lines.append(f"{label}: {'0' if worst == 0 else f'{worst:.2g}'}")
+            worst = max(worst for worst, _ in deltas)
+            if worst:
+                lines.append(f"{label}: {worst:.2g}")
+            else:
+                retext = any(retext for _, retext in deltas)
+                lines.append(f"{label}: 0{' (text differs)' * retext}")
     return lines
 
 

@@ -94,3 +94,33 @@ def test_snapshot_compare_reports_each_move(tmp_path):
         "text.csv": "differs",
     }
     assert not (out / "gap_A-II.csv").exists()  # compare writes nothing
+
+
+def test_snapshot_compare_names_a_text_change_of_equal_values(tmp_path):
+    # -0 for 0 and 0.50 for 0.5 are the same numbers written differently:
+    # a byte-identity check must not read them as an unchanged file
+    zero = (0.0).hex()
+    base = _snapshot(tmp_path / "base", [
+        f"A-II full dw=0.0 t_conv = {zero}",
+        f"A-II rwa dw=0.0 t_conv = {zero}",
+    ], {"signs.csv": "t,x\n0,0\n", "same.csv": "t,x\n0,0.5\n",
+        "places.csv": "t,x\n1,0.5\n"})
+    out = _snapshot(tmp_path / "out", [
+        f"A-II full dw=0.0 t_conv = -{zero}",
+        f"A-II rwa dw=0.0 t_conv = {zero}",
+    ], {"signs.csv": "t,x\n0,-0\n", "same.csv": "t,x\n0,0.5\n",
+        "places.csv": "t,x\n1,0.50\n"})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"),
+         str(out), "--compare", str(base)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = dict(line.split(": ", 1) for line in done.stdout.splitlines())
+    assert report == {
+        "summaries.txt full t_conv": "0 (text differs)",
+        "summaries.txt rwa t_conv": "0",
+        "places.csv": "0 (text differs)",
+        "same.csv": "0",
+        "signs.csv": "0 (text differs)",
+    }
