@@ -22,23 +22,25 @@ remainder within 1e-6 of one half, exact ties included.  Everywhere else
 the rounding is decided with a margin far above the error of V, so the
 text equals Python's correctly rounded conversion (Gay, 1990).
 
-Layout.  Every cell is 13 little-endian uint32 words; a NUL byte is an
-absent one and is deleted when the block is joined:
+Layout.  Every cell is four little-endian uint64 lanes, 32 bytes; a NUL
+byte is an absent one and is deleted when the block is joined:
 
-    word 0       pad  '-'  '0'  d0     sign, the '0' of '0.000ddd', digit 0
-    words 1-4    digits 1-16           integer part: digits j < L
-    word 5       '.'  '0'  '0'  '0'    point, zeros after it when X < 0
-    word 6       pad  pad  pad  d0     digit 0 of the fraction when L = 0
-    words 7-10   digits 1-16           fraction: digits L <= j < nsig
-    words 11-12  'e+XX[X]' and ','     exponent, comma (none in a row's
-                                       last cell)
+    lane 0     '-'  '0.000'  d0  '.'   sign; '0.' and 0-3 zeros when X < 0;
+                                      digit 0; the point when L = 1 < nsig
+    lanes 1-2  digits 1-16            cut after digit max(nsig, L) - 1
+    lane 3     'e+XX[X]'  ','         exponent, comma (none in a row's
+                                      last cell)
 
 X is the decimal exponent of the rounded value, L the number of integer
 digits (X + 1 in fixed notation with X >= 0, 0 when X < 0, 1 in
 exponential notation), nsig the significant digits left after trailing
-zeros are stripped.  Every word comes from ``np.take`` on small tables
-(four-digit groups, masks by L and nsig, exponent text by X) into a
-word-major array, which is transposed once into rows.
+zeros are stripped.  Lanes 0 and 3 are one ``np.take`` each from a small
+table, lanes 1-2 two takes each from the four-digit groups and one from a
+byte mask.  When L >= 2 and nsig > L (fixed notation, |x| >= 10 with a
+fraction) the point falls inside the digits: on those cells only, the
+bytes of lanes 1-3 from position L - 1 on move up by one, carrying across
+lanes, and '.' fills the gap.  The lanes are built lane-major and
+transposed once into rows.
 """
 
 from __future__ import annotations
@@ -53,16 +55,16 @@ _X_MIN, _X_MAX = 1e-280, 1e280      # fast-path range of |x|
 _TIE = 1e-6                         # remainders this close to 1/2 fall back
 _E16, _E17 = 10 ** 16, 10 ** 17
 _X_OFF = 300                        # exponent text covers X in +-_X_OFF
-_WORDS = 13                         # uint32 words per cell
+_LANES = 4                          # uint64 lanes per cell
+_DOTS = int.from_bytes(b"." * 8, "little")
 
 
-def _word(text: bytes) -> int:
-    return int.from_bytes(text.ljust(4, b"\0"), "little")
-
-
-def _words(text: bytes) -> list[int]:
-    text = text.ljust(-(-len(text) // 4) * 4, b"\0")
-    return [_word(text[i:i + 4]) for i in range(0, len(text), 4)]
+def _lanes(text: bytes) -> list[int]:
+    """text, NUL-padded to one or more whole lanes, as little-endian
+    uint64 lanes."""
+    text = text.ljust(max(1, -(-len(text) // 8)) * 8, b"\0")
+    return [int.from_bytes(text[i:i + 8], "little")
+            for i in range(0, len(text), 8)]
 
 
 @lru_cache(maxsize=1)
@@ -84,37 +86,24 @@ def _tables() -> dict[str, np.ndarray]:
     # last one with a nonzero digit; 0 when g = 0
     nsig_w = np.where(last > 0, 4 * place + 1 + last, 0)
 
-    def digit_mask(keep) -> list[int]:
-        # bytes of group words 1..4 that hold a digit j with keep(j)
-        return [sum(0xFF << 8 * b for b in range(4) if keep(4 * w + b + 1))
-                for w in range(4)]
-
     tables = {
         "hi": hi, "lo": lo, "hi_hi": hi_hi, "hi_lo": hi - hi_hi,
-        "group": ((digit + 0x30) << 8 * place).sum(axis=0).astype(np.uint32),
+        "group": ((digit + 0x30) << 8 * place).sum(axis=0).astype(np.uint64),
         "nsig_w": nsig_w,
-        "int_mask": np.array([digit_mask(lambda j, L=L: j < L)
-                              for L in range(18)], np.uint32).ravel(),
-        "frac_mask": np.array([[digit_mask(lambda j, L=L, n=n: L <= j < n)
-                                for n in range(18)] for L in range(18)],
-                              np.uint32).ravel(),
-        # index neg * 20 + (L > 0) * 10 + d0
-        "lead": np.array([_word(bytes([0, neg * 0x2D, (1 - has) * 0x30,
-                                       has * (0x30 + d)]))
-                          for neg in (0, 1) for has in (0, 1)
-                          for d in range(10)], np.uint32),
-        # index (L == 0) * 10 + d0
-        "frac_lead": np.array([is0 * (0x30 + d) << 24 for is0 in (0, 1)
-                               for d in range(10)], np.uint32),
-        # index (nsig > L) * 4 + zeros after the point
-        "point": np.array([_word(b"." * dot + b"0" * z if dot else b"")
-                           for dot in (0, 1) for z in range(4)], np.uint32),
+        # mask[i][n]: the bytes of lane 1 + i below byte n of lanes 1-3
+        "mask": np.array([_lanes(b"\xff" * n + b"\0" * (24 - n))
+                          for n in range(17)], np.uint64).T.copy(),
+        # index ((neg * 5 + zeros) * 10 + d0) * 2 + point, where zeros is
+        # 1 + the zeros after '0.' when X < 0 and 0 otherwise
+        "lead": np.array([_lanes(b"-" * neg + b"0.000"[:z + 1] * (z > 0)
+                                 + b"%d" % d + b"." * dot)[0]
+                          for neg in (0, 1) for z in range(5)
+                          for d in range(10) for dot in (0, 1)], np.uint64),
         # index X + _X_OFF, plus 2 _X_OFF in a row's last cell
-        "expo": np.array([_words((b"" if -4 <= x < 17 else b"e%+03d" % x)
-                                 .ljust(5, b"\0") + b"," * (1 - end))
+        "expo": np.array([_lanes((b"" if -4 <= x < 17 else b"e%+03d" % x)
+                                 + b"," * (1 - end))[0]
                           for end in (0, 1)
-                          for x in range(-_X_OFF, _X_OFF)],
-                         np.uint32).T.copy(),
+                          for x in range(-_X_OFF, _X_OFF)], np.uint64),
     }
     for table in tables.values():
         table.flags.writeable = False  # shared by every call
@@ -179,35 +168,42 @@ def float_rows(block: np.ndarray, suffix: str) -> str:
         np.maximum(nsig, np.take(tab["nsig_w"][w], g), out=nsig)
     fixed = (k >= -4) & (k < 17)
     L = np.where(fixed, np.maximum(k + 1, 0), 1)
-    has_int = L > 0
 
-    words = np.empty((_WORDS, nrows * ncols), np.uint32)
-    np.take(tab["lead"], neg * 20 + has_int * 10 + d0, out=words[0])
-    np.take(tab["frac_lead"], ~has_int * 10 + d0, out=words[6])
-    del neg, has_int, d0
-    zeros = np.where(fixed & (k < 0), -1 - k, 0)
-    np.take(tab["point"], (nsig > L) * 4 + zeros, out=words[5])
-    del fixed, zeros
-    int_at = L * 4
-    frac_at = (L * 18 + nsig) * 4
-    del L, nsig
-    for w, g in enumerate(groups):
-        digits = np.take(tab["group"], g)
-        words[1 + w] = digits & np.take(tab["int_mask"], int_at + w)
-        words[7 + w] = digits & np.take(tab["frac_mask"], frac_at + w)
-    del groups, g, digits, int_at, frac_at
+    lanes = np.empty((_LANES, nrows * ncols), np.uint64)
+    zeros = np.where(fixed & (k < 0), -k, 0)
+    np.take(tab["lead"], ((neg * 5 + zeros) * 10 + d0) * 2
+            + ((L == 1) & (nsig > 1)), out=lanes[0])
+    del neg, zeros, d0, fixed
+    cut = np.maximum(nsig, L) - 1
+    for i in (1, 2):
+        np.take(tab["group"], groups[2 * i - 2], out=lanes[i])
+        lanes[i] |= np.take(tab["group"], groups[2 * i - 1]) << 32
+        lanes[i] &= np.take(tab["mask"][i - 1], cut)
+    del groups, cut
     k += _X_OFF  # the exponent code
     k.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
-    np.take(tab["expo"][0], k, out=words[11])
-    np.take(tab["expo"][1], k, out=words[12])
+    np.take(tab["expo"], k, out=lanes[3])
     del k
+    # the point inside the digits, at byte L - 1 of lanes 1-3
+    at = np.flatnonzero((L >= 2) & (nsig > L))
+    if at.size:
+        at_byte = L[at] - 1
+        carry = 0
+        for i, mask in enumerate(tab["mask"], 1):
+            keep = np.take(mask, at_byte)
+            point = (np.take(mask, at_byte + 1) & ~keep) & _DOTS
+            lane = lanes[i, at]
+            up = lane & ~keep
+            lanes[i, at] = (lane & keep) | (up << 8) | carry | point
+            carry = up >> 56
+    del L, nsig, at
 
-    tail = np.array(_words(suffix.encode("ascii") + b"\n"), np.uint32)
-    rows = np.empty((nrows, ncols * _WORDS + len(tail)), np.uint32)
-    rows[:, :ncols * _WORDS].reshape(nrows, ncols, _WORDS)[...] = \
-        words.reshape(_WORDS, nrows, ncols).transpose(1, 2, 0)
-    del words
-    rows[:, ncols * _WORDS:] = tail
+    tail = np.array(_lanes(suffix.encode("ascii") + b"\n"), np.uint64)
+    rows = np.empty((nrows, ncols * _LANES + len(tail)), np.uint64)
+    rows[:, :ncols * _LANES].reshape(nrows, ncols, _LANES)[...] = \
+        lanes.reshape(_LANES, nrows, ncols).transpose(1, 2, 0)
+    del lanes
+    rows[:, ncols * _LANES:] = tail
     bad_rows = np.flatnonzero(bad.reshape(nrows, ncols).any(axis=1))
     rows[bad_rows] = 0
     raw = rows.tobytes()

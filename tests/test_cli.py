@@ -442,6 +442,52 @@ class TestFloatText:
             rng.random(20000)]))
         assert _emitted(block) == _reference_rows(block, ",full,rwf")
 
+    def test_every_layout_class(self):
+        # Exactly representable values: d 10^(L-1) plus binary fractions
+        # put the point at every byte of the digit lanes (L = 2..16) with
+        # up to 17 digits, whose last one carries into the exponent lane;
+        # dyadic values below 1 give 0-3 zeros after '0.'; powers of two
+        # give exponents of 2 and 3 digits.  Every suffix length leaves a
+        # different tail padding, and ncols = 1 makes every cell a last one.
+        values = [0.0]
+        for L in range(1, 18):
+            for d in range(1, 10):
+                base = d * 10.0 ** (L - 1)
+                values += [base, base + 10.0 ** max(L - 3, 0), base + 1.0,
+                           base + 2.0]
+                values += [base + 2.0 ** -j for j in (1, 2, 3, 7, 9, 11, 13, 20,
+                                                       40)]
+        values += [m * 2.0 ** -j * f for j in range(1, 17)
+                   for m in (1, 3, 5, 7) for f in (1.0, 1.0 + 2.0 ** -40)]
+        values += [1.5 * 2.0 ** e for e in range(-900, 900, 7)]
+        # no decimal ties, which fall back: every row takes the tables
+        values = [s * x for x in values for s in (1.0, -1.0)
+                  if len(Decimal(x).as_tuple().digits) != 18]
+
+        def layout(text):
+            mantissa, _, expo = text.lstrip("-").partition("e")
+            whole, _, frac = mantissa.partition(".")
+            digits = (whole + frac).strip("0")
+            if expo:
+                return "e", expo[0], len(expo) - 1
+            L = 0 if whole == "0" else len(whole)
+            zeros = len(frac) - len(frac.lstrip("0")) if L == 0 else 0
+            return L, len(digits), zeros
+
+        texts = ["%.17g" % x for x in values]
+        classes = {layout(t) for t in texts}
+        for L in range(2, 18):
+            assert {(L, 1, 0), (L, L, 0)} <= classes
+            assert L == 17 or {(L, L + 1, 0), (L, 17, 0)} <= classes
+        assert {(0, 17, z) for z in range(4)} <= classes
+        assert {("e", s, n) for s in "+-" for n in (2, 3)} <= classes
+        assert {t[:2] for t in texts} >= {f"{s}{d}" for s in ("", "-")
+                                         for d in range(1, 10)} | {"-0"}
+        for n in range(8):
+            suffix = ",full,rwf"[:n]
+            block = _as_rows(values, ncols=n + 1)
+            assert _emitted(block, suffix) == _reference_rows(block, suffix)
+
     @pytest.mark.parametrize("nrows", [1, ROW_BLOCK, ROW_BLOCK + 1])
     def test_block_shapes(self, nrows):
         rng = np.random.default_rng(nrows)
@@ -459,7 +505,7 @@ class TestFloatText:
                                                              ",full,rwf")
 
     def test_block_temporaries(self):
-        # One ROW_BLOCK x 10 block: its 13-word cells (1.0 MiB), their rows
+        # One ROW_BLOCK x 10 block: its 32-byte cells (0.6 MiB), their rows
         # and the joined bytes, not every intermediate column at once.
         rng = np.random.default_rng(3)
         block = rng.standard_normal((ROW_BLOCK, 10)) * 10.0 ** rng.integers(
