@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DIM, LDIM
+from .model import DIM, HERMITIAN_BASIS, LDIM
 from .periodic import STEP_ERROR_TARGET, trace_functional
 
 DEGENERATE_GAP_TOL = 1e-12
@@ -56,6 +56,27 @@ def resolved_log(log):
     return np.real(log) > math.log(LAMBDA2_FLOOR)
 
 
+# HERMITIAN_BASIS with its columns scaled to entries 0, +-1 and +-i, and
+# its inverse (the conjugate transpose with halved rows where a column has
+# norm sqrt 2): changing coordinates with them only adds and halves.
+_HERM = HERMITIAN_BASIS / np.abs(HERMITIAN_BASIS).max(axis=0)
+_HERM_INV = _HERM.conj().T / np.sum(np.abs(_HERM) ** 2, axis=0)[:, None]
+
+
+def _period_map_eigvals(u_period: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a period map.  A 9x9 map that preserves Hermiticity
+    is real in the coordinates of HERMITIAN_BASIS; when it is real there to
+    the max-entry accuracy STEP_ERROR_TARGET every U_T is resolved to, the
+    eigenvalues come from that real matrix, so that conjugate pairs are
+    exact conjugates.  Any other map keeps the complex route."""
+    if u_period.shape == (LDIM, LDIM):
+        u_real = _HERM_INV @ u_period @ _HERM
+        if (abs(u_real.imag).max()
+                <= STEP_ERROR_TARGET * abs(u_real.real).max()):
+            return np.linalg.eigvals(u_real.real)
+    return np.linalg.eigvals(u_period)
+
+
 def spectral_gap(u_period: np.ndarray, period: float | None = None
                  ) -> GapReport:
     """Principal-branch logs of the eigenvalues of a one-period propagator,
@@ -72,7 +93,7 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     it is rounding noise and the gap is NaN (unresolved).
     """
     u_period = np.asarray(u_period, dtype=complex)
-    logs = np.log(np.linalg.eigvals(u_period))
+    logs = np.log(_period_map_eigvals(u_period).astype(complex))
     logs = logs[np.argsort(-logs.real, kind="stable")]
     decay = -logs.real
     new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(

@@ -3,6 +3,7 @@ import dataclasses
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from datetime import datetime
 from decimal import Decimal
 
@@ -665,6 +666,21 @@ class TestGapCommand:
         assert len(log_rows) == 9
         gap_row = next(r for r in rows if r.startswith("full,gap,"))
         assert float(gap_row.split(",")[2]) > 0.0
+
+    def test_conjugate_pairs_are_exact(self, tmp_path):
+        # U_T preserves Hermiticity, so its spectrum is closed under
+        # conjugation: the two logs of a pair have equal decays and
+        # opposite phases to the last digit
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--case", "A-II", "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        for drive in ("full", "rwa"):
+            logs = [complex(float(re), float(im)) for re, im in
+                    (r.split(",")[2:] for r in rows
+                     if r.startswith(f"{drive},log"))]
+            assert len(logs) == 9
+            assert sum(z.imag != 0.0 for z in logs) >= 4
+            assert Counter(logs) == Counter(z.conjugate() for z in logs)
 
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
     def test_gap_equals_the_steady_path(self, tmp_path, case):
