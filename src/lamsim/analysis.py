@@ -57,24 +57,9 @@ def resolved_log(log):
 
 
 # HERMITIAN_BASIS with its columns scaled to entries 0, +-1 and +-i, and
-# its inverse (the conjugate transpose with halved rows where a column has
-# norm sqrt 2): changing coordinates with them only adds and halves.
+# its inverse: changing coordinates with them only adds and halves.
 _HERM = HERMITIAN_BASIS / np.abs(HERMITIAN_BASIS).max(axis=0)
 _HERM_INV = _HERM.conj().T / np.sum(np.abs(_HERM) ** 2, axis=0)[:, None]
-
-
-def _period_map_eigvals(u_period: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a period map.  A 9x9 map that preserves Hermiticity
-    is real in the coordinates of HERMITIAN_BASIS; when it is real there to
-    the max-entry accuracy STEP_ERROR_TARGET every U_T is resolved to, the
-    eigenvalues come from that real matrix, so that conjugate pairs are
-    exact conjugates.  Any other map keeps the complex route."""
-    if u_period.shape == (LDIM, LDIM):
-        u_real = _HERM_INV @ u_period @ _HERM
-        if (abs(u_real.imag).max()
-                <= STEP_ERROR_TARGET * abs(u_real.real).max()):
-            return np.linalg.eigvals(u_real.real)
-    return np.linalg.eigvals(u_period)
 
 
 def spectral_gap(u_period: np.ndarray, period: float | None = None
@@ -91,9 +76,19 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     with gap 0 and the degenerate flag set.  When the largest non-steady
     eigenvalue modulus |lambda_2| = e^-gap is at or below LAMBDA2_FLOOR,
     it is rounding noise and the gap is NaN (unresolved).
+
+    A 9x9 map that preserves Hermiticity is real in the coordinates of
+    HERMITIAN_BASIS.  When it is real there to the max-entry accuracy
+    STEP_ERROR_TARGET of every resolved U_T, the eigenvalues come from
+    that real matrix, so conjugate pairs are exact conjugates.
     """
     u_period = np.asarray(u_period, dtype=complex)
-    logs = np.log(_period_map_eigvals(u_period).astype(complex))
+    if u_period.shape == (LDIM, LDIM):
+        u_real = _HERM_INV @ u_period @ _HERM
+        if (abs(u_real.imag).max()
+                <= STEP_ERROR_TARGET * abs(u_real.real).max()):
+            u_period = u_real.real
+    logs = np.log(np.linalg.eigvals(u_period).astype(complex))
     logs = logs[np.argsort(-logs.real, kind="stable")]
     decay = -logs.real
     new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(
