@@ -134,11 +134,11 @@ def compare(out: Path, base: Path) -> list[str]:
         elif None in deltas:
             lines.append(f"{label}: differs")
         else:
-            worst = max(worst for worst, _ in deltas)
+            worst = max(delta for delta, _ in deltas)
             if worst:
                 lines.append(f"{label}: {worst:.2g}")
             else:
-                retext = any(retext for _, retext in deltas)
+                retext = any(text for _, text in deltas)
                 lines.append(f"{label}: 0{' (text differs)' * retext}")
     return lines
 

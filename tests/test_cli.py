@@ -444,20 +444,20 @@ class TestFloatText:
         assert _emitted(block) == _reference_rows(block, ",full,rwf")
 
     def test_every_layout_class(self):
-        # Exactly representable values: d 10^(L-1) plus binary fractions
-        # put the point at every byte of the digit lanes (L = 2..16) with
-        # up to 17 digits, whose last one carries into the exponent lane;
-        # dyadic values below 1 give 0-3 zeros after '0.'; powers of two
-        # give exponents of 2 and 3 digits.  Every suffix length leaves a
-        # different tail padding, and ncols = 1 makes every cell a last one.
+        # d 10^(L-1) plus binary fractions puts the point at every byte
+        # of the digit lanes (L = 2..16) with up to 17 digits, whose last
+        # one carries into the exponent lane; dyadic values below 1 give
+        # 0-3 zeros after '0.'; powers of two give exponents of 2 and 3
+        # digits.  Every suffix length leaves a different tail padding,
+        # and ncols = 1 makes every cell a last one.
         values = [0.0]
         for L in range(1, 18):
             for d in range(1, 10):
                 base = d * 10.0 ** (L - 1)
                 values += [base, base + 10.0 ** max(L - 3, 0), base + 1.0,
                            base + 2.0]
-                values += [base + 2.0 ** -j for j in (1, 2, 3, 7, 9, 11, 13, 20,
-                                                       40)]
+                values += [base + 2.0 ** -j
+                           for j in (1, 2, 3, 7, 9, 11, 13, 20, 40)]
         values += [m * 2.0 ** -j * f for j in range(1, 17)
                    for m in (1, 3, 5, 7) for f in (1.0, 1.0 + 2.0 ** -40)]
         values += [1.5 * 2.0 ** e for e in range(-900, 900, 7)]
