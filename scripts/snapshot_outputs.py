@@ -21,7 +21,9 @@ prints the max |delta| of every summary field, per drive over all points,
 and of every CSV and status file: 0 where bit-identical, "0 (text differs)"
 where equal values are written differently (-0 for 0, 0.50 for 0.5),
 "differs" where a text token or the shape differs, and "only in ..." where
-one side lacks it.
+one side lacks it.  A file whose values moved gets one line per moved
+column, named by its header, and each "# key = value" metadata line that
+changed gets a line "name # key: before -> after" of its own.
 """
 
 import argparse
@@ -105,8 +107,9 @@ def _summary_rows(path: Path) -> dict:
 
 
 def compare(out: Path, base: Path) -> list[str]:
-    """One line per summary field (per drive) and per other file: its max
-    |delta| between the snapshots out and base."""
+    """One line per summary field (per drive) and per other file, or per
+    moved column and changed metadata line of it: its max |delta| between
+    the snapshots out and base."""
     ours, theirs = _summary_rows(out / "summaries.txt"), \
         _summary_rows(base / "summaries.txt")
     fields = defaultdict(list)
@@ -116,31 +119,68 @@ def compare(out: Path, base: Path) -> list[str]:
             _max_delta(ours[key], theirs[key])
             if key in ours and key in theirs else f"only in "
             f"{out if key in ours else base}: {key}")
+    lines = [f"{label}: {_verdict(deltas)}"
+             for label, deltas in fields.items()]
     names = sorted({p.name for d in (out, base) for p in d.iterdir()}
                    - {"summaries.txt"})
     for name in names:
         if not (out / name).exists() or not (base / name).exists():
             side = out if (out / name).exists() else base
-            fields[name].append(f"only in {side}")
-            continue
-        rows = [[line.split(",") for line in (d / name).read_text()
-                 .splitlines()] for d in (out, base)]
-        fields[name].append(_max_delta(*rows))
-    lines = []
-    for label, deltas in fields.items():
-        text = [d for d in deltas if isinstance(d, str)]
-        if text:
-            lines.append(f"{label}: {text[0]}")
-        elif None in deltas:
-            lines.append(f"{label}: differs")
+            lines.append(f"{name}: only in {side}")
         else:
-            worst = max(delta for delta, _ in deltas)
-            if worst:
-                lines.append(f"{label}: {worst:.2g}")
-            else:
-                retext = any(text for _, text in deltas)
-                lines.append(f"{label}: 0{' (text differs)' * retext}")
+            lines += _file_lines(name, out, base)
     return lines
+
+
+def _verdict(deltas: list) -> str:
+    """The report of one label from its _max_delta results (or text)."""
+    text = [d for d in deltas if isinstance(d, str)]
+    if text:
+        return text[0]
+    if None in deltas:
+        return "differs"
+    worst = max(delta for delta, _ in deltas)
+    if worst:
+        return f"{worst:.2g}"
+    return "0" + " (text differs)" * any(retext for _, retext in deltas)
+
+
+def _csv(path: Path) -> tuple[dict, list]:
+    """A file as its "# key = value" metadata lines, by key, and its other
+    lines as rows of text tokens, the first of them the header."""
+    meta, rows = {}, []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(" = ")
+            meta[key] = value
+        else:
+            rows.append(line.split(","))
+    return meta, rows
+
+
+def _file_lines(name: str, out: Path, base: Path) -> list[str]:
+    """The report of one file present in both snapshots: its changed
+    metadata lines, then the max |delta| of each moved column, or of the
+    file when no column moved."""
+    (meta, rows), (base_meta, base_rows) = _csv(out / name), \
+        _csv(base / name)
+    lines = [f"{name} # {key}: {base_meta.get(key, '(none)')} -> "
+             f"{meta.get(key, '(none)')}"
+             for key in sorted(meta.keys() | base_meta.keys())
+             if meta.get(key) != base_meta.get(key)]
+    if rows[:1] != base_rows[:1] or \
+            [len(row) for row in rows] != [len(row) for row in base_rows]:
+        return lines + [f"{name}: differs"]
+    columns = [(label, _max_delta([[row[j]] for row in rows[1:]],
+                                  [[row[j]] for row in base_rows[1:]]))
+               for j, label in enumerate(rows[0] if rows else [])]
+    moved = [(label, delta) for label, delta in columns
+             if delta is None or delta[0]]
+    if not moved:
+        deltas = [delta for _, delta in columns] or [(0.0, False)]
+        return lines + [f"{name}: {_verdict(deltas)}"]
+    return lines + [f"{name} {label}: {_verdict([delta])}"
+                    for label, delta in moved]
 
 
 def main():

@@ -88,7 +88,7 @@ def test_snapshot_compare_reports_each_move(tmp_path):
         "summaries.txt rwa step_error":
             f"only in {out}: A-II rwa dw=0.0 step_error",
         "gone.csv": f"only in {base}",
-        "run.csv": "1e-13",
+        "run.csv x": "1e-13",
         "run.status": "0",
         "shape.csv": "differs",
         "text.csv": "differs",
@@ -124,3 +124,37 @@ def test_snapshot_compare_names_a_text_change_of_equal_values(tmp_path):
         "same.csv": "0",
         "signs.csv": "0 (text differs)",
     }
+
+
+def test_snapshot_compare_reports_metadata_and_columns_apart(tmp_path):
+    # A changed "# key = value" line is reported on its own, and so is each
+    # moved column: neither hides the moves of the others.
+    summary = [f"A-II full dw=0.0 t_conv = {(1.0).hex()}"]
+    base = _snapshot(tmp_path / "base", summary, {
+        "gap.csv": "# steps_per_period = 1024 256\n# period = 6.28\n"
+                   "drive,quantity,re\nfull,gap,2.0\nrwa,gap,2.5\n",
+        "sweep.csv": "omega_p,rho22,steps\n6,0.25,1024\n6.5,0.5,1024\n",
+        "meta.csv": "# order = 6\nt,x\n0,1\n"})
+    out = _snapshot(tmp_path / "out", summary, {
+        "gap.csv": "# steps_per_period = 256 256\n# period = 6.28\n"
+                   "drive,quantity,re\nfull,gap,2.0000000000005\n"
+                   "rwa,gap,2.5\n",
+        "sweep.csv": "omega_p,rho22,steps\n6,0.2500000000001,256\n"
+                     "6.5,0.5,256\n",
+        "meta.csv": "# order = 4\n# drive = full\nt,x\n0,1\n"})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"),
+         str(out), "--compare", str(base)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "summaries.txt full t_conv: 0",
+        "gap.csv # steps_per_period: 1024 256 -> 256 256",
+        "gap.csv re: 5e-13",
+        "meta.csv # drive: (none) -> full",
+        "meta.csv # order: 6 -> 4",
+        "meta.csv: 0",
+        "sweep.csv rho22: 1e-13",
+        "sweep.csv steps: 7.7e+02",
+    ]
