@@ -24,13 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import frobenius_norm
-from .magnus import Generator, MagnusOrder, propagate
+from .magnus import Generator, propagate
 from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
-# How every U_T is resolved (accurate_plan): the step-doubling estimate of
-# U_T's max-entry error it resolves to, and the least steps per 2 pi, so
-# that the trapezoid mean maps still resolve the drive's harmonics.
+# How every U_T is resolved (accurate_plan): the three-level estimate of
+# U_T's max-entry error it resolves to, and the least stack steps per 2 pi,
+# so that the trapezoid mean maps still resolve the drive's harmonics.
 STEP_ERROR_TARGET = 1e-12
 MIN_STEPS = 256
 MAX_PLAN_STEPS = 10 ** 6
@@ -141,21 +141,21 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
     return float(q) * (2.0 * np.pi), int(q) * BASE_STEPS
 
 
-def one_period(g: Generator, plan: PeriodicPlan
+def one_period(g: Generator, plan: PeriodicPlan,
+               sub: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Sixth-order propagator over one period plus cumulative propagators
-    at every intra-period grid point (identity first, the full U_T last).
-
-    With plan.repeats = r > 1 only tau = T/r is propagated, on N/r steps;
-    by U(j tau + s) = Z^j U(s) Z^j U(j tau), Z the plan's sign gauge, each
-    later repeat j is one batched product of that sub-stack with the
-    stack's row j N/r, Z^j taken as exact row scalings of its factors; so
-    the (N + 1)-row stack costs N/r Magnus steps (Shirley, Phys. Rev. 138,
+    """Propagator over one period plus cumulative propagators at every
+    intra-period grid point (identity first, U_T last), filled from the
+    stack ``sub`` over tau = T/r on N/r steps, by default the sixth-order
+    one: each later repeat j is one batched product of it with the stack's
+    row j N/r, U(j tau + s) = Z^j U(s) Z^j U(j tau) under the plan's sign
+    gauge Z, Z^j taken as exact row scalings (Shirley, Phys. Rev. 138,
     B979 (1965))."""
     r = plan.repeats
     n = plan.steps_per_period // r
     z = plan.gauge(g.dim)[:, None]
-    sub = propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
+    if sub is None:
+        sub = propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
     if r == 1:
         return sub[-1], sub
     micromotion = np.empty((r * n + 1,) + sub.shape[1:], dtype=sub.dtype)
@@ -170,25 +170,25 @@ def one_period(g: Generator, plan: PeriodicPlan
 def accurate_plan(g: Generator, period: float,
                   resolve: Callable = one_period
                   ) -> tuple[PeriodicPlan, float, tuple]:
-    """The plan with the fewest steps N = q MIN_STEPS 2^k (T = 2 pi q)
-    whose step-doubling estimate of the sixth-order U_T's error,
-    max |U_N - U_{N/2}| / (2^6 - 1), is <= STEP_ERROR_TARGET, that
-    estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and
-    the period resolved at it, resolve(g, plan) = (U_T, micromotion).
-    At that accuracy a lower Magnus order would change only the cost.
+    """The plan whose eighth-order period map meets STEP_ERROR_TARGET,
+    the estimate of that map's max-entry error, and the period resolved
+    from it, resolve(g, plan, sub) = (U_T, micromotion).
 
-    A generator with a frame takes the floor with estimate 0.0 and no
-    probe: its U_N = Phi(T) exp(T B) is the same matrix for every N.
-    Otherwise the plan carries the repeats r and sign gauge Z of _repeats,
-    and every U_N is (Z U_tau)^r from the N/r-step U_tau, tau = T/r: 1/r
-    of the Magnus steps (r = 4 on the presets).  U_T is taken without
-    intermediates at the floor and half of it; the rate 2^6 per doubling
-    then predicts N.  Each prediction is resolved once; that resolution's
-    U_T is checked against U_{N/2}, and N is predicted again from the
-    check until it holds, so the accepted N steps are propagated once.
-    Every count is checked against the step cap before it is propagated.
-    Every U_T consumer (steady state, gap, CPTP checks) reads the U_T this
-    rule resolves.
+    A generator with a frame takes the floor N = q MIN_STEPS (T = 2 pi q)
+    with estimate 0.0 and no probe, resolve(g, plan): its U_N = Phi(T)
+    exp(T B) is the same matrix for every N.  Otherwise tau = T/r, with
+    the repeats r and sign gauge Z of _repeats, is propagated on a ladder
+    of n/2, n and 2n sixth-order steps, n = N/r, and U_N = (Z U_tau)^r.
+    The step is time-symmetric, so its error expands in even powers of
+    the step and R_N = (64 U_N - U_{N/2}) / 63 is eighth order (Gragg,
+    SIAM J. Numer. Anal. B 2, 384 (1965); Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)); the estimate is max |R_2N - R_N| / 255.
+    While it is above the target N doubles and only the new finest level
+    is propagated: each level is propagated once.  The period is filled
+    from the sub-stack (64 S_2n[::2] - S_n) / 63 on the n-step grid, so
+    N >= q MIN_STEPS is the stack's grid and the finest level takes 2N
+    steps per period.  The step cap bounds N, checked before each level.
+    Every U_T consumer (steady state, gap, CPTP checks) reads this U_T.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
@@ -196,32 +196,28 @@ def accurate_plan(g: Generator, period: float,
         return plan, 0.0, resolve(g, plan)
     r, z = _repeats(g, period)
     plan = replace(plan, repeats=r, signs=tuple(z))
-    rate = 2.0 ** MagnusOrder.ORDER6.value
 
-    def u(steps: int) -> np.ndarray:
-        return np.linalg.matrix_power(
-            z[:, None] * propagate(g, 0.0, period / r, steps // r), r)
+    def level(steps: int, stack: bool = True) -> tuple:
+        sub = propagate(g, 0.0, period / r, steps, return_intermediate=stack)
+        return np.linalg.matrix_power(z[:, None] * (sub[-1] if stack
+                                                    else sub), r), sub
 
-    def estimate(fine: np.ndarray, coarse: np.ndarray) -> float:
-        error = float(np.max(np.abs(fine - coarse))) / (rate - 1.0)
+    def extrapolate(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+        return (64.0 * fine - coarse) / 63.0
+
+    n = plan.steps_per_period // r
+    coarse, mid, hi = level(n // 2, stack=False)[0], level(n), level(2 * n)
+    while True:
+        step = extrapolate(hi[0], mid[0]) - extrapolate(mid[0], coarse)
+        error = float(np.max(np.abs(step))) / 255.0
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"U_T is not finite at {plan.steps_per_period} steps")
-        return error
-
-    full = u(plan.steps_per_period)
-    error = estimate(full, u(plan.steps_per_period // 2))
-    resolved = None
-    while error > STEP_ERROR_TARGET:
-        k = max(1, math.ceil(math.log(error / STEP_ERROR_TARGET, rate)))
-        plan = replace(plan, steps_per_period=plan.steps_per_period << k)
-        half = full if k == 1 else u(plan.steps_per_period // 2)
-        resolved = resolve(g, plan)
-        full = resolved[0]
-        error = estimate(full, half)
-    if resolved is None:  # the floor holds
-        resolved = resolve(g, plan)
-    return plan, error, resolved
+        if error <= STEP_ERROR_TARGET:
+            break
+        plan = replace(plan, steps_per_period=2 * plan.steps_per_period)
+        coarse, mid, hi = mid[0], hi, level(2 * plan.steps_per_period // r)
+    return plan, error, resolve(g, plan, extrapolate(hi[1][::2], mid[1]))
 
 
 def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,

@@ -3,10 +3,10 @@ line scans, and 2-d (control, probe) grids with steady-state observables,
 convergence times and spectral gaps.
 
 Each grid point is an independent work item: the drive period is chosen
-commensurate with both field frequencies and resolved with the fewest
-steps whose step-doubling estimate of the sixth-order U_T's error is at
-most 1e-12, from the half sub-period T/(2m) under its sign gauge
-(periodic.accurate_plan), and the steady state is the limit of U_T^n
+commensurate with both field frequencies and resolved, from the half
+sub-period T/(2m) under its sign gauge, to an eighth-order U_T whose
+three-level error estimate is at most 1e-12 (periodic.accurate_plan:
+Richardson extrapolation of sixth-order step counts), and the steady state is the limit of U_T^n
 applied to the initial state (its projection onto the fixed points of
 U_T), averaged over one period in the rotating frame as the trapezoid
 mean of its states; the CLI's gap and validate resolve U_T alike.  Time
@@ -212,11 +212,11 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     * max(1, sigma_max)), the eps-convergence time t_conv of the period
     averages, the spectral gap, U_T's trace defect, and U_T itself (u_t).
 
-    The period is resolved once, by one_period at the step count ``steps``
-    that periodic.accurate_plan chooses, whose check reads that U_T, and
-    ``step_error`` is its step-doubling estimate of U_T's max-entry error
-    (<= STEP_ERROR_TARGET).  This module's one_period name is the one
-    passed, so a wrapper set on it sees the resolution."""
+    The period is resolved once, by one_period from the extrapolated
+    sub-period stack that periodic.accurate_plan accepts, on its grid of
+    ``steps`` per period, and ``step_error`` is its three-level estimate of
+    U_T's max-entry error (<= STEP_ERROR_TARGET).  This module's one_period
+    name is the one passed, so a wrapper set on it sees the resolution."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
     period, _ = commensurate_period(p.omega_p, p.omega_c)

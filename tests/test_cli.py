@@ -636,12 +636,12 @@ class TestDefaultSteps:
         counts = [accurate_plan(liouville_generator(p, rwa=rwa),
                                 period)[0].steps_per_period
                   for rwa in (False, True)]
-        assert counts == [2 * 1024, 2 * MIN_STEPS]
+        assert counts == [2 * MIN_STEPS, 2 * MIN_STEPS]
         out = tmp_path / "x.csv"
         assert main([command, *self.ARGS, "--drive", "both",
                      "--out", str(out)]) == EXIT_OK
         meta, _ = _read_csv(out)
-        assert "# steps_per_period = 2048 512" in meta
+        assert "# steps_per_period = 512 512" in meta
         assert f"# period = {period!r}" in meta
 
 

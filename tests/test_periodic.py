@@ -196,22 +196,31 @@ class TestRepeats:
 class TestAccuratePlan:
     @staticmethod
     def _fake_propagate(monkeypatch, scale, power):
-        """Route periodic.propagate to a 1x1 'U_T' of error scale / N^power
-        and return the list of step counts it is asked for and the list of
-        those asked for with intermediates (the resolutions)."""
-        calls, resolved = [], []
+        """Route periodic.propagate to a 1x1 'U' of error scale h^power, h
+        the step, whose stack grows linearly to it, and return the list
+        of step counts it is asked for and the list of those asked for
+        with intermediates (the stacks)."""
+        calls, stacked = [], []
 
         def fake(g, t0, t1, steps, order=MagnusOrder.ORDER6,
                  return_intermediate=False):
             calls.append(steps)
-            u = np.array([[1.0 + scale * float(steps) ** -power]])
+            error = scale * ((t1 - t0) / steps) ** power
             if not return_intermediate:
-                return u
-            resolved.append(steps)
-            return np.array([np.eye(1), u])
+                return np.array([[1.0 + error]])
+            stacked.append(steps)
+            return 1.0 + error * np.linspace(0.0, 1.0, steps + 1)[:, None,
+                                                                    None]
 
         monkeypatch.setattr(periodic, "propagate", fake)
-        return calls, resolved
+        return calls, stacked
+
+    @staticmethod
+    def _estimate(scale, n):
+        """The ladder's estimate, max |R_2n - R_n| / 255, for U_N = 1 +
+        scale (2 pi / N)^8: R_N = 1 - (192 / 63) scale (2 pi / N)^8, so it
+        is R_2n's true error."""
+        return 192.0 / 63.0 * scale * (np.pi / n) ** 8
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_exact_route_takes_the_floor(self, monkeypatch, q):
@@ -234,65 +243,99 @@ class TestAccuratePlan:
         assert np.array_equal(u_t, micro[-1])
 
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
-    def test_estimate_tracks_the_true_error(self, case):
+    def test_estimate_tracks_the_true_error(self, monkeypatch, case):
+        # At acceptance (the floor, 256 stack steps) the estimate lies below
+        # the rounding of the 8191-step reference, A-II 1.8e-15 against a
+        # true 1.2e-14: there the accepted error is bounded by the target.
+        # One level below, accepted at once from a floor of 128, truncation
+        # dominates and the estimate tracks the true error.
         g = liouville_generator(preset(case))
+        ref = propagate(g, 0.0, 2.0 * np.pi, BASE_STEPS)
         plan, error, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+        assert plan.steps_per_period == MIN_STEPS
         assert error <= STEP_ERROR_TARGET
-        true = np.max(np.abs(u_t - propagate(g, 0.0, plan.period,
-                                             BASE_STEPS)))
+        assert np.max(np.abs(u_t - ref)) <= STEP_ERROR_TARGET
+        monkeypatch.setattr(periodic, "MIN_STEPS", MIN_STEPS // 2)
+        monkeypatch.setattr(periodic, "STEP_ERROR_TARGET", np.inf)
+        plan, error, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+        assert plan.steps_per_period == MIN_STEPS // 2
+        true = np.max(np.abs(u_t - ref))
         assert 0.5 * error <= true <= 2.0 * error
 
-    def test_prediction_is_checked_and_raised(self, monkeypatch):
-        # An error falling as N^-4 against the assumed N^-6: the first
-        # prediction from the floor undershoots and must be raised.
-        calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
-        plan, error, (u_t, _) = accurate_plan(cos_drive(), 2.0 * np.pi)
+    def test_extrapolation_is_eighth_order(self, monkeypatch):
+        # The map accepted from a floor of N/2 has its finest level at N
+        # steps per period.  Its max-entry error against a 4x finer
+        # sixth-order U_T falls by about 2^8 per doubling of N.
+        g = liouville_generator(preset("A-II"))
+        ref = propagate(g, 0.0, 2.0 * np.pi, 4 * 256)
+        monkeypatch.setattr(periodic, "STEP_ERROR_TARGET", np.inf)
+        errors = []
+        for n in (64, 128, 256):
+            monkeypatch.setattr(periodic, "MIN_STEPS", n // 2)
+            _, _, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+            errors.append(np.max(np.abs(u_t - ref)))
+        assert errors[0] >= 2 ** 7 * errors[1] >= 2 ** 14 * errors[2]
 
-        def estimate(n):
-            return 1e3 * ((n / 2) ** -4.0 - float(n) ** -4.0) / 63.0
+    @pytest.mark.parametrize("case", ["A-II", "C-II"])
+    def test_accepted_map_at_q_20(self, case):
+        # omega_p = 6.05: T = 40 pi, r = 2; the finest level takes twice the
+        # 5120-step grid, and the reference four times that.
+        p = preset(case, delta_omega_p=0.05)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        g = liouville_generator(p)
+        plan, error, (u_t, _) = accurate_plan(g, period)
+        assert plan.steps_per_period == 20 * MIN_STEPS
+        assert error <= STEP_ERROR_TARGET
+        ref = propagate(g, 0.0, period, 8 * plan.steps_per_period)
+        assert np.max(np.abs(u_t - ref)) <= STEP_ERROR_TARGET
 
+    def test_ladder_climbs_one_level_at_a_time(self, monkeypatch):
+        # The estimate fails at the floor and at twice it: the ladder
+        # climbs a level each time, propagating only the new finest one,
+        # and reads the accepted map from the extrapolated stack.
+        scale = 1e6
+        calls, stacked = self._fake_propagate(monkeypatch, scale, 8)
+        plan, error, (u_t, micro) = accurate_plan(cos_drive(), 2.0 * np.pi)
         n = plan.steps_per_period
-        assert error == pytest.approx(estimate(n), rel=1e-6)
-        assert estimate(n) <= STEP_ERROR_TARGET < estimate(n // 2)
-        assert calls[:2] == [MIN_STEPS, MIN_STEPS // 2]
-        assert max(calls) == n and n not in calls[:-1]
-        # the failed check re-resolves; the result is the last resolution
-        assert len(resolved) >= 2 and resolved[-1] == n
-        assert u_t[0, 0] == 1.0 + 1e3 * float(n) ** -4.0
+        assert n == 4 * MIN_STEPS
+        assert self._estimate(scale, n) <= STEP_ERROR_TARGET \
+            < self._estimate(scale, n // 2)
+        assert error == pytest.approx(self._estimate(scale, n), rel=1e-6)
+        assert calls == [MIN_STEPS // 2 << k for k in range(5)]
+        assert stacked == calls[1:]
+        assert len(micro) == n + 1
+        fine, coarse = (scale * (np.pi / k) ** 8 for k in (n, n / 2))
+        assert u_t[0, 0] == pytest.approx(1.0 + (64 * fine - coarse) / 63,
+                                          rel=1e-15)
 
     @pytest.mark.parametrize("scale, n", [(1e2, MIN_STEPS),
                                           (1e4, 2 * MIN_STEPS)])
     def test_weak_drive_is_propagated_once_per_count(self, monkeypatch,
                                                      scale, n):
-        # scale / N^6: the estimate at the floor holds for the smaller
-        # scale, at twice the floor for the larger.  The floor and half of
-        # it are probed, the accepted count is resolved once, and no count
-        # is propagated twice.
-        calls, resolved = self._fake_propagate(monkeypatch, scale, 6)
-        plan, error, (u_t, _) = accurate_plan(cos_drive(), 2.0 * np.pi)
-
-        def estimate(n):
-            return scale * ((n / 2) ** -6.0 - float(n) ** -6.0) / 63.0
-
-        assert estimate(n) <= STEP_ERROR_TARGET < estimate(n // 2)
-        assert plan.steps_per_period == n and resolved == [n]
-        assert calls == [MIN_STEPS, MIN_STEPS // 2, n]
-        assert error == pytest.approx(estimate(n), rel=1e-2)
-        assert u_t[0, 0] == 1.0 + scale * float(n) ** -6.0
+        # scale h^8: the estimate at the floor holds for the smaller scale,
+        # at twice the floor for the larger.  Each level is propagated
+        # once, the coarsest without intermediates.
+        calls, stacked = self._fake_propagate(monkeypatch, scale, 8)
+        plan, error, _ = accurate_plan(cos_drive(), 2.0 * np.pi)
+        assert self._estimate(scale, n) <= STEP_ERROR_TARGET \
+            < self._estimate(scale, n // 2)
+        assert plan.steps_per_period == n
+        assert calls == [MIN_STEPS // 2 << k
+                         for k in range(n.bit_length() - MIN_STEPS
+                                        .bit_length() + 3)]
+        assert stacked == calls[1:]
+        assert error == pytest.approx(self._estimate(scale, n), rel=1e-2)
 
     def test_failed_check_meets_the_cap(self, monkeypatch):
-        # The re-prediction after a failed check is above the cap: it is
-        # refused before it is propagated.
-        calls, resolved = self._fake_propagate(monkeypatch, 1e3, 4)
-        g = cos_drive()
-        accurate_plan(g, 2.0 * np.pi)
-        first = resolved[0]
-        calls.clear()
-        resolved.clear()
-        monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", first)
+        # The estimate fails at the floor and at 2 MIN_STEPS, and the next
+        # level's grid is above the cap: it is refused before its finest
+        # level is propagated.
+        calls, _ = self._fake_propagate(monkeypatch, 1e6, 8)
+        monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", 2 * MIN_STEPS)
         with pytest.raises(ValueError, match="cap"):
-            accurate_plan(g, 2.0 * np.pi)
-        assert resolved == [first] and max(calls) == first
+            accurate_plan(cos_drive(), 2.0 * np.pi)
+        assert calls == [MIN_STEPS // 2, MIN_STEPS, 2 * MIN_STEPS,
+                         4 * MIN_STEPS]
 
     def test_cap_checked_before_propagating(self, monkeypatch):
         calls, _ = self._fake_propagate(monkeypatch, 1.0, 1)
@@ -301,21 +344,23 @@ class TestAccuratePlan:
         with pytest.raises(ValueError, match="cap"):
             accurate_plan(g, 2.0 * np.pi * 10 ** 4)
         assert calls == []
-        # the floor runs, the predicted count is above the cap
+        # the floor's three levels run, the next grid is above the cap
         with pytest.raises(ValueError, match="cap"):
             accurate_plan(g, 2.0 * np.pi * 2000)
-        assert max(calls) <= MAX_PLAN_STEPS
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("cap", [MIN_STEPS, 2 * MIN_STEPS,
                                      4 * MIN_STEPS, 8 * MIN_STEPS,
                                      32 * MIN_STEPS])
-    @pytest.mark.parametrize("power", [1, 4, 6])
+    @pytest.mark.parametrize("power", [1, 4, 6, 8])
     def test_cap_checked_before_every_count(self, monkeypatch, cap, power):
+        # The cap bounds the plan's stack grid N, checked before each
+        # level: the finest level propagates at most 2N steps per period.
         calls, _ = self._fake_propagate(monkeypatch, 1e3, power)
         real = periodic.propagate
 
         def capped(g, t0, t1, steps, **kwargs):
-            assert steps <= cap, f"{steps} steps propagated past the cap"
+            assert steps <= 2 * cap, f"{steps} steps propagated past 2 cap"
             return real(g, t0, t1, steps, **kwargs)
 
         monkeypatch.setattr(periodic, "propagate", capped)

@@ -349,8 +349,8 @@ def capture_one_period(monkeypatch, after=None):
     seen = {}
     real = sweep.one_period
 
-    def wrapper(g, plan):
-        seen["result"] = real(g, plan)
+    def wrapper(g, plan, sub=None):
+        seen["result"] = real(g, plan, sub)
         seen["plan"] = plan
         if after is not None:
             after(seen)
@@ -419,12 +419,13 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
 
 @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
 def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
-    # 480 Magnus steps: a shift by T/4 = pi/2 acts as the sign gauge
-    # Z = diag(-1, 1, 1), so the search takes U_T as (Z U_{T/4})^4 at 256,
-    # 128 and 512 steps (propagating 64, 32 and 128), and the 1024-step
-    # check reads the one resolved stack, built from 256 steps over T/4.
-    # No count takes a linear solve: the exponents' 1-norms reach 1.67
-    # (C-II at 32 steps over T/4), inside expm's solve-free Taylor tiers.
+    # 224 Magnus steps: a shift by T/4 = pi/2 acts as the sign gauge
+    # Z = diag(-1, 1, 1), so the ladder takes U_T as (Z U_{T/4})^4 at 128,
+    # 256 and 512 steps (propagating 32, 64 and 128 over T/4), its
+    # estimate holds at the floor, and the 256-step stack is resolved once
+    # from the extrapolated sub-stack.  No count takes a linear solve: the
+    # exponents' 1-norms reach 1.67 (C-II at 32 steps over T/4), inside
+    # expm's solve-free Taylor tiers.
     counts, solved_at, resolved = [], [], []
     real_propagate, real_solve = periodic.propagate, np.linalg.solve
 
@@ -442,8 +443,8 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
     capture_one_period(monkeypatch, after=lambda seen: resolved.append(
         seen["plan"].steps_per_period))
     s = steady_state_summary(preset(case), rwa=False)
-    assert s["steps"] == 1024 and resolved == [1024]
-    assert sorted(counts) == [32, 64, 128, 256]
+    assert s["steps"] == 256 and resolved == [256]
+    assert counts == [32, 64, 128]
     assert solved_at == []
 
 
