@@ -284,13 +284,17 @@ class Trajectory:
 
 def period_mean_map(stack: np.ndarray) -> np.ndarray:
     """sum_k w_k stack[k], w_k the trapezoid weights of a period's even
-    grid, by one product over the flattened stack: of the micromotion, the
-    map from a period's start state to its period average; of the states
-    along a period, that average."""
+    grid (of the micromotion: its period-average map; of the states along
+    a period: their average), as the pairwise sum of 128-row blocks, each
+    one product (Higham, Accuracy and Stability, 2nd ed., sec. 4.2)."""
     n = len(stack)
     weights = np.full(n, 1.0 / (n - 1))
     weights[[0, -1]] *= 0.5
-    return (weights @ stack.reshape(n, -1)).reshape(stack.shape[1:])
+    rows = stack.reshape(n, -1)
+    parts = [weights[k:k + 128] @ rows[k:k + 128] for k in range(0, n, 128)]
+    while len(parts) > 1:
+        parts = [sum(parts[k:k + 2]) for k in range(0, len(parts), 2)]
+    return parts[0].reshape(stack.shape[1:])
 
 
 def _powers_of(u: np.ndarray, v: np.ndarray) -> Callable[[int], np.ndarray]:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -630,6 +631,19 @@ def test_period_mean_map_is_trapezoid_average(open_setup, rng, with_factors):
     got = (period_mean_map(states) if with_factors
            else period_mean_map(micro) @ v)
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_period_mean_map_sums_to_rounding_level(rng):
+    # 20,481 rows, as at q = 80: within four rounding units of the sum of
+    # the rounded terms, which one product over all rows missed by 12.
+    n = 20481
+    stack = rng.random((n, 2)) + 1j * rng.random((n, 2))
+    weights = np.full(n, 1.0 / (n - 1))
+    weights[[0, -1]] *= 0.5
+    want = [complex(math.fsum(weights * col.real),
+                    math.fsum(weights * col.imag)) for col in stack.T]
+    assert np.max(np.abs(period_mean_map(stack) - want)) \
+        <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("case,delta_omega_p", [
