@@ -208,8 +208,8 @@ def accurate_plan(g: Generator, period: float,
     n = plan.steps_per_period // r
     coarse, mid, hi = level(n // 2, stack=False)[0], level(n), level(2 * n)
     while True:
-        step = extrapolate(hi[0], mid[0]) - extrapolate(mid[0], coarse)
-        error = float(np.max(np.abs(step))) / 255.0
+        delta = extrapolate(hi[0], mid[0]) - extrapolate(mid[0], coarse)
+        error = float(np.max(np.abs(delta))) / 255.0
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"U_T is not finite at {plan.steps_per_period} steps")
