@@ -321,9 +321,8 @@ class TestAccuratePlan:
         assert self._estimate(scale, n) <= STEP_ERROR_TARGET \
             < self._estimate(scale, n // 2)
         assert plan.steps_per_period == n
-        assert calls == [MIN_STEPS // 2 << k
-                         for k in range(n.bit_length() - MIN_STEPS
-                                        .bit_length() + 3)]
+        assert calls[-1] == 2 * n
+        assert calls == [MIN_STEPS // 2 << k for k in range(len(calls))]
         assert stacked == calls[1:]
         assert error == pytest.approx(self._estimate(scale, n), rel=1e-2)
 
