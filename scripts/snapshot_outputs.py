@@ -10,7 +10,10 @@ both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 (q = 20), every float as exact hex.  Each CLI run below writes its CSV to
 ``<name>.csv`` and its exit code and stderr to ``<name>.status``; the
 ``_3T`` runs span three periods, so they cover the rows that each period
-takes over from the one before.
+takes over from the one before.  ``criteria.txt`` holds the 18
+``[criterion ...]`` lines that ``tests/test_acceptance.py`` prints, without
+their timings; the run's exit code is not kept, as the documented
+acceptance failures make it nonzero.
 
 A change that is meant to move values at rounding level declares the
 moves from two snapshots, writing nothing:
@@ -23,13 +26,18 @@ where equal values are written differently (-0 for 0, 0.50 for 0.5),
 "differs" where a text token or the shape differs, and "only in ..." where
 one side lacks it.  A file whose values moved gets one line per moved
 column, named by its header, and each "# key = value" metadata line that
-changed gets a line "name # key: before -> after" of its own.
+changed gets a line "name # key: before -> after" of its own.  So does each
+changed line of ``criteria.txt``.
 """
 
 import argparse
 import contextlib
 import io
 import itertools
+import os
+import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -38,6 +46,8 @@ import numpy as np
 from lamsim.cli import main as lamsim
 from lamsim.model import preset
 from lamsim.sweep import steady_state_summary
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SUMMARY_FIELDS = ("rho_ss_rwf", "t_conv", "gap", "gap_per_time",
                   "trace_defect", "period", "steps", "step_error", "u_t")
@@ -62,6 +72,21 @@ RUNS = {
                    "populations,coherences,rwa_error,convergence_time,"
                    "spectral_gap"],
 }
+
+
+def _criteria() -> str:
+    """The acceptance gate's printed criterion lines, timings stripped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    # each line may follow the progress marks of the tests before it
+    lines = re.findall(r"^[.FEsx]*(\[criterion [^]]*\] (?:PASS|FAIL): .*)$",
+                       done.stdout, re.M)
+    return "".join(re.sub(r"[,;] [0-9.]+ s$", "", line) + "\n"
+                   for line in lines)
 
 
 def _hex(value) -> str:
@@ -127,9 +152,22 @@ def compare(out: Path, base: Path) -> list[str]:
         if not (out / name).exists() or not (base / name).exists():
             side = out if (out / name).exists() else base
             lines.append(f"{name}: only in {side}")
+        elif name == "criteria.txt":
+            lines += _text_lines(name, out, base)
         else:
             lines += _file_lines(name, out, base)
     return lines
+
+
+def _text_lines(name: str, out: Path, base: Path) -> list[str]:
+    """One "name: before -> after" line per changed line of a text file,
+    or "name: 0" when none changed."""
+    ours = (out / name).read_text().splitlines()
+    theirs = (base / name).read_text().splitlines()
+    changed = [f"{name}: {b} -> {a}" for a, b in
+               itertools.zip_longest(ours, theirs, fillvalue="(none)")
+               if a != b]
+    return changed or [f"{name}: 0"]
 
 
 def _verdict(deltas: list) -> str:
@@ -204,6 +242,7 @@ def main():
                 lines += [f"{case} {drive} dw={dw} {key} = {_hex(s[key])}"
                           for key in SUMMARY_FIELDS]
     (out / "summaries.txt").write_text("\n".join(lines) + "\n")
+    (out / "criteria.txt").write_text(_criteria())
     for name, argv in RUNS.items():
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):

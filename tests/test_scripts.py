@@ -32,6 +32,10 @@ def test_snapshot_outputs_writes_every_output(tmp_path):
     summaries = (out / "summaries.txt").read_text().splitlines()
     assert len(summaries) == 3 * 3 * 2 * 9  # cases x detunings x drives
     assert "C-II full dw=0.05 gap = nan" in summaries
+    criteria = (out / "criteria.txt").read_text().splitlines()
+    assert len(criteria) == 18
+    assert all(line.startswith("[criterion ") for line in criteria)
+    assert criteria[0].endswith("(tol 1e-8)")  # its timing stripped
     names = {path.stem for path in out.glob("*.status")}
     assert names == {path.stem for path in out.glob("*.csv")}
     assert len(names) == 10
@@ -158,3 +162,35 @@ def test_snapshot_compare_reports_metadata_and_columns_apart(tmp_path):
         "sweep.csv rho22: 1e-13",
         "sweep.csv steps: 7.7e+02",
     ]
+
+
+def test_snapshot_compare_prints_each_changed_criterion_line(tmp_path):
+    summary = [f"A-II full dw=0.0 t_conv = {(1.0).hex()}"]
+    same = "[criterion 1: closed-form oracle] PASS: max deviation 1e-15\n"
+    base = _snapshot(tmp_path / "base", summary, {"criteria.txt": (
+        same + "[criterion 2: equivalence] PASS: max deviation 8e-14\n"
+        "[criterion 5: spectral gaps] FAIL: A rwa 2.0717\n")})
+    out = _snapshot(tmp_path / "out", summary, {"criteria.txt": (
+        same + "[criterion 2: equivalence] PASS: max deviation 7e-14\n"
+        "[criterion 5: spectral gaps] FAIL: A rwa 2.0717\n"
+        "[criterion 11: new] PASS\n")})
+    unchanged = _snapshot(tmp_path / "unchanged", summary,
+                          {"criteria.txt": (base / "criteria.txt").read_text()})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = str(ROOT / "scripts" / "snapshot_outputs.py")
+    done = subprocess.run(
+        [sys.executable, script, str(out), "--compare", str(base)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "summaries.txt full t_conv: 0",
+        "criteria.txt: [criterion 2: equivalence] PASS: max deviation 8e-14"
+        " -> [criterion 2: equivalence] PASS: max deviation 7e-14",
+        "criteria.txt: (none) -> [criterion 11: new] PASS",
+    ]
+    done = subprocess.run(
+        [sys.executable, script, str(unchanged), "--compare", str(base)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "summaries.txt full t_conv: 0", "criteria.txt: 0"]
