@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DIM, HERMITIAN_BASIS, LDIM
+from .linalg import hermitian_coordinates
+from .model import DIM, LDIM
 from .periodic import STEP_ERROR_TARGET, trace_functional
 
 DEGENERATE_GAP_TOL = 1e-12
@@ -56,12 +57,6 @@ def resolved_log(log):
     return np.real(log) > math.log(LAMBDA2_FLOOR)
 
 
-# HERMITIAN_BASIS with its columns scaled to entries 0, +-1 and +-i, and
-# its inverse: changing coordinates with them only adds and halves.
-_HERM = HERMITIAN_BASIS / np.abs(HERMITIAN_BASIS).max(axis=0)
-_HERM_INV = _HERM.conj().T / np.sum(np.abs(_HERM) ** 2, axis=0)[:, None]
-
-
 def spectral_gap(u_period: np.ndarray, period: float | None = None
                  ) -> GapReport:
     """Principal-branch logs of the eigenvalues of a one-period propagator,
@@ -77,14 +72,16 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     eigenvalue modulus |lambda_2| = e^-gap is at or below LAMBDA2_FLOOR,
     it is rounding noise and the gap is NaN (unresolved).
 
-    A 9x9 map that preserves Hermiticity is real in the coordinates of
-    HERMITIAN_BASIS.  When it is real there to the max-entry accuracy
-    STEP_ERROR_TARGET of every resolved U_T, the eigenvalues come from
-    that real matrix, so conjugate pairs are exact conjugates.
+    A 9x9 map that preserves Hermiticity is real in the Hermitian
+    coordinates S of linalg.hermitian_coordinates, S^-1 U S.  When it is
+    real there to the max-entry accuracy STEP_ERROR_TARGET of every
+    resolved U_T, the eigenvalues come from that real matrix, so conjugate
+    pairs are exact conjugates.
     """
     u_period = np.asarray(u_period, dtype=complex)
     if u_period.shape == (LDIM, LDIM):
-        u_real = _HERM_INV @ u_period @ _HERM
+        s, s_inv = hermitian_coordinates(DIM)
+        u_real = s_inv @ u_period @ s
         if (abs(u_real.imag).max()
                 <= STEP_ERROR_TARGET * abs(u_real.real).max()):
             u_period = u_real.real

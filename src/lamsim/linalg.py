@@ -2,8 +2,8 @@
 
 Everything here operates on small dense numpy arrays: complex 3x3
 Hilbert-space operators and 9x9 Liouville-space superoperators, the latter
-also real in the Hermitian coordinates of a Hermiticity-preserving
-generator (see ``magnus``).  The matrix exponential is implemented here
+also real in ``hermitian_coordinates``, the package's one coordinate system
+for Hermiticity-preserving maps.  The matrix exponential is implemented here
 directly because it dominates the propagation loops and the matrices are
 tiny; it takes whole (..., d, d) stacks, so that a chunk of Magnus steps
 costs one solve-free Taylor evaluation: degree 8 for 1-norms up to 0.05,
@@ -24,6 +24,7 @@ arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -122,6 +123,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
         a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
+
+
+@functools.cache
+def hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and its exact inverse, read-only (n^2, n^2) arrays: the columns of
+    S are vec E_ii, then vec(E_ij + E_ji) and vec i(E_ji - E_ij) for i < j.
+    S has entries 0, +-1 and +-i, S^-1 0, 1, +-1/2 and +-i/2, so a change of
+    coordinates only adds and halves.  S^-1 L S is real for every L that
+    maps Hermitian operators to Hermitian ones (the coherence-vector form;
+    Alicki & Lendi, Lect. Notes Phys. 717 (2007))."""
+    e = np.eye(n * n).reshape(n, n, n * n)  # e[i, j] = vec E_ij
+    i, j = np.triu_indices(n, 1)
+    pairs = np.stack([e[i, j] + e[j, i], 1j * (e[j, i] - e[i, j])], axis=1)
+    s = np.concatenate([e[range(n), range(n)],
+                        pairs.reshape(-1, n * n)]).T.astype(complex)
+    s_inv = s.conj().T / np.sum(np.abs(s) ** 2, axis=0)[:, None]
+    s.flags.writeable = s_inv.flags.writeable = False
+    return s, s_inv
 
 
 def frobenius_norm(a) -> float:

@@ -34,26 +34,27 @@ The co-rotating (RWA) drive has such a frame (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009): a constant generator needs no Magnus
 correction terms); the full drive does not.
 
-A generator may instead declare a real basis: a unitary S such that
-S^dag E S is real for every basis row E, and real drive coefficients.  A
-Lindblad generator maps Hermitian operators to Hermitian operators, so in
-an orthonormal Hermitian operator basis (the coherence-vector form; Alicki
-& Lendi, Lect. Notes Phys. 717 (2007)) its samples, Magnus exponents, step
-exponentials and their products are all real.  ``propagate`` then runs the
-same steps on float64 stacks in those coordinates and maps each chunk's
-cumulative products back, S R S^dag, to the complex basis every interface
-uses.
+A Lindblad generator on n x n operators maps Hermitian operators to
+Hermitian operators, so in the Hermitian coordinates S of
+``linalg.hermitian_coordinates`` (the coherence-vector form; Alicki &
+Lendi, Lect. Notes Phys. 717 (2007)) its samples, Magnus exponents, step
+exponentials and their products are all real when its drive coefficients
+are.  A generator without a frame finds that route itself: when every
+S^-1 E S is real, ``step`` and ``propagate`` run the same steps on float64
+stacks in those coordinates and map the results back, S R S^-1, to the
+complex basis every interface uses.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from typing import Callable
 
 import numpy as np
 
-from .linalg import expm, kron
+from .linalg import expm, hermitian_coordinates, kron
 
 _GL_OFFSET = np.sqrt(15.0) / 10.0  # 3-point Gauss-Legendre node offset
 # Node positions within a step, as fractions of dt.
@@ -68,7 +69,7 @@ _BLOCK = 32
 # Largest accepted defect of a claim about a generator, per unit of max(1,
 # max |A|): of A(t + s) - D A(t) D^-1, a time shift s acting as a diagonal D
 # (shift_defect; a frame Phi as D = Phi(_FRAME_SHIFT), Phi(1) = I only for
-# rates in 2 pi Z), or of Im S^dag E S (a real basis).
+# rates in 2 pi Z), or of Im S^-1 E S (Hermitian coordinates).
 _CLAIM_TOL, _FRAME_SHIFT = 1e-12, 1.0
 
 
@@ -83,6 +84,15 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _no_drive(t: np.ndarray) -> np.ndarray:
     return np.zeros(t.shape + (0,))
+
+
+@functools.cache
+def _from_hermitian(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map back vec(S R S^-1) = kron(S, S^-T) vec(R), row-major, as two
+    real maps acting on the right of flattened stacks."""
+    s, s_inv = hermitian_coordinates(n)
+    to_vec = kron(s, s_inv.T).T
+    return to_vec.real.copy(), to_vec.imag.copy()
 
 
 @functools.cache
@@ -129,17 +139,19 @@ class Generator(_Tables):
     functions f_k at those times, shape (..., K); the default is no drive
     (a constant generator).  ``frame``, if given, is the real rate vector
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
-    generator is constant; ``real_basis``, if given, is a unitary S in
-    whose coordinates the generator is real (see the module docstring).
-    Both claims are checked and a ValueError raised if one fails; a frame,
-    when declared, decides the route.  ``gauge`` maps a time shift s to the
-    +-1 diagonal of a sign gauge Z that s may act as, A(t + s) = Z A(t) Z,
-    which periodic checks before use (default I).  Shapes are checked here.
+    generator is constant; it is checked (ValueError) and decides the
+    route.  Else a generator of dimension n^2 (n >= 2) with real drive
+    coefficients whose basis rows E are real in Hermitian coordinates
+    (S^-1 E S, to _CLAIM_TOL) keeps those tables as ``_real`` (see the
+    module docstring); any other runs complex.  ``gauge`` maps a time shift
+    s to the +-1 diagonal of a sign gauge Z that s may act as,
+    A(t + s) = Z A(t) Z, which periodic checks before use (default I).
+    Shapes are checked here.
     """
 
     def __init__(self, a0, terms=(),
                  coefficients: Callable[[np.ndarray], np.ndarray] = _no_drive,
-                 frame=None, real_basis=None, gauge=None):
+                 frame=None, gauge=None):
         a0 = np.array(a0, dtype=complex)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"a0 must be a square matrix, got {a0.shape}")
@@ -149,10 +161,10 @@ class Generator(_Tables):
         if terms.ndim != 3 or terms.shape[1:] != a0.shape:
             raise ValueError(f"terms must be a (K, {a0.shape[0]}, "
                              f"{a0.shape[0]}) stack, got {terms.shape}")
-        probe = np.shape(coefficients(np.zeros(2)))
-        if probe != (2, len(terms)):
-            raise ValueError(f"coefficients gave shape {probe} for 2 times, "
-                             f"expected {(2, len(terms))}")
+        probe = coefficients(np.zeros(2))
+        if np.shape(probe) != (2, len(terms)):
+            raise ValueError(f"coefficients gave shape {np.shape(probe)} for "
+                             f"2 times, expected {(2, len(terms))}")
         self.a0 = a0
         self.terms = terms
         super().__init__(np.concatenate([a0[None], terms]), coefficients)
@@ -170,45 +182,27 @@ class Generator(_Tables):
                     f"generator is not constant in the declared frame: "
                     f"defect {bad[0]:.3e} at t={bad[1]:.6f}")
         self.gauge = gauge or (lambda shift: np.ones(len(a0)))
-        self.real_basis = None
         self._real = None
-        if real_basis is not None:
-            self._declare_real_basis(np.array(real_basis, dtype=complex))
-
-    def _declare_real_basis(self, s: np.ndarray) -> None:
-        """Check that S is unitary, every S^dag E S real and the drive
-        coefficients real; keep the real tables and the map back to the vec
-        basis, or raise ValueError."""
-        if s.shape != self.a0.shape or np.max(np.abs(
-                s.conj().T @ s - np.eye(self.dim))) > _CLAIM_TOL:
-            raise ValueError(f"real_basis must be a unitary {self.a0.shape} "
-                             f"matrix")
-        basis = s.conj().T @ self._rows.reshape((-1,) + self.a0.shape) @ s
-        defect = np.max(np.abs(basis.imag), axis=(-2, -1))
-        scale = np.maximum(1.0, np.max(np.abs(basis), axis=(-2, -1)))
-        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
-        if bad.size:
-            raise ValueError(
-                f"generator is not real in the declared basis: basis row "
-                f"{bad[0]} has imaginary part {defect[bad[0]]:.3e}")
-        if np.iscomplexobj(self.coefficients(np.zeros(2))):
-            raise ValueError("a real basis needs real drive coefficients")
-        self.real_basis = s
-        self._real = _Tables(basis.real.copy(), self.coefficients)
-        # vec(S R S^dag) = kron(S, conj S) vec(R), row-major, as two real maps
-        # acting on the right of flattened stacks.
-        to_vec = kron(s, s.conj()).T
-        self._to_vec = (to_vec.real.copy(), to_vec.imag.copy())
+        n = math.isqrt(self.dim)
+        if self.frame is None and n >= 2 and n * n == self.dim \
+                and not np.iscomplexobj(probe):
+            s, s_inv = hermitian_coordinates(n)
+            basis = s_inv @ self._rows.reshape((-1,) + a0.shape) @ s
+            defect = np.max(np.abs(basis.imag), axis=(-2, -1))
+            scale = np.maximum(1.0, np.max(np.abs(basis), axis=(-2, -1)))
+            if np.all(defect <= _CLAIM_TOL * scale):
+                self._real = _Tables(basis.real.copy(), coefficients)
 
     def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
-        """S r S^dag for a stack of propagators r in the real coordinates,
-        as a complex stack; r itself when no real basis is declared."""
+        """S r S^-1 for a stack of propagators r in the Hermitian
+        coordinates, as a complex stack; r itself on the complex route."""
         if self._real is None:
             return r
+        to_vec = _from_hermitian(math.isqrt(self.dim))
         flat = r.reshape(-1, self.dim ** 2)
         out = np.empty(flat.shape, dtype=complex)
-        out.real = flat @ self._to_vec[0]
-        out.imag = flat @ self._to_vec[1]
+        out.real = flat @ to_vec[0]
+        out.imag = flat @ to_vec[1]
         return out.reshape(r.shape)
 
     def shift_defect(self, shift: float, d=None) -> tuple[float, float] | None:
@@ -307,7 +301,10 @@ _STEPPERS = {MagnusOrder.ORDER4: step4, MagnusOrder.ORDER6: step6}
 
 
 def step(g: Generator, t, dt: float, order: MagnusOrder) -> np.ndarray:
-    return _STEPPERS[order](g, t, dt)
+    """Magnus step over [t, t + dt] on the generator's real or complex
+    tables: without a frame, the bits of propagate(g, t, t + dt, 1, order)."""
+    tables = g if g._real is None else g._real
+    return g._vec_coordinates(_STEPPERS[order](tables, t, dt))
 
 
 def propagate(g: Generator, t0: float, t1: float, steps: int,
@@ -318,8 +315,8 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
     Returns the full propagator matrix, or, with return_intermediate, the
     (steps + 1, d, d) array of cumulative propagators at every grid point
     t0 + k dt for k = 0 .. steps (identity first, full propagator last).
-    Steps are built CHUNK_STEPS at a time, on real stacks in the Hermitian
-    coordinates of a generator with a real basis.  A generator with a frame
+    Steps are built CHUNK_STEPS at a time, on real stacks in Hermitian
+    coordinates on the generator's real route.  A generator with a frame
     takes the exact route of _propagate_in_frame instead, and order has no
     effect.
     """

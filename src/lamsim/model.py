@@ -181,22 +181,6 @@ def ground_state() -> np.ndarray:
 # Generator builders for the Magnus steppers
 # ---------------------------------------------------------------------------
 
-def _hermitian_basis() -> np.ndarray:
-    """Unitary S whose columns are vec of an orthonormal Hermitian operator
-    basis: E_ii, (E_ij + E_ji)/sqrt 2 and i (E_ji - E_ij)/sqrt 2 for i < j.
-    S^dag L S is real for every superoperator L that maps Hermitian
-    operators to Hermitian operators."""
-    ops = [_op(i, i) for i in range(1, DIM + 1)]
-    for i in range(1, DIM + 1):
-        for j in range(i + 1, DIM + 1):
-            ops.append((_op(i, j) + _op(j, i)) / math.sqrt(2.0))
-            ops.append(1j * (_op(j, i) - _op(i, j)) / math.sqrt(2.0))
-    return np.array(ops).reshape(LDIM, LDIM).T
-
-
-HERMITIAN_BASIS = _hermitian_basis()
-
-
 def _comm_super(h: np.ndarray) -> np.ndarray:
     """Commutator superoperator kron(h, I) - kron(I, h.T) of one operator,
     or of each operator in a (K, 3, 3) stack."""
@@ -258,9 +242,10 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     through the commutator superoperator and the time-independent
     dissipator folded into the constant part.  The RWA frame lifts to the
     rates theta_i - theta_j of vec(rho)[i, j], flattened row-major; the
-    dissipator commutes with it.  The full drive, which has no frame,
-    declares HERMITIAN_BASIS, in which it is real.  The sign gauge lifts
-    to Z (x) Z; each jump operator only changes sign under Z.
+    dissipator commutes with it.  The full drive, which has no frame, is
+    real in Hermitian coordinates (linalg.hermitian_coordinates), and the
+    Generator finds that route itself.  The sign gauge lifts to Z (x) Z;
+    each jump operator only changes sign under Z.
     """
     if dissipative is None:
         dissipative = p.is_dissipative
@@ -271,5 +256,4 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     if frame is not None:
         frame = np.subtract.outer(frame, frame).reshape(LDIM)
     return Generator(a0, -1j * _comm_super(ops), coefficients, frame,
-                     HERMITIAN_BASIS if frame is None else None,
                      lambda shift: np.kron(*2 * [_signs(p, shift)]))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamsim import analysis, magnus
 from lamsim.linalg import (_INV_FACTORIAL, _TAYLOR8_THETA, _TAYLOR12_THETA,
                            _TAYLOR16_THETA, _TAYLOR25_THETA, _TAYLOR_DEGREES,
                            DimensionError, _taylor, expm, frobenius_norm,
-                           kron)
-from lamsim.model import HERMITIAN_BASIS, liouville_generator, preset
+                           hermitian_coordinates, kron)
+from lamsim.model import liouville_generator, preset
 from lamsim.periodic import MIN_STEPS
 
 from conftest import expm_eig, random_complex_matrix
@@ -331,9 +332,48 @@ class TestKron:
             assert kron(x, y).shape == (4, 9, 9)
             assert np.array_equal(kron(x, y), np.kron(x, y))
 
-    def test_hermitian_basis_pair(self):
-        s = HERMITIAN_BASIS
-        assert np.array_equal(kron(s, s.conj()), np.kron(s, s.conj()))
+
+class TestHermitianCoordinates:
+    """S and S^-1 have exact entries, so a change of coordinates only adds
+    and halves, and every Hermiticity-preserving map is real in them."""
+
+    @staticmethod
+    def _entries_in(a, allowed):
+        return set(np.unique(a).tolist()) <= set(allowed)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_inverse(self, n):
+        s, s_inv = hermitian_coordinates(n)
+        assert s.shape == s_inv.shape == (n * n, n * n)
+        assert np.array_equal(s_inv @ s, np.eye(n * n))
+        assert self._entries_in(s, [0, 1, -1, 1j, -1j])
+        assert self._entries_in(s_inv, [0, 1, 0.5, -0.5, 0.5j, -0.5j])
+        assert not (s.flags.writeable or s_inv.flags.writeable)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_map_back_is_exact(self, n):
+        s, s_inv = hermitian_coordinates(n)
+        to_vec = kron(s, s_inv.T)
+        assert np.array_equal(to_vec, np.kron(s, s_inv.T))
+        assert self._entries_in(to_vec, [0, 1, -1, 0.5, -0.5, 1j, -1j,
+                                         0.5j, -0.5j])
+        real, imag = magnus._from_hermitian(n)
+        assert np.array_equal(real + 1j * imag, to_vec.T)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hermiticity_preserving_map_is_real(self, rng, n):
+        # X -> A X B + B^dag X A^dag maps Hermitian X to Hermitian X
+        a, b = random_complex_matrix(rng, n), random_complex_matrix(rng, n)
+        lmap = kron(a, b.T) + kron(b.conj().T, a.conj())
+        s, s_inv = hermitian_coordinates(n)
+        real = s_inv @ lmap @ s
+        assert np.max(np.abs(real.imag)) <= 1e-14 * np.max(np.abs(real))
+
+    def test_one_pair_shared(self):
+        pair = hermitian_coordinates(3)
+        assert hermitian_coordinates(3) is pair
+        assert analysis.hermitian_coordinates is hermitian_coordinates
+        assert magnus.hermitian_coordinates is hermitian_coordinates
 
 
 def test_frobenius_norm_value():

@@ -8,8 +8,8 @@ from lamsim.magnus import (_NODES4, _NODES6, CHUNK_STEPS, Generator,
                            MagnusOrder, _exponent4, _exponent6,
                            _probe_fractions, _running_products, propagate,
                            step, step4, step6)
-from lamsim.model import (HERMITIAN_BASIS, LambdaParams, closed_generator,
-                          lindbladian, liouville_generator, preset)
+from lamsim.model import (LambdaParams, closed_generator, lindbladian,
+                          liouville_generator, preset)
 from lamsim.periodic import commensurate_period
 
 from conftest import expm_eig, h_rwf, random_complex_matrix
@@ -144,8 +144,9 @@ class TestSetUpWork:
 
     @pytest.mark.parametrize("rwa", [False, True])
     def test_commutator_table_is_built_on_first_magnus_use(self, rwa):
-        # the frame route reads no table; a real-basis generator reads only
-        # the real copy's; a complex one builds its own on its first step
+        # the frame route reads no table; a generator on the real route
+        # reads only the real copy's, in step as in propagate; a complex one
+        # builds its own on its first step
         lazy = {"_pairs", "_table"}
         g = liouville_generator(preset("A-II"), rwa=rwa)
         assert not lazy & vars(g).keys()
@@ -154,6 +155,9 @@ class TestSetUpWork:
         assert rwa == (g._real is None)
         if not rwa:
             assert lazy <= vars(g._real).keys()
+            for order in MagnusOrder:
+                step(g, 0.25, 0.125, order)
+            assert not lazy & vars(g).keys()
         closed = closed_generator(preset("A-II"))
         assert not lazy & vars(closed).keys()
         propagate(closed, 0.0, np.pi, 8)
@@ -340,15 +344,16 @@ class TestFrameRoute:
 
 
 class TestRealCoordinates:
-    """The full-drive Liouville generator declares the Hermitian operator
-    basis, in which it is real, and propagate runs its Magnus steps on real
-    stacks; results stay in the complex vec basis."""
+    """The full-drive Liouville generator is real in Hermitian coordinates
+    and finds that route itself: step and propagate run its Magnus steps on
+    real stacks; results stay in the complex vec basis.  Any generator that
+    is not real there builds and takes the complex route."""
 
     @pytest.mark.parametrize("order", list(MagnusOrder))
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
     def test_propagate_equals_product_of_complex_steps(self, case, order):
         g = liouville_generator(preset(case))
-        assert g.real_basis is not None
+        assert g._real is not None
         steps = CHUNK_STEPS + 7
         t1 = 1.3
         dt = t1 / steps
@@ -367,9 +372,26 @@ class TestRealCoordinates:
         assert np.max(np.abs(whole - u)) <= 1e-13
 
     def test_declared_only_without_a_frame(self):
-        p = preset("C-II")
-        assert liouville_generator(p, rwa=True).real_basis is None
-        assert closed_generator(p).real_basis is None
+        # the real route: full-drive Liouville generators, dissipative or
+        # not; the complex route: RWA (frame) and 3x3 closed generators
+        for name in ("C-II", "A-I"):
+            p = preset(name)
+            for dissipative in (False, True):
+                g = liouville_generator(p, dissipative=dissipative)
+                assert g._real is not None
+                assert g._real._rows.dtype == float
+            assert liouville_generator(p, rwa=True)._real is None
+            for rwa in (False, True):
+                assert closed_generator(p, rwa)._real is None
+
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    @pytest.mark.parametrize("build", [
+        closed_generator, liouville_generator,
+        lambda p: liouville_generator(p, dissipative=False)])
+    def test_step_is_a_one_step_propagate(self, build, order):
+        g = build(preset("C-II"))
+        assert np.array_equal(step(g, 0.25, 0.125, order),
+                              propagate(g, 0.25, 0.375, 1, order=order))
 
     def test_period_map_keeps_states_hermitian(self, rng):
         p = preset("A-II")
@@ -381,27 +403,17 @@ class TestRealCoordinates:
         out = (u_t @ rho.reshape(9)).reshape(3, 3)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-15
 
-    def test_random_complex_generator_rejected(self, rng):
-        with pytest.raises(ValueError, match="not real in the declared"):
-            Generator(random_complex_matrix(rng, 9),
-                      real_basis=HERMITIAN_BASIS)
+    def test_random_complex_generator_takes_complex_route(self, rng):
+        assert Generator(random_complex_matrix(rng, 9))._real is None
 
-    def test_rwa_terms_without_frame_rejected(self):
+    def test_rwa_terms_without_frame_take_complex_route(self):
         g = liouville_generator(preset("C-II"), rwa=True)
-        with pytest.raises(ValueError, match="not real in the declared"):
-            Generator(g.a0, g.terms, g.coefficients,
-                      real_basis=HERMITIAN_BASIS)
+        assert Generator(g.a0, g.terms, g.coefficients)._real is None
 
-    def test_complex_coefficients_rejected(self):
+    def test_complex_coefficients_take_complex_route(self):
         # Hermiticity-preserving terms, but a complex drive function
         g = liouville_generator(preset("C-II"))
-        with pytest.raises(ValueError, match="real drive coefficients"):
-            Generator(g.a0, g.terms,
-                      lambda t: np.exp(1j * t)[..., None] * np.ones(2),
-                      real_basis=HERMITIAN_BASIS)
-
-    def test_basis_must_be_unitary(self):
-        g = liouville_generator(preset("C-II"))
-        for s in (2.0 * HERMITIAN_BASIS, HERMITIAN_BASIS[:3]):
-            with pytest.raises(ValueError, match="unitary"):
-                Generator(g.a0, g.terms, g.coefficients, real_basis=s)
+        assert Generator(g.a0, g.terms, g.coefficients)._real is not None
+        assert Generator(
+            g.a0, g.terms,
+            lambda t: np.exp(1j * t)[..., None] * np.ones(2))._real is None
