@@ -85,11 +85,12 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
         if (abs(u_real.imag).max()
                 <= STEP_ERROR_TARGET * abs(u_real.real).max()):
             u_period = u_real.real
-    logs = np.log(np.linalg.eigvals(u_period).astype(complex))
-    logs = logs[np.argsort(-logs.real, kind="stable")]
-    decay = -logs.real
-    new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(
-        1.0, np.abs(decay[1:]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf
+        logs = np.log(np.linalg.eigvals(u_period).astype(complex))
+        logs = logs[np.argsort(-logs.real, kind="stable")]
+        decay = -logs.real
+        new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(
+            1.0, np.abs(decay[:-1]))
     logs = logs[np.lexsort((logs.imag, np.r_[0, np.cumsum(new_decay)]))]
     steady = int(np.argmin(np.abs(logs.real)))
     decays = -np.delete(logs.real, steady)

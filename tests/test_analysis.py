@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ class TestSpectralGap:
         report = spectral_gap(u)
         assert report.gap == pytest.approx(0.5, rel=1e-12)
         assert not report.degenerate
+
+    def test_zero_eigenvalues_log_to_minus_infinity(self):
+        # a singular map: each exact zero eigenvalue logs -inf, with no
+        # warning, and sorts after every finite decay
+        u = np.diag(np.r_[1.0, np.exp(-1.0 + 2.0j), np.exp(-1.0 - 2.0j),
+                          np.zeros(6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = spectral_gap(u)
+        assert report.gap == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(report.eigen_logs[1:3], [-1.0 - 2.0j, -1.0 + 2.0j],
+                           rtol=0.0, atol=1e-15)
+        assert np.all(report.eigen_logs[3:] == -np.inf)
 
     def test_steady_eigenvalue_selection(self):
         u = np.diag(np.exp([-1.0 + 0.3j, 0.0 + 2.0j, -2.0]))
