@@ -13,7 +13,8 @@ both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 takes over from the one before.  ``criteria.txt`` holds the 18
 ``[criterion ...]`` lines that ``tests/test_acceptance.py`` prints, without
 their timings; the run's exit code is not kept, as the documented
-acceptance failures make it nonzero.
+acceptance failures make it 1, but any other (a collection error, an
+interruption) stops the script.
 
 A change that is meant to move values at rounding level declares the
 moves from two snapshots, writing nothing:
@@ -82,6 +83,11 @@ def _criteria() -> str:
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
          "tests/test_acceptance.py"],
         cwd=ROOT, env=env, capture_output=True, text=True)
+    # exit 1 is failed criteria; any other failure (a collection error, an
+    # interruption) would leave the criterion lines partial
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"acceptance tests exited {done.returncode}:\n"
+                           f"{done.stdout[-2000:]}{done.stderr}")
     # each line may follow the progress marks of the tests before it
     lines = re.findall(r"^[.FEsx]*(\[criterion [^]]*\] (?:PASS|FAIL): .*)$",
                        done.stdout, re.M)
