@@ -9,6 +9,7 @@ Units: hbar = 1; all energies, frequencies and rates share one unit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -130,16 +131,20 @@ def rwf_phases(p: LambdaParams, times) -> np.ndarray:
     return np.exp(-1j * _rwf_rates(p) * times[..., None])
 
 
+# The jump operators |i><j| of the four dissipation channels.
+_JUMPS = ((1, 2), (2, 1), (3, 2), (2, 3))
+
+
+def _rates(p: LambdaParams) -> tuple[float, ...]:
+    return (p.gamma_12 * (p.nbar_12 + 1.0), p.gamma_12 * p.nbar_12,
+            p.gamma_23 * (p.nbar_23 + 1.0), p.gamma_23 * p.nbar_23)
+
+
 def jump_operators(p: LambdaParams) -> list[tuple[np.ndarray, float]]:
     """The four (operator, rate) dissipation channels: stimulated plus
     spontaneous decay |2>->|1| and |2>->|3>, and their bath-driven
     reverses."""
-    return [
-        (_op(1, 2), p.gamma_12 * (p.nbar_12 + 1.0)),
-        (_op(2, 1), p.gamma_12 * p.nbar_12),
-        (_op(3, 2), p.gamma_23 * (p.nbar_23 + 1.0)),
-        (_op(2, 3), p.gamma_23 * p.nbar_23),
-    ]
+    return [(_op(i, j), rate) for (i, j), rate in zip(_JUMPS, _rates(p))]
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -158,17 +163,29 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(DIM, DIM).copy()
 
 
+@functools.cache
+def _channels() -> np.ndarray:
+    """The (4, 9, 9) superoperators L ox L* - (L^dag L ox I + I ox L^T L*)
+    / 2 of the jump operators, in jump_operators' order, read-only: they
+    carry no parameter, so they are built once, on first use."""
+    ident = np.eye(DIM)
+    out = []
+    for op in (_op(i, j) for i, j in _JUMPS):
+        ldl = op.conj().T @ op
+        out.append(kron(op, op.conj())
+                   - 0.5 * (kron(ldl, ident) + kron(ident, ldl.T)))
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
+
+
 def lindbladian(p: LambdaParams) -> np.ndarray:
     """Time-independent dissipative superoperator (9x9):
     sum_k c_k (L ox L* - (L^dag L ox I + I ox L^T L*) / 2)."""
-    ident = np.eye(DIM)
     d = np.zeros((LDIM, LDIM), dtype=complex)
-    for op, rate in jump_operators(p):
-        if rate == 0.0:
-            continue
-        ldl = op.conj().T @ op
-        d += rate * (kron(op, op.conj())
-                     - 0.5 * (kron(ldl, ident) + kron(ident, ldl.T)))
+    for channel, rate in zip(_channels(), _rates(p)):
+        if rate != 0.0:
+            d += rate * channel
     return d
 
 
@@ -196,6 +213,28 @@ def _signs(p: LambdaParams, shift: float) -> np.ndarray:
     return np.array([s_p, 1.0, s_c])
 
 
+@functools.cache
+def _drive_ops(rwa: bool) -> np.ndarray:
+    """The (K, 3, 3) drive operators of _drive, read-only: the symmetric
+    couplings of the full drive, or the raising and lowering parts of the
+    RWA drive."""
+    if rwa:
+        ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
+    else:
+        ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
+    ops.flags.writeable = False
+    return ops
+
+
+@functools.cache
+def _lifted_drive_ops(rwa: bool) -> np.ndarray:
+    """-1j times the commutator superoperators of _drive_ops(rwa),
+    read-only, built on first use."""
+    terms = -1j * _comm_super(_drive_ops(rwa))
+    terms.flags.writeable = False
+    return terms
+
+
 def _drive(p: LambdaParams, rwa: bool):
     """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
     stack, the map from times (...) to the coefficients f_k, (..., K), and
@@ -209,14 +248,13 @@ def _drive(p: LambdaParams, rwa: bool):
     """
     rabi = np.array([p.rabi_p, p.rabi_c])
     omega = np.array([p.omega_p, p.omega_c])
+    ops = _drive_ops(rwa)
     if not rwa:
-        ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
         frame = None
 
         def coefficients(t: np.ndarray) -> np.ndarray:
             return -rabi * np.cos(omega * t[..., None])
     else:
-        ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
         frame = -_rwf_rates(p)
 
         def coefficients(t: np.ndarray) -> np.ndarray:
@@ -249,11 +287,11 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     """
     if dissipative is None:
         dissipative = p.is_dissipative
-    ops, coefficients, frame = _drive(p, rwa)
+    _, coefficients, frame = _drive(p, rwa)
     a0 = -1j * _comm_super(h0(p))
     if dissipative:
         a0 = a0 + lindbladian(p)
     if frame is not None:
         frame = np.subtract.outer(frame, frame).reshape(LDIM)
-    return Generator(a0, -1j * _comm_super(ops), coefficients, frame,
-                     lambda shift: np.kron(*2 * [_signs(p, shift)]))
+    return Generator(a0, _lifted_drive_ops(rwa), coefficients, frame,
+                     lambda shift: np.outer(*2 * [_signs(p, shift)]).ravel())
