@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamsim import analysis, magnus
@@ -29,12 +29,19 @@ def no_linear_solve():
 
 
 def expm_series(a: np.ndarray, terms: int = 64) -> np.ndarray:
-    """Independent Taylor-series oracle (adequate for moderate norms)."""
+    """Independent Taylor-series oracle: the series of a / 2^s, 1-norm at
+    most 1, squared s times.  Unscaled, the series of a matrix of 1-norm
+    9.6 loses 1e-13 to cancellation in terms of size e^9.6 / 2."""
+    squarings = max(0, math.ceil(math.log2(max(np.abs(a).sum(axis=0).max(),
+                                                1e-300))))
+    a = a / 2.0 ** squarings
     out = np.eye(a.shape[0], dtype=complex)
     term = np.eye(a.shape[0], dtype=complex)
     for k in range(1, terms):
         term = term @ a / k
         out = out + term
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
@@ -161,6 +168,7 @@ class TestTaylorBranch(_ThresholdChecks):
 
     @given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([2, 3, 9]),
            log_norm=st.floats(-7.0, 1.0))
+    @example(seed=128970, n=2, log_norm=0.984375)  # cancels unscaled
     @settings(max_examples=60, deadline=None)
     def test_random_stacks_match_series(self, seed, n, log_norm):
         # 1-norms from 1e-8 to 10, within a stack spread over a decade
