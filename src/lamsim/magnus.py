@@ -21,8 +21,11 @@ unitary and open-dynamics steps preserve the trace functional to rounding.
 The steppers take one step start time or an array of them.  The generator
 is affine, A(t) = sum_m c_m(t) E_m over a basis E = (a0, terms...), so a
 chunk's exponents are per-step coefficient vectors times tables of E,
-[E_m, E_n] and [E_l, [E_m, E_n]], exponentiated by one call on a stack;
-``propagate`` multiplies them up in blocks of _BLOCK steps.
+[E_m, E_n] and [E_l, [E_m, E_n]], exponentiated by one call on a stack,
+and multiplied up in blocks of _BLOCK steps.  ``_propagate_grids`` does
+this for several step counts over one interval in one batched pass (the
+levels of periodic.accurate_plan's Richardson ladder), each grid with the
+bits of propagating it alone; ``propagate`` is its one-grid case.
 
 A generator may declare a diagonal frame Phi(t) = diag(e^{i theta t}) in
 which it is constant: Phi(t)^-1 (A(t) - i Theta) Phi(t) = B.  Its
@@ -42,7 +45,8 @@ exponentials and their products are all real when its drive coefficients
 are.  A generator without a frame finds that route itself: when every
 S^-1 E S is real, ``step`` and ``propagate`` run the same steps on float64
 stacks in those coordinates and map the results back, S R S^-1, to the
-complex basis every interface uses.
+complex basis every interface uses; ``_propagate_grids`` leaves them in
+those coordinates for its caller to combine first.
 """
 
 from __future__ import annotations
@@ -205,6 +209,21 @@ class Generator(_Tables):
         out.imag = flat @ to_vec[1]
         return out.reshape(r.shape)
 
+    def _own_gauge(self, z: np.ndarray) -> np.ndarray:
+        """A sign gauge's +-1 diagonal z, given in the vec basis, in the
+        generator's own coordinates: z itself on the complex route, else
+        the diagonal of S^-1 diag(z) S, which is all of it, exactly, when
+        z[i n + j] = z[j n + i] (any lifted gauge Z (x) Z); ValueError for
+        any other z."""
+        if self._real is None:
+            return z
+        n = math.isqrt(self.dim)
+        if not np.array_equal(z.reshape(n, n), z.reshape(n, n).T):
+            raise ValueError(f"sign gauge {z} is not diagonal in Hermitian "
+                             "coordinates")
+        s, s_inv = hermitian_coordinates(n)
+        return np.einsum("ij,j,ji->i", s_inv, z, s).real
+
     def shift_defect(self, shift: float, d=None) -> tuple[float, float] | None:
         """The first (defect, t) among 16 seeded probe times t in [0, shift)
         where max |A(t + shift) - D A(t) D^-1| exceeds _CLAIM_TOL
@@ -231,10 +250,11 @@ class Generator(_Tables):
         return a.reshape(t.shape + self.a0.shape)
 
 
-def _node_coefficients(g: _Tables, t, dt: float, nodes: np.ndarray):
+def _node_coefficients(g: _Tables, t, dt, nodes: np.ndarray):
     """Coefficients over the basis E of the generator at the three nodes
-    of every step starting at t: three (n, 1 + K) arrays, n = t.size."""
-    if dt <= 0:
+    of every step starting at t, of length dt (a scalar, or one per step
+    as an (n, 1) column): three (n, 1 + K) arrays, n = t.size."""
+    if np.any(dt <= 0):
         raise ValueError(f"dt must be positive, got {dt}")
     t = np.asarray(t, dtype=float).reshape(-1, 1) + dt * nodes
     c = np.concatenate([np.ones(t.shape + (1,)), g.coefficients(t)], axis=-1)
@@ -253,14 +273,14 @@ def _expand(g: _Tables, coefficients: np.ndarray, t) -> np.ndarray:
         np.shape(t) + (g.dim, g.dim))
 
 
-def _exponent4(g: _Tables, t, dt: float) -> np.ndarray:
+def _exponent4(g: _Tables, t, dt) -> np.ndarray:
     a0, am, a1 = _node_coefficients(g, t, dt, _NODES4)
     return _expand(g, np.concatenate(
         [(dt / 6.0) * (a0 + 4.0 * am + a1),
          (dt * dt / 12.0) * _pair_coefficients(g, a1, a0)], axis=-1), t)
 
 
-def _exponent6(g: _Tables, t, dt: float) -> np.ndarray:
+def _exponent6(g: _Tables, t, dt) -> np.ndarray:
     a1, a2, a3 = _node_coefficients(g, t, dt, _NODES6)
     # Graded combinations of the node samples: b1 ~ O(dt), b2, b3 ~ higher.
     b1 = dt * a2
@@ -298,6 +318,7 @@ def step6(g: _Tables, t, dt: float) -> np.ndarray:
 
 
 _STEPPERS = {MagnusOrder.ORDER4: step4, MagnusOrder.ORDER6: step6}
+_EXPONENTS = {MagnusOrder.ORDER4: _exponent4, MagnusOrder.ORDER6: _exponent6}
 
 
 def step(g: Generator, t, dt: float, order: MagnusOrder) -> np.ndarray:
@@ -315,33 +336,70 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
     Returns the full propagator matrix, or, with return_intermediate, the
     (steps + 1, d, d) array of cumulative propagators at every grid point
     t0 + k dt for k = 0 .. steps (identity first, full propagator last).
-    Steps are built CHUNK_STEPS at a time, on real stacks in Hermitian
-    coordinates on the generator's real route.  A generator with a frame
-    takes the exact route of _propagate_in_frame instead, and order has no
-    effect.
+    It is the one-grid case of _propagate_grids, mapped back to the vec
+    basis chunk by chunk.  A generator with a frame takes the exact route
+    of _propagate_in_frame instead, and order has no effect.
     """
     if t1 <= t0:
         raise ValueError(f"require t1 > t0, got [{t0}, {t1}]")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    dt = (t1 - t0) / steps
     if g.frame is not None:
-        return _propagate_in_frame(g, t0, dt, steps, return_intermediate)
-    stepper = _STEPPERS[order]
+        return _propagate_in_frame(g, t0, (t1 - t0) / steps, steps,
+                                   return_intermediate)
+    return _propagate_grids(g, t0, t1, [(steps, return_intermediate)],
+                            order, vec=True)[0]
+
+
+def _propagate_grids(g: Generator, t0: float, t1: float, grids,
+                     order: MagnusOrder = MagnusOrder.ORDER6,
+                     vec: bool = False) -> list:
+    """Uniform Magnus steps over [t0, t1] on several grids at once, for a
+    generator without a frame: for each (steps, stack) in grids, the
+    propagator over [t0, t1], or with stack the (steps + 1, d, d) array of
+    cumulative propagators, in the generator's own coordinates (its real
+    or complex tables), or with vec mapped back to the vec basis chunk by
+    chunk.
+
+    Each grid is cut into chunks of CHUNK_STEPS steps, as propagate cuts
+    it, and consecutive chunks share a batch while it stays within
+    CHUNK_STEPS steps.  A batch takes one exponent evaluation, with dt
+    given per step, one expm call per chunk, so that each grid keeps the
+    Taylor tier and the bits it gets alone, and one running-product scan,
+    each chunk entered from its grid's product so far.
+    """
     tables = g if g._real is None else g._real
-    u = np.eye(g.dim, dtype=tables._rows.dtype)
-    cumulative = None
-    if return_intermediate:
-        cumulative = np.empty((steps + 1, g.dim, g.dim), dtype=complex)
-        cumulative[0] = np.eye(g.dim)
-    for start in range(0, steps, CHUNK_STEPS):
-        k = np.arange(start, min(start + CHUNK_STEPS, steps))
-        products = _running_products(stepper(tables, t0 + k * dt, dt), u)
-        u = products[-1]
-        if return_intermediate:
-            cumulative[start + 1:start + 1 + len(k)] = g._vec_coordinates(
-                products)
-    return cumulative if return_intermediate else g._vec_coordinates(u)
+    store = g._vec_coordinates if vec else (lambda r: r)
+    d = g.dim
+    maps = [np.eye(d, dtype=tables._rows.dtype)] * len(grids)
+    stacks = [None] * len(grids)
+    batches, size = [[]], 0
+    for i, (steps, stack) in enumerate(grids):
+        if stack:
+            stacks[i] = np.empty((steps + 1, d, d),
+                                 dtype=complex if vec else maps[i].dtype)
+            stacks[i][0] = np.eye(d)
+        for a in range(0, steps, CHUNK_STEPS):
+            b = min(a + CHUNK_STEPS, steps)
+            if size + b - a > CHUNK_STEPS:
+                batches.append([])
+                size = 0
+            batches[-1].append((i, a, b, (t1 - t0) / steps))
+            size += b - a
+    for batch in batches:
+        t = np.concatenate([t0 + np.arange(a, b) * dt
+                            for _, a, b, dt in batch])
+        dt = np.concatenate([np.full(b - a, dt) for _, a, b, dt in batch])
+        exponents = _EXPONENTS[order](tables, t, dt[:, None])
+        edges = np.cumsum([0] + [b - a for _, a, b, _ in batch])
+        products = _running_products(
+            [expm(exponents[lo:hi]) for lo, hi in zip(edges, edges[1:])],
+            [maps[i] for i, _, _, _ in batch])
+        for (i, a, b, _), chunk in zip(batch, products):
+            maps[i] = chunk[-1]
+            if stacks[i] is not None:
+                stacks[i][a + 1:b + 1] = store(chunk)
+    return [store(u) if s is None else s for u, s in zip(maps, stacks)]
 
 
 def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
@@ -374,19 +432,28 @@ def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
     return powers
 
 
-def _running_products(steps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Running products steps[j] @ ... @ steps[0] @ u, j < n, of an
-    (n, d, d) stack: prefix products within blocks (batched over blocks),
-    a pass over block totals, then each block's entry propagator.  A
-    stack of whole blocks is overwritten by the prefix products."""
-    n, d = len(steps), u.shape[-1]
-    if n % _BLOCK:
-        pad = np.broadcast_to(np.eye(d), (-n % _BLOCK, d, d))
-        steps = np.concatenate([steps, pad])
-    p = steps.reshape(-1, _BLOCK, d, d)
+def _running_products(chunks: list, entries: list) -> list:
+    """Running products chunk[j] @ ... @ chunk[0] @ u, j < n, of each
+    (n, d, d) chunk and its entry propagator u: prefix products within
+    blocks of _BLOCK steps, each chunk padded to whole blocks with
+    identities (batched over every block), a pass over block totals, then
+    each block's entry propagator.  A lone chunk of whole blocks is
+    overwritten by the prefix products."""
+    d = entries[0].shape[-1]
+    lengths = [len(c) for c in chunks]
+    if any(n % _BLOCK for n in lengths):
+        chunks = [np.concatenate([c, np.broadcast_to(
+            np.eye(d), (-len(c) % _BLOCK, d, d))]) for c in chunks]
+    p = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+         ).reshape(-1, _BLOCK, d, d)
     for i in range(1, _BLOCK):
         p[:, i] = p[:, i] @ p[:, i - 1]
-    entry = [u]
-    for total in p[:-1, -1]:
-        entry.append(total @ entry[-1])
-    return (p @ np.array(entry)[:, None]).reshape(-1, d, d)[:n]
+    starts = np.cumsum([0] + [-(-n // _BLOCK) for n in lengths])
+    entry = []
+    for u, start, stop in zip(entries, starts, starts[1:]):
+        entry.append(u)
+        for total in p[start:stop - 1, -1]:
+            entry.append(total @ entry[-1])
+    products = (p @ np.array(entry)[:, None]).reshape(-1, d, d)
+    return [products[_BLOCK * start:_BLOCK * start + n]
+            for n, start in zip(lengths, starts)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import frobenius_norm
-from .magnus import Generator, propagate
+from .magnus import Generator, _propagate_grids, propagate
 from .model import DIM, vec
 
 BASE_STEPS = 2 ** 13 - 1          # time-series grid steps per 2 pi
@@ -178,17 +178,21 @@ def accurate_plan(g: Generator, period: float,
     with estimate 0.0 and no probe, resolve(g, plan): its U_N = Phi(T)
     exp(T B) is the same matrix for every N.  Otherwise tau = T/r, with
     the repeats r and sign gauge Z of _repeats, is propagated on a ladder
-    of n/2, n and 2n sixth-order steps, n = N/r, and U_N = (Z U_tau)^r.
-    The step is time-symmetric, so its error expands in even powers of
-    the step and R_N = (64 U_N - U_{N/2}) / 63 is eighth order (Gragg,
-    SIAM J. Numer. Anal. B 2, 384 (1965); Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)); the estimate is max |R_2N - R_N| / 255.
+    of n/2, n and 2n sixth-order steps, n = N/r, in one batched pass
+    (magnus._propagate_grids), and U_N = (Z U_tau)^r.  The step is
+    time-symmetric, so its error expands in even powers of the step and
+    R_N = (64 U_N - U_{N/2}) / 63 is eighth order (Gragg, SIAM J. Numer.
+    Anal. B 2, 384 (1965); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)); the estimate is max |R_2N - R_N| / 255 in the vec basis.
     While it is above the target N doubles and only the new finest level
-    is propagated: each level is propagated once.  The period is filled
-    from the sub-stack (64 S_2n[::2] - S_n) / 63 on the n-step grid, so
-    N >= q MIN_STEPS is the stack's grid and the finest level takes 2N
-    steps per period.  The step cap bounds N, checked before each level.
-    Every U_T consumer (steady state, gap, CPTP checks) reads this U_T.
+    is propagated: each level is propagated once.  The powers and the
+    extrapolations are taken in the generator's own coordinates (real
+    Hermitian ones for the full drive, where Z is its own +-1 diagonal);
+    only the period's sub-stack (64 S_2n[::2] - S_n) / 63 on the n-step
+    grid is mapped back to the vec basis and filled from, so N >= q
+    MIN_STEPS is the stack's grid and the finest level takes 2N steps per
+    period.  The step cap bounds N, checked before each level.  Every U_T
+    consumer (steady state, gap, CPTP checks) reads this U_T.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
@@ -196,28 +200,35 @@ def accurate_plan(g: Generator, period: float,
         return plan, 0.0, resolve(g, plan)
     r, z = _repeats(g, period)
     plan = replace(plan, repeats=r, signs=tuple(z))
+    z = g._own_gauge(z)[:, None]
 
-    def level(steps: int, stack: bool = True) -> tuple:
-        sub = propagate(g, 0.0, period / r, steps, return_intermediate=stack)
-        return np.linalg.matrix_power(z[:, None] * (sub[-1] if stack
-                                                    else sub), r), sub
+    def levels(*grids: tuple[int, bool]) -> list:
+        """(Z U_tau)^r of each (steps, stack) grid, with its stack."""
+        out = []
+        for sub, (_, stack) in zip(
+                _propagate_grids(g, 0.0, period / r, grids), grids):
+            u = np.linalg.matrix_power(z * (sub[-1] if stack else sub), r)
+            out.append((u, sub) if stack else u)
+        return out
 
     def extrapolate(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
         return (64.0 * fine - coarse) / 63.0
 
     n = plan.steps_per_period // r
-    coarse, mid, hi = level(n // 2, stack=False)[0], level(n), level(2 * n)
+    coarse, mid, hi = levels((n // 2, False), (n, True), (2 * n, True))
     while True:
         delta = extrapolate(hi[0], mid[0]) - extrapolate(mid[0], coarse)
-        error = float(np.max(np.abs(delta))) / 255.0
+        error = float(np.max(np.abs(g._vec_coordinates(delta)))) / 255.0
         if not math.isfinite(error):
             raise FloatingPointError(
                 f"U_T is not finite at {plan.steps_per_period} steps")
         if error <= STEP_ERROR_TARGET:
             break
         plan = replace(plan, steps_per_period=2 * plan.steps_per_period)
-        coarse, mid, hi = mid[0], hi, level(2 * plan.steps_per_period // r)
-    return plan, error, resolve(g, plan, extrapolate(hi[1][::2], mid[1]))
+        coarse, mid, (hi,) = mid[0], hi, levels(
+            (2 * plan.steps_per_period // r, True))
+    sub = g._vec_coordinates(extrapolate(hi[1][::2], mid[1]))
+    return plan, error, resolve(g, plan, sub)
 
 
 def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,

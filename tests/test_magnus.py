@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from lamsim.linalg import expm, frobenius_norm
 from lamsim.magnus import (_NODES4, _NODES6, _STEPPERS, CHUNK_STEPS,
                            Generator, MagnusOrder, _exponent4, _exponent6,
-                           _probe_fractions, _running_products, propagate,
-                           step, step4, step6)
+                           _probe_fractions, _propagate_grids,
+                           _running_products, propagate, step, step4, step6)
 from lamsim.model import (LambdaParams, closed_generator, lindbladian,
                           liouville_generator, preset)
-from lamsim.periodic import commensurate_period
+from lamsim.periodic import MIN_STEPS, _repeats, commensurate_period
 
 from conftest import expm_eig, h_rwf, random_complex_matrix
 
@@ -245,8 +245,9 @@ class TestBlockedProduct:
         unitaries = expm(0.1j * (h + np.conj(np.swapaxes(h, -1, -2))))
         u, steps = unitaries[0], unitaries[1:]
         padded = _running_products(
-            np.concatenate([steps, np.eye(9)[None]]), u)[:n]
-        assert np.array_equal(_running_products(steps.copy(), u), padded)
+            [np.concatenate([steps, np.eye(9)[None]])], [u])[0][:n]
+        assert np.array_equal(_running_products([steps.copy()], [u])[0],
+                              padded)
 
     @pytest.mark.parametrize("n", [1, 31, 33, CHUNK_STEPS + 7])
     def test_matches_sequential_product(self, rng, n):
@@ -254,13 +255,66 @@ class TestBlockedProduct:
         h = np.array([random_complex_matrix(rng, 9) for _ in range(n + 1)])
         unitaries = expm(0.1j * (h + np.conj(np.swapaxes(h, -1, -2))))
         u, steps = unitaries[0], unitaries[1:]
-        out = _running_products(steps, u)
+        out, = _running_products([steps], [u])
         assert out.shape == (n, 9, 9)
         worst = 0.0
         for s, blocked in zip(steps, out):
             u = s @ u
             worst = max(worst, float(np.max(np.abs(blocked - u))))
         assert worst <= 1e-13
+
+
+    def test_one_scan_matches_each_chunk_alone(self, rng):
+        # chunks of whole and of part blocks, each from its own entry
+        h = np.array([random_complex_matrix(rng, 9) for _ in range(131)])
+        unitaries = expm(0.1j * (h + np.conj(np.swapaxes(h, -1, -2))))
+        entries = list(unitaries[:3])
+        chunks = [unitaries[3:35], unitaries[35:36], unitaries[36:]]
+        together = _running_products([c.copy() for c in chunks], entries)
+        for chunk, u, got in zip(chunks, entries, together):
+            assert np.array_equal(got, _running_products([chunk.copy()],
+                                                         [u])[0])
+
+
+class TestPropagateGrids:
+    """_propagate_grids propagates several grids over one interval in one
+    batched pass; each grid gets the bits of propagating it alone, in the
+    generator's own coordinates, and with vec those of propagate."""
+
+    @pytest.mark.parametrize("case, delta_omega_p", [
+        ("A-II", 0.0), ("B-II", 0.0), ("C-II", 0.0), ("C-II", 0.05)])
+    def test_ladder_matches_each_level_alone(self, case, delta_omega_p):
+        # accurate_plan's first three levels over tau = T/r at the floor:
+        # one batch of 32 + 64 + 128 steps at q = 1, single chunks at q = 20
+        p = preset(case, delta_omega_p=delta_omega_p)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        g = liouville_generator(p)
+        r, _ = _repeats(g, period)
+        n = MIN_STEPS * round(period / (2.0 * np.pi)) // r
+        grids = [(n // 2, False), (n, True), (2 * n, True)]
+        self._assert_each_alone(g, period / r, grids, MagnusOrder.ORDER6)
+
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    @pytest.mark.parametrize("build", [closed_generator, liouville_generator])
+    def test_merged_chunks_match_each_grid_alone(self, build, order):
+        # chunks 100 | 1024 | 476 + 300 + 7: a grid's last chunk shares a
+        # batch with the next grids
+        g = build(preset("C-II"))
+        grids = [(100, True), (CHUNK_STEPS + 476, True), (300, False),
+                 (7, True)]
+        self._assert_each_alone(g, 1.5, grids, order, t0=0.25)
+
+    @staticmethod
+    def _assert_each_alone(g, t1, grids, order, t0=0.0):
+        batched = _propagate_grids(g, t0, t1, grids, order)
+        for got, grid in zip(batched, grids):
+            assert got.dtype == (complex if g._real is None else float)
+            assert np.array_equal(got, _propagate_grids(g, t0, t1, [grid],
+                                                         order)[0])
+        for got, (steps, stack) in zip(
+                _propagate_grids(g, t0, t1, grids, order, vec=True), grids):
+            assert np.array_equal(got, propagate(
+                g, t0, t1, steps, order=order, return_intermediate=stack))
 
 
 class TestFrameRoute:

@@ -197,23 +197,27 @@ class TestRepeats:
 class TestAccuratePlan:
     @staticmethod
     def _fake_propagate(monkeypatch, scale, power):
-        """Route periodic.propagate to a 1x1 'U' of error scale h^power, h
-        the step, whose stack grows linearly to it, and return the list
-        of step counts it is asked for and the list of those asked for
-        with intermediates (the stacks)."""
+        """Route periodic._propagate_grids to a 1x1 'U' per grid of error
+        scale h^power, h the step, whose stack grows linearly to it, and
+        return the list of step counts it is asked for, level by level,
+        and the list of those asked for with intermediates (the
+        stacks)."""
         calls, stacked = [], []
 
-        def fake(g, t0, t1, steps, order=MagnusOrder.ORDER6,
-                 return_intermediate=False):
-            calls.append(steps)
-            error = scale * ((t1 - t0) / steps) ** power
-            if not return_intermediate:
-                return np.array([[1.0 + error]])
-            stacked.append(steps)
-            return 1.0 + error * np.linspace(0.0, 1.0, steps + 1)[:, None,
-                                                                    None]
+        def fake(g, t0, t1, grids, order=MagnusOrder.ORDER6, vec=False):
+            out = []
+            for steps, stack in grids:
+                calls.append(steps)
+                error = scale * ((t1 - t0) / steps) ** power
+                if not stack:
+                    out.append(np.array([[1.0 + error]]))
+                    continue
+                stacked.append(steps)
+                out.append(1.0 + error * np.linspace(
+                    0.0, 1.0, steps + 1)[:, None, None])
+            return out
 
-        monkeypatch.setattr(periodic, "propagate", fake)
+        monkeypatch.setattr(periodic, "_propagate_grids", fake)
         return calls, stacked
 
     @staticmethod
@@ -357,13 +361,15 @@ class TestAccuratePlan:
         # The cap bounds the plan's stack grid N, checked before each
         # level: the finest level propagates at most 2N steps per period.
         calls, _ = self._fake_propagate(monkeypatch, 1e3, power)
-        real = periodic.propagate
+        real = periodic._propagate_grids
 
-        def capped(g, t0, t1, steps, **kwargs):
-            assert steps <= 2 * cap, f"{steps} steps propagated past 2 cap"
-            return real(g, t0, t1, steps, **kwargs)
+        def capped(g, t0, t1, grids, **kwargs):
+            for steps, _ in grids:
+                assert steps <= 2 * cap, \
+                    f"{steps} steps propagated past 2 cap"
+            return real(g, t0, t1, grids, **kwargs)
 
-        monkeypatch.setattr(periodic, "propagate", capped)
+        monkeypatch.setattr(periodic, "_propagate_grids", capped)
         monkeypatch.setattr(periodic, "MAX_PLAN_STEPS", cap)
         try:
             plan, _, _ = accurate_plan(cos_drive(), 2.0 * np.pi)

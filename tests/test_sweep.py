@@ -427,18 +427,18 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
     # exponents' 1-norms reach 1.67 (C-II at 32 steps over T/4), inside
     # expm's solve-free Taylor tiers.
     counts, solved_at, resolved = [], [], []
-    real_propagate, real_solve = periodic.propagate, np.linalg.solve
+    real_propagate, real_solve = periodic._propagate_grids, np.linalg.solve
 
-    def counting(g, t0, t1, steps, **kwargs):
-        counts.append(steps)
-        return real_propagate(g, t0, t1, steps, **kwargs)
+    def counting(g, t0, t1, grids, **kwargs):
+        counts.extend(steps for steps, _ in grids)
+        return real_propagate(g, t0, t1, grids, **kwargs)
 
     def solve(a, b):
         if a.ndim == 3:  # a batched solve, on a stack of steps
             solved_at.append(counts[-1])
         return real_solve(a, b)
 
-    monkeypatch.setattr(periodic, "propagate", counting)
+    monkeypatch.setattr(periodic, "_propagate_grids", counting)
     monkeypatch.setattr(np.linalg, "solve", solve)
     capture_one_period(monkeypatch, after=lambda seen: resolved.append(
         seen["plan"].steps_per_period))
