@@ -214,25 +214,18 @@ def _signs(p: LambdaParams, shift: float) -> np.ndarray:
 
 
 @functools.cache
-def _drive_ops(rwa: bool) -> np.ndarray:
-    """The (K, 3, 3) drive operators of _drive, read-only: the symmetric
-    couplings of the full drive, or the raising and lowering parts of the
-    RWA drive."""
+def _drive_ops(rwa: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, 3, 3) drive operators of _drive (the full drive's symmetric
+    couplings, or the RWA drive's raising and lowering parts) and -1j
+    times their commutator superoperators, read-only, built on first
+    use."""
     if rwa:
         ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
     else:
         ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
-    ops.flags.writeable = False
-    return ops
-
-
-@functools.cache
-def _lifted_drive_ops(rwa: bool) -> np.ndarray:
-    """-1j times the commutator superoperators of _drive_ops(rwa),
-    read-only, built on first use."""
-    terms = -1j * _comm_super(_drive_ops(rwa))
-    terms.flags.writeable = False
-    return terms
+    lifted = -1j * _comm_super(ops)
+    ops.flags.writeable = lifted.flags.writeable = False
+    return ops, lifted
 
 
 def _drive(p: LambdaParams, rwa: bool):
@@ -248,7 +241,7 @@ def _drive(p: LambdaParams, rwa: bool):
     """
     rabi = np.array([p.rabi_p, p.rabi_c])
     omega = np.array([p.omega_p, p.omega_c])
-    ops = _drive_ops(rwa)
+    ops = _drive_ops(rwa)[0]
     if not rwa:
         frame = None
 
@@ -293,5 +286,5 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
         a0 = a0 + lindbladian(p)
     if frame is not None:
         frame = np.subtract.outer(frame, frame).reshape(LDIM)
-    return Generator(a0, _lifted_drive_ops(rwa), coefficients, frame,
+    return Generator(a0, _drive_ops(rwa)[1], coefficients, frame,
                      lambda shift: np.outer(*2 * [_signs(p, shift)]).ravel())

@@ -421,7 +421,7 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
 def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
     # 224 Magnus steps: a shift by T/4 = pi/2 acts as the sign gauge
     # Z = diag(-1, 1, 1), so the ladder takes U_T as (Z U_{T/4})^4 at 128,
-    # 256 and 512 steps (propagating 32, 64 and 128 over T/4), its
+    # 256 and 512 steps (32, 64 and 128 over T/4, in one batched pass), its
     # estimate holds at the floor, and the 256-step stack is resolved once
     # from the extrapolated sub-stack.  No count takes a linear solve: the
     # exponents' 1-norms reach 1.67 (C-II at 32 steps over T/4), inside
