@@ -210,11 +210,9 @@ class Generator(_Tables):
         return out.reshape(r.shape)
 
     def _own_gauge(self, z: np.ndarray) -> np.ndarray:
-        """A sign gauge's +-1 diagonal z, given in the vec basis, in the
-        generator's own coordinates: z itself on the complex route, else
-        the diagonal of S^-1 diag(z) S, which is all of it, exactly, when
-        z[i n + j] = z[j n + i] (any lifted gauge Z (x) Z); ValueError for
-        any other z."""
+        """A sign gauge diag(z) in the vec basis as a +-1 diagonal in the
+        generator's own coordinates: z, or the exact diagonal of S^-1
+        diag(z) S, which is all of it when z[i n + j] = z[j n + i]."""
         if self._real is None:
             return z
         n = math.isqrt(self.dim)
@@ -354,20 +352,15 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
 def _propagate_grids(g: Generator, t0: float, t1: float, grids,
                      order: MagnusOrder = MagnusOrder.ORDER6,
                      vec: bool = False) -> list:
-    """Uniform Magnus steps over [t0, t1] on several grids at once, for a
-    generator without a frame: for each (steps, stack) in grids, the
-    propagator over [t0, t1], or with stack the (steps + 1, d, d) array of
-    cumulative propagators, in the generator's own coordinates (its real
-    or complex tables), or with vec mapped back to the vec basis chunk by
-    chunk.
-
-    Each grid is cut into chunks of CHUNK_STEPS steps, as propagate cuts
-    it, and consecutive chunks share a batch while it stays within
-    CHUNK_STEPS steps.  A batch takes one exponent evaluation, with dt
-    given per step, one expm call per chunk, so that each grid keeps the
-    Taylor tier and the bits it gets alone, and one running-product scan,
-    each chunk entered from its grid's product so far.
-    """
+    """For each (steps, stack) of grids, uniform Magnus steps over [t0,
+    t1] of a generator without a frame: the propagator, or with stack the
+    (steps + 1, d, d) cumulative propagators, in the generator's own
+    coordinates, or with vec mapped back to the vec basis chunk by chunk.
+    Each grid is cut into chunks of CHUNK_STEPS steps, and consecutive
+    chunks share a batch while it stays within CHUNK_STEPS steps: one
+    exponent evaluation, dt given per step, one expm call per chunk (so a
+    grid keeps the Taylor tier and bits it gets alone) and one running-
+    product scan, each chunk entered from its grid's product so far."""
     tables = g if g._real is None else g._real
     store = g._vec_coordinates if vec else (lambda r: r)
     d = g.dim
@@ -392,9 +385,11 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
         dt = np.concatenate([np.full(b - a, dt) for _, a, b, dt in batch])
         exponents = _EXPONENTS[order](tables, t, dt[:, None])
         edges = np.cumsum([0] + [b - a for _, a, b, _ in batch])
-        products = _running_products(
-            [expm(exponents[lo:hi]) for lo, hi in zip(edges, edges[1:])],
-            [maps[i] for i, _, _, _ in batch])
+        step_maps = [expm(exponents[lo:hi])
+                     for lo, hi in zip(edges, edges[1:])]
+        del exponents  # freed before the products, as in step4 and step6
+        products = _running_products(step_maps,
+                                     [maps[i] for i, _, _, _ in batch])
         for (i, a, b, _), chunk in zip(batch, products):
             maps[i] = chunk[-1]
             if stacks[i] is not None:

@@ -169,12 +169,10 @@ def _channels() -> np.ndarray:
     / 2 of the jump operators, in jump_operators' order, read-only: they
     carry no parameter, so they are built once, on first use."""
     ident = np.eye(DIM)
-    out = []
-    for op in (_op(i, j) for i, j in _JUMPS):
-        ldl = op.conj().T @ op
-        out.append(kron(op, op.conj())
-                   - 0.5 * (kron(ldl, ident) + kron(ident, ldl.T)))
-    out = np.array(out)
+    ops = np.array([_op(i, j) for i, j in _JUMPS])
+    ldl = np.conj(np.swapaxes(ops, -1, -2)) @ ops
+    out = kron(ops, ops.conj()) - 0.5 * (
+        kron(ldl, ident) + kron(ident, np.swapaxes(ldl, -1, -2)))
     out.flags.writeable = False
     return out
 

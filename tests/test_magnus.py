@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim.linalg import expm, frobenius_norm
+from lamsim.linalg import expm, frobenius_norm, hermitian_coordinates
 from lamsim.magnus import (_NODES4, _NODES6, _STEPPERS, CHUNK_STEPS,
                            Generator, MagnusOrder, _exponent4, _exponent6,
                            _probe_fractions, _propagate_grids,
@@ -459,6 +459,20 @@ class TestRealCoordinates:
         rho = (h + h.conj().T) / 2.0
         out = (u_t @ rho.reshape(9)).reshape(3, 3)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-15
+
+    def test_lifted_sign_gauge_is_diagonal_in_own_coordinates(self):
+        g = liouville_generator(preset("A-II"))
+        s, s_inv = hermitian_coordinates(3)
+        z = np.kron([-1.0, 1.0, -1.0], [-1.0, 1.0, -1.0])
+        own = g._own_gauge(z)
+        assert own.dtype == float and set(own) == {-1.0, 1.0}
+        assert np.array_equal(s_inv @ np.diag(z) @ s, np.diag(own))
+        asymmetric = np.ones(9)
+        asymmetric[1] = -1.0  # E_12 flips, E_21 does not
+        with pytest.raises(ValueError, match="Hermitian"):
+            g._own_gauge(asymmetric)
+        rwa = liouville_generator(preset("A-II"), rwa=True)
+        assert rwa._own_gauge(asymmetric) is asymmetric
 
     def test_random_complex_generator_takes_complex_route(self, rng):
         assert Generator(random_complex_matrix(rng, 9))._real is None
