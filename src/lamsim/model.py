@@ -135,16 +135,13 @@ def rwf_phases(p: LambdaParams, times) -> np.ndarray:
 _JUMPS = ((1, 2), (2, 1), (3, 2), (2, 3))
 
 
-def _rates(p: LambdaParams) -> tuple[float, ...]:
-    return (p.gamma_12 * (p.nbar_12 + 1.0), p.gamma_12 * p.nbar_12,
-            p.gamma_23 * (p.nbar_23 + 1.0), p.gamma_23 * p.nbar_23)
-
-
 def jump_operators(p: LambdaParams) -> list[tuple[np.ndarray, float]]:
     """The four (operator, rate) dissipation channels: stimulated plus
     spontaneous decay |2>->|1| and |2>->|3>, and their bath-driven
     reverses."""
-    return [(_op(i, j), rate) for (i, j), rate in zip(_JUMPS, _rates(p))]
+    rates = (p.gamma_12 * (p.nbar_12 + 1.0), p.gamma_12 * p.nbar_12,
+             p.gamma_23 * (p.nbar_23 + 1.0), p.gamma_23 * p.nbar_23)
+    return [(_op(i, j), rate) for (i, j), rate in zip(_JUMPS, rates)]
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -181,7 +178,7 @@ def lindbladian(p: LambdaParams) -> np.ndarray:
     """Time-independent dissipative superoperator (9x9):
     sum_k c_k (L ox L* - (L^dag L ox I + I ox L^T L*) / 2)."""
     d = np.zeros((LDIM, LDIM), dtype=complex)
-    for channel, rate in zip(_channels(), _rates(p)):
+    for channel, (_, rate) in zip(_channels(), jump_operators(p)):
         if rate != 0.0:
             d += rate * channel
     return d
