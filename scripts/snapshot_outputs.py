@@ -9,8 +9,9 @@ check between two checkouts:
 both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 (q = 20), every float as exact hex.  Each CLI run below writes its CSV to
 ``<name>.csv`` and its exit code and stderr to ``<name>.status``; the
-``_3T`` runs span three periods, so they cover the rows that each period
-takes over from the one before.  ``criteria.txt`` holds the 18
+``_3T`` and ``_8T`` runs span several periods, so they cover the rows
+that each period takes over from the one before, and the B-II runs a
+horizon of 2.5, a span shorter than T.  ``criteria.txt`` holds the 18
 ``[criterion ...]`` lines that ``tests/test_acceptance.py`` prints, without
 their timings; the run's exit code is not kept, as the documented
 acceptance failures make it 1, but any other (a collection error, an
@@ -61,8 +62,12 @@ RUNS = {
                               "--drive", "full"],
     "propagate_A-II_rwf_3T": ["propagate", "--case", "A-II", "--periods",
                               "3", "--frame", "rwf"],
+    "propagate_A-I_rwa_8T": ["propagate", "--case", "A-I", "--periods", "8",
+                             "--drive", "rwa"],
     "propagate_B-II_lab": ["propagate", "--case", "B-II", "--horizon", "2.5",
                            "--frame", "lab"],
+    "propagate_B-II_rwf": ["propagate", "--case", "B-II", "--horizon", "2.5",
+                           "--frame", "rwf"],
     "propagate_C-I_order4": ["propagate", "--case", "C-I", "--order", "4"],
     "gap_A-II": ["gap", "--case", "A-II"],
     "gap_C-II_q20": ["gap", "--case", "C-II", "--delta-omega-p", "0.05"],

@@ -42,11 +42,18 @@ Hermitian operators, so in the Hermitian coordinates S of
 ``linalg.hermitian_coordinates`` (the coherence-vector form; Alicki &
 Lendi, Lect. Notes Phys. 717 (2007)) its samples, Magnus exponents, step
 exponentials and their products are all real when its drive coefficients
-are.  A generator without a frame finds that route itself: when every
-S^-1 E S is real, ``step`` and ``propagate`` run the same steps on float64
-stacks in those coordinates and map the results back, S R S^-1, to the
-complex basis every interface uses; ``_propagate_grids`` leaves them in
-those coordinates for its caller to combine first.
+are.  Any other d x d generator with real drive coefficients, such as the
+closed (3 x 3) full drive, is real in its realification
+[[Re E, -Im E], [Im E, Re E]], 2d x 2d, which maps sums, products and
+exponentials of complex matrices to theirs (numpy multiplies real 6 x 6
+stacks several times faster than complex 3 x 3 ones).  A generator
+without a frame finds its route itself: Hermitian coordinates when every
+S^-1 E S is real, else the realification.  ``step`` and ``propagate`` run
+the same steps on float64 stacks in those coordinates and map the results
+back, S R S^-1 or R[:d, :d] + i R[d:, :d], to the complex basis every
+interface uses; ``_propagate_grids`` leaves them in those coordinates for
+its caller to combine first.  Only complex drive coefficients keep the
+complex tables.
 """
 
 from __future__ import annotations
@@ -144,11 +151,12 @@ class Generator(_Tables):
     (a constant generator).  ``frame``, if given, is the real rate vector
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
     generator is constant; it is checked (ValueError) and decides the
-    route.  Else a generator of dimension n^2 (n >= 2) with real drive
-    coefficients whose basis rows E are real in Hermitian coordinates
-    (S^-1 E S, to _CLAIM_TOL) keeps those tables as ``_real`` (see the
-    module docstring); any other runs complex.  ``gauge`` maps a time shift
-    s to the +-1 diagonal of a sign gauge Z that s may act as,
+    route.  Else a generator with real drive coefficients keeps real
+    tables as ``_real`` (see the module docstring): those of S^-1 E S if
+    it has dimension n^2 (n >= 2) and its basis rows E are real in
+    Hermitian coordinates (to _CLAIM_TOL), else those of the 2d x 2d
+    realification of E; complex coefficients run complex.  ``gauge`` maps
+    a time shift s to the +-1 diagonal of a sign gauge Z that s may act as,
     A(t + s) = Z A(t) Z, which periodic checks before use (default I).
     Shapes are checked here.
     """
@@ -187,23 +195,36 @@ class Generator(_Tables):
                     f"defect {bad[0]:.3e} at t={bad[1]:.6f}")
         self.gauge = gauge or (lambda shift: np.ones(len(a0)))
         self._real = None
-        n = math.isqrt(self.dim)
-        if self.frame is None and n >= 2 and n * n == self.dim \
-                and not np.iscomplexobj(probe):
-            s, s_inv = hermitian_coordinates(n)
-            basis = s_inv @ self._rows.reshape((-1,) + a0.shape) @ s
-            defect = np.max(np.abs(basis.imag), axis=(-2, -1))
-            scale = np.maximum(1.0, np.max(np.abs(basis), axis=(-2, -1)))
-            if np.all(defect <= _CLAIM_TOL * scale):
-                self._real = _Tables(basis.real.copy(), coefficients)
+        if self.frame is None and not np.iscomplexobj(probe):
+            basis = self._rows.reshape((-1,) + a0.shape)
+            n = math.isqrt(self.dim)
+            if n >= 2 and n * n == self.dim:
+                s, s_inv = hermitian_coordinates(n)
+                own = s_inv @ basis @ s
+                defect = np.max(np.abs(own.imag), axis=(-2, -1))
+                scale = np.maximum(1.0, np.max(np.abs(own), axis=(-2, -1)))
+                if np.all(defect <= _CLAIM_TOL * scale):
+                    self._real = _Tables(own.real.copy(), coefficients)
+            if self._real is None:
+                self._real = _Tables(np.block([[basis.real, -basis.imag],
+                                               [basis.imag, basis.real]]),
+                                     coefficients)
 
     def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
-        """S r S^-1 for a stack of propagators r in the Hermitian
-        coordinates, as a complex stack; r itself on the complex route."""
+        """A stack of propagators r in the generator's own coordinates as a
+        complex stack in the vec basis: S r S^-1 from Hermitian ones,
+        r[:d, :d] + i r[d:, :d] from the realification, r itself on the
+        complex route."""
         if self._real is None:
             return r
-        to_vec = _from_hermitian(math.isqrt(self.dim))
-        flat = r.reshape(-1, self.dim ** 2)
+        d = self.dim
+        if self._real.dim > d:
+            out = np.empty(r.shape[:-2] + (d, d), dtype=complex)
+            out.real = r[..., :d, :d]
+            out.imag = r[..., d:, :d]
+            return out
+        to_vec = _from_hermitian(math.isqrt(d))
+        flat = r.reshape(-1, d * d)
         out = np.empty(flat.shape, dtype=complex)
         out.real = flat @ to_vec[0]
         out.imag = flat @ to_vec[1]
@@ -211,10 +232,13 @@ class Generator(_Tables):
 
     def _own_gauge(self, z: np.ndarray) -> np.ndarray:
         """A sign gauge diag(z) in the vec basis as a +-1 diagonal in the
-        generator's own coordinates: z, or the exact diagonal of S^-1
-        diag(z) S, which is all of it when z[i n + j] = z[j n + i]."""
+        generator's own coordinates: z, (z, z) in the realification, or the
+        exact diagonal of S^-1 diag(z) S, which is all of it when
+        z[i n + j] = z[j n + i]."""
         if self._real is None:
             return z
+        if self._real.dim > self.dim:
+            return np.concatenate([z, z])
         n = math.isqrt(self.dim)
         if not np.array_equal(z.reshape(n, n), z.reshape(n, n).T):
             raise ValueError(f"sign gauge {z} is not diagonal in Hermitian "
@@ -363,8 +387,8 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
     product scan, each chunk entered from its grid's product so far."""
     tables = g if g._real is None else g._real
     store = g._vec_coordinates if vec else (lambda r: r)
-    d = g.dim
-    maps = [np.eye(d, dtype=tables._rows.dtype)] * len(grids)
+    d = g.dim if vec else tables.dim
+    maps = [np.eye(tables.dim, dtype=tables._rows.dtype)] * len(grids)
     stacks = [None] * len(grids)
     batches, size = [[]], 0
     for i, (steps, stack) in enumerate(grids):

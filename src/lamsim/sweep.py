@@ -63,6 +63,15 @@ def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
     return _rwf_factors(p, times) * states
 
 
+def _frame_rows(p: LambdaParams, times, open_system: bool) -> np.ndarray:
+    """The rotating frame as factors on the rows of a propagator, at each
+    time: conj w on a closed system's amplitudes (W^dag psi), conj(w_i) w_j
+    on an open one's vec index (to_rwf's factors)."""
+    if open_system:
+        return _rwf_factors(p, times).reshape(np.shape(times) + (LDIM,))
+    return np.conj(rwf_phases(p, times))
+
+
 def run_case(p: LambdaParams, horizon: float,
              order: MagnusOrder = MagnusOrder.ORDER6,
              drive: str = "full", frame: str = "lab",
@@ -77,8 +86,13 @@ def run_case(p: LambdaParams, horizon: float,
     the span's propagators applied to it, ROW_BLOCK rows at a time, written
     in the requested frame into one preallocated state stack, so no
     multi-period propagator stack and no second full-length array is
-    held.  A horizon that is negative or NaN, or of more than MAX_ROWS grid
-    times, raises ValueError before anything is propagated.
+    held.  The rotating frame is folded into the span, as its factors
+    multiply across shifts, F(j span + s) = F(j span) F(s): each row of
+    the span's stack takes F(s) in place, a block at a time, a copy of
+    the lab-frame span map carries the state, and a block of span j is
+    one product with it and one multiply by the constant F(j span).  A
+    horizon that is negative or NaN, or of more than MAX_ROWS grid times,
+    raises ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -107,6 +121,13 @@ def run_case(p: LambdaParams, horizon: float,
     micro = propagate(g, 0.0, span, n_steps, order=order,
                       return_intermediate=True)
     grid = np.linspace(0.0, span, n_steps + 1)
+    carry = micro[-1]
+    if frame == "rwf":
+        # fold the frame into the span: F(j span + s) = F(j span) F(s)
+        carry = carry.copy()  # the lab-frame span map
+        for a in range(0, len(micro), ROW_BLOCK):
+            micro[a:a + ROW_BLOCK] *= _frame_rows(
+                p, grid[a:a + ROW_BLOCK], open_system)[:, :, None]
     # A span shorter than T is repeated once: its second block is the
     # row at t = h, micro[0] @ U(h).
     # Rows taken from each span: a whole span's endpoint duplicates the
@@ -121,19 +142,21 @@ def run_case(p: LambdaParams, horizon: float,
     row = 0
     for j, m in enumerate(counts):
         times[row:row + m] = grid[:m] + j * span
+        shift = _frame_rows(p, j * span, open_system) \
+            if frame == "rwf" else None  # F(j span)
         for a in range(0, m, ROW_BLOCK):
             b = min(a + ROW_BLOCK, m)
             col = micro[a:b] @ v
+            if shift is not None:
+                col *= shift
             block = states[row + a:row + b]
             if open_system:
                 block[...] = col.reshape(-1, 3, 3)
             else:
                 np.multiply(col[:, :, None], np.conj(col)[:, None, :],
                             out=block)
-            if frame == "rwf":
-                block[...] = to_rwf(block, p, times[row + a:row + b])
         row += m
-        v = micro[-1] @ v
+        v = carry @ v
     return Trajectory(times=times, states=states, frame=frame)
 
 

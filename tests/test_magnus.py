@@ -145,23 +145,28 @@ class TestSetUpWork:
     @pytest.mark.parametrize("rwa", [False, True])
     def test_commutator_table_is_built_on_first_magnus_use(self, rwa):
         # the frame route reads no table; a generator on the real route
-        # reads only the real copy's, in step as in propagate; a complex one
-        # builds its own on its first step
+        # (Hermitian coordinates, or the closed drive's realification)
+        # reads only the real copy's, in step as in propagate; a complex
+        # one builds its own on its first step
         lazy = {"_pairs", "_table"}
-        g = liouville_generator(preset("A-II"), rwa=rwa)
-        assert not lazy & vars(g).keys()
-        propagate(g, 0.0, np.pi, 8)
-        assert not lazy & vars(g).keys()
-        assert rwa == (g._real is None)
-        if not rwa:
-            assert lazy <= vars(g._real).keys()
-            for order in MagnusOrder:
-                step(g, 0.25, 0.125, order)
+        for g in (liouville_generator(preset("A-II"), rwa=rwa),
+                  closed_generator(preset("A-II"), rwa=rwa)):
             assert not lazy & vars(g).keys()
+            propagate(g, 0.0, np.pi, 8)
+            assert not lazy & vars(g).keys()
+            assert rwa == (g._real is None)
+            if not rwa:
+                assert lazy <= vars(g._real).keys()
+                for order in MagnusOrder:
+                    step(g, 0.25, 0.125, order)
+                assert not lazy & vars(g).keys()
         closed = closed_generator(preset("A-II"))
-        assert not lazy & vars(closed).keys()
-        propagate(closed, 0.0, np.pi, 8)
-        assert lazy <= vars(closed).keys()
+        complex_drive = Generator(
+            closed.a0, closed.terms,
+            lambda t: np.exp(1j * t)[..., None] * np.ones(2))
+        assert not lazy & vars(complex_drive).keys()
+        propagate(complex_drive, 0.0, np.pi, 8)
+        assert lazy <= vars(complex_drive).keys()
 
     @pytest.mark.parametrize("span", [2.0 * np.pi, np.pi, 0.7, 4000.0 * np.pi])
     def test_probe_times_are_the_seeded_uniform_draws(self, span):
@@ -402,8 +407,10 @@ class TestFrameRoute:
 class TestRealCoordinates:
     """The full-drive Liouville generator is real in Hermitian coordinates
     and finds that route itself: step and propagate run its Magnus steps on
-    real stacks; results stay in the complex vec basis.  Any generator that
-    is not real there builds and takes the complex route."""
+    real stacks; results stay in the complex vec basis.  Any other
+    generator with real drive coefficients and no frame, such as the
+    closed full drive, takes its realification [[Re E, -Im E], [Im E,
+    Re E]]; one with complex coefficients takes the complex route."""
 
     @pytest.mark.parametrize("order", list(MagnusOrder))
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
@@ -430,16 +437,20 @@ class TestRealCoordinates:
 
     def test_declared_only_without_a_frame(self):
         # the real route: full-drive Liouville generators, dissipative or
-        # not; the complex route: RWA (frame) and 3x3 closed generators
+        # not, in Hermitian coordinates, and the 3x3 closed full drive in
+        # its 6x6 realification; the frame route: both RWA generators
         for name in ("C-II", "A-I"):
             p = preset(name)
             for dissipative in (False, True):
                 g = liouville_generator(p, dissipative=dissipative)
                 assert g._real is not None
                 assert g._real._rows.dtype == float
+                assert g._real.dim == g.dim
+            closed = closed_generator(p)
+            assert closed._real._rows.dtype == float
+            assert closed._real.dim == 2 * closed.dim
             assert liouville_generator(p, rwa=True)._real is None
-            for rwa in (False, True):
-                assert closed_generator(p, rwa)._real is None
+            assert closed_generator(p, rwa=True)._real is None
 
     @pytest.mark.parametrize("order", list(MagnusOrder))
     @pytest.mark.parametrize("build", [
@@ -474,8 +485,46 @@ class TestRealCoordinates:
         rwa = liouville_generator(preset("A-II"), rwa=True)
         assert rwa._own_gauge(asymmetric) is asymmetric
 
-    def test_random_complex_generator_takes_complex_route(self, rng):
-        assert Generator(random_complex_matrix(rng, 9))._real is None
+    @pytest.mark.parametrize("steps", [1, 7, CHUNK_STEPS + 7, 2100])
+    @pytest.mark.parametrize("order", list(MagnusOrder))
+    @pytest.mark.parametrize("case", ["A-I", "B-I", "C-I"])
+    def test_closed_drive_equals_product_of_complex_steps(self, case, order,
+                                                          steps):
+        # The closed full drive runs in its realification, whose steps are
+        # the realified complex steps: one chunk, two and a part, three.
+        g = closed_generator(preset(case))
+        assert g._real.dim == 2 * g.dim
+        t1 = 1.3
+        dt = t1 / steps
+        complex_steps = _STEPPERS[order](g, np.arange(steps) * dt, dt)
+        want = np.empty((steps + 1, g.dim, g.dim), dtype=complex)
+        want[0] = np.eye(g.dim)
+        for k, u in enumerate(complex_steps):
+            want[k + 1] = u @ want[k]
+        cum = propagate(g, 0.0, t1, steps, order=order,
+                        return_intermediate=True)
+        assert cum.dtype == complex and cum.shape == want.shape
+        assert np.array_equal(cum[0], np.eye(g.dim))
+        assert np.max(np.abs(cum - want)) <= 1e-13
+        whole = propagate(g, 0.0, t1, steps, order=order)
+        assert whole.dtype == complex
+        assert np.max(np.abs(whole - want[-1])) <= 1e-13
+        defect = np.conj(np.swapaxes(cum, -1, -2)) @ cum - np.eye(g.dim)
+        assert np.max(np.abs(defect)) <= 1e-13
+        got = step(g, np.arange(steps) * dt, dt, order)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - complex_steps)) <= 1e-13
+        assert np.max(np.abs(step(g, 0.25, dt, order)
+                             - _STEPPERS[order](g, 0.25, dt))) <= 1e-13
+
+    def test_random_complex_generator_is_realified(self, rng):
+        # not real in Hermitian coordinates: [[Re E, -Im E], [Im E, Re E]]
+        a = random_complex_matrix(rng, 9)
+        g = Generator(a)
+        assert np.array_equal(g._real._rows.reshape(18, 18), np.block(
+            [[a.real, -a.imag], [a.imag, a.real]]))
+        assert np.array_equal(g._vec_coordinates(g._real._rows.reshape(
+            1, 18, 18)), a[None])
 
     def test_rwa_terms_without_frame_take_complex_route(self):
         g = liouville_generator(preset("C-II"), rwa=True)

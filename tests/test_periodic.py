@@ -201,20 +201,22 @@ class TestAccuratePlan:
         scale h^power, h the step, whose stack grows linearly to it, and
         return the list of step counts it is asked for, level by level,
         and the list of those asked for with intermediates (the
-        stacks)."""
+        stacks).  The 1x1 generators take the real route, whose own
+        coordinates are the 2x2 realification, (1 + e) I for U = 1 + e."""
         calls, stacked = [], []
 
         def fake(g, t0, t1, grids, order=MagnusOrder.ORDER6, vec=False):
+            own = np.eye(2)
             out = []
             for steps, stack in grids:
                 calls.append(steps)
                 error = scale * ((t1 - t0) / steps) ** power
                 if not stack:
-                    out.append(np.array([[1.0 + error]]))
+                    out.append((1.0 + error) * own)
                     continue
                 stacked.append(steps)
-                out.append(1.0 + error * np.linspace(
-                    0.0, 1.0, steps + 1)[:, None, None])
+                out.append((1.0 + error * np.linspace(
+                    0.0, 1.0, steps + 1)[:, None, None]) * own)
             return out
 
         monkeypatch.setattr(periodic, "_propagate_grids", fake)

@@ -111,7 +111,9 @@ class TestRunCase:
         # states micro[keep] @ v_j, v_j = U_T v_(j-1) from v_0 = e0 (|1>,
         # or vec|1><1|), concatenated over periods; then to_rwf over all
         # rows at once.  Blocks of 7 rows end inside every span; blocks of
-        # 1000 hold a whole span (at most 513 rows).
+        # 1000 hold a whole span (at most 513 rows).  Lab rows are exact;
+        # rwf rows take the frame folded into the span, F(j T) F(s) for
+        # F(j T + s), so they agree to the rounding of the phases.
         p = preset(case)
         rwa = drive == "rwa"
         period, _ = commensurate_period(p.omega_p, p.omega_c)
@@ -147,7 +149,26 @@ class TestRunCase:
         traj = run_case(p, horizon, drive=drive, frame=frame,
                         steps_per_period=STEPS)
         assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, want)
+        if frame == "lab":
+            assert np.array_equal(traj.states, want)
+        else:
+            assert np.max(np.abs(traj.states - want)) <= 1e-13
+
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    @pytest.mark.parametrize("case", ["A-I", "A-II", "B-II", "C-I"])
+    def test_rwf_rows_are_the_transformed_lab_rows(self, case, drive):
+        # run_case folds the frame into the span's propagators and takes
+        # F(j span) per span; the reference transforms each lab row at its
+        # own time.  Horizons below T (a span whose F(span) is not 1), of
+        # one T, and of several T, where the phases' rounding grows with t.
+        p = preset(case)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        for fraction in (0.4, 1.0, 3.4, 8.0):
+            lab = run_case(p, fraction * period, drive=drive)
+            rwf = run_case(p, fraction * period, drive=drive, frame="rwf")
+            assert np.array_equal(rwf.times, lab.times)
+            assert np.max(np.abs(
+                rwf.states - to_rwf(lab.states, p, lab.times))) <= 1e-13
 
     def test_memory_after_the_span_is_resolved(self, monkeypatch):
         # A-II over 4 periods on q * BASE_STEPS steps, in the rotating
