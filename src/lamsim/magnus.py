@@ -37,23 +37,22 @@ The co-rotating (RWA) drive has such a frame (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009): a constant generator needs no Magnus
 correction terms); the full drive does not.
 
-A Lindblad generator on n x n operators maps Hermitian operators to
-Hermitian operators, so in the Hermitian coordinates S of
+Drive coefficients are real (a complex one is written as two real ones,
+over E and iE), so every Magnus step runs on real tables.  A Lindblad
+generator on n x n operators maps Hermitian operators to Hermitian
+operators, so in the Hermitian coordinates S of
 ``linalg.hermitian_coordinates`` (the coherence-vector form; Alicki &
 Lendi, Lect. Notes Phys. 717 (2007)) its samples, Magnus exponents, step
-exponentials and their products are all real when its drive coefficients
-are.  Any other d x d generator with real drive coefficients, such as the
-closed (3 x 3) full drive, is real in its realification
-[[Re E, -Im E], [Im E, Re E]], 2d x 2d, which maps sums, products and
-exponentials of complex matrices to theirs (numpy multiplies real 6 x 6
-stacks several times faster than complex 3 x 3 ones).  A generator
-without a frame finds its route itself: Hermitian coordinates when every
-S^-1 E S is real, else the realification.  ``step`` and ``propagate`` run
-the same steps on float64 stacks in those coordinates and map the results
-back, S R S^-1 or R[:d, :d] + i R[d:, :d], to the complex basis every
-interface uses; ``_propagate_grids`` leaves them in those coordinates for
-its caller to combine first.  Only complex drive coefficients keep the
-complex tables.
+exponentials and their products are all real.  Any other d x d
+generator, such as the closed (3 x 3) drive, is real in its
+realification [[Re E, -Im E], [Im E, Re E]], 2d x 2d, which maps sums,
+products and exponentials of complex matrices to theirs (numpy
+multiplies real 6 x 6 stacks several times faster than complex 3 x 3
+ones).  ``step`` and ``propagate`` run the steps on float64 stacks in
+those coordinates and map the results back, S R S^-1 or R[:d, :d] +
+i R[d:, :d], to the complex basis every interface uses;
+``_propagate_grids`` leaves them in those coordinates for its caller to
+combine first.
 """
 
 from __future__ import annotations
@@ -151,13 +150,10 @@ class Generator(_Tables):
     (a constant generator).  ``frame``, if given, is the real rate vector
     theta of a diagonal frame Phi(t) = diag(e^{i theta t}) in which the
     generator is constant; it is checked (ValueError) and decides the
-    route.  Else a generator with real drive coefficients keeps real
-    tables as ``_real`` (see the module docstring): those of S^-1 E S if
-    it has dimension n^2 (n >= 2) and its basis rows E are real in
-    Hermitian coordinates (to _CLAIM_TOL), else those of the 2d x 2d
-    realification of E; complex coefficients run complex.  ``gauge`` maps
-    a time shift s to the +-1 diagonal of a sign gauge Z that s may act as,
-    A(t + s) = Z A(t) Z, which periodic checks before use (default I).
+    route.  The coefficients must be real; Magnus steps run on the real
+    tables ``_real``.  ``gauge`` maps a time shift s to the +-1 diagonal
+    of a sign gauge Z that s may act as, A(t + s) = Z A(t) Z, which
+    periodic checks before use (default I).
     Shapes are checked here.
     """
 
@@ -177,6 +173,9 @@ class Generator(_Tables):
         if np.shape(probe) != (2, len(terms)):
             raise ValueError(f"coefficients gave shape {np.shape(probe)} for "
                              f"2 times, expected {(2, len(terms))}")
+        if not np.isrealobj(probe):
+            raise ValueError("coefficients must be real: write a complex "
+                             "c(t) E as Re c(t) over E plus Im c(t) over iE")
         self.a0 = a0
         self.terms = terms
         super().__init__(np.concatenate([a0[None], terms]), coefficients)
@@ -194,29 +193,30 @@ class Generator(_Tables):
                     f"generator is not constant in the declared frame: "
                     f"defect {bad[0]:.3e} at t={bad[1]:.6f}")
         self.gauge = gauge or (lambda shift: np.ones(len(a0)))
-        self._real = None
-        if self.frame is None and not np.iscomplexobj(probe):
-            basis = self._rows.reshape((-1,) + a0.shape)
-            n = math.isqrt(self.dim)
-            if n >= 2 and n * n == self.dim:
-                s, s_inv = hermitian_coordinates(n)
-                own = s_inv @ basis @ s
-                defect = np.max(np.abs(own.imag), axis=(-2, -1))
-                scale = np.maximum(1.0, np.max(np.abs(own), axis=(-2, -1)))
-                if np.all(defect <= _CLAIM_TOL * scale):
-                    self._real = _Tables(own.real.copy(), coefficients)
-            if self._real is None:
-                self._real = _Tables(np.block([[basis.real, -basis.imag],
-                                               [basis.imag, basis.real]]),
-                                     coefficients)
+
+    @functools.cached_property
+    def _real(self) -> _Tables:
+        """The real tables every Magnus step runs on, built on first Magnus
+        use: those of S^-1 E S if the dimension is n^2 (n >= 2) and every
+        basis row is real in Hermitian coordinates (to _CLAIM_TOL), else
+        those of the 2d x 2d realification of E."""
+        basis = self._rows.reshape(-1, self.dim, self.dim)
+        n = math.isqrt(self.dim)
+        if n >= 2 and n * n == self.dim:
+            s, s_inv = hermitian_coordinates(n)
+            own = s_inv @ basis @ s
+            defect = np.max(np.abs(own.imag), axis=(-2, -1))
+            scale = np.maximum(1.0, np.max(np.abs(own), axis=(-2, -1)))
+            if np.all(defect <= _CLAIM_TOL * scale):
+                return _Tables(own.real.copy(), self.coefficients)
+        return _Tables(np.block([[basis.real, -basis.imag],
+                                 [basis.imag, basis.real]]),
+                       self.coefficients)
 
     def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
         """A stack of propagators r in the generator's own coordinates as a
         complex stack in the vec basis: S r S^-1 from Hermitian ones,
-        r[:d, :d] + i r[d:, :d] from the realification, r itself on the
-        complex route."""
-        if self._real is None:
-            return r
+        r[:d, :d] + i r[d:, :d] from the realification."""
         d = self.dim
         if self._real.dim > d:
             out = np.empty(r.shape[:-2] + (d, d), dtype=complex)
@@ -232,11 +232,9 @@ class Generator(_Tables):
 
     def _own_gauge(self, z: np.ndarray) -> np.ndarray:
         """A sign gauge diag(z) in the vec basis as a +-1 diagonal in the
-        generator's own coordinates: z, (z, z) in the realification, or the
+        generator's own coordinates: (z, z) in the realification, or the
         exact diagonal of S^-1 diag(z) S, which is all of it when
         z[i n + j] = z[j n + i]."""
-        if self._real is None:
-            return z
         if self._real.dim > self.dim:
             return np.concatenate([z, z])
         n = math.isqrt(self.dim)
@@ -248,7 +246,7 @@ class Generator(_Tables):
 
     def shift_defect(self, shift: float, d=None) -> tuple[float, float] | None:
         """The first (defect, t) among 16 seeded probe times t in [0, shift)
-        where max |A(t + shift) - D A(t) D^-1| exceeds _CLAIM_TOL
+        where max |A(t + shift) - D A(t) D^-1| is NaN or exceeds _CLAIM_TOL
         max(1, |A(t)|) max(1, (t + shift) / 2 pi), or None if shifting time
         by ``shift`` acts as conjugation by D = diag(d): the frame Phi(s)
         of a frame, I (d None) at a period, a sign gauge Z at a half period.
@@ -260,7 +258,7 @@ class Generator(_Tables):
         defect = np.max(np.abs(self(probes + shift) - a), axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) \
             * np.maximum(1.0, (probes + shift) / (2.0 * np.pi))
-        bad = np.flatnonzero(defect > _CLAIM_TOL * scale)
+        bad = np.flatnonzero(~(defect <= _CLAIM_TOL * scale))
         return (defect[bad[0]], probes[bad[0]]) if bad.size else None
 
     def __call__(self, t) -> np.ndarray:
@@ -344,10 +342,9 @@ _EXPONENTS = {MagnusOrder.ORDER4: _exponent4, MagnusOrder.ORDER6: _exponent6}
 
 
 def step(g: Generator, t, dt: float, order: MagnusOrder) -> np.ndarray:
-    """Magnus step over [t, t + dt] on the generator's real or complex
-    tables: without a frame, the bits of propagate(g, t, t + dt, 1, order)."""
-    tables = g if g._real is None else g._real
-    return g._vec_coordinates(_STEPPERS[order](tables, t, dt))
+    """Magnus step over [t, t + dt] on the generator's real tables: without
+    a frame, the bits of propagate(g, t, t + dt, 1, order)."""
+    return g._vec_coordinates(_STEPPERS[order](g._real, t, dt))
 
 
 def propagate(g: Generator, t0: float, t1: float, steps: int,
@@ -385,16 +382,16 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
     exponent evaluation, dt given per step, one expm call per chunk (so a
     grid keeps the Taylor tier and bits it gets alone) and one running-
     product scan, each chunk entered from its grid's product so far."""
-    tables = g if g._real is None else g._real
+    tables = g._real
     store = g._vec_coordinates if vec else (lambda r: r)
     d = g.dim if vec else tables.dim
-    maps = [np.eye(tables.dim, dtype=tables._rows.dtype)] * len(grids)
+    maps = [np.eye(tables.dim)] * len(grids)
     stacks = [None] * len(grids)
     batches, size = [[]], 0
     for i, (steps, stack) in enumerate(grids):
         if stack:
             stacks[i] = np.empty((steps + 1, d, d),
-                                 dtype=complex if vec else maps[i].dtype)
+                                 dtype=complex if vec else float)
             stacks[i][0] = np.eye(d)
         for a in range(0, steps, CHUNK_STEPS):
             b = min(a + CHUNK_STEPS, steps)

@@ -137,7 +137,7 @@ _JUMPS = ((1, 2), (2, 1), (3, 2), (2, 3))
 
 def jump_operators(p: LambdaParams) -> list[tuple[np.ndarray, float]]:
     """The four (operator, rate) dissipation channels: stimulated plus
-    spontaneous decay |2>->|1| and |2>->|3>, and their bath-driven
+    spontaneous decay |2>->|1> and |2>->|3>, and their bath-driven
     reverses."""
     rates = (p.gamma_12 * (p.nbar_12 + 1.0), p.gamma_12 * p.nbar_12,
              p.gamma_23 * (p.nbar_23 + 1.0), p.gamma_23 * p.nbar_23)
@@ -210,14 +210,14 @@ def _signs(p: LambdaParams, shift: float) -> np.ndarray:
 
 @functools.cache
 def _drive_ops(rwa: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, 3, 3) drive operators of _drive (the full drive's symmetric
-    couplings, or the RWA drive's raising and lowering parts) and -1j
-    times their commutator superoperators, read-only, built on first
-    use."""
+    """The (K, 3, 3) Hermitian drive operators of _drive, X_g = |g><2| +
+    |2><g| (probe g = 1, control g = 3) and for the RWA drive then Y_g =
+    i(|g><2| - |2><g|), and -1j times their commutator superoperators,
+    read-only, built on first use."""
+    ops = [_op(1, 2) + _op(2, 1), _op(3, 2) + _op(2, 3)]
     if rwa:
-        ops = np.array([_op(2, 1), _op(1, 2), _op(2, 3), _op(3, 2)])
-    else:
-        ops = np.array([_op(1, 2) + _op(2, 1), _op(2, 3) + _op(3, 2)])
+        ops += [1j * (_op(1, 2) - _op(2, 1)), 1j * (_op(3, 2) - _op(2, 3))]
+    ops = np.array(ops)
     lifted = -1j * _comm_super(ops)
     ops.flags.writeable = lifted.flags.writeable = False
     return ops, lifted
@@ -225,36 +225,33 @@ def _drive_ops(rwa: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _drive(p: LambdaParams, rwa: bool):
     """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
-    stack, the map from times (...) to the coefficients f_k, (..., K), and
-    the Hilbert-space frame rates in which the generator is constant (None
-    for the full drive).
+    stack, the map from times (...) to the real coefficients f_k, (...,
+    K), and the Hilbert-space frame rates in which the generator is
+    constant (None for the full drive).
 
-    Full drive: -rabi cos(w t) on each field's symmetric coupling.  RWA:
-    -rabi/2 e^{-i w t} on the raising part |2><g| and its conjugate on the
-    lowering part |g><2|; constant in the rotating frame W(t), whose
+    Full drive: -rabi cos(w t) on each field's coupling X_g.  RWA: the
+    co-rotating half, -rabi/2 (cos(w t) X_g + sin(w t) Y_g), which is
+    -rabi/2 e^{-i w t} on the raising part |2><g| and its conjugate on
+    the lowering part |g><2|; constant in the rotating frame W(t), whose
     phases are e^{i theta t} with theta = -_rwf_rates(p).
     """
-    rabi = np.array([p.rabi_p, p.rabi_c])
+    rabi = np.array([p.rabi_p, p.rabi_c]) * (-0.5 if rwa else -1.0)
     omega = np.array([p.omega_p, p.omega_c])
-    ops = _drive_ops(rwa)[0]
-    if not rwa:
-        frame = None
+    quadratures = (np.cos, np.sin) if rwa else (np.cos,)
 
-        def coefficients(t: np.ndarray) -> np.ndarray:
-            return -rabi * np.cos(omega * t[..., None])
-    else:
-        frame = -_rwf_rates(p)
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        phase = omega * t[..., None]
+        return np.concatenate([rabi * f(phase) for f in quadratures], axis=-1)
 
-        def coefficients(t: np.ndarray) -> np.ndarray:
-            c = -0.5 * rabi * np.exp(-1j * omega * t[..., None])
-            return np.stack([c[..., 0], np.conj(c[..., 0]),
-                             c[..., 1], np.conj(c[..., 1])], axis=-1)
-    return ops, coefficients, frame
+    return (_drive_ops(rwa)[0], coefficients,
+            -_rwf_rates(p) if rwa else None)
 
 
 def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
-    """3x3 Hilbert-space generator -i H(t) for unitary dynamics; the RWA
-    drive declares the rotating frame, so it is propagated exactly."""
+    """3x3 Hilbert-space generator -i H(t) for unitary dynamics, with the
+    real coefficients of _drive.  The RWA drive declares the rotating
+    frame, so it is propagated exactly; the full drive's Magnus steps run
+    on its real 6x6 realification."""
     ops, coefficients, frame = _drive(p, rwa)
     return Generator(-1j * h0(p), -1j * ops, coefficients, frame,
                      gauge=lambda shift: _signs(p, shift))
@@ -268,10 +265,11 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
     through the commutator superoperator and the time-independent
     dissipator folded into the constant part.  The RWA frame lifts to the
     rates theta_i - theta_j of vec(rho)[i, j], flattened row-major; the
-    dissipator commutes with it.  The full drive, which has no frame, is
-    real in Hermitian coordinates (linalg.hermitian_coordinates), and the
-    Generator finds that route itself.  The sign gauge lifts to Z (x) Z;
-    each jump operator only changes sign under Z.
+    dissipator commutes with it.  Either drive, on its Hermitian operators
+    with real coefficients, is real in Hermitian coordinates
+    (linalg.hermitian_coordinates), where the full drive's Magnus steps
+    run.  The sign gauge lifts to Z (x) Z; each jump operator only
+    changes sign under Z.
     """
     if dissipative is None:
         dissipative = p.is_dissipative

@@ -6,11 +6,12 @@ Each grid point is an independent work item: the drive period is chosen
 commensurate with both field frequencies and resolved, from the half
 sub-period T/(2m) under its sign gauge, to an eighth-order U_T whose
 three-level error estimate is at most 1e-12 (periodic.accurate_plan:
-Richardson extrapolation of sixth-order step counts), and the steady state is the limit of U_T^n
-applied to the initial state (its projection onto the fixed points of
-U_T), averaged over one period in the rotating frame as the trapezoid
-mean of its states; the CLI's gap and validate resolve U_T alike.  Time
-series (run_case) keep q * BASE_STEPS grid points per period by default.
+Richardson extrapolation of sixth-order step counts), and the steady
+state is the limit of U_T^n applied to the initial state (its projection
+onto the fixed points of U_T), averaged over one period in the rotating
+frame as the trapezoid mean of its states; the CLI's gap and validate
+resolve U_T alike.  Time series (run_case) keep q * BASE_STEPS grid
+points per period by default.
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ def constant_generator(a: np.ndarray) -> Generator:
     return Generator(a)
 
 
+def without_frame(g: Generator) -> Generator:
+    """The same affine generator with no frame: it takes Magnus steps."""
+    return Generator(g.a0, g.terms, g.coefficients)
+
+
 # Pointwise references: the Magnus exponents built from the generator's
 # node samples with explicit nested commutators.
 
@@ -144,29 +149,24 @@ class TestSetUpWork:
 
     @pytest.mark.parametrize("rwa", [False, True])
     def test_commutator_table_is_built_on_first_magnus_use(self, rwa):
-        # the frame route reads no table; a generator on the real route
-        # (Hermitian coordinates, or the closed drive's realification)
-        # reads only the real copy's, in step as in propagate; a complex
-        # one builds its own on its first step
+        # the frame route reads no table and builds no real copy; without
+        # a frame, the real copy (Hermitian coordinates, or the closed
+        # drive's realification) is built on first Magnus use, and only
+        # its tables are read, in step as in propagate
         lazy = {"_pairs", "_table"}
         for g in (liouville_generator(preset("A-II"), rwa=rwa),
                   closed_generator(preset("A-II"), rwa=rwa)):
-            assert not lazy & vars(g).keys()
+            if rwa:
+                propagate(g, 0.0, np.pi, 8)
+                assert not (lazy | {"_real"}) & vars(g).keys()
+                g = without_frame(g)
+            assert not (lazy | {"_real"}) & vars(g).keys()
             propagate(g, 0.0, np.pi, 8)
             assert not lazy & vars(g).keys()
-            assert rwa == (g._real is None)
-            if not rwa:
-                assert lazy <= vars(g._real).keys()
-                for order in MagnusOrder:
-                    step(g, 0.25, 0.125, order)
-                assert not lazy & vars(g).keys()
-        closed = closed_generator(preset("A-II"))
-        complex_drive = Generator(
-            closed.a0, closed.terms,
-            lambda t: np.exp(1j * t)[..., None] * np.ones(2))
-        assert not lazy & vars(complex_drive).keys()
-        propagate(complex_drive, 0.0, np.pi, 8)
-        assert lazy <= vars(complex_drive).keys()
+            assert lazy <= vars(g._real).keys()
+            for order in MagnusOrder:
+                step(g, 0.25, 0.125, order)
+            assert not lazy & vars(g).keys()
 
     @pytest.mark.parametrize("span", [2.0 * np.pi, np.pi, 0.7, 4000.0 * np.pi])
     def test_probe_times_are_the_seeded_uniform_draws(self, span):
@@ -194,11 +194,10 @@ class TestBatchedSteps:
                                                       order):
         # CHUNK_STEPS + 7 steps cross one chunk boundary and end in a
         # ragged last chunk.  The RWA generators drop their frame, so the
-        # chunked Magnus product is checked on the complex four-term drive.
-        # The single steps run on the complex tables whatever propagate's
-        # route, which the full-drive Liouville generator takes real.
-        g = build(preset(case), rwa=rwa)
-        g = Generator(g.a0, g.terms, g.coefficients)
+        # chunked Magnus product is checked on the four-term quadrature
+        # drive.  The single steps run on the complex tables, propagate on
+        # the real ones.
+        g = without_frame(build(preset(case), rwa=rwa))
         steps = CHUNK_STEPS + 7
         t1 = 1.3
         dt = t1 / steps
@@ -313,7 +312,7 @@ class TestPropagateGrids:
     def _assert_each_alone(g, t1, grids, order, t0=0.0):
         batched = _propagate_grids(g, t0, t1, grids, order)
         for got, grid in zip(batched, grids):
-            assert got.dtype == (complex if g._real is None else float)
+            assert got.dtype == float
             assert np.array_equal(got, _propagate_grids(g, t0, t1, [grid],
                                                          order)[0])
         for got, (steps, stack) in zip(
@@ -403,14 +402,20 @@ class TestFrameRoute:
         with pytest.raises(ValueError, match="frame"):
             Generator(np.eye(3), frame=np.zeros(2))
 
+    def test_nan_defect_fails_the_frame_check(self):
+        # NaN > tol is False: a NaN defect must still fail the claim
+        with pytest.raises(ValueError, match="frame"), \
+                np.errstate(invalid="ignore"):
+            Generator(-1j * np.diag([0.0, 1.0, 2.0]),
+                      frame=[np.nan, 0.0, 0.0])
+
 
 class TestRealCoordinates:
-    """The full-drive Liouville generator is real in Hermitian coordinates
-    and finds that route itself: step and propagate run its Magnus steps on
+    """The Liouville generators are real in Hermitian coordinates and find
+    that route themselves: step and propagate run their Magnus steps on
     real stacks; results stay in the complex vec basis.  Any other
-    generator with real drive coefficients and no frame, such as the
-    closed full drive, takes its realification [[Re E, -Im E], [Im E,
-    Re E]]; one with complex coefficients takes the complex route."""
+    generator, such as the closed drive, takes its realification
+    [[Re E, -Im E], [Im E, Re E]]; complex coefficients are rejected."""
 
     @pytest.mark.parametrize("order", list(MagnusOrder))
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
@@ -436,26 +441,28 @@ class TestRealCoordinates:
         assert np.max(np.abs(whole - u)) <= 1e-13
 
     def test_declared_only_without_a_frame(self):
-        # the real route: full-drive Liouville generators, dissipative or
-        # not, in Hermitian coordinates, and the 3x3 closed full drive in
-        # its 6x6 realification; the frame route: both RWA generators
+        # the real route, built on first Magnus use: Liouville generators,
+        # full drive or RWA, dissipative or not, in Hermitian coordinates,
+        # and the 3x3 closed drives in their 6x6 realification; the frame
+        # route of the RWA generators never reads it
         for name in ("C-II", "A-I"):
             p = preset(name)
-            for dissipative in (False, True):
-                g = liouville_generator(p, dissipative=dissipative)
-                assert g._real is not None
-                assert g._real._rows.dtype == float
-                assert g._real.dim == g.dim
-            closed = closed_generator(p)
-            assert closed._real._rows.dtype == float
-            assert closed._real.dim == 2 * closed.dim
-            assert liouville_generator(p, rwa=True)._real is None
-            assert closed_generator(p, rwa=True)._real is None
+            for rwa in (False, True):
+                for dissipative in (False, True):
+                    g = liouville_generator(p, rwa, dissipative)
+                    assert "_real" not in vars(g)
+                    assert g._real._rows.dtype == float
+                    assert g._real.dim == g.dim
+                closed = closed_generator(p, rwa)
+                assert closed._real._rows.dtype == float
+                assert closed._real.dim == 2 * closed.dim
 
     @pytest.mark.parametrize("order", list(MagnusOrder))
     @pytest.mark.parametrize("build", [
         closed_generator, liouville_generator,
-        lambda p: liouville_generator(p, dissipative=False)])
+        lambda p: liouville_generator(p, dissipative=False),
+        lambda p: without_frame(closed_generator(p, rwa=True)),
+        lambda p: without_frame(liouville_generator(p, rwa=True))])
     def test_step_is_a_one_step_propagate(self, build, order):
         g = build(preset("C-II"))
         assert np.array_equal(step(g, 0.25, 0.125, order),
@@ -483,7 +490,9 @@ class TestRealCoordinates:
         with pytest.raises(ValueError, match="Hermitian"):
             g._own_gauge(asymmetric)
         rwa = liouville_generator(preset("A-II"), rwa=True)
-        assert rwa._own_gauge(asymmetric) is asymmetric
+        assert np.array_equal(rwa._own_gauge(z), own)
+        with pytest.raises(ValueError, match="Hermitian"):
+            rwa._own_gauge(asymmetric)
 
     @pytest.mark.parametrize("steps", [1, 7, CHUNK_STEPS + 7, 2100])
     @pytest.mark.parametrize("order", list(MagnusOrder))
@@ -526,14 +535,9 @@ class TestRealCoordinates:
         assert np.array_equal(g._vec_coordinates(g._real._rows.reshape(
             1, 18, 18)), a[None])
 
-    def test_rwa_terms_without_frame_take_complex_route(self):
-        g = liouville_generator(preset("C-II"), rwa=True)
-        assert Generator(g.a0, g.terms, g.coefficients)._real is None
-
-    def test_complex_coefficients_take_complex_route(self):
+    def test_complex_coefficients_raise(self):
         # Hermiticity-preserving terms, but a complex drive function
         g = liouville_generator(preset("C-II"))
-        assert Generator(g.a0, g.terms, g.coefficients)._real is not None
-        assert Generator(
-            g.a0, g.terms,
-            lambda t: np.exp(1j * t)[..., None] * np.ones(2))._real is None
+        with pytest.raises(ValueError, match="real"):
+            Generator(g.a0, g.terms,
+                      lambda t: np.exp(1j * t)[..., None] * np.ones(2))

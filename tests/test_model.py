@@ -243,9 +243,7 @@ class TestGenerators:
             assert np.array_equal(g.a0, want.a0)
             assert np.array_equal(g.terms, want.terms)
             assert np.array_equal(g._table, want._table)
-            assert (g._real is None) == (want._real is None)
-            if g._real is not None:
-                assert np.array_equal(g._real._table, want._real._table)
+            assert np.array_equal(g._real._table, want._real._table)
 
 
 def test_ground_state():

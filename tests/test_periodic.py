@@ -59,6 +59,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="periodic"):
             make_plan(g, 2.0 * np.pi * (1.0 + 1e-9), 16)
 
+    def test_validation_catches_nan_drive(self):
+        # NaN > tol is False: a NaN defect must still fail the claim
+        g = Generator(np.zeros((1, 1)), [np.ones((1, 1))], lambda t: np.where(
+            t < np.pi, np.cos(t), np.nan)[..., None])
+        with pytest.raises(ValueError, match="periodic"):
+            make_plan(g, 2.0 * np.pi, 16)
+
     def test_bad_plan_args(self):
         with pytest.raises(ValueError):
             PeriodicPlan(period=-1.0, steps_per_period=4)
