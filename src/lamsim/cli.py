@@ -357,10 +357,9 @@ def _period_maps(cfg: RunConfig, p: LambdaParams) -> tuple[dict, dict]:
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     maps, steps = {}, []
     for drive in _variants(cfg.drive):
-        plan, _, (u_t, _) = accurate_plan(
-            liouville_generator(p, rwa=drive == "rwa"), period,
-            resolve=one_period)
-        maps[drive] = u_t.copy()  # not a view holding the micromotion
+        g = liouville_generator(p, rwa=drive == "rwa")
+        plan, _, sub = accurate_plan(g, period)
+        maps[drive] = one_period(g, plan, sub)[0]
         steps.append(str(plan.steps_per_period))
     return maps, {"steps_per_period": " ".join(steps), "period": period}
 

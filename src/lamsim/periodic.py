@@ -144,39 +144,39 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
 def one_period(g: Generator, plan: PeriodicPlan,
                sub: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over one period plus cumulative propagators at every
-    intra-period grid point (identity first, U_T last), filled from the
-    stack ``sub`` over tau = T/r on N/r steps, by default the sixth-order
-    one: each later repeat j is one batched product of it with the stack's
-    row j N/r, U(j tau + s) = Z^j U(s) Z^j U(j tau) under the plan's sign
-    gauge Z, Z^j taken as exact row scalings (Shirley, Phys. Rev. 138,
-    B979 (1965))."""
+    """Propagator over one period, owned, plus cumulative propagators at
+    every intra-period grid point (identity first, U_T last), filled from
+    the stack over tau = T/r on N/r steps: ``sub``, in the generator's own
+    coordinates (accurate_plan's), mapped to the vec basis here, or by
+    default the sixth-order one.  Each later repeat j is one batched
+    product of it with the stack's row j N/r, U(j tau + s) = Z^j U(s) Z^j
+    U(j tau) under the plan's sign gauge Z, Z^j taken as exact row
+    scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
     r = plan.repeats
     n = plan.steps_per_period // r
     z = plan.gauge(g.dim)[:, None]
-    if sub is None:
-        sub = propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
+    sub = (propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
+           if sub is None else g._vec_coordinates(sub))
     if r == 1:
-        return sub[-1], sub
+        return sub[-1].copy(), sub
     micromotion = np.empty((r * n + 1,) + sub.shape[1:], dtype=sub.dtype)
     micromotion[:n + 1] = sub
     for j in range(1, r):
         block = micromotion[j * n + 1:(j + 1) * n + 1]
         np.matmul(sub[1:], z ** j * micromotion[j * n], out=block)
         block *= z ** j
-    return micromotion[-1], micromotion
+    return micromotion[-1].copy(), micromotion
 
 
-def accurate_plan(g: Generator, period: float,
-                  resolve: Callable = one_period
-                  ) -> tuple[PeriodicPlan, float, tuple]:
+def accurate_plan(g: Generator, period: float
+                  ) -> tuple[PeriodicPlan, float, np.ndarray | None]:
     """The plan whose eighth-order period map meets STEP_ERROR_TARGET,
-    the estimate of that map's max-entry error, and the period resolved
-    from it, resolve(g, plan, sub) = (U_T, micromotion).
+    the estimate of that map's max-entry error, and the sub-period stack
+    that one_period(g, plan, sub) builds that map from.
 
     A generator with a frame takes the floor N = q MIN_STEPS (T = 2 pi q)
-    with estimate 0.0 and no probe, resolve(g, plan): its U_N = Phi(T)
-    exp(T B) is the same matrix for every N.  Otherwise tau = T/r, with
+    with estimate 0.0, no probe and sub None: its U_N = Phi(T) exp(T B)
+    is the same matrix for every N.  Otherwise tau = T/r, with
     the repeats r and sign gauge Z of _repeats, is propagated on a ladder
     of n/2, n and 2n sixth-order steps, n = N/r, in one batched pass
     (magnus._propagate_grids), and U_N = (Z U_tau)^r.  The step is
@@ -187,17 +187,17 @@ def accurate_plan(g: Generator, period: float,
     While it is above the target N doubles and only the new finest level
     is propagated: each level is propagated once.  The powers and the
     extrapolations are taken in the generator's own coordinates (real
-    Hermitian ones for the full drive, where Z is its own +-1 diagonal);
-    only the period's sub-stack (64 S_2n[::2] - S_n) / 63 on the n-step
-    grid is mapped back to the vec basis and filled from, so N >= q
+    Hermitian ones for the full drive, where Z is its own +-1 diagonal),
+    and so is the returned sub-stack (64 S_2n[::2] - S_n) / 63 on the
+    n-step grid, float64, whose ladder stacks are freed on return: N >= q
     MIN_STEPS is the stack's grid and the finest level takes 2N steps per
     period.  The step cap bounds N, checked before each level.  Every U_T
-    consumer (steady state, gap, CPTP checks) reads this U_T.
+    consumer (steady state, gap, CPTP checks) reads the U_T built from it.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
     if g.frame is not None:
-        return plan, 0.0, resolve(g, plan)
+        return plan, 0.0, None
     r, z = _repeats(g, period)
     plan = replace(plan, repeats=r, signs=tuple(z))
     z = g._own_gauge(z)[:, None]
@@ -227,8 +227,7 @@ def accurate_plan(g: Generator, period: float,
         plan = replace(plan, steps_per_period=2 * plan.steps_per_period)
         coarse, mid, (hi,) = mid[0], hi, levels(
             (2 * plan.steps_per_period // r, True))
-    sub = g._vec_coordinates(extrapolate(hi[1][::2], mid[1]))
-    return plan, error, resolve(g, plan, sub)
+    return plan, error, extrapolate(hi[1][::2], mid[1])
 
 
 def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,

@@ -239,14 +239,13 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     The period is resolved once, by one_period from the extrapolated
     sub-period stack that periodic.accurate_plan accepts, on its grid of
     ``steps`` per period, and ``step_error`` is its three-level estimate of
-    U_T's max-entry error (<= STEP_ERROR_TARGET).  This module's one_period
-    name is the one passed, so a wrapper set on it sees the resolution."""
+    U_T's max-entry error (<= STEP_ERROR_TARGET)."""
     if not p.is_dissipative:
         raise ValueError("steady-state analysis requires dissipation")
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     g = liouville_generator(p, rwa=rwa)
-    plan, step_error, (u_t, micro) = accurate_plan(g, period,
-                                                   resolve=one_period)
+    plan, step_error, sub = accurate_plan(g, period)
+    u_t, micro = one_period(g, plan, sub)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
     left, sigma, right = np.linalg.svd(u_t - np.eye(LDIM))
@@ -266,7 +265,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
         "period": plan.period,
         "steps": plan.steps_per_period,
         "step_error": step_error,
-        "u_t": u_t.copy(),  # owned: a kept summary holds no stack
+        "u_t": u_t,
     }
 
 

@@ -21,6 +21,14 @@ from conftest import expm_eig, h_rwf
 STEPS = 256  # coarse grid keeps these structural tests fast
 
 
+def resolved(g, period):
+    """accurate_plan's plan and estimate, with the (U_T, micromotion) that
+    one_period builds from its sub-period stack, as the library's U_T
+    consumers resolve a period."""
+    plan, error, sub = accurate_plan(g, period)
+    return plan, error, one_period(g, plan, sub)
+
+
 @pytest.fixture(scope="module")
 def open_setup():
     p = preset("A-II")
@@ -249,7 +257,7 @@ class TestAccuratePlan:
             return propagate(g, t0, t1, steps, **kwargs)
 
         monkeypatch.setattr(periodic, "propagate", counting)
-        plan, error, (u_t, micro) = accurate_plan(g, 2.0 * np.pi * q)
+        plan, error, (u_t, micro) = resolved(g, 2.0 * np.pi * q)
         assert plan.steps_per_period == q * MIN_STEPS
         assert error == 0.0
         assert calls == [(q * MIN_STEPS, True)]
@@ -265,13 +273,13 @@ class TestAccuratePlan:
         # dominates and the estimate tracks the true error.
         g = liouville_generator(preset(case))
         ref = propagate(g, 0.0, 2.0 * np.pi, BASE_STEPS)
-        plan, error, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+        plan, error, (u_t, _) = resolved(g, 2.0 * np.pi)
         assert plan.steps_per_period == MIN_STEPS
         assert error <= STEP_ERROR_TARGET
         assert np.max(np.abs(u_t - ref)) <= STEP_ERROR_TARGET
         monkeypatch.setattr(periodic, "MIN_STEPS", MIN_STEPS // 2)
         monkeypatch.setattr(periodic, "STEP_ERROR_TARGET", np.inf)
-        plan, error, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+        plan, error, (u_t, _) = resolved(g, 2.0 * np.pi)
         assert plan.steps_per_period == MIN_STEPS // 2
         true = np.max(np.abs(u_t - ref))
         assert 0.5 * error <= true <= 2.0 * error
@@ -286,7 +294,7 @@ class TestAccuratePlan:
         errors = []
         for n in (64, 128, 256):
             monkeypatch.setattr(periodic, "MIN_STEPS", n // 2)
-            _, _, (u_t, _) = accurate_plan(g, 2.0 * np.pi)
+            _, _, (u_t, _) = resolved(g, 2.0 * np.pi)
             errors.append(np.max(np.abs(u_t - ref)))
         assert errors[0] >= 2 ** 7 * errors[1] >= 2 ** 14 * errors[2]
 
@@ -297,7 +305,7 @@ class TestAccuratePlan:
         p = preset(case, delta_omega_p=0.05)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         g = liouville_generator(p)
-        plan, error, (u_t, _) = accurate_plan(g, period)
+        plan, error, (u_t, _) = resolved(g, period)
         assert plan.steps_per_period == 20 * MIN_STEPS
         assert error <= STEP_ERROR_TARGET
         ref = propagate(g, 0.0, period, 8 * plan.steps_per_period)
@@ -309,7 +317,7 @@ class TestAccuratePlan:
         # and reads the accepted map from the extrapolated stack.
         scale = 1e6
         calls, stacked = self._fake_propagate(monkeypatch, scale, 8)
-        plan, error, (u_t, micro) = accurate_plan(cos_drive(), 2.0 * np.pi)
+        plan, error, (u_t, micro) = resolved(cos_drive(), 2.0 * np.pi)
         n = plan.steps_per_period
         assert n == 4 * MIN_STEPS
         assert self._estimate(scale, n) <= STEP_ERROR_TARGET \
@@ -517,7 +525,7 @@ def resolved_presets():
     out = {}
     for case, drive in PRESET_T_CONV:
         g = liouville_generator(preset(case), rwa=drive == "rwa")
-        plan, _, (u_t, micro) = accurate_plan(g, 2.0 * np.pi)
+        plan, _, (u_t, micro) = resolved(g, 2.0 * np.pi)
         out[case, drive] = g, plan, u_t, micro
     return out
 
@@ -598,7 +606,7 @@ class TestSquares:
             g = liouville_generator(
                 p.with_(rabi_p=scale * p.rabi_p, rabi_c=scale * p.rabi_c),
                 rwa=rwa)
-            plan, _, (u_t, micro) = accurate_plan(g, 2.0 * np.pi)
+            plan, _, (u_t, micro) = resolved(g, 2.0 * np.pi)
             t = convergence_time(g, plan, ground_state(), eps=eps,
                                  precomputed=(u_t, micro))
             assert t == _matrix_power_periods(u_t, micro, eps) * plan.period
@@ -628,7 +636,7 @@ def test_search_finds_the_first_converged_period(case, drive, delta_omega_p):
     p = preset(case, delta_omega_p=delta_omega_p)
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     g = liouville_generator(p, rwa=drive == "rwa")
-    plan, _, (u_t, micro) = accurate_plan(g, period)
+    plan, _, (u_t, micro) = resolved(g, period)
     t = convergence_time(g, plan, ground_state(), precomputed=(u_t, micro))
     assert t == _scanned_periods(u_t, micro) * plan.period
 
@@ -710,7 +718,7 @@ def test_period_average_vanishes_where_the_sign_gauge_flips(
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     q = round(period / (2.0 * np.pi))
     tol = q * STEP_ERROR_TARGET
-    _, _, (u_t, micro) = accurate_plan(liouville_generator(p), period)
+    _, _, (u_t, micro) = resolved(liouville_generator(p), period)
     v_ss = np.linalg.svd(u_t - np.eye(9))[2][-1].conj()
     mean = unvec(period_mean_map(micro) @ v_ss / np.trace(unvec(v_ss)))
     flips = np.multiply.outer(z, z) < 0

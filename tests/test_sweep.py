@@ -419,9 +419,8 @@ def test_chosen_steps_match_the_fixed_count(monkeypatch, case, drive,
     u_got = seen["result"][0]
     _, fixed = commensurate_period(p.omega_p, p.omega_c)
 
-    def fixed_plan(g, t, resolve):
-        plan = periodic.make_plan(g, t, fixed)
-        return plan, 0.0, resolve(g, plan)
+    def fixed_plan(g, t):
+        return periodic.make_plan(g, t, fixed), 0.0, None
 
     monkeypatch.setattr(sweep, "accurate_plan", fixed_plan)
     want = steady_state_summary(p, rwa=rwa)
