@@ -11,7 +11,8 @@ both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 ``<name>.csv`` and its exit code and stderr to ``<name>.status``; the
 ``_3T`` and ``_8T`` runs span several periods, so they cover the rows
 that each period takes over from the one before, and the B-II runs a
-horizon of 2.5, a span shorter than T.  ``criteria.txt`` holds the 18
+horizon of 2.5, a span shorter than T; at ``sweep_rabi_c20`` the two
+drives resolve U_T on different step counts.  ``criteria.txt`` holds the 18
 ``[criterion ...]`` lines that ``tests/test_acceptance.py`` prints, without
 their timings; the run's exit code is not kept, as the documented
 acceptance failures make it 1, but any other (a collection error, an
@@ -77,6 +78,9 @@ RUNS = {
                    "5.5:6.5:0.5", "--observables",
                    "populations,coherences,rwa_error,convergence_time,"
                    "spectral_gap"],
+    "sweep_rabi_c20": ["sweep", "--e2", "6", "--e3", "2", "--rabi-p", "1",
+                       "--rabi-c", "20", "--gamma-12", "0.9", "--gamma-23",
+                       "1", "--omega-p-range", "6:6:1"],
 }
 
 

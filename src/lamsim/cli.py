@@ -9,12 +9,12 @@ lines recording the resolved parameters and the settings read, so
 identical inputs give byte-identical files (unless ``--timestamp``).
 
 Exit codes: 0 success, 1 validation-threshold failure, 2 configuration or
-I/O error, 3 numerical failure or out of memory (for ``sweep``: one or more
-grid points failed; for ``gap`` and ``sweep --observables spectral_gap``:
-one or more spectral gaps are unresolved, |lambda_2(U_T)| <= 1e-12, and
-written as nan; in both cases the full CSV is still written and a count
-goes to stderr).  ``gap`` also writes nan for the eigen-log of every
-eigenvalue with |lambda| <= 1e-12, whatever the exit code.
+I/O error, 3 numerical failure or out of memory (a dead sweep worker too;
+no file is written), or for ``sweep`` failed grid points and, for ``gap``
+and ``sweep --observables spectral_gap``, unresolved gaps, |lambda_2(U_T)|
+<= 1e-12, written as nan (the full CSV is still written and a count goes
+to stderr).  ``gap`` also writes nan for the eigen-log of every eigenvalue
+with |lambda| <= 1e-12, whatever the exit code.
 """
 
 from __future__ import annotations

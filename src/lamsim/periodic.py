@@ -144,14 +144,13 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
 def one_period(g: Generator, plan: PeriodicPlan,
                sub: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over one period, owned, plus cumulative propagators at
+    """Propagator over one period (owned) plus cumulative propagators at
     every intra-period grid point (identity first, U_T last), filled from
-    the stack over tau = T/r on N/r steps: ``sub``, in the generator's own
-    coordinates (accurate_plan's), mapped to the vec basis here, or by
-    default the sixth-order one.  Each later repeat j is one batched
-    product of it with the stack's row j N/r, U(j tau + s) = Z^j U(s) Z^j
-    U(j tau) under the plan's sign gauge Z, Z^j taken as exact row
-    scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
+    the stack over tau = T/r on N/r steps: ``sub`` in the generator's own
+    coordinates, mapped to the vec basis here, or the sixth-order one.
+    Each later repeat j is one batched product of it with row j N/r,
+    U(j tau + s) = Z^j U(s) Z^j U(j tau) under the plan's sign gauge Z,
+    Z^j taken as exact row scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
     r = plan.repeats
     n = plan.steps_per_period // r
     z = plan.gauge(g.dim)[:, None]

@@ -287,10 +287,9 @@ def _eval_point(spec: SweepSpec, overrides: dict[str, float]) -> dict:
     row: dict = dict(overrides)
     try:
         p = spec.base.with_(**overrides)
-        summaries = {}
-        for variant in _variants(spec.drive):
-            summaries[variant] = steady_state_summary(
-                p, rwa=(variant == "rwa"), eps=spec.eps_ss)
+        summaries = {variant: steady_state_summary(
+            p, rwa=(variant == "rwa"), eps=spec.eps_ss)
+            for variant in _variants(spec.drive)}
         want_pops = "populations" in spec.observables
         want_coh = "coherences" in spec.observables
         for variant, s in summaries.items():
@@ -303,12 +302,11 @@ def _eval_point(spec: SweepSpec, overrides: dict[str, float]) -> dict:
                 row[f"{prefix}gap"] = s["gap"]
                 row[f"{prefix}gap_per_time"] = s["gap_per_time"]
             row[f"{prefix}trace_defect"] = s["trace_defect"]
+            row[f"{prefix}steps"] = s["steps"]
         if "rwa_error" in spec.observables:
             row["rwa_error"] = rwa_error(summaries["rwa"]["rho_ss_rwf"],
                                          summaries["full"]["rho_ss_rwf"])
-        any_s = next(iter(summaries.values()))
-        row["period"] = any_s["period"]
-        row["steps"] = any_s["steps"]
+        row["period"] = next(iter(summaries.values()))["period"]
     except Exception as exc:  # isolate failures to this grid point
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -317,15 +315,21 @@ def _eval_point(spec: SweepSpec, overrides: dict[str, float]) -> dict:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point; failures are recorded per row and never
     abort the sweep.  Rows come back in deterministic grid order.  A pool
-    forks all its processes at once, so it gets min(workers, points, CPUs)."""
+    forks all its processes at once, so it gets min(workers, points, CPUs);
+    a worker that dies (as by an out-of-memory kill) raises MemoryError."""
     points = spec.grid()
     workers = min(spec.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         # only here: keeps importing cli light (the pool loads multiprocessing)
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_point, [spec] * len(points), points))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_eval_point, [spec] * len(points),
+                                     points))
+        except BrokenProcessPool as exc:
+            raise MemoryError(f"a sweep worker died: {exc}") from exc
     else:
         rows = [_eval_point(spec, pt) for pt in points]
     columns: list[str] = []

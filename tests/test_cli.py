@@ -1,5 +1,7 @@
 import concurrent.futures
 import dataclasses
+import functools
+import os
 import re
 import sys
 import tracemalloc
@@ -764,6 +766,13 @@ class TestValidateCommand:
         assert all(row.endswith("pass") for row in rows[1:])
 
 
+def _exit_in_a_worker(parent, spec, point):
+    """sweep._eval_point's stand-in: ends any process but ``parent``."""
+    if os.getpid() != parent:
+        os._exit(9)
+    return dict(point)
+
+
 class TestSweepCommand:
     def test_missing_range_is_config_error(self, capsys):
         rc = main(["sweep", "--case", "A-II"])
@@ -795,7 +804,7 @@ class TestSweepCommand:
         _, rows = _read_csv(out)
         values = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert "error" not in values
-        assert int(values["steps"]) == 200 * periodic.MIN_STEPS == 51200
+        assert int(values["rwa_steps"]) == 200 * periodic.MIN_STEPS == 51200
 
     def test_failed_points_exit_numerical(self, tmp_path, monkeypatch,
                                           capsys):
@@ -842,6 +851,37 @@ class TestSweepCommand:
         assert values[1]["rwa_gap"] == values[1]["rwa_gap_per_time"] == "nan"
         assert main([*args, "--observables", "populations"]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_steps_per_drive_match_gap(self, tmp_path):
+        # At rabi_c = 20 the full drive resolves on 512 steps per period
+        # and the RWA drive on 256: each row records both counts.
+        point = ["--e2", "6", "--e3", "2", "--rabi-p", "1", "--rabi-c", "20",
+                 "--gamma-12", "0.9", "--gamma-23", "1"]
+        gap, swept = tmp_path / "gap.csv", tmp_path / "sweep.csv"
+        assert main(["gap", *point, "--out", str(gap)]) == EXIT_OK
+        assert main(["sweep", *point, "--omega-p-range", "6:6:1",
+                     "--out", str(swept)]) == EXIT_OK
+        assert "# steps_per_period = 512 256" in _read_csv(gap)[0]
+        _, rows = _read_csv(swept)
+        values = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert "steps" not in values
+        assert (values["full_steps"], values["rwa_steps"]) == ("512", "256")
+
+    def test_dead_worker_exits_numerical(self, tmp_path, monkeypatch,
+                                         capsys):
+        # A worker ended from outside (as an out-of-memory kill ends one)
+        # breaks the pool: exit 3 and no file.  Only a forked worker exits,
+        # so a serial fallback would return rows, not end pytest.
+        monkeypatch.setattr(sweep, "_eval_point",
+                            functools.partial(_exit_in_a_worker, os.getpid()))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--case", "A-II", "--omega-p-range", "6:6.5:0.5",
+                   "--workers", "2", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "numerical error: a sweep worker died")
+        assert not out.exists()
 
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     def test_rwa_error_needs_both_drives(self, tmp_path, capsys, monkeypatch,

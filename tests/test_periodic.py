@@ -208,6 +208,17 @@ class TestRepeats:
         assert np.array_equal(u_t, composed[-1])
         assert np.max(np.abs(composed - whole)) <= 1e-13
 
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_one_period_returns_an_owned_u_t(self, repeats):
+        # U_T is the micromotion's last row, held apart from the stack
+        g = liouville_generator(preset("A-II"))
+        plan = replace(make_plan(g, 2.0 * np.pi, STEPS), repeats=repeats,
+                       signs=tuple(lifted(self.SIGNS[0.0]))
+                       if repeats > 1 else ())
+        u_t, micro = one_period(g, plan)
+        assert np.array_equal(u_t, micro[-1])
+        assert u_t.flags.owndata and not np.shares_memory(u_t, micro)
+
 
 class TestAccuratePlan:
     @staticmethod
@@ -263,6 +274,24 @@ class TestAccuratePlan:
         assert calls == [(q * MIN_STEPS, True)]
         assert len(micro) == plan.steps_per_period + 1
         assert np.array_equal(u_t, micro[-1])
+
+    @pytest.mark.parametrize("build, own", [(liouville_generator, 9),
+                                            (closed_generator, 6)])
+    def test_sub_stack_in_own_coordinates(self, build, own):
+        # The full drive's accepted stack over tau = T/r, on the n = N/r
+        # grid in its real coordinates (Hermitian for the Liouville
+        # generator, the realification for the closed one); one_period
+        # maps it to the vec basis as the period's first n + 1 rows.
+        g = build(preset("A-II"))
+        plan, _, sub = accurate_plan(g, 2.0 * np.pi)
+        n = plan.steps_per_period // plan.repeats
+        assert sub.dtype == np.float64 and sub.shape == (n + 1, own, own)
+        _, micro = one_period(g, plan, sub)
+        assert np.array_equal(micro[:n + 1], g._vec_coordinates(sub))
+
+    def test_frame_generator_has_no_sub_stack(self):
+        g = liouville_generator(preset("A-II"), rwa=True)
+        assert accurate_plan(g, 2.0 * np.pi)[1:] == (0.0, None)
 
     @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
     def test_estimate_tracks_the_true_error(self, monkeypatch, case):
