@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -194,3 +195,22 @@ def test_snapshot_compare_prints_each_changed_criterion_line(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "summaries.txt full t_conv: 0", "criteria.txt: 0"]
+
+
+def _mutants_module():
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_mutant_applies_exactly_once():
+    # scripts/mutants.py edits a copy by plain text replacement: each
+    # mutant's text must still name one place in its file
+    mutants = _mutants_module().MUTANTS
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        text = (ROOT / m.path).read_text()
+        assert text.count(m.old) == 1, (m.name, text.count(m.old))
+        assert m.new != m.old, m.name
