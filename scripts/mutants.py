@@ -3,22 +3,23 @@
 to a temporary copy of the repository, run tier-1 there with a per-mutant
 timeout, and report the tests that catch it.
 
-    python3 scripts/mutants.py [NAME ...] [--timeout S]
-    python3 scripts/mutants.py --list
+    python3 scripts/mutants.py [NAME ...]
+
+With no NAME every mutant runs; a NAME reruns just that mutant.
 
 A mutant is a (file, old, new) replacement whose ``old`` text occurs
 exactly once in its file (tests/test_scripts.py checks that every one
 still does).  The copy is tier-1'd once unmutated first: the tests that
 fail there (the documented acceptance failures) are the baseline, and a
 mutant is caught by every other test that fails or errors with it
-applied, or by running past the timeout.  The checkout is never written;
-the copy is removed at the end.  It is opt-in, not part of tier-1: a full
-run takes one tier-1 per mutant, longer for mutants that break the Magnus
-order, as the step ladder climbs towards its cap.  Exit 0 when every
-mutant is caught, 1 when one survives.
+applied, by a pytest that cannot run at all (as when the package no
+longer imports), or by running past TIMEOUT_S.  The checkout is never
+written; the copy is removed at the end.  It is opt-in, not part of
+tier-1: a full run takes one tier-1 per mutant, longer for mutants that
+break the Magnus order, as the step ladder climbs towards its cap.  Exit
+0 when every mutant is caught, 1 when one survives, 2 on an unknown NAME.
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900.0  # per tier-1 run
 # tier-1 in the copy, less the test that each mutant's text occurs in its
 # file: a mutated copy fails it by construction, so it would catch them all
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
@@ -93,50 +95,39 @@ MUTANTS = [
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", re.M)
 
 
-def tier1(tree: Path, timeout: float) -> tuple[set[str] | None, float]:
-    """The failing or erroring test ids of a tier-1 run in ``tree`` (None
-    on a timeout), and its wall time.  Bytecode is not written, so every
-    run compiles the sources as they are."""
+def tier1(tree: Path) -> tuple[int | None, str, float]:
+    """The exit code (None on a timeout) and output of a tier-1 run in
+    ``tree``, and its wall time.  Bytecode is not written, so every run
+    compiles the sources as they are."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True,
-                              text=True, timeout=timeout)
+                              text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return None, time.perf_counter() - start
-    seconds = time.perf_counter() - start
-    if done.returncode not in (0, 1):
-        raise RuntimeError(f"tier-1 exited {done.returncode} in {tree}:\n"
-                           f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
-    return set(_FAILED.findall(done.stdout)), seconds
+        return None, "", time.perf_counter() - start
+    return (done.returncode, done.stdout + done.stderr,
+            time.perf_counter() - start)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", metavar="NAME",
-                    help="mutants to run (default: all)")
-    ap.add_argument("--timeout", type=float, default=900.0,
-                    help="seconds per tier-1 run (default 900)")
-    ap.add_argument("--list", action="store_true",
-                    help="print the mutants and exit")
-    args = ap.parse_args()
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.path}: {m.old!r} -> {m.new!r}")
-        return 0
-    unknown = set(args.names) - {m.name for m in MUTANTS}
+    names = sys.argv[1:]
+    unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
-        ap.error(f"unknown mutants {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+        print(f"unknown mutants {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     survived = 0
     with tempfile.TemporaryDirectory(prefix="lamsim-mutants-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        baseline, seconds = tier1(tree, args.timeout)
-        if baseline is None:
-            raise RuntimeError("the unmutated tier-1 run timed out")
+        code, out, seconds = tier1(tree)
+        if code not in (0, 1):
+            raise RuntimeError(f"the unmutated tier-1 run exited {code}:\n"
+                               f"{out[-4000:]}")
+        baseline = set(_FAILED.findall(out))
         print(f"baseline: {len(baseline)} failing in {seconds:.0f} s",
               flush=True)
         for name in sorted(baseline):
@@ -149,14 +140,18 @@ def main() -> int:
                                    f"{text.count(m.old)} times in {m.path}")
             source.write_text(text.replace(m.old, m.new))
             try:
-                failed, seconds = tier1(tree, args.timeout)
+                code, out, seconds = tier1(tree)
             finally:
                 source.write_text(text)
-            if failed is None:
+            if code is None:
                 print(f"{m.name}: caught (timeout after {seconds:.0f} s)",
                       flush=True)
                 continue
-            caught = sorted(failed - baseline)
+            if code not in (0, 1):
+                print(f"{m.name}: caught (pytest exited {code} in "
+                      f"{seconds:.0f} s)", flush=True)
+                continue
+            caught = sorted(set(_FAILED.findall(out)) - baseline)
             survived += not caught
             verdict = f"caught by {len(caught)}" if caught else "SURVIVED"
             print(f"{m.name}: {verdict} ({seconds:.0f} s)", flush=True)

@@ -287,9 +287,10 @@ def _eval_point(spec: SweepSpec, overrides: dict[str, float]) -> dict:
     row: dict = dict(overrides)
     try:
         p = spec.base.with_(**overrides)
-        summaries = {variant: steady_state_summary(
-            p, rwa=(variant == "rwa"), eps=spec.eps_ss)
-            for variant in _variants(spec.drive)}
+        summaries = {}
+        for variant in _variants(spec.drive):
+            summaries[variant] = steady_state_summary(
+                p, rwa=(variant == "rwa"), eps=spec.eps_ss)
         want_pops = "populations" in spec.observables
         want_coh = "coherences" in spec.observables
         for variant, s in summaries.items():
@@ -323,7 +324,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # only here: keeps importing cli light (the pool loads multiprocessing)
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_eval_point, [spec] * len(points),
