@@ -18,8 +18,8 @@ else calls numpy directly.
 This module pins down the contracts the rest of the package relies on
 (error types, finiteness, value semantics).
 
-All functions return freshly allocated arrays and never mutate their
-arguments.
+No function mutates its arguments; all return freshly allocated arrays
+but hermitian_coordinates, whose cached pair is read-only.
 """
 
 from __future__ import annotations

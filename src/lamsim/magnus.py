@@ -2,10 +2,10 @@
 
 A single step approximates the time-ordered exponential of a generic
 time-dependent generator A(t) over [t, t + dt] by one matrix exponential.
-Both schemes sample the generator at exactly three interior nodes per step
-and are exact for time-independent generators.
+Both schemes sample the generator at three nodes per step (below) and are
+exact for time-independent generators.
 
-Order 4 uses Simpson nodes plus one commutator:
+Order 4 uses Simpson nodes (the endpoints and midpoint) plus one commutator:
 
     exp{ dt (A0 + 4 Am + A1)/6 + dt^2/12 [A1, A0] }
 

@@ -47,18 +47,16 @@ class HorizonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicPlan:
-    """One resolved drive period: length T, step count N over T, the
-    repeats r of tau = T/r that one_period composes U_T from (1: T is
-    resolved whole), and the diagonal of tau's sign gauge Z (empty: I)."""
+    """One resolved drive period: length T and step count N over T (a
+    sub-period's repeats and gauge are read by one_period, not held)."""
 
     period: float
     steps_per_period: int
-    repeats: int = 1
-    signs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < np.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}")
         if self.steps_per_period < 1:
             raise ValueError("steps_per_period must be >= 1")
         if self.steps_per_period > MAX_PLAN_STEPS:
@@ -68,19 +66,6 @@ class PeriodicPlan:
                 f"2 pi q, q = {self.period / (2.0 * np.pi):g}: step counts "
                 "grow in proportion to q, the least common denominator of "
                 "the drive frequencies")
-        if self.repeats < 1 or self.steps_per_period % self.repeats:
-            raise ValueError(
-                f"repeats {self.repeats} must be >= 1 and divide "
-                f"steps_per_period {self.steps_per_period}")
-        if not set(self.signs) <= {1.0, -1.0}:
-            raise ValueError(f"signs {self.signs} must all be +1 or -1")
-
-    def gauge(self, dim: int) -> np.ndarray:
-        """Z's diagonal for a generator of dimension dim, or ValueError."""
-        if len(self.signs) not in (0, dim):
-            raise ValueError(f"signs {self.signs} has length "
-                             f"{len(self.signs)}, not the generator's {dim}")
-        return np.array(self.signs or (1.0,) * dim)
 
     @property
     def micromotion_times(self) -> np.ndarray:
@@ -103,8 +88,9 @@ def make_plan(g: Generator, period: float, steps_per_period: int
 
 def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
     """The largest power of two r <= MIN_STEPS // 2 (the floor's half
-    probe keeps >= 1 step) for which a shift by period / r acts as the
-    generator's sign gauge Z (Generator.shift_defect), and Z's diagonal.
+    probe keeps >= 1 step) for which a shift by tau = period / r acts as
+    the generator's sign gauge Z (Generator.shift_defect), and Z's diagonal
+    g.gauge(tau) (I at r = 1), which must be g.dim entries of +-1.
 
     Powers of two suffice for period = 2 pi q from commensurate_period:
     the fundamental count gcd(q omega_p, q omega_c) is coprime to q, so
@@ -115,6 +101,8 @@ def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
     r, z = 1, np.ones(g.dim)
     while r < MIN_STEPS // 2:
         signs = g.gauge(period / (2 * r))
+        if np.shape(signs) != (g.dim,) or not np.all(np.abs(signs) == 1.0):
+            raise ValueError(f"gauge {signs} is not {g.dim} entries of +-1")
         if g.shift_defect(period / (2 * r), signs) is not None:
             break
         r, z = 2 * r, signs
@@ -145,19 +133,24 @@ def one_period(g: Generator, plan: PeriodicPlan,
                sub: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator over one period (owned) plus cumulative propagators at
-    every intra-period grid point (identity first, U_T last), filled from
-    the stack over tau = T/r on N/r steps: ``sub`` in the generator's own
-    coordinates, mapped to the vec basis here, or the sixth-order one.
-    Each later repeat j is one batched product of it with row j N/r,
-    U(j tau + s) = Z^j U(s) Z^j U(j tau) under the plan's sign gauge Z,
-    Z^j taken as exact row scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
-    r = plan.repeats
-    n = plan.steps_per_period // r
-    z = plan.gauge(g.dim)[:, None]
-    sub = (propagate(g, 0.0, plan.period / r, n, return_intermediate=True)
+    every intra-period grid point (identity first, U_T last): the whole
+    period on N sixth-order steps, or filled from ``sub``, a stack over
+    tau = T/r on n = N/r steps in the generator's own coordinates (as
+    accurate_plan returns it), mapped to the vec basis here.  r is read
+    from n (ValueError unless n divides N), the sign gauge Z = g.gauge(tau)
+    from the generator.  Each later repeat j is one batched product of it
+    with row j n, U(j tau + s) = Z^j U(s) Z^j U(j tau), Z^j taken as exact
+    row scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
+    n = plan.steps_per_period if sub is None else len(sub) - 1
+    if n < 1 or plan.steps_per_period % n:
+        raise ValueError(f"a sub-period stack of {n} steps does not divide "
+                         f"the period's {plan.steps_per_period}")
+    r = plan.steps_per_period // n
+    sub = (propagate(g, 0.0, plan.period, n, return_intermediate=True)
            if sub is None else g._vec_coordinates(sub))
     if r == 1:
         return sub[-1].copy(), sub
+    z = g.gauge(plan.period / r)[:, None]
     micromotion = np.empty((r * n + 1,) + sub.shape[1:], dtype=sub.dtype)
     micromotion[:n + 1] = sub
     for j in range(1, r):
@@ -171,7 +164,8 @@ def accurate_plan(g: Generator, period: float
                   ) -> tuple[PeriodicPlan, float, np.ndarray | None]:
     """The plan whose eighth-order period map meets STEP_ERROR_TARGET,
     the estimate of that map's max-entry error, and the sub-period stack
-    that one_period(g, plan, sub) builds that map from.
+    that one_period(g, plan, sub) builds that map from (its N/r steps tell
+    one_period r).
 
     A generator with a frame takes the floor N = q MIN_STEPS (T = 2 pi q)
     with estimate 0.0, no probe and sub None: its U_N = Phi(T) exp(T B)
@@ -198,7 +192,6 @@ def accurate_plan(g: Generator, period: float
     if g.frame is not None:
         return plan, 0.0, None
     r, z = _repeats(g, period)
-    plan = replace(plan, repeats=r, signs=tuple(z))
     z = g._own_gauge(z)[:, None]
 
     def levels(*grids: tuple[int, bool]) -> list:

@@ -1,12 +1,13 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lamsim import periodic
 from lamsim.linalg import frobenius_norm
-from lamsim.magnus import Generator, MagnusOrder, propagate
+from lamsim.magnus import Generator, MagnusOrder, _propagate_grids, propagate
 from lamsim.model import (closed_generator, ground_state, lindbladian,
                           liouville_generator, preset, unvec, vec)
 from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
@@ -81,25 +82,28 @@ class TestPlan:
             PeriodicPlan(period=1.0, steps_per_period=0)
         with pytest.raises(ValueError, match="cap"):
             PeriodicPlan(period=1.0, steps_per_period=MAX_PLAN_STEPS + 1)
-        for repeats in (0, 3):
-            with pytest.raises(ValueError, match=f"repeats {repeats} "):
-                PeriodicPlan(period=1.0, steps_per_period=4, repeats=repeats)
 
-    @pytest.mark.parametrize("signs", [(1.0, 0.0, 1.0), (1.0, -0.5),
-                                       (1.0, np.nan)])
-    def test_signs_must_be_plus_or_minus_one(self, signs):
-        with pytest.raises(ValueError, match="signs .* must all be"):
-            PeriodicPlan(period=1.0, steps_per_period=4, repeats=2,
-                         signs=signs)
+    def test_plan_holds_only_the_period_and_its_steps(self):
+        # the repeats come from a sub-period stack, the gauge from the
+        # generator (one_period): a plan cannot contradict either
+        assert [f.name for f in fields(PeriodicPlan)] == [
+            "period", "steps_per_period"]
 
-    def test_signs_must_match_the_generator(self):
+    @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+    def test_period_must_be_positive_and_finite(self, period):
+        with pytest.raises(ValueError, match="period must be positive and "
+                           f"finite, got {period}"):
+            PeriodicPlan(period=period, steps_per_period=4)
+
+    @pytest.mark.parametrize("period", [np.nan, np.inf])
+    def test_make_plan_refuses_a_nonfinite_period_before_probing(self,
+                                                                 period):
+        # no probe of the generator runs, so numpy warns of nothing
         g = liouville_generator(preset("A-II"))
-        plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=STEPS,
-                            repeats=4, signs=(-1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match=r"signs \(-1.0, 1.0, 1.0\) "
-                           "has length 3, not the generator's 9"):
-            one_period(g, plan)
-        assert np.array_equal(replace(plan, signs=()).gauge(9), np.ones(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_plan(g, period, 16)
 
 
 class TestCommensurate:
@@ -166,8 +170,10 @@ class TestRepeats:
         # the exact frame route is the same matrix for any sub-period
         p = preset(case, delta_omega_p=delta_omega_p)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
-        plan, _, _ = accurate_plan(liouville_generator(p, rwa=True), period)
-        assert plan.repeats == 1 and plan.signs == ()
+        plan, _, sub = accurate_plan(liouville_generator(p, rwa=True),
+                                     period)
+        assert sub is None and plan.steps_per_period == MIN_STEPS * round(
+            period / (2.0 * np.pi))
 
     def test_cos_drive(self):
         r, z = periodic._repeats(cos_drive(), 2.0 * np.pi)
@@ -194,28 +200,65 @@ class TestRepeats:
         r, z = periodic._repeats(broken, 2.0 * np.pi)
         assert r == 2 and np.array_equal(z, np.ones(3))
 
+    @staticmethod
+    def regauged(g, gauge):
+        """g with its declared sign gauge replaced by ``gauge``."""
+        return Generator(g.a0, g.terms, g.coefficients, gauge=gauge)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.0, np.nan])
+    def test_gauge_must_be_plus_or_minus_one(self, scale):
+        # Twice the true Z still passes the shift check, as Z A Z^-1 does
+        # not see a scale; 0 and NaN entries would fail it: either way only
+        # +-1 entries are taken.
+        g = closed_generator(preset("A-II"))
+        bad = self.regauged(g, lambda s: g.gauge(s) * [scale, 1.0, 1.0])
+        with pytest.raises(ValueError, match="is not 3 entries of"):
+            periodic._repeats(bad, 2.0 * np.pi)
+
+    def test_gauge_must_match_the_generator(self):
+        # the Hilbert-space Z declared for the 9x9 Liouville generator
+        g = liouville_generator(preset("A-II"))
+        bad = self.regauged(g, closed_generator(preset("A-II")).gauge)
+        # (the first shift probed is T/2, where Z = I)
+        with pytest.raises(ValueError, match=r"gauge \[1\. 1\. 1\.\] is "
+                           "not 9 entries of"):
+            periodic._repeats(bad, 2.0 * np.pi)
+
+    @staticmethod
+    def sub_stack(g, m):
+        """The own-coordinate stack over tau = pi / m, T = 2 pi, on the
+        STEPS / 2m steps of one of the plan's 2m repeats."""
+        return _propagate_grids(g, 0.0, np.pi / m,
+                                [(STEPS // (2 * m), True)])[0]
+
     @pytest.mark.parametrize("delta_omega_p, m", [(0.0, 2), (2.0, 4)])
     def test_one_period_from_repeats(self, delta_omega_p, m):
-        # the gauge route against the period resolved whole
+        # the gauge route against the period resolved whole: r from the
+        # stack's length, Z from the generator, no sign supplied
         g = liouville_generator(preset("A-II", delta_omega_p=delta_omega_p))
         plan = make_plan(g, 2.0 * np.pi, STEPS)
         _, whole = one_period(g, plan)
-        u_t, composed = one_period(g, replace(
-            plan, repeats=2 * m,
-            signs=tuple(lifted(self.SIGNS[delta_omega_p]))))
+        u_t, composed = one_period(g, plan, self.sub_stack(g, m))
         assert composed.shape == whole.shape
         assert np.array_equal(composed[0], np.eye(g.dim))
         assert np.array_equal(u_t, composed[-1])
         assert np.max(np.abs(composed - whole)) <= 1e-13
 
+    @pytest.mark.parametrize("steps", [0, 3, 48])
+    def test_sub_stack_must_divide_the_period(self, steps):
+        g = liouville_generator(preset("A-II"))
+        sub = _propagate_grids(g, 0.0, np.pi / 2, [(max(steps, 1), True)])[0]
+        with pytest.raises(ValueError, match=f"stack of {steps} steps does "
+                           f"not divide the period's {STEPS}"):
+            one_period(g, make_plan(g, 2.0 * np.pi, STEPS), sub[:steps + 1])
+
     @pytest.mark.parametrize("repeats", [1, 4])
     def test_one_period_returns_an_owned_u_t(self, repeats):
         # U_T is the micromotion's last row, held apart from the stack
         g = liouville_generator(preset("A-II"))
-        plan = replace(make_plan(g, 2.0 * np.pi, STEPS), repeats=repeats,
-                       signs=tuple(lifted(self.SIGNS[0.0]))
-                       if repeats > 1 else ())
-        u_t, micro = one_period(g, plan)
+        plan = make_plan(g, 2.0 * np.pi, STEPS)
+        u_t, micro = one_period(g, plan, None if repeats == 1
+                                else self.sub_stack(g, repeats // 2))
         assert np.array_equal(u_t, micro[-1])
         assert u_t.flags.owndata and not np.shares_memory(u_t, micro)
 
@@ -284,7 +327,7 @@ class TestAccuratePlan:
         # maps it to the vec basis as the period's first n + 1 rows.
         g = build(preset("A-II"))
         plan, _, sub = accurate_plan(g, 2.0 * np.pi)
-        n = plan.steps_per_period // plan.repeats
+        n = plan.steps_per_period // periodic._repeats(g, 2.0 * np.pi)[0]
         assert sub.dtype == np.float64 and sub.shape == (n + 1, own, own)
         _, micro = one_period(g, plan, sub)
         assert np.array_equal(micro[:n + 1], g._vec_coordinates(sub))

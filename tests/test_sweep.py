@@ -365,14 +365,15 @@ STEADY_CASES = [
 
 
 def capture_one_period(monkeypatch, after=None):
-    """Route sweep.one_period through a wrapper that keeps its plan and
-    result in the returned dict, and calls after(dict) once it returns."""
+    """Route sweep.one_period through a wrapper that keeps its generator,
+    plan, sub-period stack and result in the returned dict, and calls
+    after(dict) once it returns."""
     seen = {}
     real = sweep.one_period
 
     def wrapper(g, plan, sub=None):
         seen["result"] = real(g, plan, sub)
-        seen["plan"] = plan
+        seen.update(g=g, plan=plan, sub=sub)
         if after is not None:
             after(seen)
         return seen["result"]
@@ -473,12 +474,15 @@ def test_full_drive_sub_period_matches_the_whole_period(monkeypatch, case):
     p = preset(case)
     seen = capture_one_period(monkeypatch)
     got = steady_state_summary(p, rwa=False)
-    assert seen["plan"].repeats == 4
-    assert seen["plan"].signs == tuple(np.kron([-1, 1, 1], [-1, 1, 1]))
+    # one_period fills r = 4 repeats of the stack under Z = g.gauge(T/4)
+    plan = seen["plan"]
+    assert 4 * (len(seen["sub"]) - 1) == plan.steps_per_period
+    assert np.array_equal(seen["g"].gauge(plan.period / 4),
+                          np.kron([-1, 1, 1], [-1, 1, 1]))
     monkeypatch.setattr(periodic, "_repeats",
                         lambda g, period: (1, np.ones(g.dim)))
     want = steady_state_summary(p, rwa=False)
-    assert seen["plan"].repeats == 1 and seen["plan"].signs == (1.0,) * 9
+    assert len(seen["sub"]) - 1 == seen["plan"].steps_per_period
     assert got["steps"] == want["steps"] and got["t_conv"] == want["t_conv"]
     assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-14
     assert abs(got["gap"] - want["gap"]) <= 1e-12
