@@ -75,6 +75,15 @@ MUTANTS = [
            "if sub is None else sub)"),
     Mutant("repeat-scaling-z", "src/lamsim/periodic.py",
            "block *= z ** j", "block *= z"),
+    Mutant("one-period-gauge-at-period", "src/lamsim/periodic.py",
+           "z = g.gauge(plan.period / r)[:, None]",
+           "z = g.gauge(plan.period)[:, None]"),
+    Mutant("one-period-one-repeat", "src/lamsim/periodic.py",
+           "r = plan.steps_per_period // n", "r = 1"),
+    Mutant("repeats-no-gauge-check", "src/lamsim/periodic.py",
+           "if np.shape(signs) != (g.dim,) or not np.all(np.abs(signs) "
+           "== 1.0):",
+           "if False:"),
     Mutant("own-gauge-no-symmetry-check", "src/lamsim/magnus.py",
            "if not np.array_equal(z.reshape(n, n), z.reshape(n, n).T):",
            "if False:"),

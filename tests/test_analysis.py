@@ -105,6 +105,18 @@ class TestSpectralGap:
         assert not report.degenerate
         assert resolved_log(complex(math.log(lambda2), 1.0)) == resolved
 
+    def test_power_of_a_period_map_above_the_floor_is_resolved(self):
+        # U_T^11 of A-II's full drive takes |lambda_2| to 1.3e-10, between
+        # the floor and 1e-9: it is resolved, and its gap per unit time is
+        # U_T's (to 2.8e-6, the rounding of a log of 1.3e-10)
+        g = liouville_generator(preset("A-II"))
+        u_t, _ = one_period(g, make_plan(g, 2.0 * np.pi, 256))
+        power = spectral_gap(np.linalg.matrix_power(u_t, 11),
+                             period=22.0 * np.pi)
+        assert LAMBDA2_FLOOR < math.exp(-power.gap) < 1e-9
+        assert power.gap_per_time == pytest.approx(
+            spectral_gap(u_t, period=2.0 * np.pi).gap_per_time, rel=1e-4)
+
 
 class TestEigenLogOrder:
     def test_sorted_by_decay_then_imaginary_part(self):

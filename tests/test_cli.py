@@ -794,6 +794,27 @@ class TestSweepCommand:
         values = dict(zip(header, rows[1].split(",")))
         assert float(values["rwa_rho22"]) < 1e-4
 
+    def test_decoupled_level_row(self, tmp_path):
+        # rabi_c = gamma_23 = 0 decouple |3>: U_T fixes |3><3| too (a
+        # two-dimensional fixed space), and |1><1| goes to the driven
+        # two-level state, in closed form for the RWA drive; neither drive
+        # puts weight on |3>.
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--e2", "6", "--e3", "2", "--rabi-p", "0.2",
+                   "--rabi-c", "0", "--gamma-12", "0.9", "--gamma-23", "0",
+                   "--omega-p-range", "6:6:1", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        values = dict(zip(rows[0].split(","), rows[1].split(",")))
+        rabi, gamma = 0.2, 0.9
+        rho22 = (rabi ** 2 / 4) / (gamma ** 2 / 4 + rabi ** 2 / 2)
+        assert abs(float(values["rwa_rho22"]) - rho22) <= 1e-12
+        for drive in ("full", "rwa"):
+            assert abs(float(values[f"{drive}_rho11"])
+                       + float(values[f"{drive}_rho22"]) - 1.0) <= 1e-12
+            for key in ("rho33", "re_r13", "im_r13", "re_r23", "im_r23"):
+                assert abs(float(values[f"{drive}_{key}"])) <= 1e-12, key
+
     def test_point_above_the_fixed_count_cap_runs(self, tmp_path):
         # omega_p = 6.005 needs q = 200: q * BASE_STEPS is above the cap,
         # the RWA drive's estimated count q * MIN_STEPS is not.

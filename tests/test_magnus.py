@@ -390,6 +390,16 @@ class TestFrameRoute:
         with pytest.raises(ValueError, match="frame"):
             Generator(full.a0, full.terms, full.coefficients, rwa.frame)
 
+    @pytest.mark.parametrize("build", [closed_generator, liouville_generator])
+    def test_frame_rates_off_by_1e_10_are_rejected(self, build):
+        # rates off by one part in 1e10 leave a 3e-10 defect at the check's
+        # shift, 1: above the claim's 1e-12 tolerance
+        rwa = build(preset("A-II"), rwa=True)
+        with pytest.raises(ValueError, match="not constant in the declared "
+                           "frame: defect 3.000e-10"):
+            Generator(rwa.a0, rwa.terms, rwa.coefficients,
+                      rwa.frame * (1.0 + 1e-10))
+
     @pytest.mark.parametrize("shift", [0.3, 2.0, 40.0])
     def test_any_shift_acts_as_the_frame(self, shift):
         # Phi(t) (A(t') - i Theta) Phi(t)^-1 = A(t + t') - i Theta, and the
