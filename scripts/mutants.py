@@ -71,15 +71,19 @@ MUTANTS = [
            "np.exp(-1j * _rwf_rates(p) * times[..., None])",
            "np.exp(1j * _rwf_rates(p) * times[..., None])"),
     Mutant("one-period-no-vec-map", "src/lamsim/periodic.py",
-           "if sub is None else g._vec_coordinates(sub))",
-           "if sub is None else sub)"),
+           "if stack is None else g._vec_coordinates(stack))",
+           "if stack is None else stack)"),
+    Mutant("one-period-no-length-check", "src/lamsim/periodic.py",
+           "if stack is not None and len(stack) != "
+           "plan.steps_per_period + 1:",
+           "if False:"),
     Mutant("repeat-scaling-z", "src/lamsim/periodic.py",
            "block *= z ** j", "block *= z"),
-    Mutant("one-period-gauge-at-period", "src/lamsim/periodic.py",
-           "z = g.gauge(plan.period / r)[:, None]",
-           "z = g.gauge(plan.period)[:, None]"),
-    Mutant("one-period-one-repeat", "src/lamsim/periodic.py",
-           "r = plan.steps_per_period // n", "r = 1"),
+    Mutant("fill-gauge-at-period", "src/lamsim/periodic.py",
+           "for j in range(1, r):",
+           "for j, z in zip(range(1, r), [np.ones_like(z)] * r):"),
+    Mutant("fill-one-repeat", "src/lamsim/periodic.py",
+           "return plan, error, stack", "return plan, error, stack[:n + 1]"),
     Mutant("repeats-no-gauge-check", "src/lamsim/periodic.py",
            "if np.shape(signs) != (g.dim,) or not np.all(np.abs(signs) "
            "== 1.0):",

@@ -358,8 +358,8 @@ def _period_maps(cfg: RunConfig, p: LambdaParams) -> tuple[dict, dict]:
     maps, steps = {}, []
     for drive in _variants(cfg.drive):
         g = liouville_generator(p, rwa=drive == "rwa")
-        plan, _, sub = accurate_plan(g, period)
-        maps[drive] = one_period(g, plan, sub)[0]
+        plan, _, stack = accurate_plan(g, period)
+        maps[drive] = one_period(g, plan, stack)[0]
         steps.append(str(plan.steps_per_period))
     return maps, {"steps_per_period": " ".join(steps), "period": period}
 

@@ -218,17 +218,17 @@ class Generator(_Tables):
         complex stack in the vec basis: S r S^-1 from Hermitian ones,
         r[:d, :d] + i r[d:, :d] from the realification."""
         d = self.dim
+        out = np.empty(r.shape[:-2] + (d, d), dtype=complex)
         if self._real.dim > d:
-            out = np.empty(r.shape[:-2] + (d, d), dtype=complex)
             out.real = r[..., :d, :d]
             out.imag = r[..., d:, :d]
             return out
         to_vec = _from_hermitian(math.isqrt(d))
-        flat = r.reshape(-1, d * d)
-        out = np.empty(flat.shape, dtype=complex)
-        out.real = flat @ to_vec[0]
-        out.imag = flat @ to_vec[1]
-        return out.reshape(r.shape)
+        flat, rows = r.reshape(-1, d * d), out.reshape(-1, d * d)
+        for a in range(0, len(flat), CHUNK_STEPS):
+            rows[a:a + CHUNK_STEPS].real = flat[a:a + CHUNK_STEPS] @ to_vec[0]
+            rows[a:a + CHUNK_STEPS].imag = flat[a:a + CHUNK_STEPS] @ to_vec[1]
+        return out
 
     def _own_gauge(self, z: np.ndarray) -> np.ndarray:
         """A sign gauge diag(z) in the vec basis as a +-1 diagonal in the

@@ -10,8 +10,8 @@ exponentially long times, and the average over any one period is one fixed
 map (period_mean_map) of the state at the period's start.  Inside T, a
 shift by tau = T/r that acts as a +-1 sign gauge, A(t + tau) = Z A(t) Z (a
 Floquet dynamical symmetry; Alon, Averbukh & Moiseyev, Phys. Rev. Lett. 80,
-3743 (1998)), gives U_T = (Z U_tau)^r for even r, so accurate_plan and
-one_period resolve only tau: T/4 for the presets, T/2 off resonance.
+3743 (1998)), gives U_T = (Z U_tau)^r for even r, so accurate_plan
+resolves only tau (T/4 for the presets, T/2 off resonance) and fills T.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ class HorizonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicPlan:
-    """One resolved drive period: length T and step count N over T (a
-    sub-period's repeats and gauge are read by one_period, not held)."""
+    """One resolved drive period: length T and step count N over T."""
 
     period: float
     steps_per_period: int
@@ -90,7 +89,8 @@ def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
     """The largest power of two r <= MIN_STEPS // 2 (the floor's half
     probe keeps >= 1 step) for which a shift by tau = period / r acts as
     the generator's sign gauge Z (Generator.shift_defect), and Z's diagonal
-    g.gauge(tau) (I at r = 1), which must be g.dim entries of +-1.
+    g.gauge(tau) (I at r = 1), which must be g.dim entries of +-1 (so
+    Z = Z^-1 in accurate_plan's fill): the one reader of Generator.gauge.
 
     Powers of two suffice for period = 2 pi q from commensurate_period:
     the fundamental count gcd(q omega_p, q omega_c) is coprime to q, so
@@ -130,45 +130,32 @@ def commensurate_period(omega_p: float, omega_c: float) -> tuple[float, int]:
 
 
 def one_period(g: Generator, plan: PeriodicPlan,
-               sub: np.ndarray | None = None
+               stack: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over one period (owned) plus cumulative propagators at
-    every intra-period grid point (identity first, U_T last): the whole
-    period on N sixth-order steps, or filled from ``sub``, a stack over
-    tau = T/r on n = N/r steps in the generator's own coordinates (as
-    accurate_plan returns it), mapped to the vec basis here.  r is read
-    from n (ValueError unless n divides N), the sign gauge Z = g.gauge(tau)
-    from the generator.  Each later repeat j is one batched product of it
-    with row j n, U(j tau + s) = Z^j U(s) Z^j U(j tau), Z^j taken as exact
-    row scalings (Shirley, Phys. Rev. 138, B979 (1965))."""
-    n = plan.steps_per_period if sub is None else len(sub) - 1
-    if n < 1 or plan.steps_per_period % n:
-        raise ValueError(f"a sub-period stack of {n} steps does not divide "
-                         f"the period's {plan.steps_per_period}")
-    r = plan.steps_per_period // n
-    sub = (propagate(g, 0.0, plan.period, n, return_intermediate=True)
-           if sub is None else g._vec_coordinates(sub))
-    if r == 1:
-        return sub[-1].copy(), sub
-    z = g.gauge(plan.period / r)[:, None]
-    micromotion = np.empty((r * n + 1,) + sub.shape[1:], dtype=sub.dtype)
-    micromotion[:n + 1] = sub
-    for j in range(1, r):
-        block = micromotion[j * n + 1:(j + 1) * n + 1]
-        np.matmul(sub[1:], z ** j * micromotion[j * n], out=block)
-        block *= z ** j
-    return micromotion[-1].copy(), micromotion
+    """U_T (owned) and the period's N + 1 propagators (identity first,
+    U_T last) in the vec basis: ``stack``, the same rows in the
+    generator's own coordinates as accurate_plan returns them, mapped
+    (ValueError unless it has N + 1 rows), or with no stack the period
+    propagated on N sixth-order steps.  On a plan from accurate_plan that
+    route is not the accepted map: A-II full is 2.9e-10 off it, C-II
+    3.1e-9, against 4.2e-15 and 5.9e-14 with the stack."""
+    if stack is not None and len(stack) != plan.steps_per_period + 1:
+        raise ValueError(f"a stack of {len(stack) - 1} steps is not the "
+                         f"period's {plan.steps_per_period}")
+    stack = (propagate(g, 0.0, plan.period, plan.steps_per_period,
+                       return_intermediate=True)
+             if stack is None else g._vec_coordinates(stack))
+    return stack[-1].copy(), stack
 
 
 def accurate_plan(g: Generator, period: float
                   ) -> tuple[PeriodicPlan, float, np.ndarray | None]:
     """The plan whose eighth-order period map meets STEP_ERROR_TARGET,
-    the estimate of that map's max-entry error, and the sub-period stack
-    that one_period(g, plan, sub) builds that map from (its N/r steps tell
-    one_period r).
+    the estimate of that map's max-entry error, and the period's N + 1
+    propagators, which one_period(g, plan, stack) maps to the vec basis.
 
     A generator with a frame takes the floor N = q MIN_STEPS (T = 2 pi q)
-    with estimate 0.0, no probe and sub None: its U_N = Phi(T) exp(T B)
+    with estimate 0.0, no probe and stack None: its U_N = Phi(T) exp(T B)
     is the same matrix for every N.  Otherwise tau = T/r, with
     the repeats r and sign gauge Z of _repeats, is propagated on a ladder
     of n/2, n and 2n sixth-order steps, n = N/r, in one batched pass
@@ -178,14 +165,16 @@ def accurate_plan(g: Generator, period: float
     Anal. B 2, 384 (1965); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
     (2009)); the estimate is max |R_2N - R_N| / 255 in the vec basis.
     While it is above the target N doubles and only the new finest level
-    is propagated: each level is propagated once.  The powers and the
-    extrapolations are taken in the generator's own coordinates (real
-    Hermitian ones for the full drive, where Z is its own +-1 diagonal),
-    and so is the returned sub-stack (64 S_2n[::2] - S_n) / 63 on the
-    n-step grid, float64, whose ladder stacks are freed on return: N >= q
-    MIN_STEPS is the stack's grid and the finest level takes 2N steps per
-    period.  The step cap bounds N, checked before each level.  Every U_T
-    consumer (steady state, gap, CPTP checks) reads the U_T built from it.
+    is propagated: each level is propagated once.  The powers, the
+    extrapolations and the stack are real, float64, in the generator's own
+    coordinates (Hermitian ones for the full drive, where Z is its own +-1
+    diagonal): (64 S_2n[::2] - S_n) / 63 over tau on the n-step grid, its
+    ladder stacks freed, and then each later repeat j is one batched
+    product, U(j tau + s) = Z^j U(s) Z^j U(j tau), Z^j as exact row
+    scalings (Shirley, Phys. Rev. 138, B979 (1965)).  N >= q MIN_STEPS is
+    the stack's grid, the finest level takes 2N steps per period, and the
+    step cap bounds N, checked before each level.  Every U_T consumer
+    (steady state, gap, CPTP checks) reads the U_T mapped from the stack.
     """
     plan = make_plan(g, period,
                      MIN_STEPS * max(1, round(period / (2.0 * np.pi))))
@@ -219,7 +208,14 @@ def accurate_plan(g: Generator, period: float
         plan = replace(plan, steps_per_period=2 * plan.steps_per_period)
         coarse, mid, (hi,) = mid[0], hi, levels(
             (2 * plan.steps_per_period // r, True))
-    return plan, error, extrapolate(hi[1][::2], mid[1])
+    n = plan.steps_per_period // r
+    stack = np.empty((r * n + 1,) + mid[1].shape[1:])
+    stack[:n + 1] = extrapolate(hi[1][::2], mid[1])
+    for j in range(1, r):
+        block = stack[j * n + 1:(j + 1) * n + 1]
+        np.matmul(stack[1:n + 1], z ** j * stack[j * n], out=block)
+        block *= z ** j
+    return plan, error, stack
 
 
 def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,

@@ -244,8 +244,8 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
         raise ValueError("steady-state analysis requires dissipation")
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     g = liouville_generator(p, rwa=rwa)
-    plan, step_error, sub = accurate_plan(g, period)
-    u_t, micro = one_period(g, plan, sub)
+    plan, step_error, stack = accurate_plan(g, period)
+    u_t, micro = one_period(g, plan, stack)
     t_conv = convergence_time(g, plan, ground_state(), eps=eps,
                               precomputed=(u_t, micro))
     left, sigma, right = np.linalg.svd(u_t - np.eye(LDIM))

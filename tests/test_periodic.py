@@ -24,10 +24,10 @@ STEPS = 256  # coarse grid keeps these structural tests fast
 
 def resolved(g, period):
     """accurate_plan's plan and estimate, with the (U_T, micromotion) that
-    one_period builds from its sub-period stack, as the library's U_T
-    consumers resolve a period."""
-    plan, error, sub = accurate_plan(g, period)
-    return plan, error, one_period(g, plan, sub)
+    one_period maps from its period stack, as the library's U_T consumers
+    resolve a period."""
+    plan, error, stack = accurate_plan(g, period)
+    return plan, error, one_period(g, plan, stack)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +85,8 @@ class TestPlan:
             PeriodicPlan(period=1.0, steps_per_period=MAX_PLAN_STEPS + 1)
 
     def test_plan_holds_only_the_period_and_its_steps(self):
-        # the repeats come from a sub-period stack, the gauge from the
-        # generator (one_period): a plan cannot contradict either
+        # the repeats and the gauge are found and used by accurate_plan
+        # alone, so a plan cannot contradict either
         assert [f.name for f in fields(PeriodicPlan)] == [
             "period", "steps_per_period"]
 
@@ -171,9 +171,9 @@ class TestRepeats:
         # the exact frame route is the same matrix for any sub-period
         p = preset(case, delta_omega_p=delta_omega_p)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
-        plan, _, sub = accurate_plan(liouville_generator(p, rwa=True),
-                                     period)
-        assert sub is None and plan.steps_per_period == MIN_STEPS * round(
+        plan, _, stack = accurate_plan(liouville_generator(p, rwa=True),
+                                       period)
+        assert stack is None and plan.steps_per_period == MIN_STEPS * round(
             period / (2.0 * np.pi))
 
     def test_cos_drive(self):
@@ -225,41 +225,25 @@ class TestRepeats:
                            "not 9 entries of"):
             periodic._repeats(bad, 2.0 * np.pi)
 
-    @staticmethod
-    def sub_stack(g, m):
-        """The own-coordinate stack over tau = pi / m, T = 2 pi, on the
-        STEPS / 2m steps of one of the plan's 2m repeats."""
-        return _propagate_grids(g, 0.0, np.pi / m,
-                                [(STEPS // (2 * m), True)])[0]
-
-    @pytest.mark.parametrize("delta_omega_p, m", [(0.0, 2), (2.0, 4)])
-    def test_one_period_from_repeats(self, delta_omega_p, m):
-        # the gauge route against the period resolved whole: r from the
-        # stack's length, Z from the generator, no sign supplied
-        g = liouville_generator(preset("A-II", delta_omega_p=delta_omega_p))
-        plan = make_plan(g, 2.0 * np.pi, STEPS)
-        _, whole = one_period(g, plan)
-        u_t, composed = one_period(g, plan, self.sub_stack(g, m))
-        assert composed.shape == whole.shape
-        assert np.array_equal(composed[0], np.eye(g.dim))
-        assert np.array_equal(u_t, composed[-1])
-        assert np.max(np.abs(composed - whole)) <= 1e-13
-
-    @pytest.mark.parametrize("steps", [0, 3, 48])
-    def test_sub_stack_must_divide_the_period(self, steps):
+    @pytest.mark.parametrize("steps", [0, 32, 128, 512])
+    def test_stack_must_span_the_period(self, steps):
+        # 32 steps over T/8 is a tau-stack of the right step length, but a
+        # shift by T/8 is no gauge of A-II: filled out as if it were, it
+        # gave a U_T 0.457 (max entry) off the whole-period map
         g = liouville_generator(preset("A-II"))
-        sub = _propagate_grids(g, 0.0, np.pi / 2, [(max(steps, 1), True)])[0]
-        with pytest.raises(ValueError, match=f"stack of {steps} steps does "
-                           f"not divide the period's {STEPS}"):
-            one_period(g, make_plan(g, 2.0 * np.pi, STEPS), sub[:steps + 1])
+        stack = _propagate_grids(g, 0.0, np.pi / 4, [(max(steps, 1), True)]
+                                 )[0]
+        with pytest.raises(ValueError, match=f"a stack of {steps} steps is "
+                           f"not the period's {STEPS}"):
+            one_period(g, make_plan(g, 2.0 * np.pi, STEPS),
+                       stack[:steps + 1])
 
-    @pytest.mark.parametrize("repeats", [1, 4])
-    def test_one_period_returns_an_owned_u_t(self, repeats):
+    @pytest.mark.parametrize("from_plan", [False, True])
+    def test_one_period_returns_an_owned_u_t(self, from_plan):
         # U_T is the micromotion's last row, held apart from the stack
         g = liouville_generator(preset("A-II"))
-        plan = make_plan(g, 2.0 * np.pi, STEPS)
-        u_t, micro = one_period(g, plan, None if repeats == 1
-                                else self.sub_stack(g, repeats // 2))
+        plan, _, stack = accurate_plan(g, 2.0 * np.pi)
+        u_t, micro = one_period(g, plan, stack if from_plan else None)
         assert np.array_equal(u_t, micro[-1])
         assert u_t.flags.owndata and not np.shares_memory(u_t, micro)
 
@@ -321,17 +305,37 @@ class TestAccuratePlan:
 
     @pytest.mark.parametrize("build, own", [(liouville_generator, 9),
                                             (closed_generator, 6)])
-    def test_sub_stack_in_own_coordinates(self, build, own):
-        # The full drive's accepted stack over tau = T/r, on the n = N/r
-        # grid in its real coordinates (Hermitian for the Liouville
-        # generator, the realification for the closed one); one_period
-        # maps it to the vec basis as the period's first n + 1 rows.
+    def test_stack_in_own_coordinates(self, build, own):
+        # The full drive's accepted period, all N + 1 rows, in its real
+        # coordinates (Hermitian for the Liouville generator, the
+        # realification for the closed one): its repeats over tau = T/r
+        # compose as U_T = (Z U_tau)^r, and one_period maps every row to
+        # the vec basis.
         g = build(preset("A-II"))
-        plan, _, sub = accurate_plan(g, 2.0 * np.pi)
-        n = plan.steps_per_period // periodic._repeats(g, 2.0 * np.pi)[0]
-        assert sub.dtype == np.float64 and sub.shape == (n + 1, own, own)
-        _, micro = one_period(g, plan, sub)
-        assert np.array_equal(micro[:n + 1], g._vec_coordinates(sub))
+        plan, _, stack = accurate_plan(g, 2.0 * np.pi)
+        r, z = periodic._repeats(g, 2.0 * np.pi)
+        n = plan.steps_per_period // r
+        assert stack.dtype == np.float64
+        assert stack.shape == (plan.steps_per_period + 1, own, own)
+        composed = np.linalg.matrix_power(
+            g._own_gauge(z)[:, None] * stack[n], r)
+        assert np.max(np.abs(stack[-1] - composed)) <= 1e-14
+        _, micro = one_period(g, plan, stack)
+        assert np.array_equal(micro, g._vec_coordinates(stack))
+
+    @pytest.mark.parametrize("case, delta_omega_p", [
+        ("A-II", 0.0), ("B-II", 0.0), ("C-II", 0.0), ("A-II", 2.0)])
+    def test_filled_period_matches_the_whole_period(self, case,
+                                                    delta_omega_p):
+        # the stack filled from tau = T/4 (T/8 at omega_p = 8) against the
+        # period's sixth-order map on 8N steps, whose error is below 1e-14
+        g = liouville_generator(preset(case, delta_omega_p=delta_omega_p))
+        plan, _, stack = accurate_plan(g, 2.0 * np.pi)
+        u_t, micro = one_period(g, plan, stack)
+        whole, _ = one_period(g, make_plan(g, 2.0 * np.pi,
+                                           8 * plan.steps_per_period))
+        assert np.array_equal(micro[0], np.eye(g.dim))
+        assert np.max(np.abs(u_t - whole)) <= 1e-13
 
     def test_gauge_off_the_hermitian_diagonal_is_refused(self):
         # With no drive A-II's Liouvillian commutes with every diagonal

@@ -366,14 +366,14 @@ STEADY_CASES = [
 
 def capture_one_period(monkeypatch, after=None):
     """Route sweep.one_period through a wrapper that keeps its generator,
-    plan, sub-period stack and result in the returned dict, and calls
+    plan, own-coordinate stack and result in the returned dict, and calls
     after(dict) once it returns."""
     seen = {}
     real = sweep.one_period
 
-    def wrapper(g, plan, sub=None):
-        seen["result"] = real(g, plan, sub)
-        seen.update(g=g, plan=plan, sub=sub)
+    def wrapper(g, plan, stack=None):
+        seen["result"] = real(g, plan, stack)
+        seen.update(g=g, plan=plan, stack=stack)
         if after is not None:
             after(seen)
         return seen["result"]
@@ -443,10 +443,10 @@ def test_full_drive_propagates_the_chosen_steps_once(monkeypatch, case):
     # 224 Magnus steps: a shift by T/4 = pi/2 acts as the sign gauge
     # Z = diag(-1, 1, 1), so the ladder takes U_T as (Z U_{T/4})^4 at 128,
     # 256 and 512 steps (32, 64 and 128 over T/4, in one batched pass), its
-    # estimate holds at the floor, and the 256-step stack is resolved once
-    # from the extrapolated sub-stack.  No count takes a linear solve: the
-    # exponents' 1-norms reach 1.67 (C-II at 32 steps over T/4), inside
-    # expm's solve-free Taylor tiers.
+    # estimate holds at the floor, and the 256-step stack, filled from the
+    # extrapolated T/4 stack, is mapped once.  No count takes a linear
+    # solve: the exponents' 1-norms reach 1.67 (C-II at 32 steps over
+    # T/4), inside expm's solve-free Taylor tiers.
     counts, solved_at, resolved = [], [], []
     real_propagate, real_solve = periodic._propagate_grids, np.linalg.solve
 
@@ -474,15 +474,15 @@ def test_full_drive_sub_period_matches_the_whole_period(monkeypatch, case):
     p = preset(case)
     seen = capture_one_period(monkeypatch)
     got = steady_state_summary(p, rwa=False)
-    # one_period fills r = 4 repeats of the stack under Z = g.gauge(T/4)
-    plan = seen["plan"]
-    assert 4 * (len(seen["sub"]) - 1) == plan.steps_per_period
-    assert np.array_equal(seen["g"].gauge(plan.period / 4),
-                          np.kron([-1, 1, 1], [-1, 1, 1]))
+    # accurate_plan fills the period from r = 4 repeats of tau = T/4
+    # under Z = diag(-1, 1, 1) (x) Z, and one_period maps all N + 1 rows
+    r, z = periodic._repeats(seen["g"], seen["plan"].period)
+    assert r == 4 and np.array_equal(z, np.kron([-1, 1, 1], [-1, 1, 1]))
+    assert len(seen["stack"]) - 1 == seen["plan"].steps_per_period
     monkeypatch.setattr(periodic, "_repeats",
                         lambda g, period: (1, np.ones(g.dim)))
     want = steady_state_summary(p, rwa=False)
-    assert len(seen["sub"]) - 1 == seen["plan"].steps_per_period
+    assert len(seen["stack"]) - 1 == seen["plan"].steps_per_period
     assert got["steps"] == want["steps"] and got["t_conv"] == want["t_conv"]
     assert np.max(np.abs(got["rho_ss_rwf"] - want["rho_ss_rwf"])) <= 1e-14
     assert abs(got["gap"] - want["gap"]) <= 1e-12
