@@ -85,12 +85,17 @@ MUTANTS = [
     Mutant("fill-one-repeat", "src/lamsim/periodic.py",
            "return plan, error, stack", "return plan, error, stack[:n + 1]"),
     Mutant("repeats-no-gauge-check", "src/lamsim/periodic.py",
-           "if np.shape(signs) != (g.dim,) or not np.all(np.abs(signs) "
-           "== 1.0):",
+           "if np.shape(signs) != (g.dim,) or not np.isin(signs, (-1, 1))"
+           ".all():",
            "if False:"),
     Mutant("own-gauge-no-symmetry-check", "src/lamsim/magnus.py",
            "if not np.array_equal(z.reshape(n, n), z.reshape(n, n).T):",
            "if False:"),
+    Mutant("h0-drops-e1", "src/lamsim/model.py",
+           "np.diag([p.e1, p.e2, p.e3])", "np.diag([0.0, p.e2, p.e3])"),
+    Mutant("signs-entry-order", "src/lamsim/model.py",
+           "return np.array([s_p, 1.0, s_c])",
+           "return np.array([s_c, 1.0, s_p])"),
     Mutant("running-products-identity-entry", "src/lamsim/magnus.py",
            "entry.append(u)", "entry.append(np.eye(d))"),
     Mutant("frame-rows-unconjugated", "src/lamsim/sweep.py",

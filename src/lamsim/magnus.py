@@ -182,9 +182,9 @@ class Generator(_Tables):
         self.frame = None
         if frame is not None:
             frame = np.array(frame, dtype=float)
-            if frame.shape != (self.dim,):
-                raise ValueError(f"frame must be a length-{self.dim} rate "
-                                 f"vector, got shape {frame.shape}")
+            if frame.shape != (self.dim,) or not np.isfinite(frame).all():
+                raise ValueError(f"frame must be a finite length-{self.dim} "
+                                 f"rate vector, got {frame}")
             self.frame = frame
             bad = self.shift_defect(_FRAME_SHIFT,
                                     np.exp(1j * _FRAME_SHIFT * frame))
@@ -254,6 +254,8 @@ class Generator(_Tables):
         which grows with t: at q = 1000 it alone is about 6e-12."""
         probes = shift * _probe_fractions()
         d = np.ones(self.dim) if d is None else np.asarray(d)
+        if d.shape != (self.dim,) or not np.all(np.isfinite(d) & (d != 0)):
+            raise ValueError(f"d {d} is not {self.dim} finite nonzero entries")
         a = self(probes) * (d[:, None] / d)
         defect = np.max(np.abs(self(probes + shift) - a), axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))) \

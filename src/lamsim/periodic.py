@@ -101,7 +101,7 @@ def _repeats(g: Generator, period: float) -> tuple[int, np.ndarray]:
     r, z = 1, np.ones(g.dim)
     while r < MIN_STEPS // 2:
         signs = g.gauge(period / (2 * r))
-        if np.shape(signs) != (g.dim,) or not np.all(np.abs(signs) == 1.0):
+        if np.shape(signs) != (g.dim,) or not np.isin(signs, (-1, 1)).all():
             raise ValueError(f"gauge {signs} is not {g.dim} entries of +-1")
         if g.shift_defect(period / (2 * r), signs) is not None:
             break

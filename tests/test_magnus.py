@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from lamsim.magnus import (_NODES4, _NODES6, _STEPPERS, CHUNK_STEPS,
                            _running_products, propagate, step, step4, step6)
 from lamsim.model import (LambdaParams, closed_generator, lindbladian,
                           liouville_generator, preset)
-from lamsim.periodic import MIN_STEPS, _repeats, commensurate_period
+from lamsim.periodic import (MIN_STEPS, _repeats, commensurate_period,
+                             make_plan)
 
 from conftest import expm_eig, h_rwf, random_complex_matrix
 
@@ -408,16 +412,32 @@ class TestFrameRoute:
         assert g.shift_defect(shift, np.exp(1j * shift * g.frame)) is None
         assert g.shift_defect(shift) is not None
 
+    @pytest.mark.parametrize("d", [[-1.0, 1.0, 1.0], [0.0] + [1.0] * 8,
+                                   [np.nan] + [1.0] * 8])
+    def test_shift_defect_checks_its_diagonal(self, d):
+        # a Hilbert-space Z on the 9x9 generator, a zero entry (D^-1 does
+        # not exist) and a NaN one are refused, not reported as defects
+        g = liouville_generator(preset("A-II"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"d \[.*\] is not 9 finite "
+                               "nonzero entries"):
+                g.shift_defect(np.pi / 2, d)
+
     def test_frame_shape_checked(self):
         with pytest.raises(ValueError, match="frame"):
             Generator(np.eye(3), frame=np.zeros(2))
 
     def test_nan_defect_fails_the_frame_check(self):
-        # NaN > tol is False: a NaN defect must still fail the claim
-        with pytest.raises(ValueError, match="frame"), \
-                np.errstate(invalid="ignore"):
+        # a NaN rate is refused where the frame enters; a NaN defect (NaN >
+        # tol is False) must still fail a claim, here the period's
+        with pytest.raises(ValueError, match="frame"):
             Generator(-1j * np.diag([0.0, 1.0, 2.0]),
                       frame=[np.nan, 0.0, 0.0])
+        g = Generator(np.zeros((1, 1)), [np.ones((1, 1))],
+                      lambda t: np.where(t > 1.0, np.nan, np.cos(t))[..., None])
+        with pytest.raises(ValueError, match="defect nan"):
+            make_plan(g, 2.0 * np.pi, 16)
 
 
 class TestRealCoordinates:
@@ -503,6 +523,23 @@ class TestRealCoordinates:
         assert np.array_equal(rwa._own_gauge(z), own)
         with pytest.raises(ValueError, match="Hermitian"):
             rwa._own_gauge(asymmetric)
+
+    def test_every_accepted_sign_gauge_is_its_own_diagonal(self):
+        # All 512 sign patterns on vec(rho): a gauge that _own_gauge
+        # returns must be S^-1 diag(z) S itself, as the fill takes it; the
+        # 64 symmetric patterns, z[3 i + j] = z[3 j + i], are accepted.
+        g = liouville_generator(preset("A-II"))
+        s, s_inv = hermitian_coordinates(3)
+        accepted = 0
+        for z in itertools.product([-1.0, 1.0], repeat=9):
+            try:
+                own = g._own_gauge(np.array(z))
+            except ValueError:
+                continue
+            assert np.allclose(s_inv @ np.diag(z) @ s, np.diag(own),
+                               rtol=0.0, atol=1e-15)
+            accepted += 1
+        assert accepted == 2 ** 6
 
     @pytest.mark.parametrize("steps", [1, 7, CHUNK_STEPS + 7, 2100])
     @pytest.mark.parametrize("order", list(MagnusOrder))

@@ -206,15 +206,36 @@ class TestRepeats:
         """g with its declared sign gauge replaced by ``gauge``."""
         return Generator(g.a0, g.terms, g.coefficients, gauge=gauge)
 
-    @pytest.mark.parametrize("scale", [2.0, 0.0, np.nan])
+    @pytest.mark.parametrize("scale", [2.0, 1j, 0.0, np.nan])
     def test_gauge_must_be_plus_or_minus_one(self, scale):
-        # Twice the true Z still passes the shift check, as Z A Z^-1 does
-        # not see a scale; 0 and NaN entries would fail it: either way only
-        # +-1 entries are taken.
+        # Twice the true Z, or i Z, whose entries have modulus 1, still
+        # passes the shift check, as Z A Z^-1 does not see a scale; 0 and
+        # NaN entries shift_defect refuses: only +-1 entries are taken.
+        # (A modulus check lets i Z through, and on the Liouville
+        # generator the fill then reports an estimate of 0 and a U_T 0.56
+        # off.)
         g = closed_generator(preset("A-II"))
         bad = self.regauged(g, lambda s: g.gauge(s) * [scale, 1.0, 1.0])
         with pytest.raises(ValueError, match="is not 3 entries of"):
             periodic._repeats(bad, 2.0 * np.pi)
+
+    def test_negated_gauge_fills_the_same_period(self):
+        # -Z is the same symmetry as Z, and the fill's Z^j U(s) Z^j takes
+        # its sign twice: the same period, bit for bit
+        g = liouville_generator(preset("A-II"))
+        negated = self.regauged(g, lambda s: -g.gauge(s))
+        _, _, (want, _) = resolved(g, 2.0 * np.pi)
+        _, _, (got, _) = resolved(negated, 2.0 * np.pi)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [2.0, 1j])
+    def test_fill_never_sees_a_gauge_that_is_not_its_inverse(self, scale):
+        # 2 Z and i Z pass the shift check on the Liouville generator too;
+        # the fill takes Z = Z^-1, so accurate_plan refuses them
+        g = liouville_generator(preset("A-II"))
+        regauged = self.regauged(g, lambda s: scale * g.gauge(s))
+        with pytest.raises(ValueError, match="is not 9 entries of"):
+            accurate_plan(regauged, 2.0 * np.pi)
 
     def test_gauge_must_match_the_generator(self):
         # the Hilbert-space Z declared for the 9x9 Liouville generator

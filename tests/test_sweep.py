@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from lamsim.analysis import cptp_check, rwa_error, spectral_gap
 from lamsim.magnus import propagate
 from lamsim.model import (closed_generator, ground_state,
                           liouville_generator, preset, unvec, vec)
-from lamsim.periodic import commensurate_period, one_period
+from lamsim.periodic import (commensurate_period, doubling, one_period,
+                             trace_functional)
 from lamsim.rwa_oracle import rwa_density_tpr
 from lamsim.sweep import (SweepAxis, SweepSpec, run_case, run_sweep,
                           rwa_error_curve, steady_state_summary, to_rwf)
@@ -511,6 +513,42 @@ def test_steady_state_projects_a_degenerate_fixed_space():
     rho22 = (rabi ** 2 / 4) / (gamma ** 2 / 4 + rabi ** 2 / 2)
     assert abs(rho[1, 1] - rho22) <= 1e-12
     assert np.max(np.abs([rho[2, 2], rho[0, 2], rho[1, 2]])) <= 1e-12
+
+
+def test_degenerate_fixed_space_is_the_limit_of_the_period_map(
+        monkeypatch):
+    # The full drive with |3> decoupled: U_T has two fixed points, and the
+    # summary's projection onto them must be where U_T^n |1><1| goes, here
+    # U_T^256 by squaring with the trace reprojection.  Its slowest decay,
+    # 0.863 per period, leaves 4e-17 by then; the rounding each period
+    # leaks into the fixed point |3><3| adds up to about 1e-13.
+    p = preset("B-II").with_(rabi_c=0.0, gamma_23=0.0)
+    seen = capture_one_period(monkeypatch)
+    got = steady_state_summary(p, rwa=False)["rho_ss_rwf"]
+    u_t, micro = seen["result"]
+    v = doubling(u_t, 8, trace_functional()) @ vec(ground_state())
+    times = seen["plan"].micromotion_times
+    states = to_rwf((micro @ v).reshape(-1, 3, 3), p, times)
+    want = np.trapezoid(states, x=times, axis=0) / seen["plan"].period
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_strongly_damped_gap_matches_the_rotating_frame_spectrum():
+    # Strong fields and fast decay put |lambda_2(U_T)| near 9e-11, above
+    # the floor and below 1e-9.  The RWA drive's U_T is Phi(T) e^{T B},
+    # Phi(2 pi) = I, so the gap per time is -Re mu_2, mu_2 the eigenvalue
+    # of B with the second largest real part.  An entry error of eps in
+    # U_T moves ln |lambda_2| by at most about 9 eps / |lambda_2|.
+    p = preset("C-II").with_(rabi_p=12.0, rabi_c=12.0, gamma_12=10.0,
+                             gamma_23=10.0)
+    g = liouville_generator(p, rwa=True)
+    mu = np.linalg.eigvals(g(0.0) - 1j * np.diag(g.frame))
+    mu_2 = np.sort(mu.real)[-2]
+    lambda_2 = math.exp(2.0 * np.pi * mu_2)
+    assert 1e-12 < lambda_2 < 1e-9
+    s = steady_state_summary(p, rwa=True)
+    bound = 9.0 * periodic.STEP_ERROR_TARGET / lambda_2 / s["period"]
+    assert abs(s["gap_per_time"] + mu_2) <= bound
 
 
 def test_steady_state_memory_beyond_the_stack(monkeypatch):
