@@ -248,9 +248,9 @@ class TestRepeats:
 
     @pytest.mark.parametrize("steps", [0, 32, 128, 512])
     def test_stack_must_span_the_period(self, steps):
-        # 32 steps over T/8 is a tau-stack of the right step length, but a
-        # shift by T/8 is no gauge of A-II: filled out as if it were, it
-        # gave a U_T 0.457 (max entry) off the whole-period map
+        # 32 steps over T/8 have the step length of the period's grid, but
+        # a shift by T/8 is no gauge of A-II: its repeats filled as if it
+        # were would give a U_T 0.457 (max entry) off the period's map
         g = liouville_generator(preset("A-II"))
         stack = _propagate_grids(g, 0.0, np.pi / 4, [(max(steps, 1), True)]
                                  )[0]
@@ -352,6 +352,8 @@ class TestAccuratePlan:
         # period's sixth-order map on 8N steps, whose error is below 1e-14
         g = liouville_generator(preset(case, delta_omega_p=delta_omega_p))
         plan, _, stack = accurate_plan(g, 2.0 * np.pi)
+        assert stack.dtype == np.float64
+        assert stack.shape == (plan.steps_per_period + 1, 9, 9)
         u_t, micro = one_period(g, plan, stack)
         whole, _ = one_period(g, make_plan(g, 2.0 * np.pi,
                                            8 * plan.steps_per_period))
