@@ -168,9 +168,9 @@ def accurate_plan(g: Generator, period: float
     is propagated: each level is propagated once.  The powers, the
     extrapolations and the stack are real, float64, in the generator's own
     coordinates (Hermitian ones for the full drive, where Z is its own +-1
-    diagonal): (64 S_2n[::2] - S_n) / 63 over tau on the n-step grid, its
-    ladder stacks freed, and then each later repeat j is one batched
-    product, U(j tau + s) = Z^j U(s) Z^j U(j tau), Z^j as exact row
+    diagonal): (64 S_2n[::2] - S_n) / 63 over tau on the n-step grid (the
+    ladder's stacks are freed on return), then each later repeat j is one
+    batched product, U(j tau + s) = Z^j U(s) Z^j U(j tau), Z^j as exact row
     scalings (Shirley, Phys. Rev. 138, B979 (1965)).  N >= q MIN_STEPS is
     the stack's grid, the finest level takes 2N steps per period, and the
     step cap bounds N, checked before each level.  Every U_T consumer
@@ -209,7 +209,7 @@ def accurate_plan(g: Generator, period: float
         coarse, mid, (hi,) = mid[0], hi, levels(
             (2 * plan.steps_per_period // r, True))
     n = plan.steps_per_period // r
-    stack = np.empty((r * n + 1,) + mid[1].shape[1:])
+    stack = np.empty((plan.steps_per_period + 1,) + mid[1].shape[1:])
     stack[:n + 1] = extrapolate(hi[1][::2], mid[1])
     for j in range(1, r):
         block = stack[j * n + 1:(j + 1) * n + 1]
