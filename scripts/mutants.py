@@ -101,6 +101,16 @@ MUTANTS = [
     Mutant("frame-rows-unconjugated", "src/lamsim/sweep.py",
            "return np.conj(rwf_phases(p, times))",
            "return rwf_phases(p, times)"),
+    Mutant("block-phase-dropped", "src/lamsim/sweep.py",
+           "shift = phases(a)", "shift = phases(0)"),
+    Mutant("block-carry-one-block-ahead", "src/lamsim/sweep.py",
+           "_applied(table[:b - a], power(a, v))",
+           "_applied(table[:b - a], power(b, v))"),
+    Mutant("row-map-by-s-inverse", "src/lamsim/sweep.py",
+           "col = _applied(own[a:b], w) @ s.T",
+           "col = _applied(own[a:b], w) @ s_inv.T"),
+    Mutant("block-frame-factor-at-start", "src/lamsim/sweep.py",
+           "col *= factors[a:b]", "col *= factors[a]"),
     Mutant("realification-sign", "src/lamsim/magnus.py",
            "np.block([[basis.real, -basis.imag],",
            "np.block([[basis.real, basis.imag],"),

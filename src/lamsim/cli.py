@@ -260,16 +260,22 @@ def _propagate_columns(times: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _trajectory_blocks(traj: Trajectory, suffix: str):
-    """Text blocks of a trajectory, its columns built one ROW_BLOCK of
-    rows at a time: every float as %.17g (the same text as _fmt), then the
-    constant suffix."""
-    for start in range(0, len(traj.times), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        yield float_rows(
-            _propagate_columns(traj.times[rows], traj.states[rows]), suffix)
+    """Text blocks of a trajectory, as its blocks are formed, each cut to
+    at most ROW_BLOCK rows: every float as %.17g (the same text as _fmt),
+    then the constant suffix."""
+    for times, states in traj.blocks():
+        for start in range(0, len(times), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            yield float_rows(
+                _propagate_columns(times[rows], states[rows]), suffix)
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
+    """Write each drive's time series.  run_case resolves every drive's
+    span, and everything that can fail with it, before the output is
+    opened, so a numerical failure leaves no partial file; the rows are
+    then formed and written one block at a time, to --out or streamed to
+    stdout, and no drive's horizon of states is held."""
     p = resolve_params(cfg)
     period, q_steps = commensurate_period(p.omega_p, p.omega_c)
     steps = cfg.steps_per_period or q_steps  # build_config rejects 0
@@ -277,8 +283,6 @@ def cmd_propagate(cfg: RunConfig) -> int:
         horizon = cfg.horizon
     else:
         horizon = (cfg.periods if cfg.periods is not None else 1) * period
-    # Every trajectory is computed before the output is opened, so a
-    # numerical failure leaves no partial file.
     trajectories = {drive: run_case(
         p, horizon, order=MagnusOrder(cfg.order), drive=drive,
         frame=cfg.frame, steps_per_period=steps)

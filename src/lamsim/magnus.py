@@ -420,6 +420,16 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
     return [store(u) if s is None else s for u, s in zip(maps, stacks)]
 
 
+def _frame_powers(g: Generator, t0: float, dt: float,
+                  steps: int) -> np.ndarray:
+    """E^m = exp(m dt B) for m = 2^i, i < bit_length(steps), of a generator
+    with a frame, B = A(t0) - i Theta the rotating-frame generator anchored
+    at t0: one batched exponential, not repeated squaring."""
+    b = g(t0) - 1j * np.diag(g.frame)
+    return expm(np.multiply.outer(
+        dt * 2.0 ** np.arange(int(steps).bit_length()), b))
+
+
 def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
                         return_intermediate: bool):
     """Exact propagators U(t0 + k dt, t0) = Phi(k dt) E^k of a generator
@@ -427,26 +437,26 @@ def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
     generator anchored at t0.
 
     The powers fill in doubling batches, E^(m + j) = E^j E^m for j < m,
-    with every E^m = exp(m dt B), m = 2^i, taken from one batched
-    exponential rather than by squaring: E^k then carries the rounding of
-    about log2 k products, not k times the rounding of E.  Without
-    return_intermediate only exp(steps dt B) is formed.
+    from the E^m of _frame_powers: E^k then carries the rounding of about
+    log2 k products, not k times the rounding of E.  The phases Phi(k dt)
+    are applied CHUNK_STEPS rows at a time.  Without return_intermediate
+    only exp(steps dt B) is formed.
     """
-    b = g(t0) - 1j * np.diag(g.frame)
     if not return_intermediate:
+        b = g(t0) - 1j * np.diag(g.frame)
         return np.exp(1j * (steps * dt) * g.frame)[:, None] \
             * expm(steps * dt * b)
-    doubling = expm(np.multiply.outer(
-        dt * 2.0 ** np.arange(int(steps).bit_length()), b))
     powers = np.empty((steps + 1, g.dim, g.dim), dtype=complex)
     powers[0] = np.eye(g.dim)
     m = 1
-    for e_m in doubling:
+    for e_m in _frame_powers(g, t0, dt, steps):
         n = min(m, steps + 1 - m)
         np.matmul(powers[:n], e_m, out=powers[m:m + n])
         m += n
-    powers *= np.exp(1j * np.multiply.outer(dt * np.arange(steps + 1),
-                                            g.frame))[:, :, None]
+    for a in range(0, steps + 1, CHUNK_STEPS):
+        k = np.arange(a, min(a + CHUNK_STEPS, steps + 1))
+        powers[a:a + CHUNK_STEPS] *= np.exp(
+            1j * np.multiply.outer(dt * k, g.frame))[:, :, None]
     return powers
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -258,26 +258,70 @@ def trace_functional(dim: int = DIM) -> np.ndarray:
     return np.eye(dim, dtype=complex).reshape(dim * dim)
 
 
-@dataclass
 class Trajectory:
-    """Time-stamped density-matrix series in a declared frame."""
+    """Time-stamped density-matrix series in a declared frame: given as
+    times and (len(times), 3, 3) states, or streamed (Trajectory.streamed)
+    from a source of its row blocks.  blocks() yields (times, states)
+    blocks in order, one at a time; times, states and populations collect
+    every block into arrays on first use and keep them."""
 
-    times: np.ndarray
-    states: np.ndarray  # (len(times), 3, 3)
-    frame: str = "lab"
+    def __init__(self, times, states, frame: str = "lab"):
+        self.frame = frame
+        self._series = _checked_series(times, states)
+        self._rows = len(self._series[0])
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if self.states.shape != (len(self.times), DIM, DIM):
-            raise ValueError(
-                f"states shape {self.states.shape} does not match times")
+    @classmethod
+    def streamed(cls, blocks: Callable[[], Iterator], rows: int,
+                 frame: str = "lab") -> Trajectory:
+        """A series of ``rows`` rows whose (times, states) blocks
+        ``blocks()`` forms anew, from the first row, at each call."""
+        traj = cls.__new__(cls)
+        traj.frame, traj._series, traj._rows = frame, None, rows
+        traj._source = blocks
+        return traj
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        if self._series is not None:
+            return iter([self._series])
+        return self._source()
+
+    def _collected(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._series is None:
+            times = np.empty(self._rows)
+            states = np.empty((self._rows, DIM, DIM), dtype=complex)
+            row = 0
+            for t, rho in self._source():
+                end = row + len(t)
+                if end > self._rows:
+                    raise ValueError(f"more than {self._rows} rows streamed")
+                times[row:end], states[row:end] = t, rho
+                row = end
+            if row != self._rows:
+                raise ValueError(f"{row} rows streamed, not {self._rows}")
+            self._series = _checked_series(times, states)
+        return self._series
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._collected()[0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._collected()[1]
 
     @property
     def populations(self) -> np.ndarray:
         return np.real(np.einsum("tii->ti", self.states))
+
+
+def _checked_series(times, states) -> tuple[np.ndarray, np.ndarray]:
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    if times.ndim != 1 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    if states.shape != (len(times), DIM, DIM):
+        raise ValueError(f"states shape {states.shape} does not match times")
+    return times, states
 
 
 def period_mean_map(stack: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ import numpy as np
 from . import periodic
 from .analysis import (DEGENERATE_GAP_TOL, rwa_error, spectral_gap,
                        trace_defect)
-from .magnus import MagnusOrder, propagate
-from .model import (LDIM, LambdaParams, closed_generator, ground_state,
+from .linalg import hermitian_coordinates
+from .magnus import (MagnusOrder, _frame_powers, _propagate_grids,
+                     propagate)
+from .model import (DIM, LDIM, LambdaParams, closed_generator, ground_state,
                     liouville_generator, rwf_phases, unvec, vec)
 from .periodic import (Trajectory, accurate_plan, commensurate_period,
                        convergence_time, one_period, period_mean_map)
@@ -36,9 +38,9 @@ OBSERVABLES = ("populations", "coherences", "rwa_error",
                "convergence_time", "spectral_gap")
 DRIVES = ("full", "rwa", "both")
 # Cap on the rows (grid times) per drive of one run_case call,
-# floor(steps_per_period * horizon / period) + 1.  Every row's time and
-# state are held until the call returns, 152 B each (~9.5 GiB at the
-# cap), so a longer horizon is refused before anything is computed.
+# floor(steps_per_period * horizon / period) + 1, checked before anything
+# is computed.  A Trajectory's collected times and states take 152 B per
+# row (~9.5 GiB at the cap); lamsim propagate streams them instead.
 MAX_ROWS = 2 ** 26
 # Rows per block of a time series: the states, their frame transform and
 # the CSV text are formed one block at a time.
@@ -80,20 +82,35 @@ def run_case(p: LambdaParams, horizon: float,
     """Propagate the density matrix from |1><1| over [0, horizon].
 
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
-    9x9 Liouville space.  One span is resolved: the drive period T, or a
-    shorter horizon h on its own ceil(steps * h / T)-step grid.  Longer
-    horizons reuse it stroboscopically: the state v_n = U_T^n e0 (e0 = |1>,
-    or vec|1><1|) is carried from period to period, and period n's rows are
-    the span's propagators applied to it, ROW_BLOCK rows at a time, written
-    in the requested frame into one preallocated state stack, so no
-    multi-period propagator stack and no second full-length array is
-    held.  The rotating frame is folded into the span, as its factors
-    multiply across shifts, F(j span + s) = F(j span) F(s): each row of
-    the span's stack takes F(s) in place, a block at a time, a copy of
-    the lab-frame span map carries the state, and a block of span j is
-    one product with it and one multiply by the constant F(j span).  A
-    horizon that is negative or NaN, or of more than MAX_ROWS grid times,
-    raises ValueError before anything is propagated.
+    9x9 Liouville space.  One span is resolved here: the drive period T,
+    or a shorter horizon h on its own ceil(steps * h / T)-step grid.  Its
+    rows are formed only when the returned Trajectory is read, ROW_BLOCK
+    rows at a time (Trajectory.blocks streams them; its times, states and
+    populations collect them).  Longer horizons reuse the span
+    stroboscopically: one state is carried from span to span, from e0
+    (|1>, or vec|1><1|), and span j's rows are the span's propagators
+    applied to it.  What a span keeps:
+
+    - the full drive of a closed system: its (N + 1, 3, 3) propagators;
+    - the full drive of an open one: its (N + 1, 9, 9) propagators R(s)
+      in the generator's real Hermitian coordinates, U(s) = S R(s) S^-1
+      (linalg.hermitian_coordinates); the carried state is S^-1 v, and a
+      block of rows is mapped to the vec basis as S (R(s) S^-1 v);
+    - the RWA drive, exact in its frame, U(k dt) = Phi(k dt) E^k: the
+      ROW_BLOCK + 1 propagators U(i dt) of one block and the doubling
+      powers E^(2^i) (magnus._frame_powers).  A block starting at row a
+      is Phi(a dt) U(i dt) E^a v, E^a v from the powers that a's bits
+      select, and the next span's state is Phi(N dt) E^N v.
+
+    The rotating frame is folded in, as its factors multiply across
+    shifts, F(j span + s) = F(j span) F(s): F(s) multiplies the span's
+    propagators in place, or is a table of the span's rows, and a block of
+    span j takes the constant F(j span).  Everything that can fail (the
+    periodicity check, the MAX_ROWS cap, the Magnus steps and the
+    exponentials) runs in this call; the row blocks are products of the
+    finite arrays it keeps.  A horizon that is negative or NaN, or of more
+    than MAX_ROWS grid times, raises ValueError before anything is
+    propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -119,46 +136,110 @@ def run_case(p: LambdaParams, horizon: float,
             f"rows per drive, above the cap MAX_ROWS = {MAX_ROWS}")
     span = min(horizon, period)
     n_steps = max(1, math.ceil(steps * span / period - 1e-9))
-    micro = propagate(g, 0.0, span, n_steps, order=order,
-                      return_intermediate=True)
     grid = np.linspace(0.0, span, n_steps + 1)
-    carry = micro[-1]
-    if frame == "rwf":
-        # fold the frame into the span: F(j span + s) = F(j span) F(s)
-        carry = carry.copy()  # the lab-frame span map
-        for a in range(0, len(micro), ROW_BLOCK):
-            micro[a:a + ROW_BLOCK] *= _frame_rows(
-                p, grid[a:a + ROW_BLOCK], open_system)[:, :, None]
+    width = ROW_BLOCK
+    rwf = frame == "rwf"
+    start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
+    if g.frame is not None:
+        rows, advance = _frame_route(p, g, grid, width, rwf, open_system)
+    elif open_system:
+        own = _propagate_grids(g, 0.0, span, [(n_steps, True)], order)[0]
+        s, s_inv = hermitian_coordinates(DIM)
+        start = s_inv[:, 0].real  # S^-1 vec|1><1|
+        factors = _frame_rows(p, grid, True) if rwf else None  # F(s)
+
+        def rows(w: np.ndarray, a: int, b: int) -> np.ndarray:
+            col = _applied(own[a:b], w) @ s.T
+            if factors is not None:
+                col *= factors[a:b]
+            return col
+
+        def advance(w: np.ndarray) -> np.ndarray:
+            return own[-1] @ w
+    else:
+        micro = propagate(g, 0.0, span, n_steps, order=order,
+                          return_intermediate=True)
+        carry = micro[-1].copy()  # the lab-frame span map
+        if rwf:
+            for a in range(0, len(micro), width):
+                micro[a:a + width] *= _frame_rows(
+                    p, grid[a:a + width], False)[:, :, None]
+
+        def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
+            return _applied(micro[a:b], v)
+
+        def advance(v: np.ndarray) -> np.ndarray:
+            return carry @ v
     # A span shorter than T is repeated once: its second block is the
-    # row at t = h, micro[0] @ U(h).
+    # row at t = h, the span's first row applied to the state at h.
     # Rows taken from each span: a whole span's endpoint duplicates the
     # next span's start, and the last span is cut at the horizon.
     spans = int(math.floor(horizon / span + 1e-12))
     last = int(np.searchsorted(grid + spans * span, horizon * (1.0 + 1e-12),
                                side="right"))
     counts = [n_steps] * spans + [last] * (last > 0)
-    times = np.empty(sum(counts))
-    states = np.empty((len(times), 3, 3), dtype=complex)
-    v = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
-    row = 0
-    for j, m in enumerate(counts):
-        times[row:row + m] = grid[:m] + j * span
-        shift = _frame_rows(p, j * span, open_system) \
-            if frame == "rwf" else None  # F(j span)
-        for a in range(0, m, ROW_BLOCK):
-            b = min(a + ROW_BLOCK, m)
-            col = micro[a:b] @ v
-            if shift is not None:
-                col *= shift
-            block = states[row + a:row + b]
-            if open_system:
-                block[...] = col.reshape(-1, 3, 3)
-            else:
-                np.multiply(col[:, :, None], np.conj(col)[:, None, :],
-                            out=block)
-        row += m
-        v = carry @ v
-    return Trajectory(times=times, states=states, frame=frame)
+
+    def blocks():
+        v = start
+        for j, m in enumerate(counts):
+            shift = _frame_rows(p, j * span, open_system) \
+                if rwf else None  # F(j span)
+            for a in range(0, m, width):
+                b = min(a + width, m)
+                col = rows(v, a, b)
+                if shift is not None:
+                    col *= shift
+                yield grid[a:b] + j * span, (
+                    col.reshape(-1, DIM, DIM) if open_system
+                    else col[:, :, None] * np.conj(col)[:, None, :])
+            v = advance(v)
+
+    return Trajectory.streamed(blocks, sum(counts), frame)
+
+
+def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """stack[k] @ v for every k, as one product of the stacked rows with v
+    (a batch of small products is several times slower)."""
+    return (stack.reshape(-1, len(v)) @ v).reshape(len(stack), -1)
+
+
+def _frame_route(p: LambdaParams, g, grid: np.ndarray, width: int,
+                 rwf: bool, open_system: bool):
+    """run_case's rows and span-to-span carry for a generator with a frame
+    on the span's grid: blocks of at most ``width`` rows from one block's
+    propagators U(i dt) (F(i dt) U(i dt) in the rotating frame), i <=
+    width, and the doubling powers E^(2^i) of the span's N steps."""
+    n_steps = len(grid) - 1
+    dt = grid[-1] / n_steps
+    width = min(width, n_steps)
+    # grid[width] / width is dt itself at width = N or a power of two
+    table = propagate(g, 0.0, grid[width], width, return_intermediate=True)
+    doubling = _frame_powers(g, 0.0, dt, n_steps)
+    if rwf:
+        table *= _frame_rows(p, grid[:width + 1], open_system)[:, :, None]
+
+    def power(k: int, v: np.ndarray) -> np.ndarray:
+        """E^k v, as products of v with the powers k's bits select."""
+        for i in reversed(range(k.bit_length())):
+            if k >> i & 1:
+                v = doubling[i] @ v
+        return v
+
+    def phases(k: int) -> np.ndarray:  # Phi(k dt)
+        return np.exp(1j * (dt * k) * g.frame)
+
+    def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
+        shift = phases(a)
+        if rwf:  # F(a dt) across the shift
+            shift = shift * _frame_rows(p, grid[a], open_system)
+        col = _applied(table[:b - a], power(a, v))
+        col *= shift
+        return col
+
+    def advance(v: np.ndarray) -> np.ndarray:
+        return phases(n_steps) * power(n_steps, v)
+
+    return rows, advance
 
 
 @dataclass(frozen=True)

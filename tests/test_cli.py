@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lamsim import cli, periodic, sweep
 from lamsim._floattext import float_rows
+from lamsim.magnus import CHUNK_STEPS
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
                         main, parse_config_text, resolve_params)
@@ -225,13 +226,19 @@ class TestHorizonCap:
             run_case(p, 4.0 * np.pi + 1.5 * dt, steps_per_period=steps)
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # run_case is called before the output is opened: a failure there
+        # (or a benchmark probe that stops the clock there) finds no file
+        out = tmp_path / "x.csv"
+        seen = []
+
         def out_of_memory(*args, **kwargs):
+            seen.append(out.exists())
             raise MemoryError("Unable to allocate 40.0 GiB")
 
         monkeypatch.setattr(cli, "run_case", out_of_memory)
-        out = tmp_path / "x.csv"
         rc = main(["propagate", "--case", "A-I", "--periods", "1",
                    "--out", str(out)])
+        assert seen == [False]
         assert rc == EXIT_NUMERICAL
         assert "Unable to allocate" in capsys.readouterr().err
         assert not out.exists()
@@ -558,45 +565,38 @@ class TestPropagateBytes:
         assert BASE_STEPS + 1 > ROW_BLOCK
         assert body == _reference_csv_body("B-II", "rwf", period, BASE_STEPS)
 
-    def test_memory_while_writing(self, tmp_path, monkeypatch):
-        # A-I over 8 periods in the rotating frame: 65,529 rows.  Once the
-        # trajectory is computed, writing adds one block's columns and
-        # float_rows temporaries (block_cost, measured here on the first
-        # ROW_BLOCK rows) and the text of the block before it, which the
-        # writer still holds; 256 KiB cover the file object and the
-        # metadata.  An (n, 10) column array of the whole trajectory
-        # (n * 80 B = 5 MiB) does not fit.
-        argv = ["propagate", "--case", "A-I", "--periods", "8", "--frame",
-                "rwf", "--drive", "full", "--out", str(tmp_path / "x.csv")]
-        float_rows(np.zeros((1, 10)), "")  # build the tables
-        seen = {}
-        real = cli.run_case
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    def test_memory_set_by_the_span(self, drive):
+        # lamsim propagate --case A-II --frame rwf over 4 and 40 periods
+        # (32,765 and 327,641 rows).  Rows are formed and written one block
+        # at a time, so the longer horizon peaks within the shorter one's
+        # peak plus one ROW_BLOCK of text (ten cells of at most 24
+        # characters and a comma, and the suffix, per row); its states
+        # (152 B a row, 47 MiB) do not fit.  The full drive's peak is its
+        # span in the generator's real coordinates, (N + 1, 9, 9) float64
+        # (5.06 MiB), and the temporaries of one batch of CHUNK_STEPS
+        # Magnus steps, within ten real (CHUNK_STEPS, 9, 9) stacks.
+        def peak(periods):
+            tracemalloc.start()
+            try:
+                assert main(["propagate", "--case", "A-II", "--frame", "rwf",
+                             "--drive", drive, "--periods", str(periods),
+                             "--out", os.devnull]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def marking(*args, **kwargs):
-            seen["traj"] = real(*args, **kwargs)
-            tracemalloc.reset_peak()
-            seen["base"] = tracemalloc.get_traced_memory()[0]
-            return seen["traj"]
-
-        monkeypatch.setattr(cli, "run_case", marking)
-        tracemalloc.start()
-        try:
-            assert main(argv) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1] - seen["base"]
-            traj = seen.pop("traj")
-            head = Trajectory(traj.times[:ROW_BLOCK],
-                              traj.states[:ROW_BLOCK], traj.frame)
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            text, = cli._trajectory_blocks(head, ",full,rwf")
-            block_cost = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        n = len(traj.times)
-        bound = block_cost + len(text) + 2 ** 18
-        assert n * 10 * 8 > bound - block_cost
-        assert peak <= bound, (f"{peak / 2**20:.2f} MiB while writing, "
-                               f"above {bound / 2**20:.2f} MiB")
+        peak(1)  # builds the cached tables
+        short, long = peak(4), peak(40)
+        text = ROW_BLOCK * (10 * 25 + len(f",{drive},rwf\n"))
+        assert long <= short + text, (
+            f"{long / 2**20:.2f} MiB over 40 periods, "
+            f"{short / 2**20:.2f} MiB over 4")
+        if drive == "full":
+            real = 9 * 9 * np.dtype(float).itemsize
+            bound = (BASE_STEPS + 1) * real + 10 * CHUNK_STEPS * real
+            assert short <= bound, (f"{short / 2**20:.2f} MiB, above "
+                                    f"{bound / 2**20:.2f} MiB")
 
     def test_failed_drive_leaves_no_file(self, tmp_path, monkeypatch):
         real = cli.run_case

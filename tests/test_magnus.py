@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -377,6 +378,29 @@ class TestFrameRoute:
         whole = propagate(g, t0, t0 + period, steps)
         assert np.max(np.abs(whole - self._reference(
             p, g.dim, t0 + period, t0))) <= 1e-11
+
+    def test_phases_take_one_chunk_of_temporaries(self):
+        # lamsim validate --case B-II --delta-omega-p 0.005 --drive rwa
+        # resolves q = 200 periods on N = 51,200 steps: a (N + 1, 9, 9)
+        # complex stack of 63.3 MiB.  The phases Phi(k dt) are applied
+        # CHUNK_STEPS rows at a time, so the call peaks within the stack
+        # and one chunk's (CHUNK_STEPS, 9, 9) complex stack; phases of all
+        # N + 1 rows at once (an (N + 1, 9) float and two complex arrays,
+        # 17.6 MiB) do not fit.
+        p = preset("B-II", delta_omega_p=0.005)
+        g = liouville_generator(p, rwa=True)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        steps = MIN_STEPS * round(period / (2.0 * np.pi))
+        assert steps == 51200
+        tracemalloc.start()
+        try:
+            stack = propagate(g, 0.0, period, steps, return_intermediate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = stack.nbytes + CHUNK_STEPS * stack[0].nbytes
+        assert peak <= bound, (f"{peak / 2**20:.2f} MiB, above "
+                               f"{bound / 2**20:.2f} MiB")
 
     def test_order_has_no_effect(self):
         g = liouville_generator(preset("A-II"), rwa=True)

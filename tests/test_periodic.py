@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamsim import periodic
 from lamsim.linalg import frobenius_norm
@@ -258,6 +260,22 @@ class TestRepeats:
                            f"not the period's {STEPS}"):
             one_period(g, make_plan(g, 2.0 * np.pi, STEPS),
                        stack[:steps + 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 64), st.integers(-3, 3))
+    def test_micromotion_rows_are_the_plans_grid(self, steps, extra):
+        # whatever the plan's step count, one_period's micromotion has one
+        # row per grid time, len(plan.micromotion_times): a stack of any
+        # other length is refused
+        g = liouville_generator(preset("A-II"))
+        plan = PeriodicPlan(period=2.0 * np.pi, steps_per_period=steps)
+        stack = np.zeros((max(steps + 1 + extra, 0), 9, 9))
+        if extra:
+            with pytest.raises(ValueError, match="period's"):
+                one_period(g, plan, stack)
+        else:
+            micro = one_period(g, plan, stack)[1]
+            assert len(micro) == len(plan.micromotion_times)
 
     @pytest.mark.parametrize("from_plan", [False, True])
     def test_one_period_returns_an_owned_u_t(self, from_plan):
@@ -553,6 +571,18 @@ class TestDoubling:
         with pytest.raises(ValueError):
             doubling(u_t, -1)
 
+    def test_far_power_is_the_steady_state_projector(self, open_setup):
+        # A-II's U_T has one fixed point v_ss (the SVD's null vector of
+        # U_T - I, unit trace) and decays elsewhere, so U_T^(2^40) is the
+        # projector v_ss w^dag onto it along the trace functional w:
+        # 3.7e-16 off with the reprojection, 2.9e-3 by plain squaring
+        _, _, u_t, _ = open_setup
+        w = trace_functional()
+        v_ss = np.linalg.svd(u_t - np.eye(9))[2][-1].conj()
+        v_ss /= np.trace(unvec(v_ss))
+        u = doubling(u_t, 40, fixed_functional=w)
+        assert np.max(np.abs(u - np.outer(v_ss, w.conj()))) <= 1e-14
+
 
 class TestTrajectory:
     def test_populations(self):
@@ -571,6 +601,35 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0]),
                        states=np.zeros((3, 3, 3)))
+
+
+    def test_streamed_blocks_are_collected_once(self):
+        # a streamed series forms its blocks anew at each blocks() call
+        # until times, states or populations collect them; then blocks()
+        # yields the collected arrays
+        calls = []
+        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+
+        def blocks():
+            calls.append(1)
+            yield np.array([0.0, 1.0]), np.array([rho, rho])
+            yield np.array([2.0]), np.array([rho])
+
+        traj = Trajectory.streamed(blocks, 3, "rwf")
+        assert [len(t) for t, _ in traj.blocks()] == [2, 1]
+        assert np.array_equal(traj.times, [0.0, 1.0, 2.0])
+        assert np.allclose(traj.populations, [[0.2, 0.3, 0.5]] * 3)
+        (times, states), = traj.blocks()
+        assert times is traj.times and states is traj.states
+        assert len(calls) == 2 and traj.frame == "rwf"
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_streamed_row_count_is_checked(self, rows):
+        def blocks():
+            yield np.array([0.0, 1.0, 2.0]), np.zeros((3, 3, 3))
+
+        with pytest.raises(ValueError, match=f"rows streamed(, not {rows})?$"):
+            Trajectory.streamed(blocks, rows).states
 
 
 class TestConvergenceTime:
