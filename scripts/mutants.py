@@ -107,8 +107,7 @@ MUTANTS = [
            "_applied(table[:b - a], power(a, v))",
            "_applied(table[:b - a], power(b, v))"),
     Mutant("row-map-by-s-inverse", "src/lamsim/sweep.py",
-           "col = _applied(own[a:b], w) @ s.T",
-           "col = _applied(own[a:b], w) @ s_inv.T"),
+           "col = col @ s.T", "col = col @ s_inv.T"),
     Mutant("block-frame-factor-at-start", "src/lamsim/sweep.py",
            "col *= factors[a:b]", "col *= factors[a]"),
     Mutant("realification-sign", "src/lamsim/magnus.py",

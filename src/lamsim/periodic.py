@@ -268,7 +268,6 @@ class Trajectory:
     def __init__(self, times, states, frame: str = "lab"):
         self.frame = frame
         self._series = _checked_series(times, states)
-        self._rows = len(self._series[0])
 
     @classmethod
     def streamed(cls, blocks: Callable[[], Iterator], rows: int,
@@ -276,8 +275,8 @@ class Trajectory:
         """A series of ``rows`` rows whose (times, states) blocks
         ``blocks()`` forms anew, from the first row, at each call."""
         traj = cls.__new__(cls)
-        traj.frame, traj._series, traj._rows = frame, None, rows
-        traj._source = blocks
+        traj.frame, traj._series = frame, None
+        traj._source, traj._rows = blocks, rows
         return traj
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -290,12 +289,9 @@ class Trajectory:
             times = np.empty(self._rows)
             states = np.empty((self._rows, DIM, DIM), dtype=complex)
             row = 0
-            for t, rho in self._source():
-                end = row + len(t)
-                if end > self._rows:
-                    raise ValueError(f"more than {self._rows} rows streamed")
-                times[row:end], states[row:end] = t, rho
-                row = end
+            for t, rho in self._source():  # ValueError past self._rows
+                times[row:row + len(t)], states[row:row + len(t)] = t, rho
+                row += len(t)
             if row != self._rows:
                 raise ValueError(f"{row} rows streamed, not {self._rows}")
             self._series = _checked_series(times, states)

@@ -103,9 +103,9 @@ def run_case(p: LambdaParams, horizon: float,
       select, and the next span's state is Phi(N dt) E^N v.
 
     The rotating frame is folded in, as its factors multiply across
-    shifts, F(j span + s) = F(j span) F(s): F(s) multiplies the span's
-    propagators in place, or is a table of the span's rows, and a block of
-    span j takes the constant F(j span).  Everything that can fail (the
+    shifts, F(j span + s) = F(j span) F(s): F(s) is a table of the full
+    drive's span rows, or multiplies the RWA drive's block propagators,
+    and a block of span j takes the constant F(j span).  Everything that can fail (the
     periodicity check, the MAX_ROWS cap, the Magnus steps and the
     exponentials) runs in this call; the row blocks are products of the
     finite arrays it keeps.  A horizon that is negative or NaN, or of more
@@ -142,34 +142,27 @@ def run_case(p: LambdaParams, horizon: float,
     start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
     if g.frame is not None:
         rows, advance = _frame_route(p, g, grid, width, rwf, open_system)
-    elif open_system:
-        own = _propagate_grids(g, 0.0, span, [(n_steps, True)], order)[0]
-        s, s_inv = hermitian_coordinates(DIM)
-        start = s_inv[:, 0].real  # S^-1 vec|1><1|
-        factors = _frame_rows(p, grid, True) if rwf else None  # F(s)
+    else:
+        if open_system:  # real Hermitian coordinates, mapped per block
+            stack = _propagate_grids(g, 0.0, span, [(n_steps, True)],
+                                     order)[0]
+            s, s_inv = hermitian_coordinates(DIM)
+            start = s_inv[:, 0].real  # S^-1 vec|1><1|
+        else:
+            stack = propagate(g, 0.0, span, n_steps, order=order,
+                              return_intermediate=True)
+        factors = _frame_rows(p, grid, open_system) if rwf else None  # F(s)
 
-        def rows(w: np.ndarray, a: int, b: int) -> np.ndarray:
-            col = _applied(own[a:b], w) @ s.T
+        def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
+            col = _applied(stack[a:b], v)
+            if open_system:
+                col = col @ s.T
             if factors is not None:
                 col *= factors[a:b]
             return col
 
-        def advance(w: np.ndarray) -> np.ndarray:
-            return own[-1] @ w
-    else:
-        micro = propagate(g, 0.0, span, n_steps, order=order,
-                          return_intermediate=True)
-        carry = micro[-1].copy()  # the lab-frame span map
-        if rwf:
-            for a in range(0, len(micro), width):
-                micro[a:a + width] *= _frame_rows(
-                    p, grid[a:a + width], False)[:, :, None]
-
-        def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
-            return _applied(micro[a:b], v)
-
         def advance(v: np.ndarray) -> np.ndarray:
-            return carry @ v
+            return stack[-1] @ v
     # A span shorter than T is repeated once: its second block is the
     # row at t = h, the span's first row applied to the state at h.
     # Rows taken from each span: a whole span's endpoint duplicates the

