@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from lamsim import cli, periodic, sweep
 from lamsim._floattext import float_rows
-from lamsim.magnus import CHUNK_STEPS
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
                         main, parse_config_text, resolve_params)
+from lamsim.magnus import CHUNK_STEPS
 from lamsim.model import liouville_generator, preset
 from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
                              Trajectory, accurate_plan, commensurate_period)
