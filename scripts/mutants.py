@@ -106,8 +106,9 @@ MUTANTS = [
     Mutant("block-carry-one-block-ahead", "src/lamsim/sweep.py",
            "_applied(table[:b - a], power(a, v))",
            "_applied(table[:b - a], power(b, v))"),
-    Mutant("row-map-by-s-inverse", "src/lamsim/sweep.py",
-           "col = col @ s.T", "col = col @ s_inv.T"),
+    Mutant("row-map-by-s-inverse", "src/lamsim/magnus.py",
+           "return c @ hermitian_coordinates(math.isqrt(d))[0].T",
+           "return c @ hermitian_coordinates(math.isqrt(d))[1].T"),
     Mutant("block-frame-factor-at-start", "src/lamsim/sweep.py",
            "col *= factors[a:b]", "col *= factors[a]"),
     Mutant("realification-sign", "src/lamsim/magnus.py",

@@ -25,7 +25,6 @@ import numpy as np
 from . import periodic
 from .analysis import (DEGENERATE_GAP_TOL, rwa_error, spectral_gap,
                        trace_defect)
-from .linalg import hermitian_coordinates
 from .magnus import (MagnusOrder, _frame_powers, _propagate_grids,
                      propagate)
 from .model import (DIM, LDIM, LambdaParams, closed_generator, ground_state,
@@ -93,24 +92,27 @@ def run_case(p: LambdaParams, horizon: float,
 
     - the full drive of a closed system: its (N + 1, 3, 3) propagators;
     - the full drive of an open one: its (N + 1, 9, 9) propagators R(s)
-      in the generator's real Hermitian coordinates, U(s) = S R(s) S^-1
-      (linalg.hermitian_coordinates); the carried state is S^-1 v, and a
-      block of rows is mapped to the vec basis as S (R(s) S^-1 v);
+      in the generator's own real coordinates (magnus._propagate_grids
+      without vec; the Hermitian ones, U(s) = S R(s) S^-1); the carried
+      state is S^-1 v (Generator._own_vector), and a block of rows is
+      mapped to the vec basis as S (R(s) S^-1 v) (Generator._vec_rows);
     - the RWA drive, exact in its frame, U(k dt) = Phi(k dt) E^k: the
       ROW_BLOCK + 1 propagators U(i dt) of one block and the doubling
-      powers E^(2^i) (magnus._frame_powers).  A block starting at row a
-      is Phi(a dt) U(i dt) E^a v, E^a v from the powers that a's bits
-      select, and the next span's state is Phi(N dt) E^N v.
+      powers E^(2^i) (magnus._frame_powers), not the span's complex
+      (N + 1, d, d) stack, which is twice the open full drive's span.  A
+      block starting at row a is Phi(a dt) U(i dt) E^a v, E^a v from the
+      powers that a's bits select, and the next span's state is
+      Phi(N dt) E^N v.
 
     The rotating frame is folded in, as its factors multiply across
     shifts, F(j span + s) = F(j span) F(s): F(s) is a table of the full
     drive's span rows, or multiplies the RWA drive's block propagators,
-    and a block of span j takes the constant F(j span).  Everything that can fail (the
-    periodicity check, the MAX_ROWS cap, the Magnus steps and the
-    exponentials) runs in this call; the row blocks are products of the
-    finite arrays it keeps.  A horizon that is negative or NaN, or of more
-    than MAX_ROWS grid times, raises ValueError before anything is
-    propagated.
+    and a block of span j takes the constant F(j span).  Everything that
+    can fail (the periodicity check, the MAX_ROWS cap, the Magnus steps
+    and the exponentials) runs in this call; the row blocks are products
+    of the finite arrays it keeps.  A horizon that is negative or NaN, or
+    of more than MAX_ROWS grid times, raises ValueError before anything
+    is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -143,20 +145,20 @@ def run_case(p: LambdaParams, horizon: float,
     if g.frame is not None:
         rows, advance = _frame_route(p, g, grid, width, rwf, open_system)
     else:
-        if open_system:  # real Hermitian coordinates, mapped per block
+        if open_system:  # the generator's real coordinates, mapped per block
             stack = _propagate_grids(g, 0.0, span, [(n_steps, True)],
                                      order)[0]
-            s, s_inv = hermitian_coordinates(DIM)
-            start = s_inv[:, 0].real  # S^-1 vec|1><1|
+            start, to_vec = g._own_vector(start), g._vec_rows
         else:
             stack = propagate(g, 0.0, span, n_steps, order=order,
                               return_intermediate=True)
+            to_vec = None
         factors = _frame_rows(p, grid, open_system) if rwf else None  # F(s)
 
         def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
             col = _applied(stack[a:b], v)
-            if open_system:
-                col = col @ s.T
+            if to_vec is not None:
+                col = to_vec(col)
             if factors is not None:
                 col *= factors[a:b]
             return col

@@ -110,6 +110,28 @@ class TestPropagate:
         assert np.allclose(cum[0], np.eye(3))
         assert np.allclose(cum[-1], propagate(g, 0.0, 1.0, 5))
 
+    def test_stack_takes_a_few_chunks_of_temporaries(self):
+        # A-II's full drive over one period on its 8,191 default steps,
+        # with the cumulative stack in the vec basis (10.1 MiB): the call
+        # peaks within the stack and five (CHUNK_STEPS, 9, 9) complex
+        # stacks (the batch's steps, their running products and the vec
+        # map of one chunk; 4.1 measured), so a second copy of the stack
+        # or a whole-period temporary does not fit.
+        p = preset("A-II")
+        g = liouville_generator(p)
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        propagate(g, 0.0, period, 1)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            stack = propagate(g, 0.0, period, steps, return_intermediate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = stack.nbytes + 5 * CHUNK_STEPS * stack[0].nbytes
+        assert bound < 2 * stack.nbytes
+        assert peak <= bound, (f"{peak / 2**20:.2f} MiB, above "
+                               f"{bound / 2**20:.2f} MiB")
+
     def test_input_validation(self):
         g = constant_generator(np.eye(2))
         with pytest.raises(ValueError):
@@ -605,6 +627,27 @@ class TestRealCoordinates:
             [[a.real, -a.imag], [a.imag, a.real]]))
         assert np.array_equal(g._vec_coordinates(g._real._rows.reshape(
             1, 18, 18)), a[None])
+
+    @pytest.mark.parametrize("build", [
+        liouville_generator, closed_generator,
+        lambda p: Generator(random_complex_matrix(
+            np.random.default_rng(7), 9))])
+    def test_vectors_in_own_coordinates(self, build, rng):
+        # A state carried in the generator's own coordinates, S^-1 v in
+        # Hermitian ones or (Re v, Im v) in the realification, comes back
+        # as the vec-basis rows of the propagators applied to v: run_case
+        # applies a span kept by _propagate_grids to it one block at a time.
+        g = build(preset("A-II"))
+        h = random_complex_matrix(rng, 3)
+        v = ((h + h.conj().T) / 2.0).reshape(-1) if g.dim == 9 \
+            else h[:, 0]
+        own = g._own_vector(v)
+        assert own.dtype == float and own.shape == (g._real.dim,)
+        r = _propagate_grids(g, 0.0, 0.7, [(5, True)])[0]
+        got = g._vec_rows(r @ own)
+        assert got.dtype == complex and got.shape == (6, g.dim)
+        want = propagate(g, 0.0, 0.7, 5, return_intermediate=True) @ v
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_complex_coefficients_raise(self):
         # Hermiticity-preserving terms, but a complex drive function
