@@ -67,9 +67,9 @@ MUTANTS = [
     Mutant("claim-tol-1e-8", "src/lamsim/magnus.py",
            "_CLAIM_TOL, _FRAME_SHIFT = 1e-12, 1.0",
            "_CLAIM_TOL, _FRAME_SHIFT = 1e-8, 1.0"),
-    Mutant("conjugated-frame-phases", "src/lamsim/model.py",
-           "np.exp(-1j * _rwf_rates(p) * times[..., None])",
-           "np.exp(1j * _rwf_rates(p) * times[..., None])"),
+    Mutant("conjugated-frame-phases", "src/lamsim/magnus.py",
+           "1j * np.multiply.outer(dt * k, g.frame))",
+           "-1j * np.multiply.outer(dt * k, g.frame))"),
     Mutant("one-period-no-vec-map", "src/lamsim/periodic.py",
            "if stack is None else g._vec_coordinates(stack))",
            "if stack is None else stack)"),
@@ -99,10 +99,19 @@ MUTANTS = [
     Mutant("running-products-identity-entry", "src/lamsim/magnus.py",
            "entry.append(u)", "entry.append(np.eye(d))"),
     Mutant("frame-rows-unconjugated", "src/lamsim/sweep.py",
-           "return np.conj(rwf_phases(p, times))",
-           "return rwf_phases(p, times)"),
+           "np.exp(1j * np.multiply.outer(times, frame_rates(p, dim)))",
+           "np.exp(-1j * np.multiply.outer(times, frame_rates(p, dim)))"),
+    Mutant("frame-lift-transposed", "src/lamsim/model.py",
+           "np.subtract.outer(theta, theta).ravel()",
+           "np.subtract.outer(theta, theta).T.ravel()"),
     Mutant("block-phase-dropped", "src/lamsim/sweep.py",
-           "shift = phases(a)", "shift = phases(0)"),
+           "col *= np.exp(1j * (t + grid[a]) * g.frame)",
+           "col *= np.exp(1j * t * g.frame)"),
+    Mutant("rwf-rows-take-phase", "src/lamsim/sweep.py",
+           "if not rwf:  # Phi(t + a dt)", "if True:  # Phi(t + a dt)"),
+    Mutant("rwf-carry-takes-phase", "src/lamsim/sweep.py",
+           "return power(n_steps, v)",
+           "return np.exp(1j * grid[-1] * g.frame) * power(n_steps, v)"),
     Mutant("block-carry-one-block-ahead", "src/lamsim/sweep.py",
            "_applied(table[:b - a], power(a, v))",
            "_applied(table[:b - a], power(b, v))"),

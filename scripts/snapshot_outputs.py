@@ -10,8 +10,9 @@ both drives at delta_omega_p = 0, 2 (gauge repeats r = 8) and 0.05
 (q = 20), every float as exact hex.  Each CLI run below writes its CSV to
 ``<name>.csv`` and its exit code and stderr to ``<name>.status``; the
 ``_3T`` and ``_8T`` runs span several periods, so they cover the rows
-that each period takes over from the one before, and the B-II runs a
-horizon of 2.5, a span shorter than T; at ``sweep_rabi_c20`` the two
+that each period takes over from the one before (``propagate_A-II_lab_3T``
+those of both drives in the lab frame), and the B-II runs a horizon of
+2.5, a span shorter than T; at ``sweep_rabi_c20`` the two
 drives resolve U_T on different step counts.  ``criteria.txt`` holds the 18
 ``[criterion ...]`` lines that ``tests/test_acceptance.py`` prints, without
 their timings; the run's exit code is not kept, as the documented
@@ -63,6 +64,8 @@ RUNS = {
                               "--drive", "full"],
     "propagate_A-II_rwf_3T": ["propagate", "--case", "A-II", "--periods",
                               "3", "--frame", "rwf"],
+    "propagate_A-II_lab_3T": ["propagate", "--case", "A-II", "--periods",
+                              "3", "--frame", "lab"],
     "propagate_A-I_rwa_8T": ["propagate", "--case", "A-I", "--periods", "8",
                              "--drive", "rwa"],
     "propagate_B-II_lab": ["propagate", "--case", "B-II", "--horizon", "2.5",

@@ -447,29 +447,34 @@ def _frame_powers(g: Generator, t0: float, dt: float,
         dt * 2.0 ** np.arange(int(steps).bit_length()), b))
 
 
+def _frame_fill(powers: np.ndarray, rows: int) -> np.ndarray:
+    """E^k for k < rows from the doubling powers E^(2^i) of _frame_powers,
+    in doubling batches, E^(m + j) = E^j E^m for j < m: E^k then carries
+    the rounding of about log2 k products, not k times the rounding of E.
+    It reads the first (rows - 1).bit_length() powers."""
+    out = np.empty((rows,) + powers.shape[1:], dtype=complex)
+    out[0] = np.eye(len(out[0]))
+    m = 1
+    for e_m in powers[:(rows - 1).bit_length()]:
+        n = min(m, rows - m)
+        np.matmul(out[:n], e_m, out=out[m:m + n])
+        m += n
+    return out
+
+
 def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
                         return_intermediate: bool):
     """Exact propagators U(t0 + k dt, t0) = Phi(k dt) E^k of a generator
     with a frame, E = exp(dt B) with B = A(t0) - i Theta the rotating-frame
-    generator anchored at t0.
-
-    The powers fill in doubling batches, E^(m + j) = E^j E^m for j < m,
-    from the E^m of _frame_powers: E^k then carries the rounding of about
-    log2 k products, not k times the rounding of E.  The phases Phi(k dt)
-    are applied CHUNK_STEPS rows at a time.  Without return_intermediate
-    only exp(steps dt B) is formed.
+    generator anchored at t0: the powers E^k of _frame_fill, then the
+    phases Phi(k dt), CHUNK_STEPS rows at a time.  Without
+    return_intermediate only exp(steps dt B) is formed.
     """
     if not return_intermediate:
         b = g(t0) - 1j * np.diag(g.frame)
         return np.exp(1j * (steps * dt) * g.frame)[:, None] \
             * expm(steps * dt * b)
-    powers = np.empty((steps + 1, g.dim, g.dim), dtype=complex)
-    powers[0] = np.eye(g.dim)
-    m = 1
-    for e_m in _frame_powers(g, t0, dt, steps):
-        n = min(m, steps + 1 - m)
-        np.matmul(powers[:n], e_m, out=powers[m:m + n])
-        m += n
+    powers = _frame_fill(_frame_powers(g, t0, dt, steps), steps + 1)
     for a in range(0, steps + 1, CHUNK_STEPS):
         k = np.arange(a, min(a + CHUNK_STEPS, steps + 1))
         powers[a:a + CHUNK_STEPS] *= np.exp(

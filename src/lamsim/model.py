@@ -5,6 +5,9 @@ highest-lying excited state.  Vectorization of 3x3 operators is row-major,
 so a triple product A @ rho @ C maps to kron(A, C.T) @ vec(rho).
 
 Units: hbar = 1; all energies, frequencies and rates share one unit.
+
+The rotating frame is defined once, by frame_rates: every rotating-frame
+factor is its F(t), and the RWA drive's generators declare it as -theta.
 """
 
 from __future__ import annotations
@@ -117,18 +120,14 @@ def h0(p: LambdaParams) -> np.ndarray:
     return np.diag([p.e1, p.e2, p.e3]).astype(complex)
 
 
-def _rwf_rates(p: LambdaParams) -> np.ndarray:
-    """Rates r of the rotating frame W(t) = diag(e^{-i r t}):
-    (0, w_p, w_p - w_c)."""
-    return np.array([0.0, p.omega_p, p.omega_p - p.omega_c])
-
-
-def rwf_phases(p: LambdaParams, times) -> np.ndarray:
-    """Diagonal of the rotating-frame unitary
-    W(t) = diag(1, e^{-i w_p t}, e^{-i (w_p - w_c) t}) at each time, shape
-    times.shape + (3,); a state enters the frame as W(t)^dag rho W(t)."""
-    times = np.asarray(times, dtype=float)
-    return np.exp(-1j * _rwf_rates(p) * times[..., None])
+def frame_rates(p: LambdaParams, dim: int = DIM) -> np.ndarray:
+    """Rates theta of the rotating frame F(t) = diag(e^{i theta t}), the
+    one definition of that frame: theta = (0, w_p, w_p - w_c) on the
+    amplitudes (dim 3), a state entering it as F(t) psi; theta_i - theta_j
+    at vec(rho)[i, j], row-major (dim 9), so its diagonal rates are
+    exactly 0.  The RWA drive's generators declare the frame -theta."""
+    theta = np.array([0.0, p.omega_p, p.omega_p - p.omega_c])
+    return theta if dim == DIM else np.subtract.outer(theta, theta).ravel()
 
 
 # The jump operators |i><j| of the four dissipation channels.
@@ -224,16 +223,15 @@ def _drive_ops(rwa: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _drive(p: LambdaParams, rwa: bool):
-    """The drive Hamiltonian as sum_k f_k(t) ops[k]: the (K, 3, 3) operator
-    stack, the map from times (...) to the real coefficients f_k, (...,
-    K), and the Hilbert-space frame rates in which the generator is
-    constant (None for the full drive).
+    """The drive Hamiltonian as sum_k f_k(t) ops[k]: the map from times
+    (...) to the real coefficients f_k, (..., K), of the (K, 3, 3)
+    operator stack _drive_ops(rwa)[0].
 
     Full drive: -rabi cos(w t) on each field's coupling X_g.  RWA: the
     co-rotating half, -rabi/2 (cos(w t) X_g + sin(w t) Y_g), which is
     -rabi/2 e^{-i w t} on the raising part |2><g| and its conjugate on
-    the lowering part |g><2|; constant in the rotating frame W(t), whose
-    phases are e^{i theta t} with theta = -_rwf_rates(p).
+    the lowering part |g><2|; constant in the rotating frame of
+    frame_rates.
     """
     rabi = np.array([p.rabi_p, p.rabi_c]) * (-0.5 if rwa else -1.0)
     omega = np.array([p.omega_p, p.omega_c])
@@ -243,17 +241,16 @@ def _drive(p: LambdaParams, rwa: bool):
         phase = omega * t[..., None]
         return np.concatenate([rabi * f(phase) for f in quadratures], axis=-1)
 
-    return (_drive_ops(rwa)[0], coefficients,
-            -_rwf_rates(p) if rwa else None)
+    return coefficients
 
 
 def closed_generator(p: LambdaParams, rwa: bool = False) -> Generator:
     """3x3 Hilbert-space generator -i H(t) for unitary dynamics, with the
     real coefficients of _drive.  The RWA drive declares the rotating
-    frame, so it is propagated exactly; the full drive's Magnus steps run
-    on its real 6x6 realification."""
-    ops, coefficients, frame = _drive(p, rwa)
-    return Generator(-1j * h0(p), -1j * ops, coefficients, frame,
+    frame -frame_rates(p), so it is propagated exactly; the full drive's
+    Magnus steps run on its real 6x6 realification."""
+    return Generator(-1j * h0(p), -1j * _drive_ops(rwa)[0], _drive(p, rwa),
+                     -frame_rates(p) if rwa else None,
                      gauge=lambda shift: _signs(p, shift))
 
 
@@ -263,21 +260,18 @@ def liouville_generator(p: LambdaParams, rwa: bool = False,
 
     The same affine drive as closed_generator, with every operator lifted
     through the commutator superoperator and the time-independent
-    dissipator folded into the constant part.  The RWA frame lifts to the
-    rates theta_i - theta_j of vec(rho)[i, j], flattened row-major; the
-    dissipator commutes with it.  Either drive, on its Hermitian operators
-    with real coefficients, is real in Hermitian coordinates
-    (linalg.hermitian_coordinates), where the full drive's Magnus steps
-    run.  The sign gauge lifts to Z (x) Z; each jump operator only
-    changes sign under Z.
+    dissipator folded into the constant part.  The RWA drive declares the
+    lifted frame -frame_rates(p, LDIM); the dissipator commutes with it.
+    Either drive, on its Hermitian operators with real coefficients, is
+    real in Hermitian coordinates (linalg.hermitian_coordinates), where
+    the full drive's Magnus steps run.  The sign gauge lifts to Z (x) Z;
+    each jump operator only changes sign under Z.
     """
     if dissipative is None:
         dissipative = p.is_dissipative
-    _, coefficients, frame = _drive(p, rwa)
     a0 = -1j * _comm_super(h0(p))
     if dissipative:
         a0 = a0 + lindbladian(p)
-    if frame is not None:
-        frame = np.subtract.outer(frame, frame).reshape(LDIM)
-    return Generator(a0, _drive_ops(rwa)[1], coefficients, frame,
+    return Generator(a0, _drive_ops(rwa)[1], _drive(p, rwa),
+                     -frame_rates(p, LDIM) if rwa else None,
                      lambda shift: np.outer(*2 * [_signs(p, shift)]).ravel())

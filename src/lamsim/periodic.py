@@ -335,20 +335,19 @@ def period_mean_map(stack: np.ndarray) -> np.ndarray:
     return parts[0].reshape(stack.shape[1:])
 
 
-def _powers_of(u: np.ndarray, v: np.ndarray) -> Callable[[int], np.ndarray]:
-    """n -> u^n v, as matrix-vector products of v with the squares u^(2^j)
-    that n's bits select, highest bit first.  Each square is formed once,
-    by squaring the one before, when an n first needs it."""
-    squares = [u]
+def _powers_of(squares) -> Callable[[int, np.ndarray], np.ndarray]:
+    """(n, v) -> u^n v, as matrix-vector products of v with the squares
+    that n's bits select, highest bit first, squares[j] = u^(2^j): a list
+    [u] forms each missing square once, by squaring the one before, when
+    an n first needs it; an array must hold every square an n needs."""
 
-    def power(n: int) -> np.ndarray:
+    def power(n: int, v: np.ndarray) -> np.ndarray:
         while len(squares) < n.bit_length():
             squares.append(squares[-1] @ squares[-1])
-        out = v
         for j in reversed(range(n.bit_length())):
             if n >> j & 1:
-                out = squares[j] @ out
-        return out
+                v = squares[j] @ v
+        return v
 
     return power
 
@@ -375,11 +374,11 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     u_t, micromotion = precomputed
     mean = period_mean_map(micromotion)
-    power = _powers_of(u_t, vec(np.asarray(rho0, dtype=complex)))
+    power, v0 = _powers_of([u_t]), vec(np.asarray(rho0, dtype=complex))
 
     @functools.cache
     def avg(n: int) -> np.ndarray:
-        return mean @ power(n)
+        return mean @ power(n, v0)
 
     def delta(n: int) -> float:
         return frobenius_norm(avg(n) - avg(n - 1))

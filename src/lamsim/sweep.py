@@ -25,12 +25,13 @@ import numpy as np
 from . import periodic
 from .analysis import (DEGENERATE_GAP_TOL, rwa_error, spectral_gap,
                        trace_defect)
-from .magnus import (MagnusOrder, _frame_powers, _propagate_grids,
-                     propagate)
-from .model import (DIM, LDIM, LambdaParams, closed_generator, ground_state,
-                    liouville_generator, rwf_phases, unvec, vec)
-from .periodic import (Trajectory, accurate_plan, commensurate_period,
-                       convergence_time, one_period, period_mean_map)
+from .magnus import (MagnusOrder, _frame_fill, _frame_powers,
+                     _propagate_grids, propagate)
+from .model import (DIM, LDIM, LambdaParams, closed_generator, frame_rates,
+                    ground_state, liouville_generator, unvec, vec)
+from .periodic import (Trajectory, _powers_of, accurate_plan,
+                       commensurate_period, convergence_time, one_period,
+                       period_mean_map)
 
 SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
@@ -52,26 +53,20 @@ def _variants(drive: str) -> tuple[str, ...]:
     return ("full", "rwa") if drive == "both" else (drive,)
 
 
-def _rwf_factors(p: LambdaParams, times) -> np.ndarray:
-    """conj(w_i) w_j at each time: the entrywise factors of to_rwf."""
-    w = rwf_phases(p, times)
-    return np.conj(w)[..., :, None] * w[..., None, :]
+def _frame_rows(p: LambdaParams, times, dim: int) -> np.ndarray:
+    """The rotating frame F(t) = e^{i theta t}, theta = frame_rates(p, dim),
+    as factors on the rows of a propagator at each time, shape
+    times.shape + (dim,): on a closed system's amplitudes (dim 3) or an
+    open one's vec index (dim 9)."""
+    return np.exp(1j * np.multiply.outer(times, frame_rates(p, dim)))
 
 
 def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
-    """Rotating-frame transform W(t)^dag rho W(t) of one lab-frame state
-    or a stack of them: diagonals are unchanged, off-diagonals pick up the
-    drive phases."""
-    return _rwf_factors(p, times) * states
-
-
-def _frame_rows(p: LambdaParams, times, open_system: bool) -> np.ndarray:
-    """The rotating frame as factors on the rows of a propagator, at each
-    time: conj w on a closed system's amplitudes (W^dag psi), conj(w_i) w_j
-    on an open one's vec index (to_rwf's factors)."""
-    if open_system:
-        return _rwf_factors(p, times).reshape(np.shape(times) + (LDIM,))
-    return np.conj(rwf_phases(p, times))
+    """Rotating-frame transform F(t) rho F(t)^dag of one lab-frame state
+    or a stack of them: e^{i (theta_i - theta_j) t} rho_ij, so diagonals
+    are kept bit for bit and off-diagonals pick up the drive phases."""
+    return _frame_rows(p, times, LDIM).reshape(
+        np.shape(times) + (DIM, DIM)) * states
 
 
 def run_case(p: LambdaParams, horizon: float,
@@ -96,23 +91,22 @@ def run_case(p: LambdaParams, horizon: float,
       without vec; the Hermitian ones, U(s) = S R(s) S^-1); the carried
       state is S^-1 v (Generator._own_vector), and a block of rows is
       mapped to the vec basis as S (R(s) S^-1 v) (Generator._vec_rows);
-    - the RWA drive, exact in its frame, U(k dt) = Phi(k dt) E^k: the
-      ROW_BLOCK + 1 propagators U(i dt) of one block and the doubling
-      powers E^(2^i) (magnus._frame_powers), not the span's complex
-      (N + 1, d, d) stack, which is twice the open full drive's span.  A
-      block starting at row a is Phi(a dt) U(i dt) E^a v, E^a v from the
-      powers that a's bits select, and the next span's state is
-      Phi(N dt) E^N v.
+    - the RWA drive, exact in its rotating frame, where it carries its
+      state (_frame_route): the ROW_BLOCK + 1 powers E^i of one block
+      and the doubling powers E^(2^i), not the span's complex (N + 1, d,
+      d) stack, which is twice the open full drive's span.
 
-    The rotating frame is folded in, as its factors multiply across
-    shifts, F(j span + s) = F(j span) F(s): F(s) is a table of the full
-    drive's span rows, or multiplies the RWA drive's block propagators,
-    and a block of span j takes the constant F(j span).  Everything that
-    can fail (the periodicity check, the MAX_ROWS cap, the Magnus steps
-    and the exponentials) runs in this call; the row blocks are products
-    of the finite arrays it keeps.  A horizon that is negative or NaN, or
-    of more than MAX_ROWS grid times, raises ValueError before anything
-    is propagated.
+    The rotating frame is F(t) = e^{i theta t}, theta =
+    model.frame_rates(p, d), on a closed system's amplitudes or an open
+    one's vec index.  The RWA drive's rotating-frame rows take no factor,
+    as its generator declares the frame -theta.  The full drive's rows
+    take F, whose factors multiply across shifts, F(j span + s) =
+    F(j span) F(s): a table F(s) of the span's rows, and F(j span) per
+    block of span j.  Everything that can fail (the periodicity check,
+    the MAX_ROWS cap, the Magnus steps and the exponentials) runs in this
+    call; the row blocks are products of the finite arrays it keeps.  A
+    horizon that is negative or NaN, or of more than MAX_ROWS grid times,
+    raises ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -143,7 +137,7 @@ def run_case(p: LambdaParams, horizon: float,
     rwf = frame == "rwf"
     start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
     if g.frame is not None:
-        rows, advance = _frame_route(p, g, grid, width, rwf, open_system)
+        rows, advance = _frame_route(g, grid, width, rwf)
     else:
         if open_system:  # the generator's real coordinates, mapped per block
             stack = _propagate_grids(g, 0.0, span, [(n_steps, True)],
@@ -153,14 +147,15 @@ def run_case(p: LambdaParams, horizon: float,
             stack = propagate(g, 0.0, span, n_steps, order=order,
                               return_intermediate=True)
             to_vec = None
-        factors = _frame_rows(p, grid, open_system) if rwf else None  # F(s)
+        factors = _frame_rows(p, grid, g.dim) if rwf else None  # F(s)
 
-        def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
+        def rows(v: np.ndarray, t: float, a: int, b: int) -> np.ndarray:
             col = _applied(stack[a:b], v)
             if to_vec is not None:
                 col = to_vec(col)
-            if factors is not None:
+            if factors is not None:  # F(t + s) = F(t) F(s)
                 col *= factors[a:b]
+                col *= _frame_rows(p, t, g.dim)
             return col
 
         def advance(v: np.ndarray) -> np.ndarray:
@@ -177,13 +172,9 @@ def run_case(p: LambdaParams, horizon: float,
     def blocks():
         v = start
         for j, m in enumerate(counts):
-            shift = _frame_rows(p, j * span, open_system) \
-                if rwf else None  # F(j span)
             for a in range(0, m, width):
                 b = min(a + width, m)
-                col = rows(v, a, b)
-                if shift is not None:
-                    col *= shift
+                col = rows(v, j * span, a, b)
                 yield grid[a:b] + j * span, (
                     col.reshape(-1, DIM, DIM) if open_system
                     else col[:, :, None] * np.conj(col)[:, None, :])
@@ -198,41 +189,36 @@ def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (stack.reshape(-1, len(v)) @ v).reshape(len(stack), -1)
 
 
-def _frame_route(p: LambdaParams, g, grid: np.ndarray, width: int,
-                 rwf: bool, open_system: bool):
+def _frame_route(g, grid: np.ndarray, width: int, rwf: bool):
     """run_case's rows and span-to-span carry for a generator with a frame
-    on the span's grid: blocks of at most ``width`` rows from one block's
-    propagators U(i dt) (F(i dt) U(i dt) in the rotating frame), i <=
-    width, and the doubling powers E^(2^i) of the span's N steps."""
+    Phi(t) = diag(e^{i g.frame t}), on the span's grid of N steps dt.
+
+    The carried state x is the rotating-frame one, Phi(t)^-1 psi(t) at
+    the span's start t, which k steps take exactly to E^k x, E = exp(dt B)
+    (magnus._frame_powers); a span takes it to E^N x.  A block of at most
+    ``width`` rows a..b is the table E^i, i < b - a, applied to E^a x,
+    both from the span's one batch of doubling powers E^(2^i) (the table
+    by magnus._frame_fill, E^a x by periodic._powers_of).  Rotating-frame
+    rows take no factor: they rely on the frame being the RWA frame
+    -model.frame_rates, so that run_case's F(t) is Phi(t)^-1.  Lab rows
+    take Phi back, Phi(i dt) folded into the table and Phi(t + a dt) per
+    block."""
     n_steps = len(grid) - 1
-    dt = grid[-1] / n_steps
     width = min(width, n_steps)
-    # grid[width] / width is dt itself at width = N or a power of two
-    table = propagate(g, 0.0, grid[width], width, return_intermediate=True)
-    doubling = _frame_powers(g, 0.0, dt, n_steps)
-    if rwf:
-        table *= _frame_rows(p, grid[:width + 1], open_system)[:, :, None]
+    doubling = _frame_powers(g, 0.0, grid[-1] / n_steps, n_steps)
+    table, power = _frame_fill(doubling, width + 1), _powers_of(doubling)
+    if not rwf:
+        table *= np.exp(1j * np.multiply.outer(grid[:width + 1],
+                                               g.frame))[:, :, None]
 
-    def power(k: int, v: np.ndarray) -> np.ndarray:
-        """E^k v, as products of v with the powers k's bits select."""
-        for i in reversed(range(k.bit_length())):
-            if k >> i & 1:
-                v = doubling[i] @ v
-        return v
-
-    def phases(k: int) -> np.ndarray:  # Phi(k dt)
-        return np.exp(1j * (dt * k) * g.frame)
-
-    def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
-        shift = phases(a)
-        if rwf:  # F(a dt) across the shift
-            shift = shift * _frame_rows(p, grid[a], open_system)
+    def rows(v: np.ndarray, t: float, a: int, b: int) -> np.ndarray:
         col = _applied(table[:b - a], power(a, v))
-        col *= shift
+        if not rwf:  # Phi(t + a dt)
+            col *= np.exp(1j * (t + grid[a]) * g.frame)
         return col
 
     def advance(v: np.ndarray) -> np.ndarray:
-        return phases(n_steps) * power(n_steps, v)
+        return power(n_steps, v)
 
     return rows, advance
 
@@ -329,7 +315,7 @@ def steady_state_summary(p: LambdaParams, rwa: bool,
     left, right = left[:, -k:].conj().T, right[-k:].conj().T
     v_ss = right @ np.linalg.solve(left @ right, left @ vec(ground_state()))
     # factors first: their broadcast temporaries are freed before the states
-    factors = _rwf_factors(p, plan.micromotion_times).reshape(-1, LDIM)
+    factors = _frame_rows(p, plan.micromotion_times, LDIM)
     gap = spectral_gap(u_t, period=plan.period)
     return {
         "rho_ss_rwf": unvec(period_mean_map(

@@ -20,6 +20,7 @@ two summaries is bounded by the sum of their two such moves; no tolerance
 is fitted.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -97,3 +98,19 @@ def test_time_rescaling(case, delta_omega_p, drive):
     bound = fixed_point_move(s["u_t"]) + fixed_point_move(r["u_t"])
     assert np.max(np.abs(r["rho_ss_rwf"] - s["rho_ss_rwf"])) <= bound
     assert_same_gap(r["gap_per_time"] / c, s["gap_per_time"], bound)
+
+
+@pytest.mark.parametrize("drive", ["full", "rwa"])
+def test_time_rescaling_squares_lambda_2_below_1e_9(drive):
+    # C-II with gamma_12 = gamma_23 = 5 has |lambda_2| = 7.8e-6 (full) and
+    # 3.0e-6 (rwa); at c = 2 the period stays 2 pi and holds two of the
+    # old ones, so |lambda_2| is squared to 6.1e-11 and 9.0e-12, between
+    # the floor and 1e-9, and the gap per period doubles.  An entry error
+    # eps of U_T moves ln |lambda_2| by at most about 9 eps / |lambda_2|.
+    p = preset("C-II").with_(gamma_12=5.0, gamma_23=5.0)
+    s, r = solve(p, drive), solve(rescaled(p, 2.0), drive)
+    assert r["period"] == s["period"]
+    lambda_2 = math.exp(-r["gap"])
+    assert STEP_ERROR_TARGET < lambda_2 < 1e-9
+    bound = 9.0 * STEP_ERROR_TARGET / lambda_2
+    assert abs(r["gap"] - 2.0 * s["gap"]) <= bound

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lamsim import magnus, model
 from lamsim.model import (DIM, LDIM, PRESET_NAMES, LambdaParams,
-                          closed_generator, ground_state, h0, jump_operators,
-                          lindbladian, liouville_generator, preset,
-                          rwf_phases, unvec, vec)
+                          closed_generator, frame_rates, ground_state, h0,
+                          jump_operators, lindbladian, liouville_generator,
+                          preset, unvec, vec)
 from lamsim.sweep import to_rwf
 
 from conftest import (h_rwf, h_sr, h_sr_rwa, hamiltonian, liouvillian,
@@ -127,12 +127,16 @@ class TestHamiltonians:
     @settings(max_examples=20, deadline=None)
     def test_rwf_generator_identity(self, t):
         # W^dag H(t) W - i W^dag dW/dt must equal the static rotating-frame
-        # Hamiltonian (checked with a central finite difference)
+        # Hamiltonian (checked with a central finite difference), W(t) =
+        # F(t)^dag = diag(e^{-i theta t}), theta = frame_rates(p)
         p = preset("A-I", delta_omega_p=0.1)
-        w = np.diag(rwf_phases(p, t))
+
+        def frame(s):
+            return np.diag(np.exp(-1j * frame_rates(p) * s))
+
+        w = frame(t)
         eps = 1e-6
-        dw = (np.diag(rwf_phases(p, t + eps))
-              - np.diag(rwf_phases(p, t - eps))) / (2 * eps)
+        dw = (frame(t + eps) - frame(t - eps)) / (2 * eps)
         h_frame = w.conj().T @ hamiltonian(p, t, rwa=True) @ w \
             - 1j * w.conj().T @ dw
         assert np.allclose(h_frame, h_rwf(p), atol=1e-6)
@@ -141,6 +145,20 @@ class TestHamiltonians:
         rho = random_density(rng)
         out = to_rwf(rho, case_a, 0.37)
         assert np.allclose(np.diag(out), np.diag(rho))
+
+    def test_rwf_transform_keeps_diagonal_bits(self, rng):
+        # the diagonal rates of frame_rates(p, LDIM) are exactly 0, so each
+        # population is multiplied by e^0 = 1; a product conj(w) w of the
+        # amplitude phases w = e^{-ix} is 1 only to rounding (2.2e-16)
+        p = preset("A-II", delta_omega_p=0.1)
+        times = np.sort(rng.uniform(0.0, 50.0, 400))
+        rho = np.array([random_density(rng) for _ in times])
+        out = to_rwf(rho, p, times)
+        assert np.array_equal(np.einsum("tii->ti", out),
+                              np.einsum("tii->ti", rho))
+        f = np.exp(1j * frame_rates(p) * times[:, None])  # on amplitudes
+        assert np.allclose(out, f[:, :, None] * rho * f.conj()[:, None, :],
+                           rtol=0.0, atol=1e-13)
 
 
 class TestVectorization:

@@ -390,6 +390,33 @@ class TestAccuratePlan:
         with pytest.raises(ValueError, match="not diagonal in Hermitian"):
             accurate_plan(g, 2.0 * np.pi)
 
+    def test_every_map_of_a_gauged_constant_generator_is_exact(self):
+        # A-II's undriven Liouvillian couples only the populations, so it
+        # commutes with every diagonal sign gauge that keeps them, and
+        # accurate_plan fills its period from T/128 under any of them: a
+        # U_T it returns must be exp(T A0), from an eigendecomposition, to
+        # rounding.  Sixteen seeded patterns, half symmetric (z_ij = z_ji,
+        # Z (x) Z), half not.
+        a0 = liouville_generator(preset("A-II")).a0
+        want = expm_eig(2.0 * np.pi * a0)
+        rng = np.random.default_rng(43)
+        signs = rng.choice([-1.0, 1.0], size=(8, 3))
+        patterns = [np.outer(z, z).ravel() for z in signs]
+        coherences = rng.choice([-1.0, 1.0], size=(64, 9))
+        coherences[:, [0, 4, 8]] = 1.0
+        patterns += [z for z in coherences if not np.array_equal(
+            z.reshape(3, 3), z.reshape(3, 3).T)][:8]
+        exact = 0
+        for z in patterns:
+            g = Generator(a0, gauge=lambda shift, z=z: z)
+            try:
+                _, _, (u_t, _) = resolved(g, 2.0 * np.pi)
+            except ValueError:
+                continue
+            assert np.max(np.abs(u_t - want)) <= 1e-13
+            exact += 1
+        assert exact == 8
+
     def test_frame_generator_has_no_sub_stack(self):
         g = liouville_generator(preset("A-II"), rwa=True)
         assert accurate_plan(g, 2.0 * np.pi)[1:] == (0.0, None)
@@ -734,8 +761,8 @@ class TestSquares:
     def test_deltas_match_matrix_power(self, resolved_presets, key):
         _, _, u_t, micro = resolved_presets[key]
         mean, v0 = period_mean_map(micro), vec(ground_state())
-        power = periodic._powers_of(u_t, v0)
-        got = [mean @ power(n) for n in range(201)]
+        power = periodic._powers_of([u_t])
+        got = [mean @ power(n, v0) for n in range(201)]
         want = [mean @ (np.linalg.matrix_power(u_t, n) @ v0)
                 for n in range(201)]
         scale = frobenius_norm(want[1])

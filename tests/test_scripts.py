@@ -39,7 +39,7 @@ def test_snapshot_outputs_writes_every_output(tmp_path):
     assert criteria[0].endswith("(tol 1e-8)")  # its timing stripped
     names = {path.stem for path in out.glob("*.status")}
     assert names == {path.stem for path in out.glob("*.csv")}
-    assert len(names) == 13
+    assert len(names) == 14
     for name in names:
         status = (out / f"{name}.status").read_text()
         if name == "gap_C-II_q20":  # both gaps unresolved at q = 20

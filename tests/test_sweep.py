@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lamsim import periodic, sweep
+from lamsim import magnus, periodic, sweep
 from lamsim.analysis import cptp_check, rwa_error, spectral_gap
 from lamsim.magnus import propagate
 from lamsim.model import (closed_generator, ground_state, lindbladian,
@@ -118,8 +118,9 @@ class TestRunCase:
         # 1000 hold a whole span (at most 513 rows).  Rows agree to
         # rounding: an open system's span is kept in the generator's
         # Hermitian coordinates, the RWA drive's carried state comes from
-        # doubling powers, and rwf rows take the frame folded into the
-        # span, F(j T) F(s) for F(j T + s).
+        # doubling powers in its rotating frame, and the full drive's rwf
+        # rows take the frame folded into the span, F(j T) F(s) for
+        # F(j T + s).
         p = preset(case)
         rwa = drive == "rwa"
         period, _ = commensurate_period(p.omega_p, p.omega_c)
@@ -160,9 +161,10 @@ class TestRunCase:
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-I", "A-II", "B-II", "C-I"])
     def test_rwf_rows_are_the_transformed_lab_rows(self, case, drive):
-        # run_case folds the frame into the span's propagators and takes
-        # F(j span) per span; the reference transforms each lab row at its
-        # own time.  Horizons below T (a span whose F(span) is not 1), of
+        # run_case folds the frame into the full drive's span and takes
+        # F(j span) per span, and forms the RWA drive's rwf rows in its
+        # rotating frame; the reference transforms each lab row at its own
+        # time.  Horizons below T (a span whose F(span) is not 1), of
         # one T, and of several T, where the phases' rounding grows with t.
         p = preset(case)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
@@ -200,6 +202,35 @@ class TestRunCase:
             rows += len(times)
         assert rows == 40 * steps + 1
         assert worst <= 1e-13, worst
+
+    @pytest.mark.parametrize("frame", ["lab", "rwf"])
+    @pytest.mark.parametrize("case", ["A-I", "B-II"])
+    def test_rwa_span_takes_one_exponential_batch(self, monkeypatch, case,
+                                                  frame):
+        # the block table and the carried state's powers of an RWA span
+        # come from one batch of doubling powers, one expm call, whatever
+        # the frame; reading the rows takes no further exponential
+        calls = {"_frame_powers": 0, "expm": 0}
+
+        def counting(name):
+            real = getattr(magnus, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        powers = counting("_frame_powers")
+        monkeypatch.setattr(magnus, "_frame_powers", powers)
+        monkeypatch.setattr(sweep, "_frame_powers", powers)
+        monkeypatch.setattr(magnus, "expm", counting("expm"))
+        p = preset(case)
+        period, steps = commensurate_period(p.omega_p, p.omega_c)
+        traj = run_case(p, 3.4 * period, drive="rwa", frame=frame)
+        assert calls == {"_frame_powers": 1, "expm": 1}
+        assert sum(len(times) for times, _ in traj.blocks()) \
+            == 3 * steps + int(0.4 * steps) + 1
+        assert calls == {"_frame_powers": 1, "expm": 1}
 
     @pytest.mark.parametrize("frame", ["lab", "rwf"])
     def test_full_rows_match_the_vec_basis_route(self, frame):
@@ -510,6 +541,21 @@ def test_degenerate_fixed_space_is_the_limit_of_the_period_map(
     states = to_rwf((micro @ v).reshape(-1, 3, 3), p, times)
     want = np.trapezoid(states, x=times, axis=0) / seen["plan"].period
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_degenerate_fixed_space_is_the_long_time_state():
+    # The RWA drive with |3> decoupled, streamed over 300 periods: its
+    # rotating-frame state tends to a constant, the summary's projection
+    # onto U_T's two fixed points, with no SVD or U_T power on this route.
+    # The slowest decay, 0.863 per period, leaves 6e-20 by then.
+    p = preset("B-II").with_(rabi_c=0.0, gamma_23=0.0)
+    want = steady_state_summary(p, rwa=True)["rho_ss_rwf"]
+    period, _ = commensurate_period(p.omega_p, p.omega_c)
+    traj = run_case(p, 300 * period, drive="rwa", frame="rwf",
+                    steps_per_period=STEPS)
+    for _, states in traj.blocks():  # one block held at a time
+        pass
+    assert np.max(np.abs(states[-1] - want)) <= 1e-12
 
 
 def test_strongly_damped_gap_matches_the_rotating_frame_spectrum():
