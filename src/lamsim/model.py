@@ -124,10 +124,10 @@ def frame_rates(p: LambdaParams, dim: int = DIM) -> np.ndarray:
     """Rates theta of the rotating frame F(t) = diag(e^{i theta t}), the
     one definition of that frame: theta = (0, w_p, w_p - w_c) on the
     amplitudes (dim 3), a state entering it as F(t) psi; theta_i - theta_j
-    at vec(rho)[i, j], row-major (dim 9), so its diagonal rates are
-    exactly 0.  The RWA drive's generators declare the frame -theta."""
+    at vec(rho)[i, j], row-major (dim 9), its diagonal exactly 0; no other
+    dim.  The RWA drive's generators declare the frame -theta."""
     theta = np.array([0.0, p.omega_p, p.omega_p - p.omega_c])
-    return theta if dim == DIM else np.subtract.outer(theta, theta).ravel()
+    return {DIM: theta, LDIM: np.subtract.outer(theta, theta).ravel()}[dim]
 
 
 # The jump operators |i><j| of the four dissipation channels.

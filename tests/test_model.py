@@ -146,6 +146,17 @@ class TestHamiltonians:
         out = to_rwf(rho, case_a, 0.37)
         assert np.allclose(np.diag(out), np.diag(rho))
 
+    def test_frame_rates_lift_to_vec_rho(self):
+        p = preset("A-II", delta_omega_p=0.1)
+        theta = frame_rates(p)
+        assert np.array_equal(theta, [0.0, p.omega_p, p.omega_p - p.omega_c])
+        lifted = frame_rates(p, LDIM).reshape(DIM, DIM)
+        for i in range(DIM):
+            for j in range(DIM):
+                assert lifted[i, j] == theta[i] - theta[j]
+        with pytest.raises(KeyError):
+            frame_rates(p, 6)
+
     def test_rwf_transform_keeps_diagonal_bits(self, rng):
         # the diagonal rates of frame_rates(p, LDIM) are exactly 0, so each
         # population is multiplied by e^0 = 1; a product conj(w) w of the
