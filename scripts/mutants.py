@@ -104,14 +104,15 @@ MUTANTS = [
     Mutant("frame-lift-transposed", "src/lamsim/model.py",
            "np.subtract.outer(theta, theta).ravel()",
            "np.subtract.outer(theta, theta).T.ravel()"),
-    Mutant("block-phase-dropped", "src/lamsim/sweep.py",
-           "col *= np.exp(1j * (t + grid[a]) * g.frame)",
-           "col *= np.exp(1j * t * g.frame)"),
-    Mutant("rwf-rows-take-phase", "src/lamsim/sweep.py",
-           "if not rwf:  # Phi(t + a dt)", "if True:  # Phi(t + a dt)"),
-    Mutant("rwf-carry-takes-phase", "src/lamsim/sweep.py",
-           "return power(n_steps, v)",
-           "return np.exp(1j * grid[-1] * g.frame) * power(n_steps, v)"),
+    Mutant("rwa-lab-rows-take-f", "src/lamsim/sweep.py",
+           "factors = factors.conj() if rwa else factors",
+           "factors = factors"),
+    Mutant("rows-take-span-phase", "src/lamsim/sweep.py",
+           "col *= factors[a:b]",
+           "col *= factors[a:b] * _frame_rows(p, j * span, g.dim)"),
+    Mutant("last-span-drops-horizon-row", "src/lamsim/sweep.py",
+           "m = n_steps if j < spans - 1 else last",
+           "m = n_steps if j < spans - 1 else min(last, n_steps)"),
     Mutant("block-carry-one-block-ahead", "src/lamsim/sweep.py",
            "_applied(table[:b - a], power(a, v))",
            "_applied(table[:b - a], power(b, v))"),

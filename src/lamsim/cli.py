@@ -36,8 +36,8 @@ from .model import (DIM, PRESET_NAMES, LambdaParams, ground_state,
                     liouville_generator, preset, vec)
 from .periodic import (HorizonError, Trajectory, accurate_plan,
                        commensurate_period, one_period)
-from .sweep import (DRIVES, ROW_BLOCK, SweepAxis, SweepSpec, _variants,
-                    run_case, run_sweep)
+from .sweep import (DRIVES, SweepAxis, SweepSpec, _variants, run_case,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -260,14 +260,10 @@ def _propagate_columns(times: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _trajectory_blocks(traj: Trajectory, suffix: str):
-    """Text blocks of a trajectory, as its blocks are formed, each cut to
-    at most ROW_BLOCK rows: every float as %.17g (the same text as _fmt),
-    then the constant suffix."""
+    """One text block per block of a trajectory, as it is formed: every
+    float as %.17g (the same text as _fmt), then the constant suffix."""
     for times, states in traj.blocks():
-        for start in range(0, len(times), ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            yield float_rows(
-                _propagate_columns(times[rows], states[rows]), suffix)
+        yield float_rows(_propagate_columns(times, states), suffix)
 
 
 def cmd_propagate(cfg: RunConfig) -> int:

@@ -35,6 +35,9 @@ STEP_ERROR_TARGET = 1e-12
 MIN_STEPS = 256
 MAX_PLAN_STEPS = 10 ** 6
 MAX_PERIODS = 2 ** 40             # horizon of the steady-state search
+# Cap on the rows a streamed Trajectory collects into arrays (152 B per
+# row, ~9.5 GiB at the cap); its blocks() stream any number of rows.
+MAX_ROWS = 2 ** 26
 
 
 class HorizonError(RuntimeError):
@@ -263,7 +266,8 @@ class Trajectory:
     times and (len(times), 3, 3) states, or streamed (Trajectory.streamed)
     from a source of its row blocks.  blocks() yields (times, states)
     blocks in order, one at a time; times, states and populations collect
-    every block into arrays on first use and keep them."""
+    every block into arrays on first use and keep them, and raise
+    ValueError before they allocate for more than MAX_ROWS rows."""
 
     def __init__(self, times, states, frame: str = "lab"):
         self.frame = frame
@@ -286,6 +290,10 @@ class Trajectory:
 
     def _collected(self) -> tuple[np.ndarray, np.ndarray]:
         if self._series is None:
+            if self._rows > MAX_ROWS:
+                raise ValueError(
+                    f"{self._rows} rows to collect, above the cap MAX_ROWS "
+                    f"= {MAX_ROWS}; blocks() streams them")
             times = np.empty(self._rows)
             states = np.empty((self._rows, DIM, DIM), dtype=complex)
             row = 0

@@ -37,11 +37,6 @@ SWEEPABLE = ("omega_p", "omega_c", "rabi_p", "rabi_c", "gamma_12", "gamma_23")
 OBSERVABLES = ("populations", "coherences", "rwa_error",
                "convergence_time", "spectral_gap")
 DRIVES = ("full", "rwa", "both")
-# Cap on the rows (grid times) per drive of one run_case call,
-# floor(steps_per_period * horizon / period) + 1, checked before anything
-# is computed.  A Trajectory's collected times and states take 152 B per
-# row (~9.5 GiB at the cap); lamsim propagate streams them instead.
-MAX_ROWS = 2 ** 26
 # Rows per block of a time series: the states, their frame transform and
 # the CSV text are formed one block at a time.
 ROW_BLOCK = 2048
@@ -63,10 +58,11 @@ def _frame_rows(p: LambdaParams, times, dim: int) -> np.ndarray:
 
 def to_rwf(states: np.ndarray, p: LambdaParams, times) -> np.ndarray:
     """Rotating-frame transform F(t) rho F(t)^dag of one lab-frame state
-    or a stack of them: e^{i (theta_i - theta_j) t} rho_ij, so diagonals
-    are kept bit for bit and off-diagonals pick up the drive phases."""
-    return _frame_rows(p, times, LDIM).reshape(
-        np.shape(times) + (DIM, DIM)) * states
+    or a stack of them: rho_ij e^{i (theta_i - theta_j) t}, so diagonals
+    are kept bit for bit and off-diagonals pick up the drive phases (the
+    product run_case takes on an open system's rows)."""
+    return states * _frame_rows(p, times, LDIM).reshape(
+        np.shape(times) + (DIM, DIM))
 
 
 def run_case(p: LambdaParams, horizon: float,
@@ -83,37 +79,42 @@ def run_case(p: LambdaParams, horizon: float,
     populations collect them).  Longer horizons reuse the span
     stroboscopically: one state is carried from span to span, from e0
     (|1>, or vec|1><1|), and span j's rows are the span's propagators
-    applied to it.  What a span keeps:
+    applied to it.  Every span but the last gives N rows, as its endpoint
+    is the next span's start; the last gives its rows up to the horizon,
+    endpoint included.  What a span keeps, and the frame its rows are
+    formed in:
 
     - the full drive of a closed system: its (N + 1, 3, 3) propagators;
+      lab rows;
     - the full drive of an open one: its (N + 1, 9, 9) propagators R(s)
       in the generator's own real coordinates (magnus._propagate_grids
       without vec; the Hermitian ones, U(s) = S R(s) S^-1); the carried
       state is S^-1 v (Generator._own_vector), and a block of rows is
       mapped to the vec basis as S (R(s) S^-1 v) (Generator._vec_rows);
-    - the RWA drive, exact in its rotating frame, where it carries its
-      state (_frame_route): the ROW_BLOCK + 1 powers E^i of one block
-      and the doubling powers E^(2^i), not the span's complex (N + 1, d,
-      d) stack, which is twice the open full drive's span.
+      lab rows;
+    - the RWA drive, exact in its rotating frame (_frame_route): the
+      ROW_BLOCK + 1 powers E^i of one block and the doubling powers
+      E^(2^i), not the span's complex (N + 1, d, d) stack, which is twice
+      the open full drive's span; rotating-frame rows.
 
     The rotating frame is F(t) = e^{i theta t}, theta =
     model.frame_rates(p, d), on a closed system's amplitudes or an open
-    one's vec index.  The RWA drive's rotating-frame rows take no factor,
-    as its generator declares the frame -theta.  The full drive's rows
-    take F, whose factors multiply across shifts, F(j span + s) =
-    F(j span) F(s): a table F(s) of the span's rows, and F(j span) per
-    block of span j.  Everything that can fail (the periodicity check,
-    the MAX_ROWS cap, the Magnus steps and the exponentials) runs in this
-    call; the row blocks are products of the finite arrays it keeps.  A
-    horizon that is negative or NaN, or of more than MAX_ROWS grid times,
+    one's vec index; the RWA generator declares its frame as -theta.
+    Rows asked for in the other frame take one table over the span's
+    grid times s: the full drive's F(s), the RWA drive's Phi(s) = F(s)^-1.
+    No row takes a phase of its span's start: a span is either the only
+    one or the period T, and F(T) = I at the commensurate T.  Everything
+    that can fail (the periodicity check, the Magnus steps and the
+    exponentials) runs in this call; the row blocks are products of the
+    finite arrays it keeps.  A horizon that is negative, NaN or infinite
     raises ValueError before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
     if frame not in ("lab", "rwf"):
         raise ValueError(f"frame must be 'lab' or 'rwf', got {frame!r}")
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be >= 0 and finite, got {horizon}")
     rwa = drive == "rwa"
     if horizon == 0:
         return Trajectory(times=np.array([0.0]),
@@ -126,18 +127,13 @@ def run_case(p: LambdaParams, horizon: float,
     g = (liouville_generator(p, rwa=rwa) if open_system
          else closed_generator(p, rwa=rwa))
     periodic.make_plan(g, period, steps)  # checks periodicity and the cap
-    if steps * (horizon / period) >= MAX_ROWS:
-        raise ValueError(
-            f"horizon {horizon} needs about {steps * horizon / period:.3g} "
-            f"rows per drive, above the cap MAX_ROWS = {MAX_ROWS}")
     span = min(horizon, period)
     n_steps = max(1, math.ceil(steps * span / period - 1e-9))
     grid = np.linspace(0.0, span, n_steps + 1)
     width = ROW_BLOCK
-    rwf = frame == "rwf"
     start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
-    if g.frame is not None:
-        rows, advance = _frame_route(g, grid, width, rwf)
+    if rwa:
+        rows, advance = _frame_route(g, grid, width)
     else:
         if open_system:  # the generator's real coordinates, mapped per block
             stack = _propagate_grids(g, 0.0, span, [(n_steps, True)],
@@ -147,40 +143,36 @@ def run_case(p: LambdaParams, horizon: float,
             stack = propagate(g, 0.0, span, n_steps, order=order,
                               return_intermediate=True)
             to_vec = None
-        factors = _frame_rows(p, grid, g.dim) if rwf else None  # F(s)
 
-        def rows(v: np.ndarray, t: float, a: int, b: int) -> np.ndarray:
+        def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
             col = _applied(stack[a:b], v)
-            if to_vec is not None:
-                col = to_vec(col)
-            if factors is not None:  # F(t + s) = F(t) F(s)
-                col *= factors[a:b]
-                col *= _frame_rows(p, t, g.dim)
-            return col
+            return col if to_vec is None else to_vec(col)
 
         def advance(v: np.ndarray) -> np.ndarray:
             return stack[-1] @ v
-    # A span shorter than T is repeated once: its second block is the
-    # row at t = h, the span's first row applied to the state at h.
-    # Rows taken from each span: a whole span's endpoint duplicates the
-    # next span's start, and the last span is cut at the horizon.
-    spans = int(math.floor(horizon / span + 1e-12))
-    last = int(np.searchsorted(grid + spans * span, horizon * (1.0 + 1e-12),
-                               side="right"))
-    counts = [n_steps] * spans + [last] * (last > 0)
+    factors = None
+    if (frame == "rwf") != rwa:  # the frame the route's rows are not in
+        factors = _frame_rows(p, grid, g.dim)
+        factors = factors.conj() if rwa else factors
+    spans = max(1, math.ceil(horizon / span - 1e-12))
+    last = int(np.searchsorted(grid + (spans - 1) * span,
+                               horizon * (1.0 + 1e-12), side="right"))
 
     def blocks():
         v = start
-        for j, m in enumerate(counts):
+        for j in range(spans):
+            m = n_steps if j < spans - 1 else last
             for a in range(0, m, width):
                 b = min(a + width, m)
-                col = rows(v, j * span, a, b)
+                col = rows(v, a, b)
+                if factors is not None:
+                    col *= factors[a:b]
                 yield grid[a:b] + j * span, (
                     col.reshape(-1, DIM, DIM) if open_system
                     else col[:, :, None] * np.conj(col)[:, None, :])
             v = advance(v)
 
-    return Trajectory.streamed(blocks, sum(counts), frame)
+    return Trajectory.streamed(blocks, (spans - 1) * n_steps + last, frame)
 
 
 def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -189,33 +181,24 @@ def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (stack.reshape(-1, len(v)) @ v).reshape(len(stack), -1)
 
 
-def _frame_route(g, grid: np.ndarray, width: int, rwf: bool):
-    """run_case's rows and span-to-span carry for a generator with a frame
-    Phi(t) = diag(e^{i g.frame t}), on the span's grid of N steps dt.
+def _frame_route(g, grid: np.ndarray, width: int):
+    """run_case's rotating-frame rows and span-to-span carry for a
+    generator with a frame Phi(t) = diag(e^{i g.frame t}), on the span's
+    grid of N steps dt.
 
     The carried state x is the rotating-frame one, Phi(t)^-1 psi(t) at
     the span's start t, which k steps take exactly to E^k x, E = exp(dt B)
     (magnus._frame_powers); a span takes it to E^N x.  A block of at most
     ``width`` rows a..b is the table E^i, i < b - a, applied to E^a x,
     both from the span's one batch of doubling powers E^(2^i) (the table
-    by magnus._frame_fill, E^a x by periodic._powers_of).  Rotating-frame
-    rows take no factor: they rely on the frame being the RWA frame
-    -model.frame_rates, so that run_case's F(t) is Phi(t)^-1.  Lab rows
-    take Phi back, Phi(i dt) folded into the table and Phi(t + a dt) per
-    block."""
+    by magnus._frame_fill, E^a x by periodic._powers_of)."""
     n_steps = len(grid) - 1
-    width = min(width, n_steps)
     doubling = _frame_powers(g, 0.0, grid[-1] / n_steps, n_steps)
-    table, power = _frame_fill(doubling, width + 1), _powers_of(doubling)
-    if not rwf:
-        table *= np.exp(1j * np.multiply.outer(grid[:width + 1],
-                                               g.frame))[:, :, None]
+    table = _frame_fill(doubling, min(width, n_steps) + 1)
+    power = _powers_of(doubling)
 
-    def rows(v: np.ndarray, t: float, a: int, b: int) -> np.ndarray:
-        col = _applied(table[:b - a], power(a, v))
-        if not rwf:  # Phi(t + a dt)
-            col *= np.exp(1j * (t + grid[a]) * g.frame)
-        return col
+    def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
+        return _applied(table[:b - a], power(a, v))
 
     def advance(v: np.ndarray) -> np.ndarray:
         return power(n_steps, v)

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from lamsim import cli, periodic, sweep
 from lamsim._floattext import float_rows
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                        PROPAGATE_HEADER, ROW_BLOCK, RunConfig, build_config,
-                        main, parse_config_text, resolve_params)
+                        PROPAGATE_HEADER, RunConfig, build_config, main,
+                        parse_config_text, resolve_params)
 from lamsim.magnus import CHUNK_STEPS
 from lamsim.model import liouville_generator, preset
 from lamsim.periodic import (BASE_STEPS, MAX_PLAN_STEPS, MIN_STEPS,
                              Trajectory, accurate_plan, commensurate_period)
-from lamsim.sweep import SweepAxis, run_case, steady_state_summary
+from lamsim.sweep import ROW_BLOCK, SweepAxis, run_case, steady_state_summary
 
 STEPS = "64"  # keep CLI round trips fast; numerics are tested elsewhere
 
@@ -197,33 +197,45 @@ class TestSettingsPerSubcommand:
 
 
 class TestHorizonCap:
-    @pytest.mark.parametrize("flag,value", [("--horizon", "1e300"),
-                                            ("--horizon", "1e308"),
-                                            ("--periods", "100000000")])
-    def test_huge_horizon_exits_2(self, tmp_path, capsys, monkeypatch, flag,
-                                  value):
-        # refused before any propagator is built
-        def refuse(*args, **kwargs):
-            raise AssertionError("propagate called")
-
-        monkeypatch.setattr(periodic, "propagate", refuse)
-        monkeypatch.setattr(sweep, "propagate", refuse)
-        out = tmp_path / "x.csv"
-        rc = main(["propagate", "--case", "A-I", flag, value,
-                   "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        assert "MAX_ROWS" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("horizon", [2e8 * np.pi, 1e300, 1e308])
+    def test_huge_horizon_streams_but_does_not_collect(self, horizon):
+        # One span is resolved whatever the horizon (A-I: T = 2 pi, here
+        # of 64 steps).  Its rows stream; collecting them raises before
+        # their arrays are allocated.
+        traj = run_case(preset("A-I"), horizon, steps_per_period=int(STEPS))
+        for collect in ("times", "states", "populations"):
+            with pytest.raises(ValueError, match="MAX_ROWS"):
+                getattr(traj, collect)
+        times, _ = next(traj.blocks())
+        assert np.array_equal(times, np.linspace(0.0, 2.0 * np.pi,
+                                                 int(STEPS) + 1)[:-1])
 
     def test_cap_counts_rows_per_drive(self, monkeypatch):
-        # two periods of 64 steps and half a step: 129 rows, the cap
+        # two periods of 64 steps and half a step: 129 rows, the cap; half
+        # a step more streams 130 rows but collects none
         p, steps = preset("A-II"), int(STEPS)
         dt = 2.0 * np.pi / steps
-        monkeypatch.setattr(sweep, "MAX_ROWS", 2 * steps + 1)
+        monkeypatch.setattr(periodic, "MAX_ROWS", 2 * steps + 1)
         traj = run_case(p, 4.0 * np.pi + 0.5 * dt, steps_per_period=steps)
-        assert len(traj.times) == sweep.MAX_ROWS
+        assert len(traj.times) == periodic.MAX_ROWS
+        over = run_case(p, 4.0 * np.pi + 1.5 * dt, steps_per_period=steps)
+        assert sum(len(t) for t, _ in over.blocks()) == periodic.MAX_ROWS + 1
         with pytest.raises(ValueError, match="MAX_ROWS"):
-            run_case(p, 4.0 * np.pi + 1.5 * dt, steps_per_period=steps)
+            over.states
+
+    def test_propagate_past_the_cap_writes_every_row(self, tmp_path,
+                                                     monkeypatch):
+        # lamsim propagate streams its rows, so a cap below a drive's 193
+        # rows (three periods of 64 steps) changes no byte it writes
+        argv = ["propagate", "--case", "A-I", "--drive", "both", "--periods",
+                "3", "--steps-per-period", STEPS, "--out"]
+        free, capped = tmp_path / "free.csv", tmp_path / "capped.csv"
+        assert main(argv + [str(free)]) == EXIT_OK
+        monkeypatch.setattr(periodic, "MAX_ROWS", 2 * int(STEPS) + 1)
+        assert main(argv + [str(capped)]) == EXIT_OK
+        _, rows = _read_csv(capped)
+        assert len(rows) == 1 + 2 * (3 * int(STEPS) + 1)
+        assert capped.read_bytes() == free.read_bytes()
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         # run_case is called before the output is opened: a failure there
@@ -507,9 +519,12 @@ class TestFloatText:
         states[0, 0] = [-0.0, complex(0.5, -0.0), 0.0]
         states[-1, 1, 2] = complex(np.nan, 1e300)
         states[-1, 2, 2] = 2.0 ** -25  # a tie
-        traj = Trajectory(np.cumsum(rng.random(nrows)), states, "rwf")
+        times = np.cumsum(rng.random(nrows))
+        traj = Trajectory.streamed(lambda: (
+            (times[k:k + ROW_BLOCK], states[k:k + ROW_BLOCK])
+            for k in range(0, nrows, ROW_BLOCK)), nrows, "rwf")
         blocks = list(cli._trajectory_blocks(traj, ",full,rwf"))
-        assert len(blocks) == -(-nrows // ROW_BLOCK)
+        assert len(blocks) == -(-nrows // ROW_BLOCK)  # one per block
         assert all(text.endswith(",full,rwf\n") for text in blocks)
         assert "".join(blocks) == _reference_trajectory_rows(traj,
                                                              ",full,rwf")

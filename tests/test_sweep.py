@@ -118,8 +118,8 @@ class TestRunCase:
         # 1000 hold a whole span (at most 513 rows).  Rows agree to
         # rounding: an open system's span is kept in the generator's
         # Hermitian coordinates, the RWA drive's carried state comes from
-        # doubling powers in its rotating frame, and the full drive's rwf
-        # rows take the frame folded into the span, F(j T) F(s) for
+        # doubling powers in its rotating frame, and the rows of the other
+        # frame take the span's table F(s), or its conjugate, for
         # F(j T + s).
         p = preset(case)
         rwa = drive == "rwa"
@@ -161,11 +161,11 @@ class TestRunCase:
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-I", "A-II", "B-II", "C-I"])
     def test_rwf_rows_are_the_transformed_lab_rows(self, case, drive):
-        # run_case folds the frame into the full drive's span and takes
-        # F(j span) per span, and forms the RWA drive's rwf rows in its
-        # rotating frame; the reference transforms each lab row at its own
-        # time.  Horizons below T (a span whose F(span) is not 1), of
-        # one T, and of several T, where the phases' rounding grows with t.
+        # run_case takes F(s) of the span's grid on the full drive's rows
+        # and forms the RWA drive's rwf rows in its rotating frame; the
+        # reference transforms each lab row at its own absolute time.
+        # Horizons below T (a span whose F(span) is not 1), of one T, and
+        # of several T, where the reference's phases round with t.
         p = preset(case)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         for fraction in (0.4, 1.0, 3.4, 8.0):
@@ -174,6 +174,29 @@ class TestRunCase:
             assert np.array_equal(rwf.times, lab.times)
             assert np.max(np.abs(
                 rwf.states - to_rwf(lab.states, p, lab.times))) <= 1e-13
+
+    @pytest.mark.parametrize("drive", ["full", "rwa"])
+    @pytest.mark.parametrize("case", ["A-I", "A-II"])
+    def test_frames_agree_at_the_in_period_time(self, case, drive):
+        # 400 periods of 64 steps.  F(j T + s) = F(s) at the commensurate
+        # T, so the rwf rows are to_rwf of the lab rows at their in-period
+        # grid time s (T for the last row), to a rounding that does not
+        # grow with j: a phase of the absolute time j T is 1.2e-12 off
+        # here.  The open full drive's two frames are the same rows times
+        # the same factors, so they agree bit for bit.
+        p = preset(case)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        lab = run_case(p, 400 * period, drive=drive, steps_per_period=64)
+        rwf = run_case(p, 400 * period, drive=drive, frame="rwf",
+                       steps_per_period=64)
+        grid = np.linspace(0.0, period, 65)
+        want = to_rwf(lab.states, p,
+                      np.append(np.tile(grid[:-1], 400), grid[-1]))
+        assert np.array_equal(rwf.times, lab.times)
+        if p.is_dissipative and drive == "full":
+            assert np.array_equal(rwf.states, want)
+        else:
+            assert np.max(np.abs(rwf.states - want)) <= 1e-14
 
     def test_rwa_rows_match_the_rotating_frame_exponential(self):
         # A-II's RWA drive over 40 periods in the rotating frame, where its
@@ -262,7 +285,7 @@ class TestRunCase:
             run_case(preset("A-I"), 1.0, drive="both")
         with pytest.raises(ValueError):
             run_case(preset("A-I"), 1.0, frame="interaction")
-        for horizon in (np.nan, -1.0):
+        for horizon in (np.nan, -1.0, np.inf):
             with pytest.raises(ValueError, match="horizon"):
                 run_case(preset("A-I"), horizon)
 
