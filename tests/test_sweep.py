@@ -181,9 +181,9 @@ class TestRunCase:
         # 400 periods of 64 steps.  F(j T + s) = F(s) at the commensurate
         # T, so the rwf rows are to_rwf of the lab rows at their in-period
         # grid time s (T for the last row), to a rounding that does not
-        # grow with j: a phase of the absolute time j T is 1.2e-12 off
-        # here.  The open full drive's two frames are the same rows times
-        # the same factors, so they agree bit for bit.
+        # grow with j (a phase of the absolute time j T would be 1.2e-12
+        # off here).  The open full drive's two frames are the same rows
+        # times the same factors, so they agree bit for bit.
         p = preset(case)
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         lab = run_case(p, 400 * period, drive=drive, steps_per_period=64)
