@@ -1,9 +1,10 @@
 """Byte-exact ``'%.17g'`` text for blocks of float rows, built with numpy.
 
-``float_rows(block, suffix)`` returns the same string as formatting every
-cell of the 2-D float array with ``'%.17g'``, joining a row's cells with
-``,`` and ending it with ``suffix + "\\n"``, but with no Python call per
-cell.
+A formatter, ``FloatRows()``, called on a 2-D float array and a suffix,
+returns the ASCII bytes (a uint8 array) of formatting every cell with
+``'%.17g'``, joining a row's cells with ``,`` and ending it with
+``suffix + "\\n"``, but with no Python call per cell.
+``float_rows(block, suffix)`` is the same text of one block as a string.
 
 Digits.  For |x| in [1e-280, 1e280] let k = floor(log10 |x|).  The 17
 significant digits are the integer nearest to V = |x| 10^(16-k), in
@@ -41,6 +42,23 @@ fraction) the point falls inside the digits: on those cells only, the
 bytes of lanes 1-3 from position L - 1 on move up by one, carrying across
 lanes, and '.' fills the gap.  The lanes are built lane-major and
 transposed once into rows.
+
+Join.  A row that falls back has its text written over its lanes, NUL
+padded (a cell's text takes at most 25 of its 32 bytes).  The NUL bytes
+are then dropped by one boolean mask over the rows' bytes, ``raw[raw !=
+0]``, whose copy runs in numpy without the GIL, as do the other whole-block
+steps; the joined bytes are the one new array of a call.
+
+Buffers.  Every whole-block intermediate is written with ``out=`` or in
+place into arrays the formatter holds: the rows, five cell-sized arrays
+and five cell-sized flags (1.6 MiB for a 2048 x 10 block), allocated for
+its first block and grown only for a larger one; only the steps on a few
+cells (the exponent redo, the point inside the digits, the fallback rows)
+take small arrays of their own.  The rows' memory is scratch until
+the rows are written, and the five arrays take the lanes, then the byte
+mask.  Two formatters can so run on two threads, block against block,
+which is how ``lamsim propagate`` uses them; one formatter formats one
+block at a time.
 """
 
 from __future__ import annotations
@@ -110,111 +128,222 @@ def _tables() -> dict[str, np.ndarray]:
     return tables
 
 
-def _scaled(x: np.ndarray, k: np.ndarray, tab: dict):
-    """floor(x 10^(16 - k)) as int64, and the fraction it leaves."""
-    i = 16 - _P_MIN - k
-    b, b_hi, b_lo = (np.take(tab[n], i) for n in ("hi", "hi_hi", "hi_lo"))
-    p = x * b
-    t = _SPLIT * x
-    x_hi = t - (t - x)
-    x_lo = x - x_hi
-    err = ((x_hi * b_hi - p) + x_hi * b_lo + x_lo * b_hi) + x_lo * b_lo
-    whole = np.floor(p)
-    rest = (p - whole) + (err + x * np.take(tab["lo"], i))
-    carry = np.floor(rest)
-    return (whole.astype(np.int64) + carry.astype(np.int64)), rest - carry
+def _scaled(x, k, d, w, tab: dict) -> np.ndarray:
+    """floor(x 10^(16 - k)) into the int64 ``d``, and the fraction it
+    leaves, returned in ``w[5]``; ``w`` is six float64 work arrays of x's
+    length.  The double-double sums run in the order of the formula."""
+    i = d  # the table index, until d is written
+    np.subtract(16 - _P_MIN, k, out=i)
+    p, hi, lo, b_hi, b_lo, err = w
+    np.take(tab["hi"], i, out=p, mode="clip")
+    p *= x                                           # p = x b
+    np.multiply(_SPLIT, x, out=hi)                   # t
+    np.subtract(hi, x, out=lo)
+    np.subtract(hi, lo, out=hi)                      # x_hi = t - (t - x)
+    np.subtract(x, hi, out=lo)                       # x_lo
+    np.take(tab["hi_hi"], i, out=b_hi, mode="clip")
+    np.take(tab["hi_lo"], i, out=b_lo, mode="clip")
+    np.multiply(hi, b_hi, out=err)
+    err -= p
+    np.multiply(hi, b_lo, out=hi)
+    err += hi
+    np.multiply(lo, b_hi, out=b_hi)
+    err += b_hi
+    np.multiply(lo, b_lo, out=b_lo)
+    err += b_lo   # ((x_hi b_hi - p) + x_hi b_lo + x_lo b_hi) + x_lo b_lo
+    np.floor(p, out=hi)                              # whole
+    p -= hi
+    np.take(tab["lo"], i, out=lo, mode="clip")
+    lo *= x
+    err += lo
+    p += err                          # rest = (p - whole) + (err + x lo)
+    np.floor(p, out=lo)                              # carry
+    np.copyto(d, hi, casting="unsafe")
+    carry = b_hi.view(np.int64)
+    np.copyto(carry, lo, casting="unsafe")
+    d += carry
+    return np.subtract(p, lo, out=err)
+
+
+_SLOTS = 5  # cell-sized arrays a formatter holds besides its rows
+
+
+class FloatRows:
+    """A formatter: ``FloatRows()(block, suffix)`` is the text of the rows
+    of ``block`` (2-D float64) as ``'%.17g'`` cells joined by ``,``, each
+    row ended by ``suffix + "\\n"`` (``suffix`` is ASCII without a
+    newline), as a new uint8 array of its ASCII bytes.  Every
+    intermediate is written into arrays the formatter holds, sized for
+    the largest block it has formatted, so one formatter formats one block
+    at a time."""
+
+    def __init__(self):
+        self._cells = self._words = 0
+
+    def _held(self, nrows: int, ncols: int, width: int):
+        """The rows, (nrows, width) uint64; their memory as four cell-sized
+        float64 arrays; _SLOTS cell-sized float64 arrays, whose memory
+        also takes the rows' byte mask; five cell-sized flags.  They grow
+        when this block needs more."""
+        n, words = nrows * ncols, nrows * width
+        if n > self._cells or words > self._words:
+            self._cells, self._words = max(n, self._cells), max(words,
+                                                                self._words)
+            self._rows = np.empty(self._words, np.uint64)
+            self._slots = np.empty(
+                (_SLOTS, max(self._cells, -(-self._words // _SLOTS))))
+            self._flags = np.empty((5, self._cells), bool)
+        f64 = self._rows.view(np.float64)
+        return (self._rows[:words].reshape(nrows, width),
+                [f64[j * n:(j + 1) * n] for j in range(_LANES)],
+                self._slots[:, :n], self._flags[:, :n])
+
+    def __call__(self, block: np.ndarray, suffix: str) -> np.ndarray:
+        tab = _tables()
+        nrows, ncols = block.shape
+        tail = np.array(_lanes(suffix.encode("ascii") + b"\n"), np.uint64)
+        rows, r, s, (neg, zero, bad, t, t2) = self._held(
+            nrows, ncols, ncols * _LANES + len(tail))
+        # The digits: x, k, d and six work arrays (the last one then the
+        # fraction) in s and r.  The lanes in s[0:4]: until a lane is
+        # written its slot holds L (lane 0), d0 (1) or a digit group (2,
+        # 3); the other groups, k and the small integers take s[4] and r.
+        x, k, d = s[4], r[0].view(np.int64), r[1].view(np.int64)
+        np.abs(block, out=x.reshape(nrows, ncols))
+        np.signbit(block, out=neg.reshape(nrows, ncols))
+        np.equal(x, 0.0, out=zero)
+        np.greater_equal(x, _X_MIN, out=bad)
+        np.less_equal(x, _X_MAX, out=t)
+        bad &= t
+        np.logical_not(bad, out=bad)        # outside the fast range
+        np.copyto(x, 1.0, where=bad)
+        np.logical_not(zero, out=t)
+        bad &= t
+        np.log10(x, out=s[0])
+        np.floor(s[0], out=s[0])
+        np.copyto(k, s[0], casting="unsafe")
+        frac = _scaled(x, k, d, (*s[0:4], r[2], r[3]), tab)
+        np.less(d, _E16, out=t)
+        np.greater_equal(d, _E17, out=t2)
+        t |= t2
+        off = np.flatnonzero(t)
+        if off.size:  # log10 was off by one: the few cells are formed anew
+            ko = k[off] + np.where(d[off] < _E16, -1, 1)
+            do = np.empty_like(ko)
+            fo = _scaled(x[off], ko, do, np.empty((6, off.size)), tab)
+            k[off], d[off], frac[off] = ko, do, fo
+        np.greater(frac, 0.5, out=t)
+        d += t
+        np.equal(d, _E17, out=t)
+        k += t
+        np.copyto(d, _E16, where=t)
+        frac -= 0.5
+        np.abs(frac, out=frac)
+        np.less(frac, _TIE, out=t)
+        bad |= t
+        np.less(d, _E16, out=t)
+        bad |= t
+        np.greater_equal(d, _E17, out=t)
+        bad |= t
+        np.logical_or(zero, bad, out=t)
+        np.copyto(d, 0, where=t)
+        np.copyto(k, 0, where=t)
+
+        lanes = s[0:_LANES].view(np.uint64)
+        L, d0, *groups = (a.view(np.int64) for a in s)
+        groups.append(d)
+        tmp, nsig = r[2].view(np.int64), r[3].view(np.int64)
+        for g, scale in zip([d0, *groups], (_E16, 10 ** 12, 10 ** 8, 10 ** 4)):
+            np.floor_divide(d, scale, out=g)
+            np.multiply(g, scale, out=tmp)
+            d -= tmp
+        nsig.fill(1)
+        for w, g in enumerate(groups):
+            np.take(tab["nsig_w"][w], g, out=tmp, mode="clip")
+            np.maximum(nsig, tmp, out=nsig)
+        fixed = zero  # no longer read
+        np.greater_equal(k, -4, out=fixed)
+        np.less(k, 17, out=t)
+        fixed &= t
+        np.add(k, 1, out=L)
+        np.maximum(L, 0, out=L)
+        np.logical_not(fixed, out=t)
+        np.copyto(L, 1, where=t)
+        # the cells whose point falls inside the digits, at byte L - 1 of
+        # lanes 1-3
+        np.greater_equal(L, 2, out=t)
+        np.greater(nsig, L, out=t2)
+        t &= t2
+        at = np.flatnonzero(t)
+        at_byte = np.take(L, at) - 1
+        cut = nsig
+        np.maximum(nsig, L, out=cut)
+        cut -= 1
+        # lane 0 from index ((neg 5 + zeros) 10 + d0) 2 + (L == 1 < nsig),
+        # zeros being -k for -4 <= k < 0 and 0 otherwise
+        np.equal(L, 1, out=t)
+        np.greater(cut, 0, out=t2)
+        t &= t2
+        np.negative(k, out=tmp)
+        np.maximum(tmp, 0, out=tmp)
+        np.greater(tmp, 4, out=t2)
+        np.copyto(tmp, 0, where=t2)
+        np.add(tmp, 5, out=tmp, where=neg)
+        tmp *= 10
+        tmp += d0
+        tmp *= 2
+        tmp += t
+        np.take(tab["lead"], tmp, out=lanes[0], mode="clip")
+        word = tmp.view(np.uint64)
+        for i in (1, 2):
+            np.take(tab["group"], groups[2 * i - 2], out=lanes[i], mode="clip")
+            np.take(tab["group"], groups[2 * i - 1], out=word, mode="clip")
+            word <<= 32
+            lanes[i] |= word
+            np.take(tab["mask"][i - 1], cut, out=word, mode="clip")
+            lanes[i] &= word
+        k += _X_OFF  # the exponent code
+        k.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
+        np.take(tab["expo"], k, out=lanes[3], mode="clip")
+        if at.size:
+            keep, point, lane, up, carry = (
+                a[:at.size].view(np.uint64) for a in (s[4], *r))
+            carry.fill(0)
+            for i, mask in enumerate(tab["mask"], 1):
+                np.take(mask, at_byte, out=keep, mode="clip")
+                np.take(mask[1:], at_byte, out=point, mode="clip")
+                np.invert(keep, out=up)
+                point &= up
+                point &= _DOTS
+                np.take(lanes[i], at, out=lane, mode="clip")
+                up &= lane
+                lane &= keep
+                np.left_shift(up, 8, out=keep)
+                lane |= keep
+                lane |= carry
+                lane |= point
+                np.put(lanes[i], at, lane, mode="clip")
+                np.right_shift(up, 56, out=carry)
+
+        rows[:, :ncols * _LANES].reshape(nrows, ncols, _LANES)[...] = \
+            lanes.reshape(_LANES, nrows, ncols).transpose(1, 2, 0)
+        rows[:, ncols * _LANES:] = tail
+        # a row that falls back takes its '%.17g' text in place of its
+        # lanes: at most 25 bytes a cell and the suffix fit in its 32 and
+        # the tail
+        np.any(bad.reshape(nrows, ncols), axis=1, out=t[:nrows])
+        template = ",".join(["%.17g"] * ncols) + suffix + "\n"
+        for row in np.flatnonzero(t[:nrows]):
+            line = (template % tuple(block[row].tolist())).encode()
+            rows[row] = 0
+            rows[row].view(np.uint8)[:len(line)] = np.frombuffer(line,
+                                                                 np.uint8)
+        raw = rows.reshape(-1).view(np.uint8)
+        present = self._slots.reshape(-1).view(bool)[:raw.size]
+        np.not_equal(raw, 0, out=present)
+        return raw[present]
 
 
 def float_rows(block: np.ndarray, suffix: str) -> str:
-    """Rows of ``block`` (2-D float64) as ``'%.17g'`` cells joined by ``,``,
-    each row ended by ``suffix + "\\n"``; ``suffix`` is ASCII without a
-    newline."""
-    tab = _tables()
-    nrows, ncols = block.shape
-    # Every intermediate is freed as soon as the words no longer need it.
-    x = np.abs(block).ravel()
-    neg = np.signbit(block).ravel()
-    zero = x == 0.0
-    fast = (x >= _X_MIN) & (x <= _X_MAX)
-    x = np.where(fast, x, 1.0)
-    k = np.floor(np.log10(x)).astype(np.int64)
-    d, frac = _scaled(x, k, tab)
-    off = np.flatnonzero((d < _E16) | (d >= _E17))
-    if off.size:
-        k[off] += np.where(d[off] < _E16, -1, 1)
-        d[off], frac[off] = _scaled(x[off], k[off], tab)
-    del x, off
-    d += frac > 0.5
-    k += d == _E17
-    d[d == _E17] = _E16
-    bad = ((~fast & ~zero) | (np.abs(frac - 0.5) < _TIE)
-           | (d < _E16) | (d >= _E17))
-    clear = zero | bad
-    del fast, frac, zero
-    d[clear] = 0
-    k[clear] = 0
-    del clear
-
-    d0 = d // _E16
-    d -= d0 * _E16
-    groups = []
-    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
-        groups.append(d // scale)
-        d -= groups[-1] * scale
-    groups.append(d)
-    del d
-    nsig = np.ones_like(d0)
-    for w, g in enumerate(groups):
-        np.maximum(nsig, np.take(tab["nsig_w"][w], g), out=nsig)
-    fixed = (k >= -4) & (k < 17)
-    L = np.where(fixed, np.maximum(k + 1, 0), 1)
-
-    lanes = np.empty((_LANES, nrows * ncols), np.uint64)
-    zeros = np.where(fixed & (k < 0), -k, 0)
-    np.take(tab["lead"], ((neg * 5 + zeros) * 10 + d0) * 2
-            + ((L == 1) & (nsig > 1)), out=lanes[0])
-    del neg, zeros, d0, fixed
-    cut = np.maximum(nsig, L) - 1
-    for i in (1, 2):
-        np.take(tab["group"], groups[2 * i - 2], out=lanes[i])
-        lanes[i] |= np.take(tab["group"], groups[2 * i - 1]) << 32
-        lanes[i] &= np.take(tab["mask"][i - 1], cut)
-    del groups, cut
-    k += _X_OFF  # the exponent code
-    k.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
-    np.take(tab["expo"], k, out=lanes[3])
-    del k
-    # the point inside the digits, at byte L - 1 of lanes 1-3
-    at = np.flatnonzero((L >= 2) & (nsig > L))
-    if at.size:
-        at_byte = L[at] - 1
-        carry = 0
-        for i, mask in enumerate(tab["mask"], 1):
-            keep = np.take(mask, at_byte)
-            point = (np.take(mask, at_byte + 1) & ~keep) & _DOTS
-            lane = lanes[i, at]
-            up = lane & ~keep
-            lanes[i, at] = (lane & keep) | (up << 8) | carry | point
-            carry = up >> 56
-    del L, nsig, at
-
-    tail = np.array(_lanes(suffix.encode("ascii") + b"\n"), np.uint64)
-    rows = np.empty((nrows, ncols * _LANES + len(tail)), np.uint64)
-    rows[:, :ncols * _LANES].reshape(nrows, ncols, _LANES)[...] = \
-        lanes.reshape(_LANES, nrows, ncols).transpose(1, 2, 0)
-    del lanes
-    rows[:, ncols * _LANES:] = tail
-    bad_rows = np.flatnonzero(bad.reshape(nrows, ncols).any(axis=1))
-    rows[bad_rows] = 0
-    raw = rows.tobytes()
-    del rows
-    raw = raw.translate(None, b"\0")
-    text = raw.decode("ascii")
-    del raw
-    if not bad_rows.size:
-        return text
-    lines = text.split("\n")[:-1]
-    template = ",".join(["%.17g"] * ncols) + suffix
-    for r in bad_rows:
-        lines.insert(r, template % tuple(block[r].tolist()))
-    return "\n".join(lines) + "\n"
+    """The text of FloatRows for one block, as a string."""
+    return FloatRows()(block, suffix).tobytes().decode("ascii")

@@ -23,12 +23,14 @@ import argparse
 import math
 import re
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
-from ._floattext import float_rows
+from ._floattext import FloatRows
 from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
                        resolved_log, spectral_gap)
 from .magnus import MagnusOrder
@@ -228,22 +230,25 @@ def _metadata_lines(cfg: RunConfig, p: LambdaParams, command: str,
 
 def _write_csv(cfg: RunConfig, metadata: list[str], header: list[str],
                blocks) -> None:
-    """Write metadata, header and the text blocks (each a run of complete
-    ``\n``-terminated rows) to ``cfg.out`` or stdout."""
+    """Write metadata, header and the blocks (bytes-like UTF-8 text, each
+    a run of complete ``\n``-terminated rows) to ``cfg.out`` or, through
+    its byte stream, to stdout."""
     head = "".join(f"{line}\n" for line in [*metadata, ",".join(header)])
     if cfg.out is None:
-        sys.stdout.write(head)
-        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(head.encode())
+        sys.stdout.buffer.writelines(blocks)
+        sys.stdout.buffer.flush()
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head)
+        with open(cfg.out, "wb") as fh:
+            fh.write(head.encode())
             fh.writelines(blocks)
 
 
-def _row_text(rows) -> str:
+def _row_text(rows) -> bytes:
     """One text block of mixed-type rows, cell by cell."""
     return "".join(",".join(_fmt(cell) for cell in row) + "\n"
-                   for row in rows)
+                   for row in rows).encode()
 
 
 PROPAGATE_HEADER = ["t", "rho11", "rho22", "rho33", "re_r12", "im_r12",
@@ -259,19 +264,45 @@ def _propagate_columns(times: np.ndarray, rho: np.ndarray) -> np.ndarray:
         rho[:, 0, 2].imag, rho[:, 1, 2].real, rho[:, 1, 2].imag])
 
 
-def _trajectory_blocks(traj: Trajectory, suffix: str):
-    """One text block per block of a trajectory, as it is formed: every
-    float as %.17g (the same text as _fmt), then the constant suffix."""
-    for times, states in traj.blocks():
-        yield float_rows(_propagate_columns(times, states), suffix)
+def _trajectory_blocks(trajectories: dict[str, Trajectory], frame: str):
+    """The text of every block of each drive's trajectory, in order, as
+    it is formed: every float as %.17g (the same text as _fmt), then
+    ``,drive,frame``.  The blocks alternate between two formatters, the
+    even ones on one worker thread and the odd ones on the caller's, so
+    two blocks at most are formatted or held at a time: an odd block is
+    given out once the worker has its successor.  A formatter's error
+    is raised here, and the worker is stopped on every exit."""
+    from concurrent.futures import ThreadPoolExecutor  # keeps import light
+
+    tables = ((_propagate_columns(times, states), f",{drive},{frame}")
+              for drive, traj in trajectories.items()
+              for times, states in traj.blocks())
+    mine, theirs = FloatRows(), FloatRows()
+    with ThreadPoolExecutor(1) as pool:
+        job = text = None
+        for i, (table, suffix) in enumerate(tables):
+            if i % 2 == 0:
+                job = pool.submit(theirs, table, suffix)
+                if text is not None:
+                    yield text
+                    text = None
+            else:
+                text = mine(table, suffix)
+                yield job.result()
+                job = None
+        if job is not None:
+            yield job.result()
+        if text is not None:
+            yield text
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
     """Write each drive's time series.  run_case resolves every drive's
     span, and everything that can fail with it, before the output is
     opened, so a numerical failure leaves no partial file; the rows are
-    then formed and written one block at a time, to --out or streamed to
-    stdout, and no drive's horizon of states is held."""
+    then formed one block at a time, formatted on two threads
+    (_trajectory_blocks) and written as bytes in block order, to --out
+    or streamed to stdout, and no drive's horizon of states is held."""
     p = resolve_params(cfg)
     period, q_steps = commensurate_period(p.omega_p, p.omega_c)
     steps = cfg.steps_per_period or q_steps  # build_config rejects 0
@@ -283,11 +314,10 @@ def cmd_propagate(cfg: RunConfig) -> int:
         p, horizon, order=MagnusOrder(cfg.order), drive=drive,
         frame=cfg.frame, steps_per_period=steps)
         for drive in _variants(cfg.drive)}
-    blocks = (text for drive, traj in trajectories.items()
-              for text in _trajectory_blocks(traj, f",{drive},{cfg.frame}"))
     meta = {"steps_per_period": steps, "horizon": horizon}
-    _write_csv(cfg, _metadata_lines(cfg, p, "propagate", meta),
-               PROPAGATE_HEADER, blocks)
+    with closing(_trajectory_blocks(trajectories, cfg.frame)) as blocks:
+        _write_csv(cfg, _metadata_lines(cfg, p, "propagate", meta),
+                   PROPAGATE_HEADER, blocks)
     return EXIT_OK
 
 
@@ -419,7 +449,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lamsim",
         description="Driven three-level lambda-system dynamics via "
@@ -430,7 +462,11 @@ def main(argv: list[str] | None = None) -> int:
         for key, kwargs in _FLAGS.items():
             if key in _SHARED or key in _READS[name]:
                 sp.add_argument(f"--{key.replace('_', '-')}", **kwargs)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command][0](cfg)

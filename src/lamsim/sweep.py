@@ -106,8 +106,10 @@ def run_case(p: LambdaParams, horizon: float,
     one or the period T, and F(T) = I at the commensurate T.  Everything
     that can fail (the periodicity check, the Magnus steps and the
     exponentials) runs in this call; the row blocks are products of the
-    finite arrays it keeps.  A horizon that is negative, NaN or infinite
-    raises ValueError before anything is propagated.
+    finite arrays it keeps.  A horizon that is negative, NaN or infinite,
+    or so long that the last span's row times would not increase (its
+    start outgrows the grid step by about 2^52), raises ValueError
+    before anything is propagated.
     """
     if drive not in ("full", "rwa"):
         raise ValueError(f"run_case drive must be 'full' or 'rwa', got {drive!r}")
@@ -130,6 +132,11 @@ def run_case(p: LambdaParams, horizon: float,
     span = min(horizon, period)
     n_steps = max(1, math.ceil(steps * span / period - 1e-9))
     grid = np.linspace(0.0, span, n_steps + 1)
+    spans = max(1, math.ceil(horizon / span - 1e-12))
+    ends = grid + (spans - 1) * span  # the last span's row times
+    if not np.all(np.diff(ends) > 0):
+        raise ValueError(f"horizon {horizon:g} is too long: row times of "
+                         f"steps {span / n_steps:g} no longer increase")
     width = ROW_BLOCK
     start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
     if rwa:
@@ -154,9 +161,7 @@ def run_case(p: LambdaParams, horizon: float,
     if (frame == "rwf") != rwa:  # the frame the route's rows are not in
         factors = _frame_rows(p, grid, g.dim)
         factors = factors.conj() if rwa else factors
-    spans = max(1, math.ceil(horizon / span - 1e-12))
-    last = int(np.searchsorted(grid + (spans - 1) * span,
-                               horizon * (1.0 + 1e-12), side="right"))
+    last = int(np.searchsorted(ends, horizon * (1.0 + 1e-12), side="right"))
 
     def blocks():
         v = start

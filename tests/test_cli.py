@@ -4,6 +4,7 @@ import functools
 import os
 import re
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from datetime import datetime
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim import cli, periodic, sweep
-from lamsim._floattext import float_rows
+from lamsim._floattext import FloatRows, float_rows
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, RunConfig, build_config, main,
                         parse_config_text, resolve_params)
@@ -196,8 +197,42 @@ class TestSettingsPerSubcommand:
         assert keys == [*cli._PARAM_KEYS, *recorded]
 
 
+class TestParser:
+    def test_consecutive_calls_parse_independently(self, monkeypatch):
+        # The parser is built once per process; each call still parses
+        # only its own arguments, into its own namespace.
+        seen = []
+        real = cli.build_config
+
+        def recording(args):
+            seen.append(dict(vars(args)))
+            return real(args)
+
+        monkeypatch.setattr(cli, "build_config", recording)
+        for command in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, command,
+                                (lambda cfg: EXIT_OK, ""))
+        assert main(["propagate", "--case", "A-I", "--periods", "3",
+                     "--drive", "rwa", "--frame", "lab"]) == EXIT_OK
+        assert main(["gap", "--case", "B-II"]) == EXIT_OK
+        assert main(["propagate", "--case", "A-II"]) == EXIT_OK
+        assert main(["sweep", "--omega-p-range", "1:2:1"]) == EXIT_OK
+        assert cli._parser() is cli._parser()
+        for args, command in zip(seen, ["propagate", "gap", "propagate",
+                                        "sweep"]):
+            assert set(args) == {"command", *cli._SHARED,
+                                 *cli._READS[command]}
+        assert seen[0]["periods"] == 3 and seen[0]["drive"] == "rwa"
+        assert seen[1]["case"] == "B-II" and seen[1]["drive"] is None
+        assert seen[2]["case"] == "A-II"
+        assert seen[2]["periods"] is seen[2]["drive"] is None
+        assert seen[2]["frame"] is None
+        assert seen[3]["case"] is None
+        assert seen[3]["omega_p_range"] == "1:2:1"
+
+
 class TestHorizonCap:
-    @pytest.mark.parametrize("horizon", [2e8 * np.pi, 1e300, 1e308])
+    @pytest.mark.parametrize("horizon", [2e8 * np.pi, 1e13])
     def test_huge_horizon_streams_but_does_not_collect(self, horizon):
         # One span is resolved whatever the horizon (A-I: T = 2 pi, here
         # of 64 steps).  Its rows stream; collecting them raises before
@@ -209,6 +244,20 @@ class TestHorizonCap:
         times, _ = next(traj.blocks())
         assert np.array_equal(times, np.linspace(0.0, 2.0 * np.pi,
                                                  int(STEPS) + 1)[:-1])
+
+    @pytest.mark.parametrize("horizon", [1e16, 1e300, 1e308])
+    def test_horizon_whose_times_cannot_increase_exits_2(
+            self, tmp_path, capsys, horizon):
+        # steps of 2 pi / 64: from t = 1e16 on, where a double's spacing
+        # is 2, t + dt rounds to t, so the rows would repeat their times
+        with pytest.raises(ValueError, match="no longer increase"):
+            run_case(preset("A-I"), horizon, steps_per_period=int(STEPS))
+        out = tmp_path / "x.csv"
+        assert main(["propagate", "--case", "A-I", "--horizon", str(horizon),
+                     "--steps-per-period", STEPS,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "no longer increase" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cap_counts_rows_per_drive(self, monkeypatch):
         # two periods of 64 steps and half a step: 129 rows, the cap; half
@@ -510,25 +559,6 @@ class TestFloatText:
             block = _as_rows(values, ncols=n + 1)
             assert _emitted(block, suffix) == _reference_rows(block, suffix)
 
-    @pytest.mark.parametrize("nrows", [1, ROW_BLOCK, ROW_BLOCK + 1])
-    def test_block_shapes(self, nrows):
-        rng = np.random.default_rng(nrows)
-        scale = 10.0 ** rng.integers(-8, 3, (nrows, 3, 3))
-        states = (rng.standard_normal((nrows, 3, 3))
-                  + 1j * rng.standard_normal((nrows, 3, 3))) * scale
-        states[0, 0] = [-0.0, complex(0.5, -0.0), 0.0]
-        states[-1, 1, 2] = complex(np.nan, 1e300)
-        states[-1, 2, 2] = 2.0 ** -25  # a tie
-        times = np.cumsum(rng.random(nrows))
-        traj = Trajectory.streamed(lambda: (
-            (times[k:k + ROW_BLOCK], states[k:k + ROW_BLOCK])
-            for k in range(0, nrows, ROW_BLOCK)), nrows, "rwf")
-        blocks = list(cli._trajectory_blocks(traj, ",full,rwf"))
-        assert len(blocks) == -(-nrows // ROW_BLOCK)  # one per block
-        assert all(text.endswith(",full,rwf\n") for text in blocks)
-        assert "".join(blocks) == _reference_trajectory_rows(traj,
-                                                             ",full,rwf")
-
     def test_block_temporaries(self):
         # One ROW_BLOCK x 10 block: its 32-byte cells (0.6 MiB), their rows
         # and the joined bytes, not every intermediate column at once.
@@ -544,6 +574,85 @@ class TestFloatText:
             tracemalloc.stop()
         assert text == _reference_rows(block, ",full,rwf")
         assert peak <= 4.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB peak"
+
+
+def _random_trajectory(nrows, seed):
+    """A streamed trajectory of ``nrows`` random rows in ROW_BLOCK blocks,
+    with signed zeros, a non-finite cell and a tie in its last row."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 3, (nrows, 3, 3))
+    states = (rng.standard_normal((nrows, 3, 3))
+              + 1j * rng.standard_normal((nrows, 3, 3))) * scale
+    states[0, 0] = [-0.0, complex(0.5, -0.0), 0.0]
+    states[-1, 1, 2] = complex(np.nan, 1e300)
+    states[-1, 2, 2] = 2.0 ** -25  # a tie
+    times = np.cumsum(rng.random(nrows))
+    return Trajectory.streamed(lambda: (
+        (times[k:k + ROW_BLOCK], states[k:k + ROW_BLOCK])
+        for k in range(0, nrows, ROW_BLOCK)), nrows, "rwf")
+
+
+class TestTwoFormatters:
+    """_trajectory_blocks formats the even blocks on a worker thread and
+    the odd ones on the caller's, and gives them out in order."""
+
+    @pytest.mark.parametrize("sizes", [
+        (1,), (ROW_BLOCK,), (ROW_BLOCK + 1,), (2 * ROW_BLOCK,),
+        (3 * ROW_BLOCK,), (2 * ROW_BLOCK + 7,), (5, 2 * ROW_BLOCK + 1)],
+        ids=lambda sizes: "+".join(map(str, sizes)))
+    def test_blocks_in_order(self, monkeypatch, sizes):
+        # One text per block, formatted as '%.17g' cells; with 5+4097 the
+        # worker's first block has 5 rows, so its formatter grows for its
+        # next one.
+        on_main = {}  # a block's first time -> formatted on the main thread
+
+        class Recording(FloatRows):
+            def __call__(self, block, suffix):
+                on_main[block[0, 0]] = (threading.current_thread()
+                                        is threading.main_thread())
+                return super().__call__(block, suffix)
+
+        monkeypatch.setattr(cli, "FloatRows", Recording)
+        trajs = {drive: _random_trajectory(n, n)
+                 for drive, n in zip(("full", "rwa"), sizes)}
+        texts = [bytes(text) for text in cli._trajectory_blocks(trajs, "rwf")]
+        assert all(text.endswith(b",rwf\n") for text in texts)
+        starts = [t[0] for traj in trajs.values() for t, _ in traj.blocks()]
+        assert len(texts) == len(starts) == sum(-(-n // ROW_BLOCK)
+                                                for n in sizes)
+        assert [on_main[t] for t in starts] == [i % 2 == 1
+                                               for i in range(len(starts))]
+        want = "".join(_reference_trajectory_rows(traj, f",{drive},rwf")
+                       for drive, traj in trajs.items())
+        assert b"".join(texts) == want.encode("ascii")
+
+    @pytest.mark.parametrize("failing", ["worker", "main"])
+    def test_formatter_error_propagates(self, tmp_path, capsys, monkeypatch,
+                                        failing):
+        class Failing(FloatRows):
+            def __call__(self, block, suffix):
+                on_main = threading.current_thread() is threading.main_thread()
+                if on_main == (failing == "main"):
+                    raise MemoryError(f"no room on the {failing} thread")
+                return super().__call__(block, suffix)
+
+        monkeypatch.setattr(cli, "FloatRows", Failing)
+        baseline = threading.active_count()
+        rc = main(["propagate", "--case", "A-II", "--drive", "rwa",
+                   "--periods", "1", "--out", str(tmp_path / "ts.csv")])
+        assert rc == EXIT_NUMERICAL
+        assert f"no room on the {failing} thread" in capsys.readouterr().err
+        assert threading.active_count() == baseline
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_write_error_stops_the_worker(self, capsys):
+        baseline = threading.active_count()
+        rc = main(["propagate", "--case", "A-II", "--drive", "rwa",
+                   "--periods", "1", "--out", "/dev/full"])
+        assert rc == EXIT_CONFIG
+        assert "i/o error" in capsys.readouterr().err
+        assert threading.active_count() == baseline
 
 
 class TestPropagateBytes:
@@ -567,12 +676,16 @@ class TestPropagateBytes:
         assert body == _reference_csv_body(case, frame, float(horizon),
                                            int(STEPS))
 
-    def test_default_steps_cross_a_block(self, tmp_path):
-        # BASE_STEPS + 1 = 8192 rows per drive: more than one ROW_BLOCK each
+    def test_default_steps_cross_a_block(self, tmp_path, capsysbinary):
+        # BASE_STEPS + 1 = 8192 rows per drive: more than one ROW_BLOCK
+        # each, eight blocks on the two formatters, the same to stdout
+        argv = ["propagate", "--case", "B-II", "--drive", "both",
+                "--periods", "1", "--frame", "rwf"]
         out = tmp_path / "ts.csv"
-        assert main(["propagate", "--case", "B-II", "--drive", "both",
-                     "--periods", "1", "--frame", "rwf",
-                     "--out", str(out)]) == EXIT_OK
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        capsysbinary.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsysbinary.readouterr().out == out.read_bytes()
         text = out.read_text()
         body = text[text.index("\nt,") + 1:]
         p = preset("B-II")
