@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._floattext import FloatRows
 from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
                        resolved_log, spectral_gap)
 from .magnus import MagnusOrder
@@ -272,7 +271,10 @@ def _trajectory_blocks(trajectories: dict[str, Trajectory], frame: str):
     two blocks at most are formatted or held at a time: an odd block is
     given out once the worker has its successor.  A formatter's error
     is raised here, and the worker is stopped on every exit."""
-    from concurrent.futures import ThreadPoolExecutor  # keeps import light
+    # only here: keeps importing cli light for the other subcommands
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ._floattext import FloatRows
 
     tables = ((_propagate_columns(times, states), f",{drive},{frame}")
               for drive, traj in trajectories.items()

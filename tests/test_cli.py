@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamsim import cli, periodic, sweep
+from lamsim import _floattext, cli, periodic, sweep
 from lamsim._floattext import FloatRows, float_rows
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, RunConfig, build_config, main,
@@ -612,7 +612,7 @@ class TestTwoFormatters:
                                         is threading.main_thread())
                 return super().__call__(block, suffix)
 
-        monkeypatch.setattr(cli, "FloatRows", Recording)
+        monkeypatch.setattr(_floattext, "FloatRows", Recording)
         trajs = {drive: _random_trajectory(n, n)
                  for drive, n in zip(("full", "rwa"), sizes)}
         texts = [bytes(text) for text in cli._trajectory_blocks(trajs, "rwf")]
@@ -636,7 +636,7 @@ class TestTwoFormatters:
                     raise MemoryError(f"no room on the {failing} thread")
                 return super().__call__(block, suffix)
 
-        monkeypatch.setattr(cli, "FloatRows", Failing)
+        monkeypatch.setattr(_floattext, "FloatRows", Failing)
         baseline = threading.active_count()
         rc = main(["propagate", "--case", "A-II", "--drive", "rwa",
                    "--periods", "1", "--out", str(tmp_path / "ts.csv")])
