@@ -172,7 +172,7 @@ class FloatRows:
     """A formatter: ``FloatRows()(block, suffix)`` is the text of the rows
     of ``block`` (2-D float64) as ``'%.17g'`` cells joined by ``,``, each
     row ended by ``suffix + "\\n"`` (``suffix`` is ASCII without a
-    newline), as a new uint8 array of its ASCII bytes.  Every
+    newline), as a new uint8 array of its ASCII bytes.  Every whole-block
     intermediate is written into arrays the formatter holds, sized for
     the largest block it has formatted, so one formatter formats one block
     at a time."""

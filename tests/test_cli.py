@@ -248,7 +248,7 @@ class TestHorizonCap:
     @pytest.mark.parametrize("horizon", [1e16, 1e300, 1e308])
     def test_horizon_whose_times_cannot_increase_exits_2(
             self, tmp_path, capsys, horizon):
-        # steps of 2 pi / 64: from t = 1e16 on, where a double's spacing
+        # steps of 2 pi / 64: at t = 1e16, where a double's spacing
         # is 2, t + dt rounds to t, so the rows would repeat their times
         with pytest.raises(ValueError, match="no longer increase"):
             run_case(preset("A-I"), horizon, steps_per_period=int(STEPS))
