@@ -231,17 +231,21 @@ def _write_csv(cfg: RunConfig, metadata: list[str], header: list[str],
                blocks) -> None:
     """Write metadata, header and the blocks (bytes-like UTF-8 text, each
     a run of complete ``\n``-terminated rows) to ``cfg.out`` or, through
-    its byte stream, to stdout."""
+    its byte stream, to stdout; a stdout with no byte stream (a
+    ``StringIO``, say) takes the decoded text."""
     head = "".join(f"{line}\n" for line in [*metadata, ",".join(header)])
-    if cfg.out is None:
+    if cfg.out is not None:
+        with open(cfg.out, "wb") as fh:
+            fh.write(head.encode())
+            fh.writelines(blocks)
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(head.encode())
         sys.stdout.buffer.writelines(blocks)
         sys.stdout.buffer.flush()
     else:
-        with open(cfg.out, "wb") as fh:
-            fh.write(head.encode())
-            fh.writelines(blocks)
+        sys.stdout.write(head)
+        sys.stdout.writelines(bytes(block).decode() for block in blocks)
 
 
 def _row_text(rows) -> bytes:

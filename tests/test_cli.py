@@ -1,6 +1,8 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
+import io
 import os
 import re
 import sys
@@ -675,6 +677,19 @@ class TestPropagateBytes:
         body = text[text.index("\nt,") + 1:]
         assert body == _reference_csv_body(case, frame, float(horizon),
                                            int(STEPS))
+
+    @pytest.mark.parametrize("command", ["propagate", "gap"])
+    def test_text_only_stdout(self, tmp_path, command):
+        # a stdout with no byte stream gets the same text as --out
+        argv = [command, "--case", "A-I", *(
+            ["--periods", "1", "--steps-per-period", STEPS]
+            if command == "propagate" else [])]
+        out = tmp_path / "ts.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == EXIT_OK
+        assert text.getvalue() == out.read_text()
 
     def test_default_steps_cross_a_block(self, tmp_path, capsysbinary):
         # BASE_STEPS + 1 = 8192 rows per drive: more than one ROW_BLOCK
