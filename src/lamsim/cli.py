@@ -230,19 +230,13 @@ def _metadata_lines(cfg: RunConfig, p: LambdaParams, command: str,
 def _write_csv(cfg: RunConfig, metadata: list[str], header: list[str],
                blocks) -> None:
     """Write metadata, header and the blocks (bytes-like UTF-8 text, each
-    a run of complete ``\n``-terminated rows) to ``cfg.out`` or, through
-    its byte stream, to stdout; a stdout with no byte stream (a
-    ``StringIO``, say) takes the decoded text."""
+    a run of complete ``\n``-terminated rows) to ``cfg.out`` as bytes, or
+    to stdout as the decoded text."""
     head = "".join(f"{line}\n" for line in [*metadata, ",".join(header)])
     if cfg.out is not None:
         with open(cfg.out, "wb") as fh:
             fh.write(head.encode())
             fh.writelines(blocks)
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(head.encode())
-        sys.stdout.buffer.writelines(blocks)
-        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(head)
         sys.stdout.writelines(bytes(block).decode() for block in blocks)
@@ -307,8 +301,9 @@ def cmd_propagate(cfg: RunConfig) -> int:
     span, and everything that can fail with it, before the output is
     opened, so a numerical failure leaves no partial file; the rows are
     then formed one block at a time, formatted on two threads
-    (_trajectory_blocks) and written as bytes in block order, to --out
-    or streamed to stdout, and no drive's horizon of states is held."""
+    (_trajectory_blocks) and written in block order, as bytes to --out
+    or as text streamed to stdout, and no drive's horizon of states is
+    held."""
     p = resolve_params(cfg)
     period, q_steps = commensurate_period(p.omega_p, p.omega_c)
     steps = cfg.steps_per_period or q_steps  # build_config rejects 0

@@ -711,11 +711,16 @@ class TestPropagateBytes:
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     def test_memory_set_by_the_span(self, drive):
         # lamsim propagate --case A-II --frame rwf over 4 and 40 periods
-        # (32,765 and 327,641 rows).  Rows are formed and written one block
-        # at a time, so the longer horizon peaks within the shorter one's
-        # peak plus one ROW_BLOCK of text (ten cells of at most 24
-        # characters and a comma, and the suffix, per row); its states
-        # (152 B a row, 47 MiB) do not fit.  The full drive's peak is its
+        # (32,765 and 327,641 rows).  Rows are formed one block at a time
+        # and formatted on two formatters, the main thread's and a
+        # worker's, each holding its arrays (1.6 MiB for a full block)
+        # from its first block on, and at most two blocks of text are in
+        # flight, one from each; the longer horizon adds no more blocks at
+        # a time, so it peaks within the shorter one's peak plus one
+        # ROW_BLOCK of text (ten cells of at most 24 characters and a
+        # comma, and the suffix, per row), the slack for which thread
+        # holds a block when the peak is taken; its states (152 B a row,
+        # 47 MiB) do not fit.  The full drive's peak is its
         # span in the generator's real coordinates, (N + 1, 9, 9) float64
         # (5.06 MiB), and the temporaries of one batch of CHUNK_STEPS
         # Magnus steps, within ten real (CHUNK_STEPS, 9, 9) stacks.
