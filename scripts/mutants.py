@@ -145,6 +145,9 @@ MUTANTS = [
            "if job is not None:\n            job.result()"),
     Mutant("horizon-times-unchecked", "src/lamsim/sweep.py",
            "if not np.all(np.diff(ends) > 0):", "if False:"),
+    Mutant("zero-horizon-row-not-ground", "src/lamsim/sweep.py",
+           "row = np.zeros(1), ground_state()[None]",
+           "row = np.zeros(1), np.eye(3)[None]"),
     Mutant("hermitian-inverse-unconjugated", "src/lamsim/linalg.py",
            "s_inv = s.conj().T / np.sum", "s_inv = s.T / np.sum"),
 ]

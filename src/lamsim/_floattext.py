@@ -4,7 +4,6 @@ A formatter, ``FloatRows()``, called on a 2-D float array and a suffix,
 returns the ASCII bytes (a uint8 array) of formatting every cell with
 ``'%.17g'``, joining a row's cells with ``,`` and ending it with
 ``suffix + "\\n"``, but with no Python call per cell.
-``float_rows(block, suffix)`` is the same text of one block as a string.
 
 Digits.  For |x| in [1e-280, 1e280] let k = floor(log10 |x|).  The 17
 significant digits are the integer nearest to V = |x| 10^(16-k), in
@@ -342,8 +341,3 @@ class FloatRows:
         present = self._slots.reshape(-1).view(bool)[:raw.size]
         np.not_equal(raw, 0, out=present)
         return raw[present]
-
-
-def float_rows(block: np.ndarray, suffix: str) -> str:
-    """The text of FloatRows for one block, as a string."""
-    return FloatRows()(block, suffix).tobytes().decode("ascii")

@@ -9,7 +9,9 @@ lines recording the resolved parameters and the settings read, so
 identical inputs give byte-identical files (unless ``--timestamp``).
 
 Exit codes: 0 success, 1 validation-threshold failure, 2 configuration or
-I/O error, 3 numerical failure or out of memory (a dead sweep worker too;
+I/O error (a ValueError from the library's own checks of the parameters,
+sweep axes and observables is one: its message is the ``error: ...`` line
+on stderr), 3 numerical failure or out of memory (a dead sweep worker too;
 no file is written), or for ``sweep`` failed grid points and, for ``gap``
 and ``sweep --observables spectral_gap``, unresolved gaps, |lambda_2(U_T)|
 <= 1e-12, written as nan (the full CSV is still written and a count goes
@@ -193,18 +195,15 @@ def resolve_params(cfg: RunConfig) -> LambdaParams:
         raise ConfigError(
             f"missing required keys {missing} (or pass case = \"A-I\" ... "
             f"\"C-II\")")
-    try:
-        if "omega_p" not in kwargs and "omega_c" not in kwargs:
-            return LambdaParams.tpr(delta_omega_p=cfg.delta_omega_p,
-                                    delta_omega_c=cfg.delta_omega_c, **kwargs)
-        if "omega_p" not in kwargs or "omega_c" not in kwargs:
-            raise ConfigError("omega_p and omega_c must be given together")
-        for key in ("omega_p", "omega_c"):
-            if getattr(cfg, f"delta_{key}"):
-                raise ConfigError(f"delta_{key} cannot detune explicit {key}")
-        return LambdaParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "omega_p" not in kwargs and "omega_c" not in kwargs:
+        return LambdaParams.tpr(delta_omega_p=cfg.delta_omega_p,
+                                delta_omega_c=cfg.delta_omega_c, **kwargs)
+    if "omega_p" not in kwargs or "omega_c" not in kwargs:
+        raise ConfigError("omega_p and omega_c must be given together")
+    for key in ("omega_p", "omega_c"):
+        if getattr(cfg, f"delta_{key}"):
+            raise ConfigError(f"delta_{key} cannot detune explicit {key}")
+    return LambdaParams(**kwargs)
 
 
 def _fmt(value) -> str:
@@ -340,24 +339,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                            ("omega_c_range", "omega_c")):
         spec = getattr(cfg, key)
         if spec is not None:
-            start, stop, step = _parse_range(spec, key)
-            try:
-                axes.append(SweepAxis(axis_name, start, stop, step))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            axes.append(SweepAxis(axis_name, *_parse_range(spec, key)))
     if not axes:
         raise ConfigError(
             "sweep needs --omega-p-range and/or --omega-c-range")
     observables = tuple(s.strip() for s in cfg.observables.split(",")
                         if s.strip())
-    try:
-        spec = SweepSpec(base=p, axis1=axes[0],
-                         axis2=axes[1] if len(axes) > 1 else None,
-                         observables=observables, drive=cfg.drive,
-                         eps_ss=cfg.eps_ss, workers=cfg.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    result = run_sweep(spec)
+    result = run_sweep(SweepSpec(
+        base=p, axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
+        observables=observables, drive=cfg.drive, eps_ss=cfg.eps_ss,
+        workers=cfg.workers))
     _write_csv(cfg, _metadata_lines(cfg, p, "sweep",
                                {"observables": cfg.observables}),
                result.columns, [_row_text(result.table())])

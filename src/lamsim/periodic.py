@@ -35,8 +35,8 @@ STEP_ERROR_TARGET = 1e-12
 MIN_STEPS = 256
 MAX_PLAN_STEPS = 10 ** 6
 MAX_PERIODS = 2 ** 40             # horizon of the steady-state search
-# Cap on the rows a streamed Trajectory collects into arrays (152 B per
-# row, ~9.5 GiB at the cap); its blocks() stream any number of rows.
+# Cap on the rows a Trajectory collects into arrays (152 B per row, ~9.5
+# GiB at the cap); its blocks() stream any number of rows.
 MAX_ROWS = 2 ** 26
 
 
@@ -255,33 +255,24 @@ def doubling(u_period: np.ndarray, m: int,
     return u
 
 
-def trace_functional(dim: int = DIM) -> np.ndarray:
+def trace_functional() -> np.ndarray:
     """The vectorized identity, whose left action on a superoperator
     reads off trace preservation."""
-    return np.eye(dim, dtype=complex).reshape(dim * dim)
+    return np.eye(DIM, dtype=complex).reshape(DIM * DIM)
 
 
 class Trajectory:
-    """Time-stamped density-matrix series in a declared frame: given as
-    times and (len(times), 3, 3) states, or streamed (Trajectory.streamed)
-    from a source of its row blocks.  blocks() yields (times, states)
-    blocks in order, one at a time; times, states and populations collect
-    every block into arrays on first use and keep them, and raise
-    ValueError before they allocate for more than MAX_ROWS rows."""
+    """Time-stamped density-matrix series of ``rows`` rows, streamed from
+    ``blocks``: each call of ``blocks()`` forms the (times, states) blocks
+    anew from the first row, states of shape (len(times), 3, 3).  The
+    method blocks() yields them in order, one at a time; times, states and
+    populations collect every block into arrays on first use, check that
+    the times strictly increase, and keep them (blocks() then yields the
+    arrays), and raise ValueError before they allocate for more than
+    MAX_ROWS rows."""
 
-    def __init__(self, times, states, frame: str = "lab"):
-        self.frame = frame
-        self._series = _checked_series(times, states)
-
-    @classmethod
-    def streamed(cls, blocks: Callable[[], Iterator], rows: int,
-                 frame: str = "lab") -> Trajectory:
-        """A series of ``rows`` rows whose (times, states) blocks
-        ``blocks()`` forms anew, from the first row, at each call."""
-        traj = cls.__new__(cls)
-        traj.frame, traj._series = frame, None
-        traj._source, traj._rows = blocks, rows
-        return traj
+    def __init__(self, blocks: Callable[[], Iterator], rows: int):
+        self._source, self._rows, self._series = blocks, rows, None
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         if self._series is not None:
@@ -302,7 +293,9 @@ class Trajectory:
                 row += len(t)
             if row != self._rows:
                 raise ValueError(f"{row} rows streamed, not {self._rows}")
-            self._series = _checked_series(times, states)
+            if np.any(np.diff(times) <= 0):
+                raise ValueError("times must be strictly increasing")
+            self._series = times, states
         return self._series
 
     @property
@@ -316,16 +309,6 @@ class Trajectory:
     @property
     def populations(self) -> np.ndarray:
         return np.real(np.einsum("tii->ti", self.states))
-
-
-def _checked_series(times, states) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if states.shape != (len(times), DIM, DIM):
-        raise ValueError(f"states shape {states.shape} does not match times")
-    return times, states
 
 
 def period_mean_map(stack: np.ndarray) -> np.ndarray:

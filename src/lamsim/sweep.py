@@ -69,7 +69,8 @@ def run_case(p: LambdaParams, horizon: float,
              order: MagnusOrder = MagnusOrder.ORDER6,
              drive: str = "full", frame: str = "lab",
              steps_per_period: int | None = None) -> Trajectory:
-    """Propagate the density matrix from |1><1| over [0, horizon].
+    """Propagate the density matrix from |1><1| over [0, horizon] (a zero
+    horizon is that one row, at t = 0).
 
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
     9x9 Liouville space.  One span is resolved here: the drive period T,
@@ -118,9 +119,9 @@ def run_case(p: LambdaParams, horizon: float,
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be >= 0 and finite, got {horizon}")
     rwa = drive == "rwa"
-    if horizon == 0:
-        return Trajectory(times=np.array([0.0]),
-                          states=np.array([ground_state()]), frame=frame)
+    if horizon == 0:  # |1><1| in either frame
+        row = np.zeros(1), ground_state()[None]
+        return Trajectory(lambda: iter([row]), 1)
 
     open_system = p.is_dissipative
     period, steps = commensurate_period(p.omega_p, p.omega_c)
@@ -177,7 +178,7 @@ def run_case(p: LambdaParams, horizon: float,
                     else col[:, :, None] * np.conj(col)[:, None, :])
             v = advance(v)
 
-    return Trajectory.streamed(blocks, (spans - 1) * n_steps + last, frame)
+    return Trajectory(blocks, (spans - 1) * n_steps + last)
 
 
 def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamsim import _floattext, cli, periodic, sweep
-from lamsim._floattext import FloatRows, float_rows
+from lamsim._floattext import FloatRows
 from lamsim.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         PROPAGATE_HEADER, RunConfig, build_config, main,
                         parse_config_text, resolve_params)
@@ -458,7 +458,28 @@ def _reference_rows(block, suffix):
 
 
 def _emitted(block, suffix=",full,rwf"):
-    return float_rows(np.asarray(block, dtype=float), suffix)
+    """The text of one block from a fresh formatter, as a string."""
+    return FloatRows()(np.asarray(block, dtype=float),
+                       suffix).tobytes().decode("ascii")
+
+
+def _assert_same_text(got, want):
+    """got == want for two texts (str or bytes) of any size.  A mismatch
+    names the first line that differs and both line counts: explaining a
+    failed == of two texts of megabytes does not finish."""
+    __tracebackhide__ = True
+    if got == want:
+        return
+    ours, theirs = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, pair in enumerate(zip(ours, theirs))
+              if pair[0] != pair[1]), min(len(ours), len(theirs)))
+
+    def line(lines):
+        return repr(lines[i][:200]) if i < len(lines) else "no line"
+
+    pytest.fail(f"the texts differ first at line {i + 1}: got {line(ours)}, "
+                f"want {line(theirs)}; {len(ours)} lines against "
+                f"{len(theirs)}")
 
 
 def _as_rows(values, ncols=10):
@@ -492,7 +513,8 @@ class TestFloatText:
            st.integers(min_value=1, max_value=10))
     def test_matches_percent_g(self, values, ncols):
         block = _as_rows(values, ncols)
-        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+        _assert_same_text(_emitted(block),
+                          _reference_rows(block, ",full,rwf"))
 
     def test_edge_values(self):
         big = sys.float_info.max
@@ -504,7 +526,8 @@ class TestFloatText:
                        float(f"9.99999999999999995e{k}"), -p]
         values += _decimal_ties()
         block = _as_rows(values)
-        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+        _assert_same_text(_emitted(block),
+                          _reference_rows(block, ",full,rwf"))
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(7)
@@ -513,7 +536,8 @@ class TestFloatText:
             bits.view(np.float64), -bits.view(np.float64),
             rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000),
             rng.random(20000)]))
-        assert _emitted(block) == _reference_rows(block, ",full,rwf")
+        _assert_same_text(_emitted(block),
+                          _reference_rows(block, ",full,rwf"))
 
     def test_every_layout_class(self):
         # d 10^(L-1) plus binary fractions puts the point at every byte
@@ -559,7 +583,8 @@ class TestFloatText:
         for n in range(8):
             suffix = ",full,rwf"[:n]
             block = _as_rows(values, ncols=n + 1)
-            assert _emitted(block, suffix) == _reference_rows(block, suffix)
+            _assert_same_text(_emitted(block, suffix),
+                              _reference_rows(block, suffix))
 
     def test_block_temporaries(self):
         # One ROW_BLOCK x 10 block: its 32-byte cells (0.6 MiB), their rows
@@ -567,19 +592,19 @@ class TestFloatText:
         rng = np.random.default_rng(3)
         block = rng.standard_normal((ROW_BLOCK, 10)) * 10.0 ** rng.integers(
             -8, 3, (ROW_BLOCK, 10))
-        float_rows(block[:1], "")  # build the tables
+        _emitted(block[:1], "")  # build the tables
         tracemalloc.start()
         try:
-            text = float_rows(block, ",full,rwf")
+            text = _emitted(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == _reference_rows(block, ",full,rwf")
+        _assert_same_text(text, _reference_rows(block, ",full,rwf"))
         assert peak <= 4.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB peak"
 
 
 def _random_trajectory(nrows, seed):
-    """A streamed trajectory of ``nrows`` random rows in ROW_BLOCK blocks,
+    """A trajectory of ``nrows`` random rows in ROW_BLOCK blocks,
     with signed zeros, a non-finite cell and a tie in its last row."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-8, 3, (nrows, 3, 3))
@@ -589,9 +614,9 @@ def _random_trajectory(nrows, seed):
     states[-1, 1, 2] = complex(np.nan, 1e300)
     states[-1, 2, 2] = 2.0 ** -25  # a tie
     times = np.cumsum(rng.random(nrows))
-    return Trajectory.streamed(lambda: (
+    return Trajectory(lambda: (
         (times[k:k + ROW_BLOCK], states[k:k + ROW_BLOCK])
-        for k in range(0, nrows, ROW_BLOCK)), nrows, "rwf")
+        for k in range(0, nrows, ROW_BLOCK)), nrows)
 
 
 class TestTwoFormatters:
@@ -626,7 +651,7 @@ class TestTwoFormatters:
                                                for i in range(len(starts))]
         want = "".join(_reference_trajectory_rows(traj, f",{drive},rwf")
                        for drive, traj in trajs.items())
-        assert b"".join(texts) == want.encode("ascii")
+        _assert_same_text(b"".join(texts), want.encode("ascii"))
 
     @pytest.mark.parametrize("failing", ["worker", "main"])
     def test_formatter_error_propagates(self, tmp_path, capsys, monkeypatch,
@@ -672,11 +697,11 @@ class TestPropagateBytes:
         capsys.readouterr()
         assert main(argv) == EXIT_OK
         written = out.read_bytes()
-        assert capsys.readouterr().out.encode("utf-8") == written
+        _assert_same_text(capsys.readouterr().out.encode("utf-8"), written)
         text = written.decode("utf-8")
         body = text[text.index("\nt,") + 1:]
-        assert body == _reference_csv_body(case, frame, float(horizon),
-                                           int(STEPS))
+        _assert_same_text(body, _reference_csv_body(
+            case, frame, float(horizon), int(STEPS)))
 
     @pytest.mark.parametrize("command", ["propagate", "gap"])
     def test_text_only_stdout(self, tmp_path, command):
@@ -700,13 +725,14 @@ class TestPropagateBytes:
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         capsysbinary.readouterr()
         assert main(argv) == EXIT_OK
-        assert capsysbinary.readouterr().out == out.read_bytes()
+        _assert_same_text(capsysbinary.readouterr().out, out.read_bytes())
         text = out.read_text()
         body = text[text.index("\nt,") + 1:]
         p = preset("B-II")
         period, _ = commensurate_period(p.omega_p, p.omega_c)
         assert BASE_STEPS + 1 > ROW_BLOCK
-        assert body == _reference_csv_body("B-II", "rwf", period, BASE_STEPS)
+        _assert_same_text(body, _reference_csv_body("B-II", "rwf", period,
+                                                    BASE_STEPS))
 
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     def test_memory_set_by_the_span(self, drive):
@@ -1145,6 +1171,31 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert axis in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gap", "--e2", "1", "--e3", "2", "--rabi-p", "1", "--rabi-c", "1",
+          "--gamma-12", "0.9", "--gamma-23", "1"],
+         "lambda ordering requires e2 > e1 and e2 > e3"),
+        (["sweep", "--case", "A-II", "--omega-p-range", "5.9:6:0.05",
+          "--observables", "bogus"],
+         "unknown observable 'bogus'; allowed: ('populations', "
+         "'coherences', 'rwa_error', 'convergence_time', 'spectral_gap')"),
+        (["sweep", "--case", "A-II", "--omega-p-range", "5.9:6:0.05",
+          "--observables", "rwa_error", "--drive", "full"],
+         "observable 'rwa_error' compares both drives; it needs drive "
+         "'both', got 'full'"),
+        (["sweep", "--case", "A-II", "--omega-p-range", "6.1:6.0:0.05"],
+         "axis start must be <= stop")],
+        ids=["lambda-ordering", "unknown-observable", "rwa-error-one-drive",
+             "reversed-axis"])
+    def test_library_message_is_the_error_line(self, tmp_path, capsys, argv,
+                                               message):
+        # a ValueError from the library's own checks is the whole stderr
+        # line, before any output is opened
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_steps_above_cap(self, tmp_path, capsys, monkeypatch):

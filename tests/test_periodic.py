@@ -611,29 +611,31 @@ class TestDoubling:
         assert np.max(np.abs(u - np.outer(v_ss, w.conj()))) <= 1e-14
 
 
+def _one_block(times, states):
+    """A source of one (times, states) block."""
+    return lambda: iter([(np.asarray(times), np.asarray(states))])
+
+
 class TestTrajectory:
     def test_populations(self):
         times = np.array([0.0, 1.0])
         states = np.array([np.diag([1.0, 0.0, 0.0]),
                            np.diag([0.2, 0.3, 0.5])], dtype=complex)
-        traj = Trajectory(times=times, states=states)
+        traj = Trajectory(_one_block(times, states), 2)
         assert np.allclose(traj.populations, [[1, 0, 0], [0.2, 0.3, 0.5]])
 
     def test_rejects_non_monotone_times(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]),
-                       states=np.zeros((2, 3, 3)))
+            Trajectory(_one_block([0.0, 0.0], np.zeros((2, 3, 3))), 2).times
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]),
-                       states=np.zeros((3, 3, 3)))
-
+            Trajectory(_one_block([0.0, 1.0], np.zeros((3, 3, 3))), 2).states
 
     def test_streamed_blocks_are_collected_once(self):
-        # a streamed series forms its blocks anew at each blocks() call
-        # until times, states or populations collect them; then blocks()
-        # yields the collected arrays
+        # a series forms its blocks anew at each blocks() call until
+        # times, states or populations collect them; then blocks() yields
+        # the collected arrays
         calls = []
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
 
@@ -642,13 +644,13 @@ class TestTrajectory:
             yield np.array([0.0, 1.0]), np.array([rho, rho])
             yield np.array([2.0]), np.array([rho])
 
-        traj = Trajectory.streamed(blocks, 3, "rwf")
+        traj = Trajectory(blocks, 3)
         assert [len(t) for t, _ in traj.blocks()] == [2, 1]
         assert np.array_equal(traj.times, [0.0, 1.0, 2.0])
         assert np.allclose(traj.populations, [[0.2, 0.3, 0.5]] * 3)
         (times, states), = traj.blocks()
         assert times is traj.times and states is traj.states
-        assert len(calls) == 2 and traj.frame == "rwf"
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_streamed_row_count_is_checked(self, rows):
@@ -656,7 +658,7 @@ class TestTrajectory:
             yield np.array([0.0, 1.0, 2.0]), np.zeros((3, 3, 3))
 
         with pytest.raises(ValueError):
-            Trajectory.streamed(blocks, rows).states
+            Trajectory(blocks, rows).states
 
 
 class TestConvergenceTime:

@@ -59,9 +59,17 @@ class TestRunCase:
         assert np.all(traj.populations > -1e-10)
 
     def test_zero_horizon(self):
-        traj = run_case(preset("A-I"), 0.0)
-        assert len(traj.times) == 1
-        assert traj.states[0, 0, 0] == 1.0
+        # one row in either frame: t = 0 and |1><1| exactly, streamed as
+        # one block and collected alike
+        rho0 = np.zeros((1, 3, 3))
+        rho0[0, 0, 0] = 1.0
+        for frame in ("lab", "rwf"):
+            traj = run_case(preset("A-I"), 0.0, frame=frame)
+            (times, states), = traj.blocks()
+            assert np.array_equal(times, [0.0])
+            assert np.array_equal(states, rho0)
+            assert np.array_equal(traj.times, [0.0])
+            assert np.array_equal(traj.states, rho0)
 
     def test_frames_agree_on_diagonal(self):
         p = preset("A-II")
