@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 900.0  # per tier-1 run
 # tier-1 in the copy, less the test that each mutant's text occurs in its
 # file: a mutated copy fails it by construction, so it would catch them all.
-# Asserts are not rewritten: explaining a failed == of two CSV texts of
-# megabytes (pytest's diff) outlasts TIMEOUT_S, and only pass or fail counts.
+# Asserts are not rewritten: only pass or fail counts, so no failure's
+# explanation (pytest's diff of two large texts, say) can use up TIMEOUT_S.
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
          "no:cacheprovider", "--assert=plain",
          "--continue-on-collection-errors", "--deselect",
@@ -148,6 +148,8 @@ MUTANTS = [
     Mutant("zero-horizon-row-not-ground", "src/lamsim/sweep.py",
            "row = np.zeros(1), ground_state()[None]",
            "row = np.zeros(1), np.eye(3)[None]"),
+    Mutant("trajectory-block-shape-unchecked", "src/lamsim/periodic.py",
+           "if np.shape(rho) != (len(t), DIM, DIM):", "if False:"),
     Mutant("hermitian-inverse-unconjugated", "src/lamsim/linalg.py",
            "s_inv = s.conj().T / np.sum", "s_inv = s.T / np.sum"),
 ]

@@ -267,9 +267,9 @@ class Trajectory:
     anew from the first row, states of shape (len(times), 3, 3).  The
     method blocks() yields them in order, one at a time; times, states and
     populations collect every block into arrays on first use, check that
-    the times strictly increase, and keep them (blocks() then yields the
-    arrays), and raise ValueError before they allocate for more than
-    MAX_ROWS rows."""
+    each block has one state per time and that the times strictly
+    increase, and keep them (blocks() then yields the arrays), and raise
+    ValueError before they allocate for more than MAX_ROWS rows."""
 
     def __init__(self, blocks: Callable[[], Iterator], rows: int):
         self._source, self._rows, self._series = blocks, rows, None
@@ -289,6 +289,9 @@ class Trajectory:
             states = np.empty((self._rows, DIM, DIM), dtype=complex)
             row = 0
             for t, rho in self._source():  # ValueError past self._rows
+                if np.shape(rho) != (len(t), DIM, DIM):
+                    raise ValueError(f"states shape {np.shape(rho)} does "
+                                     f"not match {len(t)} times")
                 times[row:row + len(t)], states[row:row + len(t)] = t, rho
                 row += len(t)
             if row != self._rows:

@@ -629,8 +629,10 @@ class TestTrajectory:
             Trajectory(_one_block([0.0, 0.0], np.zeros((2, 3, 3))), 2).times
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Trajectory(_one_block([0.0, 1.0], np.zeros((3, 3, 3))), 2).states
+        # one state per time: neither more nor one that would broadcast
+        for states in (np.zeros((3, 3, 3)), np.eye(3), np.eye(3)[None]):
+            with pytest.raises(ValueError, match="does not match"):
+                Trajectory(_one_block([0.0, 1.0], states), 2).states
 
     def test_streamed_blocks_are_collected_once(self):
         # a series forms its blocks anew at each blocks() call until
