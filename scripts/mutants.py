@@ -120,8 +120,8 @@ MUTANTS = [
            "_applied(table[:b - a], power(a, v))",
            "_applied(table[:b - a], power(b, v))"),
     Mutant("row-map-by-s-inverse", "src/lamsim/magnus.py",
-           "return c @ hermitian_coordinates(math.isqrt(d))[0].T",
-           "return c @ hermitian_coordinates(math.isqrt(d))[1].T"),
+           "return c @ hermitian_coordinates(math.isqrt(self.dim))[0].T",
+           "return c @ hermitian_coordinates(math.isqrt(self.dim))[1].T"),
     Mutant("block-frame-factor-at-start", "src/lamsim/sweep.py",
            "col *= factors[a:b]", "col *= factors[a]"),
     Mutant("realification-sign", "src/lamsim/magnus.py",
@@ -145,9 +145,15 @@ MUTANTS = [
            "if job is not None:\n            job.result()"),
     Mutant("horizon-times-unchecked", "src/lamsim/sweep.py",
            "if not np.all(np.diff(ends) > 0):", "if False:"),
-    Mutant("zero-horizon-row-not-ground", "src/lamsim/sweep.py",
-           "row = np.zeros(1), ground_state()[None]",
-           "row = np.zeros(1), np.eye(3)[None]"),
+    Mutant("zero-horizon-skips-plan", "src/lamsim/sweep.py",
+           "periodic.make_plan(g, period, steps)",
+           "horizon and periodic.make_plan(g, period, steps)"),
+    Mutant("float-rows-off-by-one-kept", "src/lamsim/_floattext.py",
+           "bad |= t                            # log10 was off by one",
+           "pass"),
+    Mutant("convergence-search-from-two", "src/lamsim/periodic.py",
+           "n = 1\n    while delta(n) > eps:",
+           "n = 2\n    while delta(n) > eps:"),
     Mutant("trajectory-block-shape-unchecked", "src/lamsim/periodic.py",
            "if np.shape(rho) != (len(t), DIM, DIM):", "if False:"),
     Mutant("hermitian-inverse-unconjugated", "src/lamsim/linalg.py",

@@ -12,15 +12,16 @@ as hi + lo from exact fractions, and x hi is split exactly with Dekker's
 product (Veltkamp splits).  Since 10^16 > 2^53 the rounded product is an
 integer, so V is that integer plus a small remainder known to about 1e-14.
 If the truncated V falls outside [10^16, 10^17), k was off by one (log10
-rounds near powers of ten) and V is formed again; deciding this on the
-rounded V would print 9.9999999999999998e-262 as 1e-261.  A rounding carry
-to 10^17 is 10^16 with k + 1.
+rounds near powers of ten); deciding this on the rounded V would print
+9.9999999999999998e-262 as 1e-261.  A rounding carry to 10^17 is 10^16
+with k + 1.
 
 Fallback.  A row goes through ``'%.17g' % x`` cell by cell when one of its
-cells is not finite, lies outside [1e-280, 1e280] (zero excepted), or has a
-remainder within 1e-6 of one half, exact ties included.  Everywhere else
-the rounding is decided with a margin far above the error of V, so the
-text equals Python's correctly rounded conversion (Gay, 1990).
+cells is not finite, lies outside [1e-280, 1e280] (zero excepted), has a
+first exponent estimate k that is off by one, or has a remainder within
+1e-6 of one half, exact ties included.  Everywhere else the rounding is
+decided with a margin far above the error of V, so the text equals
+Python's correctly rounded conversion (Gay, 1990).
 
 Layout.  Every cell is four little-endian uint64 lanes, 32 bytes; a NUL
 byte is an absent one and is deleted when the block is joined:
@@ -52,12 +53,11 @@ Buffers.  Every whole-block intermediate is written with ``out=`` or in
 place into arrays the formatter holds: the rows, five cell-sized arrays
 and five cell-sized flags (1.6 MiB for a 2048 x 10 block), allocated for
 its first block and grown only for a larger one; only the steps on a few
-cells (the exponent redo, the point inside the digits, the fallback rows)
-take small arrays of their own.  The rows' memory is scratch until
-the rows are written, and the five arrays take the lanes, then the byte
-mask.  Two formatters can so run on two threads, block against block,
-which is how ``lamsim propagate`` uses them; one formatter formats one
-block at a time.
+cells (the point inside the digits, the fallback rows) take small arrays
+of their own.  The rows' memory is scratch until the rows are written,
+and the five arrays take the lanes, then the byte mask.  Two formatters
+can so run on two threads, block against block, which is how ``lamsim
+propagate`` uses them; one formatter formats one block at a time.
 """
 
 from __future__ import annotations
@@ -225,12 +225,7 @@ class FloatRows:
         np.less(d, _E16, out=t)
         np.greater_equal(d, _E17, out=t2)
         t |= t2
-        off = np.flatnonzero(t)
-        if off.size:  # log10 was off by one: the few cells are formed anew
-            ko = k[off] + np.where(d[off] < _E16, -1, 1)
-            do = np.empty_like(ko)
-            fo = _scaled(x[off], ko, do, np.empty((6, off.size)), tab)
-            k[off], d[off], frac[off] = ko, do, fo
+        bad |= t                            # log10 was off by one
         np.greater(frac, 0.5, out=t)
         d += t
         np.equal(d, _E17, out=t)
@@ -239,10 +234,6 @@ class FloatRows:
         frac -= 0.5
         np.abs(frac, out=frac)
         np.less(frac, _TIE, out=t)
-        bad |= t
-        np.less(d, _E16, out=t)
-        bad |= t
-        np.greater_equal(d, _E17, out=t)
         bad |= t
         np.logical_or(zero, bad, out=t)
         np.copyto(d, 0, where=t)

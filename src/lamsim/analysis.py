@@ -38,13 +38,12 @@ def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
 
 @dataclass(frozen=True)
 class GapReport:
-    """Eigenvalue logs of a one-period propagator and the resulting decay
-    gap.  gap is per period; gap_per_time additionally divides by the
-    period when one was supplied.  Both are NaN when the gap is unresolved
-    (|lambda_2| <= LAMBDA2_FLOOR)."""
+    """Eigenvalue logs of a one-period propagator, in spectral_gap's
+    order, and the resulting decay gap.  gap is per period; gap_per_time
+    additionally divides by the period when one was supplied.  Both are
+    NaN when the gap is unresolved (|lambda_2| <= LAMBDA2_FLOOR)."""
 
     eigen_logs: np.ndarray
-    steady_index: int
     gap: float
     degenerate: bool
     gap_per_time: float | None = None
@@ -92,17 +91,15 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
         new_decay = np.diff(decay) > SAME_DECAY_TOL * np.maximum(
             1.0, np.abs(decay[:-1]))
     logs = logs[np.lexsort((logs.imag, np.r_[0, np.cumsum(new_decay)]))]
-    steady = int(np.argmin(np.abs(logs.real)))
-    decays = -np.delete(logs.real, steady)
+    # the steady eigenvalue, whose log's real part is closest to zero
+    decays = -np.delete(logs.real, np.argmin(np.abs(logs.real)))
     if len(decays) == 0 or np.max(decays) <= DEGENERATE_GAP_TOL:
-        return GapReport(eigen_logs=logs, steady_index=steady, gap=0.0,
-                         degenerate=True,
+        return GapReport(eigen_logs=logs, gap=0.0, degenerate=True,
                          gap_per_time=0.0 if period else None)
     gap = max(0.0, float(np.min(decays)))
     if not resolved_log(-gap):  # log |lambda_2| = -gap
         gap = math.nan
-    return GapReport(eigen_logs=logs, steady_index=steady, gap=gap,
-                     degenerate=False,
+    return GapReport(eigen_logs=logs, gap=gap, degenerate=False,
                      gap_per_time=gap / period if period else None)
 
 

@@ -231,21 +231,15 @@ class Generator(_Tables):
         return out
 
     def _own_vector(self, v: np.ndarray) -> np.ndarray:
-        """A vec-basis vector v in the generator's own coordinates, on which
-        its own-coordinate propagators act: S^-1 v, real for a Hermitian
-        operator, or (Re v, Im v) in the realification."""
-        if self._real.dim > self.dim:
-            return np.concatenate([v.real, v.imag])
+        """A vec-basis vector v of a Hermitian operator in the generator's
+        Hermitian coordinates, on which its own-coordinate propagators
+        act: S^-1 v, real."""
         return (hermitian_coordinates(math.isqrt(self.dim))[1] @ v).real
 
     def _vec_rows(self, c: np.ndarray) -> np.ndarray:
-        """Rows c of own-coordinate vectors in the vec basis, as a new
-        complex array: S c from Hermitian coordinates, c[:d] + i c[d:]
-        from the realification."""
-        d = self.dim
-        if self._real.dim > d:
-            return c[..., :d] + 1j * c[..., d:]
-        return c @ hermitian_coordinates(math.isqrt(d))[0].T
+        """Rows c of vectors in the generator's Hermitian coordinates in
+        the vec basis, as a new complex array: S c."""
+        return c @ hermitian_coordinates(math.isqrt(self.dim))[0].T
 
     def _own_gauge(self, z: np.ndarray) -> np.ndarray:
         """A sign gauge diag(z) in the vec basis as a +-1 diagonal in the

@@ -264,19 +264,17 @@ def trace_functional() -> np.ndarray:
 class Trajectory:
     """Time-stamped density-matrix series of ``rows`` rows, streamed from
     ``blocks``: each call of ``blocks()`` forms the (times, states) blocks
-    anew from the first row, states of shape (len(times), 3, 3).  The
-    method blocks() yields them in order, one at a time; times, states and
-    populations collect every block into arrays on first use, check that
-    each block has one state per time and that the times strictly
-    increase, and keep them (blocks() then yields the arrays), and raise
-    ValueError before they allocate for more than MAX_ROWS rows."""
+    anew from the first row, states of shape (len(times), 3, 3), and
+    yields them in order, one at a time.  times, states and populations
+    collect every block into arrays on first use, check that each block
+    has one state per time and that the times strictly increase, and keep
+    them, and raise ValueError before they allocate for more than MAX_ROWS
+    rows."""
 
     def __init__(self, blocks: Callable[[], Iterator], rows: int):
         self._source, self._rows, self._series = blocks, rows, None
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if self._series is not None:
-            return iter([self._series])
         return self._source()
 
     def _collected(self) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +329,9 @@ def period_mean_map(stack: np.ndarray) -> np.ndarray:
 
 def _powers_of(squares) -> Callable[[int, np.ndarray], np.ndarray]:
     """(n, v) -> u^n v, as matrix-vector products of v with the squares
-    that n's bits select, highest bit first, squares[j] = u^(2^j): a list
-    [u] forms each missing square once, by squaring the one before, when
-    an n first needs it; an array must hold every square an n needs."""
+    that n's bits select, highest bit first, squares[j] = u^(2^j): the
+    list, [u] or more squares, gains each missing square once, by squaring
+    the one before, when an n first needs it."""
 
     def power(n: int, v: np.ndarray) -> np.ndarray:
         while len(squares) < n.bit_length():
@@ -353,7 +351,8 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     (Frobenius) from the previous period's average, from the period map
     and micromotion stack ``precomputed = one_period(g, plan)``.
 
-    The search doubles n until the criterion holds, then bisects.  The
+    The search doubles n from 1 until the criterion holds (n = 1 when
+    the first period meets it), then bisects between n / 2 and n.  The
     states U_T^n v0 come from _powers_of, which forms each U_T^(2^j) once:
     no matrix power is formed per n.  It assumes a dissipative generator
     (a steady state exists) and raises HorizonError, carrying the last
@@ -377,17 +376,14 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     def delta(n: int) -> float:
         return frobenius_norm(avg(n) - avg(n - 1))
 
-    if delta(1) <= eps:
-        return plan.period
-
-    n = 2
+    n = 1
     while delta(n) > eps:
         if n > MAX_PERIODS:
             raise HorizonError(
                 f"no steady state within {n} periods (delta {delta(n):.3e})",
                 last_delta=delta(n))
         n *= 2
-    lo, hi = n // 2, n  # delta(lo) > eps >= delta(hi)
+    lo, hi = n // 2, n  # delta(lo) > eps >= delta(hi), or lo = 0, hi = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if delta(mid) <= eps:

@@ -69,12 +69,12 @@ def run_case(p: LambdaParams, horizon: float,
              order: MagnusOrder = MagnusOrder.ORDER6,
              drive: str = "full", frame: str = "lab",
              steps_per_period: int | None = None) -> Trajectory:
-    """Propagate the density matrix from |1><1| over [0, horizon] (a zero
-    horizon is that one row, at t = 0).
+    """Propagate the density matrix from |1><1| over [0, horizon].
 
     Closed cases run in the 3x3 Hilbert space, dissipative ones in the
     9x9 Liouville space.  One span is resolved here: the drive period T,
-    or a shorter horizon h on its own ceil(steps * h / T)-step grid.  Its
+    or a shorter horizon h > 0 on its own ceil(steps * h / T)-step grid
+    (a zero horizon resolves T and gives its first row, t = 0).  Its
     rows are formed only when the returned Trajectory is read, ROW_BLOCK
     rows at a time (Trajectory.blocks streams them; its times, states and
     populations collect them).  Longer horizons reuse the span
@@ -119,10 +119,6 @@ def run_case(p: LambdaParams, horizon: float,
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be >= 0 and finite, got {horizon}")
     rwa = drive == "rwa"
-    if horizon == 0:  # |1><1| in either frame
-        row = np.zeros(1), ground_state()[None]
-        return Trajectory(lambda: iter([row]), 1)
-
     open_system = p.is_dissipative
     period, steps = commensurate_period(p.omega_p, p.omega_c)
     if steps_per_period is not None:
@@ -130,7 +126,7 @@ def run_case(p: LambdaParams, horizon: float,
     g = (liouville_generator(p, rwa=rwa) if open_system
          else closed_generator(p, rwa=rwa))
     periodic.make_plan(g, period, steps)  # checks periodicity and the cap
-    span = min(horizon, period)
+    span = min(horizon, period) or period
     n_steps = max(1, math.ceil(steps * span / period - 1e-9))
     grid = np.linspace(0.0, span, n_steps + 1)
     spans = max(1, math.ceil(horizon / span - 1e-12))
@@ -201,7 +197,7 @@ def _frame_route(g, grid: np.ndarray, width: int):
     n_steps = len(grid) - 1
     doubling = _frame_powers(g, 0.0, grid[-1] / n_steps, n_steps)
     table = _frame_fill(doubling, min(width, n_steps) + 1)
-    power = _powers_of(doubling)
+    power = _powers_of(list(doubling))
 
     def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:
         return _applied(table[:b - a], power(a, v))

@@ -79,7 +79,10 @@ class TestSpectralGap:
     def test_steady_eigenvalue_selection(self):
         u = np.diag(np.exp([-1.0 + 0.3j, 0.0 + 2.0j, -2.0]))
         report = spectral_gap(u)
-        assert np.isclose(report.eigen_logs[report.steady_index].real, 0.0)
+        # the steady log has the smallest |Re| and is left out of the gap
+        assert np.argmin(np.abs(report.eigen_logs.real)) == 0
+        assert np.isclose(report.eigen_logs[0].real, 0.0)
+        assert report.gap == pytest.approx(1.0)
 
     def test_unitary_is_degenerate(self):
         phases = np.exp(1j * np.linspace(0.1, 2.0, 9))
@@ -126,7 +129,7 @@ class TestEigenLogOrder:
         want = [0.0, -0.5 - 0.3j, -0.5 + 0.3j, -1.0, -2.0 - 1.0j,
                 -2.0 + 1.0j]
         assert np.allclose(report.eigen_logs, want, rtol=0.0, atol=1e-14)
-        assert report.steady_index == 0
+        assert np.argmin(np.abs(report.eigen_logs.real)) == 0
 
     @pytest.mark.parametrize("case,rwa", [("A-II", True), ("B-II", False)])
     def test_order_independent_of_eigensolver(self, case, rwa):

@@ -628,21 +628,16 @@ class TestRealCoordinates:
         assert np.array_equal(g._vec_coordinates(g._real._rows.reshape(
             1, 18, 18)), a[None])
 
-    @pytest.mark.parametrize("build", [
-        liouville_generator, closed_generator,
-        lambda p: Generator(random_complex_matrix(
-            np.random.default_rng(7), 9))])
-    def test_vectors_in_own_coordinates(self, build, rng):
-        # A state carried in the generator's own coordinates, S^-1 v in
-        # Hermitian ones or (Re v, Im v) in the realification, comes back
-        # as the vec-basis rows of the propagators applied to v: run_case
-        # applies a span kept by _propagate_grids to it one block at a time.
-        g = build(preset("A-II"))
+    def test_vectors_in_own_coordinates(self, rng):
+        # A Hermitian state carried in the generator's Hermitian
+        # coordinates, S^-1 v, comes back as the vec-basis rows of the
+        # propagators applied to v: run_case applies an open system's span
+        # kept by _propagate_grids to it one block at a time.
+        g = liouville_generator(preset("A-II"))
         h = random_complex_matrix(rng, 3)
-        v = ((h + h.conj().T) / 2.0).reshape(-1) if g.dim == 9 \
-            else h[:, 0]
+        v = ((h + h.conj().T) / 2.0).reshape(-1)
         own = g._own_vector(v)
-        assert own.dtype == float and own.shape == (g._real.dim,)
+        assert own.dtype == float and own.shape == (g.dim,)
         r = _propagate_grids(g, 0.0, 0.7, [(5, True)])[0]
         got = g._vec_rows(r @ own)
         assert got.dtype == complex and got.shape == (6, g.dim)

@@ -634,10 +634,9 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="does not match"):
                 Trajectory(_one_block([0.0, 1.0], states), 2).states
 
-    def test_streamed_blocks_are_collected_once(self):
-        # a series forms its blocks anew at each blocks() call until
-        # times, states or populations collect them; then blocks() yields
-        # the collected arrays
+    def test_blocks_stream_anew_after_collection(self):
+        # a series forms its blocks anew at each blocks() call, also after
+        # times, states or populations have collected them once
         calls = []
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
 
@@ -650,9 +649,8 @@ class TestTrajectory:
         assert [len(t) for t, _ in traj.blocks()] == [2, 1]
         assert np.array_equal(traj.times, [0.0, 1.0, 2.0])
         assert np.allclose(traj.populations, [[0.2, 0.3, 0.5]] * 3)
-        (times, states), = traj.blocks()
-        assert times is traj.times and states is traj.states
-        assert len(calls) == 2
+        assert [len(t) for t, _ in traj.blocks()] == [2, 1]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_streamed_row_count_is_checked(self, rows):

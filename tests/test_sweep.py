@@ -71,6 +71,20 @@ class TestRunCase:
             assert np.array_equal(traj.times, [0.0])
             assert np.array_equal(traj.states, rho0)
 
+    @pytest.mark.parametrize("p,kw", [
+        (preset("A-I").with_(omega_p=np.pi), {}),      # not commensurate
+        (preset("A-I"), {"steps_per_period": periodic.MAX_PLAN_STEPS + 1})
+    ], ids=["incommensurate", "steps-above-cap"])
+    def test_zero_horizon_is_checked(self, p, kw):
+        # a zero horizon runs the checks of every positive one; the step
+        # count is just above the cap, so that a zero horizon that skipped
+        # the cap would propagate 10^6 steps, not more
+        with pytest.raises(ValueError) as positive:
+            run_case(p, 1.0, **kw)
+        with pytest.raises(ValueError) as zero:
+            run_case(p, 0.0, **kw)
+        assert str(zero.value) == str(positive.value)
+
     def test_frames_agree_on_diagonal(self):
         p = preset("A-II")
         lab = run_case(p, 2.0, steps_per_period=STEPS)
