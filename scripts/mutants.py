@@ -158,6 +158,23 @@ MUTANTS = [
            "if np.shape(rho) != (len(t), DIM, DIM):", "if False:"),
     Mutant("hermitian-inverse-unconjugated", "src/lamsim/linalg.py",
            "s_inv = s.conj().T / np.sum", "s_inv = s.T / np.sum"),
+    Mutant("float-rows-lead-drops-sign", "src/lamsim/_floattext.py",
+           "tmp += neg", "pass"),
+    Mutant("float-rows-fallback-row-skipped", "src/lamsim/_floattext.py",
+           "for row in fallback:", "for row in fallback[1:]:"),
+    Mutant("float-rows-fallback-row-twice", "src/lamsim/_floattext.py",
+           "fallback = fallback[np.diff(fallback, prepend=-1) != 0]",
+           "pass"),
+    Mutant("float-rows-nsig-last-group-only", "src/lamsim/_floattext.py",
+           "if rest.size:", "if False:"),
+    Mutant("float-rows-zero-cell-takes-digits", "src/lamsim/_floattext.py",
+           "np.greater(t, zero, out=t)  # and not a zero cell", "pass"),
+    Mutant("vec-map-parts-swapped", "src/lamsim/magnus.py",
+           "to_vec = np.ascontiguousarray(kron(s, s_inv.T).T)",
+           "to_vec = np.ascontiguousarray(1j * kron(s, s_inv.T).T.conj())"),
+    Mutant("frame-fill-wrong-power", "src/lamsim/magnus.py",
+           "np.matmul(out[:n].reshape(-1, d), e_m,",
+           "np.matmul(out[:n].reshape(-1, d), powers[0],"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", re.M)

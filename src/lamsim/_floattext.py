@@ -27,7 +27,8 @@ Layout.  Every cell is four little-endian uint64 lanes, 32 bytes; a NUL
 byte is an absent one and is deleted when the block is joined:
 
     lane 0     '-'  '0.000'  d0  '.'   sign; '0.' and 0-3 zeros when X < 0;
-                                      digit 0; the point when L = 1 < nsig
+                                      digit 0; the point when L = 1 < nsig;
+                                      right-aligned
     lanes 1-2  digits 1-16            cut after digit max(nsig, L) - 1
     lane 3     'e+XX[X]'  ','         exponent, comma (none in a row's
                                       last cell)
@@ -35,19 +36,27 @@ byte is an absent one and is deleted when the block is joined:
 X is the decimal exponent of the rounded value, L the number of integer
 digits (X + 1 in fixed notation with X >= 0, 0 when X < 0, 1 in
 exponential notation), nsig the significant digits left after trailing
-zeros are stripped.  Lanes 0 and 3 are one ``np.take`` each from a small
-table, lanes 1-2 two takes each from the four-digit groups and one from a
-byte mask.  When L >= 2 and nsig > L (fixed notation, |x| >= 10 with a
-fraction) the point falls inside the digits: on those cells only, the
-bytes of lanes 1-3 from position L - 1 on move up by one, carrying across
-lanes, and '.' fills the gap.  The lanes are built lane-major and
-transposed once into rows.
+zeros are stripped.  Lane 0 is right-aligned so that its text runs on
+into the digits: a cell's padding is then one NUL run after its digits
+and one after its comma, which joins the next cell's lane-0 padding.
+What follows from k and nsig alone (L, the zeros after '0.', where the
+point goes, the digits' cut) is read from small tables indexed by the
+cell's code, k clipped to [-5, 17] and nsig, with nsig 0 coding a zero
+cell.  Lanes
+0 and 3 are one ``np.take`` each from a small table, lanes 1-2 two takes
+each from the four-digit groups and one from a byte mask.  When L >= 2
+and nsig > L (fixed notation, |x| >= 10 with a fraction) the point falls
+inside the digits: on those cells only, the bytes of lanes 1-3 from
+position L - 1 on move up by one, carrying across lanes, and '.' fills
+the gap.  The lanes are built lane-major and transposed once into rows.
 
 Join.  A row that falls back has its text written over its lanes, NUL
 padded (a cell's text takes at most 25 of its 32 bytes).  The NUL bytes
 are then dropped by one boolean mask over the rows' bytes, ``raw[raw !=
-0]``, whose copy runs in numpy without the GIL, as do the other whole-block
-steps; the joined bytes are the one new array of a call.
+0]``, which numpy copies run by run of kept bytes, so its cost follows
+the number of runs (two a cell); that copy runs without the GIL, as do
+the other whole-block steps, and the joined bytes are the one new array
+of a call.
 
 Buffers.  Every whole-block intermediate is written with ``out=`` or in
 place into arrays the formatter holds: the rows, five cell-sized arrays
@@ -73,6 +82,8 @@ _TIE = 1e-6                         # remainders this close to 1/2 fall back
 _E16, _E17 = 10 ** 16, 10 ** 17
 _X_OFF = 300                        # exponent text covers X in +-_X_OFF
 _LANES = 4                          # uint64 lanes per cell
+_K_LO, _K_HI = -5, 17               # k range of a cell's code
+_NSIG = 18                          # nsig slots of a cell's code
 _DOTS = int.from_bytes(b"." * 8, "little")
 
 
@@ -99,32 +110,56 @@ def _tables() -> dict[str, np.ndarray]:
     place = np.arange(4)[:, None]
     # 1-based place of a group's last nonzero digit, 0 for the group 0
     last = np.max(np.where(digit > 0, place + 1, 0), axis=0)
-    # nsig_w[w][g]: significant digits of the 17 when group w + 1 is the
-    # last one with a nonzero digit; 0 when g = 0
-    nsig_w = np.where(last > 0, 4 * place + 1 + last, 0)
+    # lane 0's texts in the order of its index, below
+    leads = (b"-" * neg + (b"0" if z == 5 else b"0.000"[:z + 1] * (z > 0)
+                           + b"%d" % d + b"." * dot)
+             for z in range(6) for dot in (0, 1)
+             for neg in (0, 1) for d in range(10))
 
     tables = {
         "hi": hi, "lo": lo, "hi_hi": hi_hi, "hi_lo": hi - hi_hi,
         "group": ((digit + 0x30) << 8 * place).sum(axis=0).astype(np.uint64),
-        "nsig_w": nsig_w,
+        # nsig[g]: significant digits of the 17 when g is the last digit
+        # group and not 0, 0 when g = 0; nsig[g] - 4 (3 - w) when g is
+        # group w and the groups after it are 0
+        "nsig": np.where(last > 0, 13 + last, 0),
         # mask[i][n]: the bytes of lane 1 + i below byte n of lanes 1-3
         "mask": np.array([_lanes(b"\xff" * n + b"\0" * (24 - n))
                           for n in range(17)], np.uint64).T.copy(),
-        # index ((neg * 5 + zeros) * 10 + d0) * 2 + point, where zeros is
-        # 1 + the zeros after '0.' when X < 0 and 0 otherwise
-        "lead": np.array([_lanes(b"-" * neg + b"0.000"[:z + 1] * (z > 0)
-                                 + b"%d" % d + b"." * dot)[0]
-                          for neg in (0, 1) for z in range(5)
-                          for d in range(10) for dot in (0, 1)], np.uint64),
+        # index ((zeros * 2 + point) * 2 + neg) * 10 + d0, where zeros is
+        # 1 + the zeros after '0.' when X < 0, 0 otherwise and 5 in a zero
+        # cell (written '0' whatever d0); right-aligned in the lane
+        "lead": np.array([int.from_bytes(text.rjust(8, b"\0"), "little")
+                          for text in leads], np.uint64),
         # index X + _X_OFF, plus 2 _X_OFF in a row's last cell
         "expo": np.array([_lanes((b"" if -4 <= x < 17 else b"e%+03d" % x)
                                  + b"," * (1 - end))[0]
                           for end in (0, 1)
                           for x in range(-_X_OFF, _X_OFF)], np.uint64),
     }
+    tables.update(_code_tables(tables["mask"]))
     for table in tables.values():
         table.flags.writeable = False  # shared by every call
     return tables
+
+
+def _code_tables(mask: np.ndarray) -> dict[str, np.ndarray]:
+    """The tables indexed by a cell's code (k - _K_LO) _NSIG + nsig, k
+    clipped to [_K_LO, _K_HI] (fixed notation is -4 <= k < 17, so no k
+    outside tells more): its lead index base (zeros 2 + point) 2, the
+    byte masks of lanes 1-2 cut after digit max(nsig, L) - 1, and whether
+    its point falls inside the digits (L >= 2 and nsig > L).  nsig 0
+    codes a zero cell."""
+    k = np.arange(_K_LO, _K_HI + 1)[:, None]
+    nsig = np.arange(_NSIG)[None, :]
+    fixed = (k >= -4) & (k < 17)
+    L = np.where(fixed, np.maximum(k + 1, 0), 1)
+    cut = np.maximum(nsig, L) - 1
+    zeros = np.where(nsig == 0, 5, np.where((k >= -4) & (k < 0), -k, 0))
+    point = (L == 1) & (cut > 0)
+    return {"base": ((zeros * 2 + point) * 2).ravel(),
+            "cut": mask[:2, cut.ravel()],
+            "inside": ((L >= 2) & (nsig > L)).ravel()}
 
 
 def _scaled(x, k, d, w, tab: dict) -> np.ndarray:
@@ -205,8 +240,8 @@ class FloatRows:
             nrows, ncols, ncols * _LANES + len(tail))
         # The digits: x, k, d and six work arrays (the last one then the
         # fraction) in s and r.  The lanes in s[0:4]: until a lane is
-        # written its slot holds L (lane 0), d0 (1) or a digit group (2,
-        # 3); the other groups, k and the small integers take s[4] and r.
+        # written its slot holds d0 (1) or a digit group (2, 3); the other
+        # groups, k and the small integers take s[4] and r.
         x, k, d = s[4], r[0].view(np.int64), r[1].view(np.int64)
         np.abs(block, out=x.reshape(nrows, ncols))
         np.signbit(block, out=neg.reshape(nrows, ncols))
@@ -234,55 +269,48 @@ class FloatRows:
         frac -= 0.5
         np.abs(frac, out=frac)
         np.less(frac, _TIE, out=t)
-        bad |= t
-        np.logical_or(zero, bad, out=t)
-        np.copyto(d, 0, where=t)
-        np.copyto(k, 0, where=t)
+        bad |= t  # the digits and exponent of these cells are never read
 
         lanes = s[0:_LANES].view(np.uint64)
-        L, d0, *groups = (a.view(np.int64) for a in s)
+        d0, *groups = (a.view(np.int64) for a in s[1:])
         groups.append(d)
         tmp, nsig = r[2].view(np.int64), r[3].view(np.int64)
         for g, scale in zip([d0, *groups], (_E16, 10 ** 12, 10 ** 8, 10 ** 4)):
-            np.floor_divide(d, scale, out=g)
+            # d >= 0: unsigned division, which numpy runs faster
+            np.floor_divide(d.view(np.uint64), scale, out=g.view(np.uint64))
             np.multiply(g, scale, out=tmp)
             d -= tmp
-        nsig.fill(1)
-        for w, g in enumerate(groups):
-            np.take(tab["nsig_w"][w], g, out=tmp, mode="clip")
-            np.maximum(nsig, tmp, out=nsig)
-        fixed = zero  # no longer read
-        np.greater_equal(k, -4, out=fixed)
-        np.less(k, 17, out=t)
-        fixed &= t
-        np.add(k, 1, out=L)
-        np.maximum(L, 0, out=L)
-        np.logical_not(fixed, out=t)
-        np.copyto(L, 1, where=t)
-        # the cells whose point falls inside the digits, at byte L - 1 of
-        # lanes 1-3
-        np.greater_equal(L, 2, out=t)
-        np.greater(nsig, L, out=t2)
-        t &= t2
+        # nsig from the last group, and from the others on the few nonzero
+        # cells whose last group is 0; it stays 0 on a zero cell (x = 1
+        # gave it k = 0 and d = 10^16), which its code writes '0'
+        np.take(tab["nsig"], d, out=nsig, mode="clip")
+        np.equal(nsig, 0, out=t)
+        np.greater(t, zero, out=t)  # and not a zero cell
+        rest = np.flatnonzero(t)
+        if rest.size:
+            part = np.ones(rest.size, np.int64)
+            for w, g in enumerate(groups[:3]):
+                np.maximum(part, np.take(tab["nsig"], np.take(g, rest),
+                                         mode="clip") - 4 * (3 - w), out=part)
+            np.put(nsig, rest, part, mode="clip")
+        # the cell's code indexes the tables of what follows from k and
+        # nsig alone
+        np.clip(k, _K_LO, _K_HI, out=tmp)
+        tmp -= _K_LO
+        tmp *= _NSIG
+        code = nsig
+        code += tmp
+        k += _X_OFF  # the exponent code
+        # the cells whose point falls inside the digits, at byte L - 1 = k
+        # of lanes 1-3 (fixed notation with L >= 2)
+        np.take(tab["inside"], code, out=t, mode="clip")
         at = np.flatnonzero(t)
-        at_byte = np.take(L, at) - 1
-        cut = nsig
-        np.maximum(nsig, L, out=cut)
-        cut -= 1
-        # lane 0 from index ((neg 5 + zeros) 10 + d0) 2 + (L == 1 < nsig),
-        # zeros being -k for -4 <= k < 0 and 0 otherwise
-        np.equal(L, 1, out=t)
-        np.greater(cut, 0, out=t2)
-        t &= t2
-        np.negative(k, out=tmp)
-        np.maximum(tmp, 0, out=tmp)
-        np.greater(tmp, 4, out=t2)
-        np.copyto(tmp, 0, where=t2)
-        np.add(tmp, 5, out=tmp, where=neg)
+        at_byte = np.take(k, at) - _X_OFF
+        # lane 0 from index ((zeros 2 + point) 2 + neg) 10 + d0
+        np.take(tab["base"], code, out=tmp, mode="clip")
+        tmp += neg
         tmp *= 10
         tmp += d0
-        tmp *= 2
-        tmp += t
         np.take(tab["lead"], tmp, out=lanes[0], mode="clip")
         word = tmp.view(np.uint64)
         for i in (1, 2):
@@ -290,9 +318,8 @@ class FloatRows:
             np.take(tab["group"], groups[2 * i - 1], out=word, mode="clip")
             word <<= 32
             lanes[i] |= word
-            np.take(tab["mask"][i - 1], cut, out=word, mode="clip")
+            np.take(tab["cut"][i - 1], code, out=word, mode="clip")
             lanes[i] &= word
-        k += _X_OFF  # the exponent code
         k.reshape(nrows, ncols)[:, -1] += 2 * _X_OFF
         np.take(tab["expo"], k, out=lanes[3], mode="clip")
         if at.size:
@@ -321,9 +348,11 @@ class FloatRows:
         # a row that falls back takes its '%.17g' text in place of its
         # lanes: at most 25 bytes a cell and the suffix fit in its 32 and
         # the tail
-        np.any(bad.reshape(nrows, ncols), axis=1, out=t[:nrows])
+        fallback = np.flatnonzero(bad) // ncols
+        if fallback.size:
+            fallback = fallback[np.diff(fallback, prepend=-1) != 0]
         template = ",".join(["%.17g"] * ncols) + suffix + "\n"
-        for row in np.flatnonzero(t[:nrows]):
+        for row in fallback:
             line = (template % tuple(block[row].tolist())).encode()
             rows[row] = 0
             rows[row].view(np.uint8)[:len(line)] = np.frombuffer(line,

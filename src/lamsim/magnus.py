@@ -97,12 +97,16 @@ def _no_drive(t: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _from_hermitian(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map back vec(S R S^-1) = kron(S, S^-T) vec(R), row-major, as two
-    real maps acting on the right of flattened stacks."""
+def _from_hermitian(n: int) -> np.ndarray:
+    """The map back vec(S R S^-1) = kron(S, S^-T) vec(R), row-major, as one
+    complex map acting on the right of flattened stacks: kron(S, S^-T)^T,
+    C-contiguous and read-only.  Its float64 view, (n^2, 2 n^2) with the
+    real and imaginary part of each column side by side, applies it to a
+    real stack as one real product whose rows are the complex result."""
     s, s_inv = hermitian_coordinates(n)
-    to_vec = kron(s, s_inv.T).T
-    return to_vec.real.copy(), to_vec.imag.copy()
+    to_vec = np.ascontiguousarray(kron(s, s_inv.T).T)
+    to_vec.flags.writeable = False
+    return to_vec
 
 
 @functools.cache
@@ -215,8 +219,10 @@ class Generator(_Tables):
 
     def _vec_coordinates(self, r: np.ndarray) -> np.ndarray:
         """A stack of propagators r in the generator's own coordinates as a
-        complex stack in the vec basis: S r S^-1 from Hermitian ones,
-        r[:d, :d] + i r[d:, :d] from the realification."""
+        complex stack in the vec basis: S r S^-1 from Hermitian ones, one
+        real product of the flattened stack with _from_hermitian's float64
+        view written straight into the result's float64 view, or r[:d, :d]
+        + i r[d:, :d] from the realification."""
         d = self.dim
         out = np.empty(r.shape[:-2] + (d, d), dtype=complex)
         if self._real.dim > d:
@@ -224,10 +230,8 @@ class Generator(_Tables):
             out.imag = r[..., d:, :d]
             return out
         to_vec = _from_hermitian(math.isqrt(d))
-        flat, rows = r.reshape(-1, d * d), out.reshape(-1, d * d)
-        for a in range(0, len(flat), CHUNK_STEPS):
-            rows[a:a + CHUNK_STEPS].real = flat[a:a + CHUNK_STEPS] @ to_vec[0]
-            rows[a:a + CHUNK_STEPS].imag = flat[a:a + CHUNK_STEPS] @ to_vec[1]
+        np.matmul(r.reshape(-1, d * d), to_vec.view(np.float64),
+                  out=out.reshape(-1, d * d).view(np.float64))
         return out
 
     def _own_vector(self, v: np.ndarray) -> np.ndarray:
@@ -445,13 +449,17 @@ def _frame_fill(powers: np.ndarray, rows: int) -> np.ndarray:
     """E^k for k < rows from the doubling powers E^(2^i) of _frame_powers,
     in doubling batches, E^(m + j) = E^j E^m for j < m: E^k then carries
     the rounding of about log2 k products, not k times the rounding of E.
-    It reads the first (rows - 1).bit_length() powers."""
-    out = np.empty((rows,) + powers.shape[1:], dtype=complex)
-    out[0] = np.eye(len(out[0]))
+    Each batch is one product of its n rows stacked, (n d, d) by E^m,
+    which numpy hands to one GEMM rather than n small products.  It reads
+    the first (rows - 1).bit_length() powers."""
+    d = powers.shape[-1]
+    out = np.empty((rows, d, d), dtype=complex)
+    out[0] = np.eye(d)
     m = 1
     for e_m in powers[:(rows - 1).bit_length()]:
         n = min(m, rows - m)
-        np.matmul(out[:n], e_m, out=out[m:m + n])
+        np.matmul(out[:n].reshape(-1, d), e_m,
+                  out=out[m:m + n].reshape(-1, d))
         m += n
     return out
 

@@ -482,6 +482,16 @@ def _assert_same_text(got, want):
                 f"{len(theirs)}")
 
 
+class _RowReads(np.ndarray):
+    """A float block that records, in ``rows``, every row read from it by
+    an integer index (how FloatRows reads a row that falls back)."""
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            self.rows.append(int(key))
+        return super().__getitem__(key)
+
+
 def _as_rows(values, ncols=10):
     values = list(values) + [1.0] * (-len(values) % ncols)
     return np.array(values, dtype=float).reshape(-1, ncols)
@@ -585,6 +595,26 @@ class TestFloatText:
             block = _as_rows(values, ncols=n + 1)
             _assert_same_text(_emitted(block, suffix),
                               _reference_rows(block, suffix))
+
+    def test_fallback_rows_crowded_and_adjacent(self):
+        # cells that fall back (NaN, +-inf, decimal ties, 1e-300) several
+        # to a row, in adjacent rows and in the first and last column:
+        # each such row is formatted once, from its block row, and written
+        # as '%.17g' writes it, between rows that take the tables
+        ties = _decimal_ties()
+        odd = [np.nan, np.inf, -np.inf, ties[0], ties[1], 1e-300, -1e-300]
+        block = np.random.default_rng(11).standard_normal((40, 10))
+        cells = {0: (0, 9), 1: (0, 1, 2), 2: (9,), 3: (0, 4, 9),
+                 4: range(10), 10: (5,), 11: (0,), 12: (9,), 38: (0, 3),
+                 39: (9, 8, 0)}
+        for row, cols in cells.items():
+            for j, col in enumerate(cols):
+                block[row, col] = odd[(row + j) % len(odd)]
+        reads = block.view(_RowReads)
+        reads.rows = []
+        text = FloatRows()(reads, ",full,rwf").tobytes().decode("ascii")
+        _assert_same_text(text, _reference_rows(block, ",full,rwf"))
+        assert reads.rows == sorted(cells)
 
     def test_block_temporaries(self):
         # One ROW_BLOCK x 10 block: its 32-byte cells (0.6 MiB), their rows

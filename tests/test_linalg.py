@@ -365,8 +365,9 @@ class TestHermitianCoordinates:
         assert np.array_equal(to_vec, np.kron(s, s_inv.T))
         assert self._entries_in(to_vec, [0, 1, -1, 0.5, -0.5, 1j, -1j,
                                          0.5j, -0.5j])
-        real, imag = magnus._from_hermitian(n)
-        assert np.array_equal(real + 1j * imag, to_vec.T)
+        to_vec_t = magnus._from_hermitian(n)
+        assert np.array_equal(to_vec_t, to_vec.T)
+        assert to_vec_t.flags.c_contiguous and not to_vec_t.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_hermiticity_preserving_map_is_real(self, rng, n):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -285,6 +286,20 @@ class TestRepeats:
         u_t, micro = one_period(g, plan, stack if from_plan else None)
         assert np.array_equal(u_t, micro[-1])
         assert u_t.flags.owndata and not np.shares_memory(u_t, micro)
+
+    def test_one_period_maps_the_stack_with_no_temporaries(self):
+        # the vec map is one product written into the result, so mapping
+        # the stack holds no more than U_T, the mapped rows and a few KiB
+        g = liouville_generator(preset("A-II"))
+        plan, _, stack = accurate_plan(g, 2.0 * np.pi)
+        one_period(g, plan, stack)  # build the cached map
+        tracemalloc.start()
+        try:
+            u_t, micro = one_period(g, plan, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u_t.nbytes + micro.nbytes + 4 * 2 ** 10, peak
 
 
 class TestAccuratePlan:
