@@ -64,7 +64,8 @@ MUTANTS = [
            "k = max(1, int(np.sum(sigma <= DEGENERATE_GAP_TOL "
            "* max(1.0, sigma[0]))))", "k = 1"),
     Mutant("doubling-no-reprojection", "src/lamsim/periodic.py",
-           "if w is not None:  # the rank-1", "if False:  # the rank-1"),
+           "u = u - np.outer(w, (w.conj() @ u - w.conj())) / np.vdot(w, w)",
+           "u = u"),
     Mutant("lambda2-floor-1e-9", "src/lamsim/analysis.py",
            "LAMBDA2_FLOOR = STEP_ERROR_TARGET", "LAMBDA2_FLOOR = 1e-9"),
     Mutant("claim-tol-1e-8", "src/lamsim/magnus.py",
@@ -175,6 +176,14 @@ MUTANTS = [
     Mutant("frame-fill-wrong-power", "src/lamsim/magnus.py",
            "np.matmul(out[:n].reshape(-1, d), e_m,",
            "np.matmul(out[:n].reshape(-1, d), powers[0],"),
+    Mutant("frame-product-highest-bit-first", "src/lamsim/magnus.py",
+           "[e for i, e in enumerate(powers) if steps >> i & 1])",
+           "[e for i, e in enumerate(powers) if steps >> i & 1][::-1])"),
+    Mutant("grids-finiteness-unchecked", "src/lamsim/magnus.py",
+           "if not np.isfinite(u).all():", "if False:"),
+    Mutant("period-maps-rwa-takes-stack", "src/lamsim/cli.py",
+           "if stack is None else one_period(g, plan, stack)[0])",
+           "if False else one_period(g, plan, stack)[0])"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", re.M)

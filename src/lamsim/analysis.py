@@ -39,14 +39,14 @@ def rwa_error(rho_rwa: np.ndarray, rho: np.ndarray):
 @dataclass(frozen=True)
 class GapReport:
     """Eigenvalue logs of a one-period propagator, in spectral_gap's
-    order, and the resulting decay gap.  gap is per period; gap_per_time
-    additionally divides by the period when one was supplied.  Both are
-    NaN when the gap is unresolved (|lambda_2| <= LAMBDA2_FLOOR)."""
+    order, and the resulting decay gap: gap per period, gap_per_time per
+    unit time (gap divided by the period).  Both are NaN when the gap is
+    unresolved (|lambda_2| <= LAMBDA2_FLOOR)."""
 
     eigen_logs: np.ndarray
     gap: float
     degenerate: bool
-    gap_per_time: float | None = None
+    gap_per_time: float
 
 
 def resolved_log(log):
@@ -56,8 +56,7 @@ def resolved_log(log):
     return np.real(log) > math.log(LAMBDA2_FLOOR)
 
 
-def spectral_gap(u_period: np.ndarray, period: float | None = None
-                 ) -> GapReport:
+def spectral_gap(u_period: np.ndarray, period: float) -> GapReport:
     """Principal-branch logs of the eigenvalues of a one-period propagator,
     sorted by decay exponent -Re(log) ascending; decays that agree to
     SAME_DECAY_TOL * max(1, |decay|) count as equal and are ordered by
@@ -65,11 +64,12 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     does not depend on the eigensolver's.
 
     The steady eigenvalue is the one whose log has real part closest to
-    zero; the gap is the smallest decay exponent among the rest.  A map
-    with all decay exponents below tolerance (e.g. a unitary) is reported
-    with gap 0 and the degenerate flag set.  When the largest non-steady
-    eigenvalue modulus |lambda_2| = e^-gap is at or below LAMBDA2_FLOOR,
-    it is rounding noise and the gap is NaN (unresolved).
+    zero; the gap is the smallest decay exponent among the rest, per
+    period and per unit of time (gap / period).  A map with all decay
+    exponents below tolerance (e.g. a unitary) is reported with gap 0 and
+    the degenerate flag set.  When the largest non-steady eigenvalue
+    modulus |lambda_2| = e^-gap is at or below LAMBDA2_FLOOR, it is
+    rounding noise and the gap is NaN (unresolved).
 
     A 9x9 map that preserves Hermiticity is real in the Hermitian
     coordinates S of linalg.hermitian_coordinates, S^-1 U S.  When it is
@@ -94,13 +94,11 @@ def spectral_gap(u_period: np.ndarray, period: float | None = None
     # the steady eigenvalue, whose log's real part is closest to zero
     decays = -np.delete(logs.real, np.argmin(np.abs(logs.real)))
     if len(decays) == 0 or np.max(decays) <= DEGENERATE_GAP_TOL:
-        return GapReport(eigen_logs=logs, gap=0.0, degenerate=True,
-                         gap_per_time=0.0 if period else None)
+        return GapReport(logs, 0.0, True, 0.0)
     gap = max(0.0, float(np.min(decays)))
     if not resolved_log(-gap):  # log |lambda_2| = -gap
         gap = math.nan
-    return GapReport(eigen_logs=logs, gap=gap, degenerate=False,
-                     gap_per_time=gap / period if period else None)
+    return GapReport(logs, gap, False, gap / period)
 
 
 @dataclass(frozen=True)

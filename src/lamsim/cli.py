@@ -34,7 +34,7 @@ import numpy as np
 
 from .analysis import (LAMBDA2_FLOOR, cptp_check, density_validity,
                        resolved_log, spectral_gap)
-from .magnus import MagnusOrder
+from .magnus import MagnusOrder, propagate
 from .model import (DIM, PRESET_NAMES, LambdaParams, ground_state,
                     liouville_generator, preset, vec)
 from .periodic import (HorizonError, Trajectory, accurate_plan,
@@ -213,12 +213,11 @@ def _fmt(value) -> str:
 
 
 def _metadata_lines(cfg: RunConfig, p: LambdaParams, command: str,
-                    extra: dict | None = None) -> list[str]:
+                    extra: dict) -> list[str]:
     items = {k: getattr(p, k) for k in _PARAM_KEYS}
     items.update((k, getattr(cfg, k)) for k in _RECORDED
                  if k in _READS[command])
-    if extra:  # a resolved value keeps its setting's place
-        items.update(extra)
+    items.update(extra)  # a resolved value keeps its setting's place
     lines = [f"# {key} = {_fmt(val)}" for key, val in items.items()]
     if cfg.timestamp:
         lines.append(f"# generated = "
@@ -374,14 +373,17 @@ def _report_unresolved(command: str, gaps: list[float]) -> int:
 
 def _period_maps(cfg: RunConfig, p: LambdaParams) -> tuple[dict, dict]:
     """Each drive's one-period map U_T in Liouville space, resolved as
-    steady_state_summary resolves it (periodic.accurate_plan), and the
-    metadata: the period and one step count per drive, in row order."""
+    steady_state_summary resolves it (periodic.accurate_plan): mapped from
+    the full drive's accepted stack, or the RWA drive's exact U_T from
+    propagate, that stack's last row with no stack; and the metadata: the
+    period and one step count per drive, in row order."""
     period, _ = commensurate_period(p.omega_p, p.omega_c)
     maps, steps = {}, []
     for drive in _variants(cfg.drive):
         g = liouville_generator(p, rwa=drive == "rwa")
         plan, _, stack = accurate_plan(g, period)
-        maps[drive] = one_period(g, plan, stack)[0]
+        maps[drive] = (propagate(g, 0.0, period, plan.steps_per_period)
+                       if stack is None else one_period(g, plan, stack)[0])
         steps.append(str(plan.steps_per_period))
     return maps, {"steps_per_period": " ".join(steps), "period": period}
 

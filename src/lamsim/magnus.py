@@ -374,7 +374,8 @@ def propagate(g: Generator, t0: float, t1: float, steps: int,
     t0 + k dt for k = 0 .. steps (identity first, full propagator last).
     It is the one-grid case of _propagate_grids, mapped back to the vec
     basis chunk by chunk.  A generator with a frame takes the exact route
-    of _propagate_in_frame instead, and order has no effect.
+    of _propagate_in_frame instead, and order has no effect.  Either way
+    the full propagator is the stack's last row, to the bit.
     """
     if t1 <= t0:
         raise ValueError(f"require t1 > t0, got [{t0}, {t1}]")
@@ -398,7 +399,9 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
     chunks share a batch while it stays within CHUNK_STEPS steps: one
     exponent evaluation, dt given per step, one expm call per chunk (so a
     grid keeps the Taylor tier and bits it gets alone) and one running-
-    product scan, each chunk entered from its grid's product so far."""
+    product scan, each chunk entered from its grid's product so far.
+    Products of finite step maps can overflow, and stay non-finite once
+    they do: a grid whose propagator is not finite is FloatingPointError."""
     tables = g._real
     store = g._vec_coordinates if vec else (lambda r: r)
     d = g.dim if vec else tables.dim
@@ -432,6 +435,10 @@ def _propagate_grids(g: Generator, t0: float, t1: float, grids,
             maps[i] = chunk[-1]
             if stacks[i] is not None:
                 stacks[i][a + 1:b + 1] = store(chunk)
+    for (steps, _), u in zip(grids, maps):
+        if not np.isfinite(u).all():
+            raise FloatingPointError(
+                f"the product of {steps} Magnus steps is not finite")
     return [store(u) if s is None else s for u, s in zip(maps, stacks)]
 
 
@@ -468,15 +475,16 @@ def _propagate_in_frame(g: Generator, t0: float, dt: float, steps: int,
                         return_intermediate: bool):
     """Exact propagators U(t0 + k dt, t0) = Phi(k dt) E^k of a generator
     with a frame, E = exp(dt B) with B = A(t0) - i Theta the rotating-frame
-    generator anchored at t0: the powers E^k of _frame_fill, then the
-    phases Phi(k dt), CHUNK_STEPS rows at a time.  Without
-    return_intermediate only exp(steps dt B) is formed.
-    """
+    generator anchored at t0, from the doubling powers of _frame_powers:
+    E^k by _frame_fill, then the phases Phi(k dt), CHUNK_STEPS rows at a
+    time.  Without return_intermediate only E^steps is formed, as the
+    product of the powers of steps' set bits, lowest bit first: the
+    products that give _frame_fill's last row, to the bit."""
+    powers = _frame_powers(g, t0, dt, steps)
     if not return_intermediate:
-        b = g(t0) - 1j * np.diag(g.frame)
-        return np.exp(1j * (steps * dt) * g.frame)[:, None] \
-            * expm(steps * dt * b)
-    powers = _frame_fill(_frame_powers(g, t0, dt, steps), steps + 1)
+        return np.exp(1j * (steps * dt) * g.frame)[:, None] * functools.reduce(
+            np.matmul, [e for i, e in enumerate(powers) if steps >> i & 1])
+    powers = _frame_fill(powers, steps + 1)
     for a in range(0, steps + 1, CHUNK_STEPS):
         k = np.arange(a, min(a + CHUNK_STEPS, steps + 1))
         powers[a:a + CHUNK_STEPS] *= np.exp(

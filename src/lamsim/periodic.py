@@ -41,11 +41,7 @@ MAX_ROWS = 2 ** 26
 
 
 class HorizonError(RuntimeError):
-    """Steady-state search exhausted its horizon; carries the last delta."""
-
-    def __init__(self, message: str, last_delta: float):
-        super().__init__(message)
-        self.last_delta = last_delta
+    """Steady-state search exhausted its horizon (MAX_PERIODS)."""
 
 
 @dataclass(frozen=True)
@@ -234,24 +230,20 @@ def stroboscopic(u_period: np.ndarray, micromotion: np.ndarray,
 
 
 def doubling(u_period: np.ndarray, m: int,
-             fixed_functional: np.ndarray | None = None) -> np.ndarray:
-    """u_period^(2^m) via m successive squarings.
-
-    Repeated squaring doubles any rounding-level defect in a known left
-    fixed functional (for trace-preserving maps, vec(identity)), which
-    over ~20 squarings amplifies 1e-14 to 1e-8.  Passing the functional
-    re-imposes w @ u = w after every squaring via a rank-1 correction at
-    the rounding level, keeping the defect at machine precision
-    throughout.
-    """
+             fixed_functional: np.ndarray) -> np.ndarray:
+    """u_period^(2^m) via m successive squarings of a map with the known
+    left fixed functional w (trace_functional for a trace-preserving map).
+    Squaring doubles any rounding-level defect in w, 1e-14 to 1e-8 over
+    ~20 squarings, so a rank-1 correction re-imposes w @ u = w on u_period
+    and after every squaring: the defect stays at machine precision."""
     if m < 0:
         raise ValueError(f"doubling count must be non-negative, got {m}")
-    u, w = u_period.copy(), fixed_functional
+    u, w = u_period, fixed_functional
     for i in range(m + 1):
         if i:
             u = u @ u
-        if w is not None:  # the rank-1 reprojection onto w^dag u = w^dag
-            u = u - np.outer(w, (w.conj() @ u - w.conj())) / np.vdot(w, w)
+        # the rank-1 reprojection onto w^dag u = w^dag
+        u = u - np.outer(w, (w.conj() @ u - w.conj())) / np.vdot(w, w)
     return u
 
 
@@ -355,11 +347,11 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     the first period meets it), then bisects between n / 2 and n.  The
     states U_T^n v0 come from _powers_of, which forms each U_T^(2^j) once:
     no matrix power is formed per n.  It assumes a dissipative generator
-    (a steady state exists) and raises HorizonError, carrying the last
-    observed delta, if MAX_PERIODS is exhausted.  An eps that is not
-    positive and finite raises ValueError: a negative eps is never met, a
-    NaN one fails every comparison of the search, and an infinite one is
-    met by any first period.
+    (a steady state exists) and raises HorizonError, whose message gives
+    the last observed delta, if MAX_PERIODS is exhausted.  An eps that is
+    not positive and finite raises ValueError: a negative eps is never
+    met, a NaN one fails every comparison of the search, and an infinite
+    one is met by any first period.
     """
     if g.dim != DIM * DIM:
         raise ValueError("convergence_time expects a Liouville-space generator")
@@ -380,8 +372,7 @@ def convergence_time(g: Generator, plan: PeriodicPlan, rho0: np.ndarray,
     while delta(n) > eps:
         if n > MAX_PERIODS:
             raise HorizonError(
-                f"no steady state within {n} periods (delta {delta(n):.3e})",
-                last_delta=delta(n))
+                f"no steady state within {n} periods (delta {delta(n):.3e})")
         n *= 2
     lo, hi = n // 2, n  # delta(lo) > eps >= delta(hi), or lo = 0, hi = 1
     while hi - lo > 1:

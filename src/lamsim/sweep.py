@@ -134,10 +134,9 @@ def run_case(p: LambdaParams, horizon: float,
     if not np.all(np.diff(ends) > 0):
         raise ValueError(f"horizon {horizon:g} is too long: row times of "
                          f"steps {span / n_steps:g} no longer increase")
-    width = ROW_BLOCK
     start = np.eye(g.dim, dtype=complex)[0]  # |1>, or vec|1><1|
     if rwa:
-        rows, advance = _frame_route(g, grid, width)
+        rows, advance = _frame_route(g, grid)
     else:
         if open_system:  # the generator's real coordinates, mapped per block
             stack = _propagate_grids(g, 0.0, span, [(n_steps, True)],
@@ -164,8 +163,8 @@ def run_case(p: LambdaParams, horizon: float,
         v = start
         for j in range(spans):
             m = n_steps if j < spans - 1 else last
-            for a in range(0, m, width):
-                b = min(a + width, m)
+            for a in range(0, m, ROW_BLOCK):
+                b = min(a + ROW_BLOCK, m)
                 col = rows(v, a, b)
                 if factors is not None:
                     col *= factors[a:b]
@@ -183,7 +182,7 @@ def _applied(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (stack.reshape(-1, len(v)) @ v).reshape(len(stack), -1)
 
 
-def _frame_route(g, grid: np.ndarray, width: int):
+def _frame_route(g, grid: np.ndarray):
     """run_case's rotating-frame rows and span-to-span carry for a
     generator with a frame Phi(t) = diag(e^{i g.frame t}), on the span's
     grid of N steps dt.
@@ -191,12 +190,12 @@ def _frame_route(g, grid: np.ndarray, width: int):
     The carried state x is the rotating-frame one, Phi(t)^-1 psi(t) at
     the span's start t, which k steps take exactly to E^k x, E = exp(dt B)
     (magnus._frame_powers); a span takes it to E^N x.  A block of at most
-    ``width`` rows a..b is the table E^i, i < b - a, applied to E^a x,
+    ROW_BLOCK rows a..b is the table E^i, i < b - a, applied to E^a x,
     both from the span's one batch of doubling powers E^(2^i) (the table
     by magnus._frame_fill, E^a x by periodic._powers_of)."""
     n_steps = len(grid) - 1
     doubling = _frame_powers(g, 0.0, grid[-1] / n_steps, n_steps)
-    table = _frame_fill(doubling, min(width, n_steps) + 1)
+    table = _frame_fill(doubling, min(ROW_BLOCK, n_steps) + 1)
     power = _powers_of(list(doubling))
 
     def rows(v: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -59,7 +59,7 @@ class TestSpectralGap:
         # decay exponents 0, 0.5, 1.0, ... -> gap is the smallest nonzero
         rates = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
         u = np.diag(np.exp(-rates))
-        report = spectral_gap(u)
+        report = spectral_gap(u, period=1.0)
         assert report.gap == pytest.approx(0.5, rel=1e-12)
         assert not report.degenerate
 
@@ -70,7 +70,7 @@ class TestSpectralGap:
                           np.zeros(6)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = spectral_gap(u)
+            report = spectral_gap(u, period=1.0)
         assert report.gap == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(report.eigen_logs[1:3], [-1.0 - 2.0j, -1.0 + 2.0j],
                            rtol=0.0, atol=1e-15)
@@ -78,7 +78,7 @@ class TestSpectralGap:
 
     def test_steady_eigenvalue_selection(self):
         u = np.diag(np.exp([-1.0 + 0.3j, 0.0 + 2.0j, -2.0]))
-        report = spectral_gap(u)
+        report = spectral_gap(u, period=1.0)
         # the steady log has the smallest |Re| and is left out of the gap
         assert np.argmin(np.abs(report.eigen_logs.real)) == 0
         assert np.isclose(report.eigen_logs[0].real, 0.0)
@@ -86,7 +86,7 @@ class TestSpectralGap:
 
     def test_unitary_is_degenerate(self):
         phases = np.exp(1j * np.linspace(0.1, 2.0, 9))
-        report = spectral_gap(np.diag(phases))
+        report = spectral_gap(np.diag(phases), period=1.0)
         assert report.degenerate and report.gap == 0.0
 
     def test_per_time_normalization(self):
@@ -125,7 +125,7 @@ class TestEigenLogOrder:
     def test_sorted_by_decay_then_imaginary_part(self):
         logs = np.array([-2.0 + 1.0j, -0.5 - 0.3j, 0.0, -2.0 - 1.0j,
                          -0.5 + 0.3j, -1.0])
-        report = spectral_gap(np.diag(np.exp(logs)))
+        report = spectral_gap(np.diag(np.exp(logs)), period=1.0)
         want = [0.0, -0.5 - 0.3j, -0.5 + 0.3j, -1.0, -2.0 - 1.0j,
                 -2.0 + 1.0j]
         assert np.allclose(report.eigen_logs, want, rtol=0.0, atol=1e-14)
@@ -139,8 +139,8 @@ class TestEigenLogOrder:
         g = liouville_generator(p, rwa=rwa)
         u_t, _ = one_period(g, make_plan(
             g, *commensurate_period(p.omega_p, p.omega_c)))
-        logs = spectral_gap(u_t).eigen_logs
-        logs_t = spectral_gap(u_t.T).eigen_logs
+        logs = spectral_gap(u_t, period=1.0).eigen_logs
+        logs_t = spectral_gap(u_t.T, period=1.0).eigen_logs
         # a log's condition is 1/|lambda|: B-II full's smallest eigenvalue,
         # 1e-5, has its log off by ~1e-11 on every eigensolver route.  The
         # bound is that of an error of 1e-13 in lambda itself.

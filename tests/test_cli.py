@@ -653,6 +653,25 @@ class TestTwoFormatters:
     """_trajectory_blocks formats the even blocks on a worker thread and
     the odd ones on the caller's, and gives them out in order."""
 
+    def test_each_fallback_row_is_read_once(self, monkeypatch):
+        # the last row has three cells that fall back (NaN, 1e300 and a
+        # tie): the formatter reads it from its block once, not per cell
+        tables = []
+        real = cli._propagate_columns
+
+        def recorded(times, states):
+            table = real(times, states).view(_RowReads)
+            table.rows = []
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(cli, "_propagate_columns", recorded)
+        trajectory = _random_trajectory(ROW_BLOCK + 1, 17)
+        b"".join(cli._trajectory_blocks({"full": trajectory}, "rwf"))
+        assert len(tables) == 2 and 0 in tables[1].rows
+        for table in tables:
+            assert len(set(table.rows)) == len(table.rows), table.rows
+
     @pytest.mark.parametrize("sizes", [
         (1,), (ROW_BLOCK,), (ROW_BLOCK + 1,), (2 * ROW_BLOCK,),
         (3 * ROW_BLOCK,), (2 * ROW_BLOCK + 7,), (5, 2 * ROW_BLOCK + 1)],
@@ -888,21 +907,27 @@ class TestGapCommand:
             assert sum(z.imag != 0.0 for z in logs) >= 4
             assert Counter(logs) == Counter(z.conjugate() for z in logs)
 
-    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
-    def test_gap_equals_the_steady_path(self, tmp_path, case):
+    @pytest.mark.parametrize("case,delta_omega_p", [
+        ("A-II", 0.0), ("B-II", 0.0), ("C-II", 0.0),
+        ("A-II", 1.0 / 3.0)],  # q = 3: 768 steps, not a power of two
+        ids=["A-II", "B-II", "C-II", "A-II-q3"])
+    def test_gap_equals_the_steady_path(self, tmp_path, case, delta_omega_p):
         # one rule resolves U_T for both, so the gaps agree to the bit
         out = tmp_path / "gap.csv"
         assert main(["gap", "--case", case, "--drive", "both",
+                     "--delta-omega-p", repr(delta_omega_p),
                      "--out", str(out)]) == EXIT_OK
         _, rows = _read_csv(out)
         gaps = [r.split(",")[2] for r in rows if ",gap," in r]
-        assert gaps == ["%.17g" % steady_state_summary(preset(case),
-                                                       rwa)["gap"]
+        p = preset(case, delta_omega_p=delta_omega_p)
+        assert gaps == ["%.17g" % steady_state_summary(p, rwa)["gap"]
                         for rwa in (False, True)]
+        assert "nan" not in gaps
 
     def test_memory_at_q_20(self, tmp_path):
         # T = 40 pi: the RWA drive resolves U_T at 20 * MIN_STEPS steps,
-        # so the peak is a few (20 MIN_STEPS + 1, 9, 9) complex stacks
+        # formed from its doubling powers alone, not from the (20 MIN_STEPS
+        # + 1, 9, 9) complex stack (6.3 MiB)
         out = tmp_path / "gap.csv"
         tracemalloc.start()
         try:
@@ -911,7 +936,7 @@ class TestGapCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 3 * (20 * MIN_STEPS + 1) * 81 * 16
+        bound = 2 ** 20
         assert peak <= bound, (f"{peak / 2**20:.2f} MiB peak, above "
                                f"{bound / 2**20:.2f} MiB")
 
@@ -968,6 +993,22 @@ class TestValidateCommand:
         meta, rows = _read_csv(out)
         assert "# steps_per_period = 51200" in meta
         assert all(row.endswith("pass") for row in rows[1:])
+
+    def test_memory_at_q_200(self, tmp_path):
+        # U_T on 51,200 steps from its 16 doubling powers alone: not from
+        # the (51,201, 9, 9) complex stack (63.3 MiB) whose last row it is
+        out = tmp_path / "val.csv"
+        assert main(["validate", "--case", "B-II", "--drive", "rwa",
+                     "--out", str(out)]) == EXIT_OK  # builds cached tables
+        tracemalloc.start()
+        try:
+            assert main(["validate", "--case", "B-II", "--delta-omega-p",
+                         "0.005", "--drive", "rwa", "--out", str(out)]) \
+                == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20, f"{peak / 2**20:.2f} MiB peak"
 
 
 def _exit_in_a_worker(parent, spec, point):
@@ -1126,6 +1167,20 @@ class TestSweepCommand:
 
 
 class TestErrorPaths:
+    def test_magnus_overflow_exits_3(self, tmp_path, capsys):
+        # q = 200 on 256 Magnus steps: each step map is finite, but their
+        # product overflows; no row of inf or nan is written
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["propagate", "--case", "B-II", "--delta-omega-p",
+                       "0.005", "--drive", "full", "--steps-per-period",
+                       "256", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical error: the product of 256 Magnus steps is not "
+            "finite\n")
+        assert not out.exists()
+
     def test_unreadable_config(self):
         assert main(["propagate", "--config", "/nonexistent.cfg"]) == \
             EXIT_CONFIG

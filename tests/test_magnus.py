@@ -110,6 +110,27 @@ class TestPropagate:
         assert np.allclose(cum[0], np.eye(3))
         assert np.allclose(cum[-1], propagate(g, 0.0, 1.0, 5))
 
+    @pytest.mark.parametrize("build", [closed_generator, liouville_generator])
+    def test_propagator_is_the_stacks_last_row(self, build):
+        # Magnus steps: the propagator alone and the stack's last row are
+        # one running product, also across chunks and their blocks
+        p = preset("B-II", delta_omega_p=0.5)
+        g = build(p)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        for steps in (1, 3, 256, 257, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3):
+            stack = propagate(g, 0.0, period, steps, return_intermediate=True)
+            assert np.array_equal(propagate(g, 0.0, period, steps),
+                                  stack[-1]), steps
+
+    def test_overflow_raises(self):
+        # q = 200 on 256 steps: finite step maps whose product overflows
+        p = preset("B-II", delta_omega_p=0.005)
+        g = liouville_generator(p)
+        period, _ = commensurate_period(p.omega_p, p.omega_c)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="product of 256 Magnus steps"):
+            propagate(g, 0.0, period, 256)
+
     def test_stack_takes_a_few_chunks_of_temporaries(self):
         # A-II's full drive over one period on its 8,191 default steps,
         # with the cumulative stack in the vec basis (10.1 MiB): the call
@@ -400,6 +421,22 @@ class TestFrameRoute:
         whole = propagate(g, t0, t0 + period, steps)
         assert np.max(np.abs(whole - self._reference(
             p, g.dim, t0 + period, t0))) <= 1e-11
+
+    @pytest.mark.parametrize("build", [closed_generator, liouville_generator])
+    @pytest.mark.parametrize("case", ["A-II", "B-II", "C-II"])
+    def test_propagator_is_the_stacks_last_row(self, case, build):
+        # one rule for E^N: the propagator alone is the product of the
+        # doubling powers that give the stack's last row, so it has that
+        # row's bits at every step count, not only at powers of two
+        for delta_omega_p in (0.0, 0.05, 0.005, 0.5, 0.7):
+            p = preset(case, delta_omega_p=delta_omega_p)
+            g = build(p, rwa=True)
+            period, _ = commensurate_period(p.omega_p, p.omega_c)
+            for steps in (1, 3, 256, 257, 5120, 8191, 51200):
+                stack = propagate(g, 0.0, period, steps,
+                                  return_intermediate=True)
+                assert np.array_equal(propagate(g, 0.0, period, steps),
+                                      stack[-1]), (delta_omega_p, steps)
 
     def test_phases_take_one_chunk_of_temporaries(self):
         # lamsim validate --case B-II --delta-omega-p 0.005 --drive rwa

@@ -368,6 +368,12 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="dissipation"):
             steady_state_summary(preset("A-I"), rwa=False)
 
+    def test_eps_met_by_the_first_period(self):
+        # the search starts at n = 1: an eps the first period's average
+        # already meets gives t_conv = T, not 2 T
+        s = steady_state_summary(preset("B-II"), rwa=True, eps=1.0)
+        assert s["t_conv"] == s["period"]
+
     @pytest.mark.parametrize("drive", ["full", "rwa"])
     @pytest.mark.parametrize("case", ["A-II", "C-II"])
     def test_gap_at_q_20_is_unresolved(self, case, drive):
@@ -758,6 +764,13 @@ def test_importing_lamsim_loads_no_numpy_random():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_rwa_error_curve_checks_a_zero_horizon():
+    # each drive's run_case checks the step cap at a zero horizon too
+    with pytest.raises(ValueError, match="is above the cap"):
+        rwa_error_curve(preset("A-I"), 0.0,
+                        steps_per_period=periodic.MAX_PLAN_STEPS + 1)
 
 
 def test_rwa_error_curve_starts_at_zero():
